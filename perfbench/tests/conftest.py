@@ -1,0 +1,10 @@
+"""Make the benchmark modules and the package under test importable:
+
+    python3 -m pytest perfbench/tests
+"""
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path[:0] = [BENCH, os.path.join(os.path.dirname(BENCH), "src")]
