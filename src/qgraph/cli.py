@@ -31,7 +31,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +39,10 @@ import numpy as np
 from . import maps
 from .counting import EndpointOnSpectrum, PoleOnBoundary, verify_counting
 from .evans import evans
-from .graphs import (SAME_WIRE, SINGLE, TWO_WIRES, BoundaryConditions,
-                     EdgeSpec, GraphError, PiecewiseConstant, Sampled,
-                     SplitSpec, StarGraph, build_preset, free_edge,
-                     split_graph)
+from .graphs import (PIECE_KEYS, SAME_WIRE, SINGLE, TWO_WIRES,
+                     BoundaryConditions, EdgeSpec, GraphError,
+                     PiecewiseConstant, Sampled, SplitSpec, StarGraph,
+                     build_preset, free_edge, split_graph)
 from .resolvent import (NoIndependentPartner, OnSpectrum, QuadratureFailure,
                         build_projections, projection_equations,
                         resolvent_apply, segment_residual, u_gamma)
@@ -208,21 +208,6 @@ def load_scenario(path) -> Scenario:
 
 # ------------------------------------------------------------------- sweeps
 
-def _threads():
-    env = os.environ.get("QGRAPH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _piece_keys(spec):
-    if spec.mode == SINGLE:
-        return ("omega1:D", "omega2:D")
-    if spec.mode == SAME_WIRE:
-        return ("omega1:D", "tilde1:DD", "tilde2:D")
-    return ("omega1:D", "tilde1:D", "tilde2:DD")
-
-
 def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
     """CSV sweep: lambda, the full Evans function, one column pair per
     split piece, and optionally the two-sided map value."""
@@ -235,34 +220,22 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
     parts = None
     if sc.splits is not None:
         parts = split_graph(sc.graph, sc.bc, sc.splits)
-        keys = _piece_keys(sc.splits)
+        keys = PIECE_KEYS[sc.splits.mode]
     header = ["lambda", "Re(E)", "Im(E)"]
     for k in keys:
         header += [f"Re(E[{k}])", f"Im(E[{k}])"]
     if with_map:
         header += ["Re(map)", "Im(map)"]
     lams = np.linspace(lo, hi, m)
-
-    def two_sided(lam):
-        return maps.two_sided_value(sc.graph, sc.bc, sc.splits, lam,
-                                    parts=parts)
-
-    def row(lam):
-        cells = [_fmt(lam)]
-        vals = [evans(sc.graph, sc.bc, lam).value]
-        vals += [evans(*parts[k], lam).value for k in keys]
-        if with_map:
-            try:
-                with np.errstate(all="ignore"):
-                    vals.append(complex(two_sided(lam)))
-            except (ZeroDivisionError, np.linalg.LinAlgError, maps.PoleAtLambda):
-                vals.append(complex(np.nan))
-        for v in vals:
-            cells += [_fmt(np.real(v)), _fmt(np.imag(v))]
-        return ",".join(cells)
-
-    with ThreadPoolExecutor(max_workers=_threads()) as ex:
-        lines = list(ex.map(row, lams))
+    columns = [evans(sc.graph, sc.bc, lams).value]
+    columns += [evans(*parts[k], lams).value for k in keys]
+    if with_map:
+        with np.errstate(all="ignore"):
+            columns.append(maps.two_sided_value(sc.graph, sc.bc, sc.splits, lams,
+                                                parts=parts))
+    lines = [",".join([_fmt(lam)] + [cell for col in columns
+                                     for cell in (_fmt(np.real(col[i])), _fmt(np.imag(col[i])))])
+             for i, lam in enumerate(lams)]
     return "\n".join([",".join(header)] + lines) + "\n"
 
 
@@ -333,7 +306,7 @@ def _sample_lambdas(rng, sweep, rounds):
 def _residual_rows(name, fn, lams, tol, retries=60):
     """Evaluate fn at each lambda, resampling when it lands on a pole."""
     rows = []
-    rng = np.random.default_rng(abs(hash(name)) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for lam in lams:
         x = lam
         for _ in range(retries):

@@ -10,6 +10,10 @@ holds with delta_N = (zeros - poles) of the two-sided map on the interval.
 Zeros where the function dips without changing sign are probed and counted
 with multiplicity two; the paper-scale examples produce at most order-two
 coincidences.
+
+The scans evaluate a whole grid in one call of a function of an array of
+lambda; root refinement and dip probes call it with one-element arrays.
+count_zeros and map_delta take functions of one lambda and lift them.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from . import maps
 from .evans import evans
-from .graphs import SAME_WIRE, SINGLE, split_graph
+from .graphs import PIECE_KEYS, split_graph
 
 REFINE_TOL = 1e-10
 GRID_PER_UNIT = 512       # grid points per unit of sqrt(lambda) span
@@ -83,14 +87,24 @@ def _refine_dip(f, a, b, refine_tol):
     return float(res.x), float(res.fun)
 
 
-def _scan_zeros(f, xs, refine_tol):
+def _pointwise(f):
+    """f of one lambda, lifted to an array of lambda."""
+    return lambda xs: np.array([f(x) for x in xs], dtype=float)
+
+
+def _scan_zeros(fs, xs, refine_tol):
     """Sign-change zeros plus tangency (multiplicity 2) probing on given abscissae.
 
-    Non-finite values (poles screened out by the caller) are skipped; sign
-    changes are only read between consecutive finite samples.
+    fs maps an array of lambda to an array of real values.  Non-finite
+    values (poles screened out by the caller) are skipped; sign changes are
+    only read between consecutive finite samples.
     """
     with np.errstate(all="ignore"):
-        vs = np.array([f(x) for x in xs], dtype=float)
+        vs = np.asarray(fs(xs), dtype=float)
+
+    def f(x):
+        return float(fs(np.array([x]))[0])
+
     finite = np.isfinite(vs)
     fxs, fvs = xs[finite], vs[finite]
     if fxs.size < 2:
@@ -141,10 +155,9 @@ def _warn_if_coarse(zeros, xs):
                           "cells; consider a finer grid", GridTooCoarse)
 
 
-def count_zeros(f, interval, grid=None, refine_tol=REFINE_TOL) -> CountReport:
-    """Zeros of a real-valued function on [lo, hi], endpoints excluded."""
+def _count(fs, interval, grid, refine_tol) -> CountReport:
     xs = lambda_grid(interval, grid)
-    zeros, _ = _scan_zeros(f, xs, refine_tol)
+    zeros, _ = _scan_zeros(fs, xs, refine_tol)
     zeros = [(z, m) for z, m in zeros if interval[0] < z < interval[1]]
     _warn_if_coarse(zeros, xs)
     return CountReport(interval=(float(interval[0]), float(interval[1])),
@@ -152,12 +165,20 @@ def count_zeros(f, interval, grid=None, refine_tol=REFINE_TOL) -> CountReport:
                        count=sum(m for _, m in zeros), delta_N=None)
 
 
+def count_zeros(f, interval, grid=None, refine_tol=REFINE_TOL) -> CountReport:
+    """Zeros of a real-valued function of one lambda on [lo, hi], endpoints excluded."""
+    return _count(_pointwise(f), interval, grid, refine_tol)
+
+
+def _evans_values(g, bc):
+    return lambda ts: evans(g, bc, ts).value
+
+
 def count_eigenvalues(g, bc, interval, grid=None, refine_tol=REFINE_TOL) -> CountReport:
     """Eigenvalue count as zeros of the canonical Evans function."""
     if not bc.is_real():
         raise ValueError("sign-change counting needs real boundary data")
-    return count_zeros(lambda t: float(evans(g, bc, t).value),
-                       interval, grid, refine_tol)
+    return _count(_evans_values(g, bc), interval, grid, refine_tol)
 
 
 def _merge_poles(reports, pole_merge_tol):
@@ -179,16 +200,12 @@ def map_delta(map_fn, denominators, interval, grid=None, refine_tol=REFINE_TOL,
     Poles are not probed on the map itself: they are the zeros of the
     denominator Evans functions, merged when coincident with orders summed.
     The map's own zeros are then counted by sign change on the pole-free
-    subintervals, skipping samples where evaluation blew up.
+    subintervals, skipping samples where evaluation blew up.  map_fn and
+    the denominators are functions of one lambda.
     """
-    lo, hi = float(interval[0]), float(interval[1])
     if denominator_reports is None:
         denominator_reports = [count_zeros(d, interval, grid, refine_tol)
                                for d in denominators]
-    poles = _merge_poles(denominator_reports, pole_merge_tol)
-    for p, _ in poles:
-        if min(abs(p - lo), abs(p - hi)) <= refine_tol:
-            raise PoleOnBoundary(f"map pole at lambda={p} sits on the interval boundary")
 
     def safe(x):
         try:
@@ -196,6 +213,18 @@ def map_delta(map_fn, denominators, interval, grid=None, refine_tol=REFINE_TOL,
                 return float(map_fn(x))
         except (maps.PoleAtLambda, ZeroDivisionError, np.linalg.LinAlgError):
             return math.nan
+
+    return _map_delta(_pointwise(safe), denominator_reports, interval, grid,
+                      refine_tol, pole_merge_tol)
+
+
+def _map_delta(fs, denominator_reports, interval, grid, refine_tol,
+               pole_merge_tol) -> CountReport:
+    lo, hi = float(interval[0]), float(interval[1])
+    poles = _merge_poles(denominator_reports, pole_merge_tol)
+    for p, _ in poles:
+        if min(abs(p - lo), abs(p - hi)) <= refine_tol:
+            raise PoleOnBoundary(f"map pole at lambda={p} sits on the interval boundary")
 
     total = lambda_grid(interval, grid).size - 1
     span = (math.sqrt(hi) - math.sqrt(lo)) if lo >= 0 else (hi - lo)
@@ -214,7 +243,7 @@ def map_delta(map_fn, denominators, interval, grid=None, refine_tol=REFINE_TOL,
             continue
         share = ((math.sqrt(b) - math.sqrt(a)) / span) if lo >= 0 else ((b - a) / span)
         sub = lambda_grid((a_eff, b_eff), max(MIN_GRID, math.ceil(total * share)))
-        found, _ = _scan_zeros(safe, sub, refine_tol)
+        found, _ = _scan_zeros(fs, sub, refine_tol)
         zeros.extend((z, m) for z, m in found if a_eff < z < b_eff)
     zeros = [(z, m) for z, m in sorted(zeros) if lo < z < hi]
     n_zeros = sum(m for _, m in zeros)
@@ -245,14 +274,6 @@ class CountingIdentityReport:
         return f"{self.full.count} = {terms} + {self.delta_N} {verdict}"
 
 
-def _piece_keys(spec):
-    if spec.mode == SINGLE:
-        return ("omega1:D", "omega2:D")
-    if spec.mode == SAME_WIRE:
-        return ("omega1:D", "tilde1:DD", "tilde2:D")
-    return ("omega1:D", "tilde1:D", "tilde2:DD")
-
-
 def verify_counting(g, bc, spec, interval, grid=None,
                     refine_tol=REFINE_TOL) -> CountingIdentityReport:
     """Check N_full = sum of piece counts + delta_N, all terms independent.
@@ -264,12 +285,13 @@ def verify_counting(g, bc, spec, interval, grid=None,
     if not bc.is_real():
         raise ValueError("sign-change counting needs real boundary data")
     parts = split_graph(g, bc, spec)
-    keys = _piece_keys(spec)
-    dens = {k: (lambda t, p=parts[k]: float(evans(*p, t).value)) for k in keys}
-    probes = [lambda t: float(evans(g, bc, t).value)] + list(dens.values())
+    keys = PIECE_KEYS[spec.mode]
+    dens = {k: _evans_values(*parts[k]) for k in keys}
+    probes = [_evans_values(g, bc)] + list(dens.values())
 
     def on_spectrum(x):
-        return any(f(x - refine_tol) * f(x + refine_tol) <= 0 for f in probes)
+        pair = np.array([x - refine_tol, x + refine_tol])
+        return any(v[0] * v[1] <= 0 for v in (f(pair) for f in probes))
 
     lo, hi = float(interval[0]), float(interval[1])
     for end, step in ((0, 10 * refine_tol), (1, -10 * refine_tol)):
@@ -287,11 +309,14 @@ def verify_counting(g, bc, spec, interval, grid=None,
                 hi = moved
     nudged = (lo, hi)
     full = count_eigenvalues(g, bc, nudged, grid, refine_tol)
-    piece_reports = {k: count_zeros(dens[k], nudged, grid, refine_tol) for k in keys}
-    map_report = map_delta(
-        lambda t: maps.two_sided_value(g, bc, spec, t, parts=parts),
-        list(dens.values()), nudged, grid, refine_tol,
-        denominator_reports=[piece_reports[k] for k in keys])
+    piece_reports = {k: _count(dens[k], nudged, grid, refine_tol) for k in keys}
+
+    def map_values(ts):
+        with np.errstate(all="ignore"):
+            return maps.two_sided_value(g, bc, spec, ts, parts=parts)
+
+    map_report = _map_delta(map_values, [piece_reports[k] for k in keys], nudged,
+                            grid, refine_tol, POLE_MERGE_TOL)
     holds = full.count == sum(r.count for r in piece_reports.values()) + map_report.delta_N
     return CountingIdentityReport(interval=nudged, full=full, pieces=piece_reports,
                                   map_report=map_report, holds=holds)

@@ -222,6 +222,14 @@ SINGLE = "single"
 SAME_WIRE = "same_wire"
 TWO_WIRES = "two_wires"
 
+# split_graph keys of the pieces, Dirichlet at every cut, whose Evans
+# functions factor the whole one; in factor order, per split mode
+PIECE_KEYS = {
+    SINGLE: ("omega1:D", "omega2:D"),
+    SAME_WIRE: ("omega1:D", "tilde1:DD", "tilde2:D"),
+    TWO_WIRES: ("omega1:D", "tilde1:D", "tilde2:DD"),
+}
+
 
 @dataclass(frozen=True)
 class SplitSpec:

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import graphs
 from .graphs import (BoundaryConditions, SplitSpec, StarGraph, split_graph)
-from .evans import FrameBundle, evans, frame_matrix, fundamental_frame
-from .propagate import EdgeSolution
+from .evans import (beta_trace, chunked, evans, frame_matrix, fundamental_frame,
+                    lambdas, y_blocks, z_values)
+from .propagate import edge_transfers
 
 POLE_RTOL = 1e-6  # |denominator Evans| below this times the local scale is a pole
 
@@ -80,17 +81,56 @@ def _with_cut_condition(bc: BoundaryConditions, letter: str) -> BoundaryConditio
     return BoundaryConditions([[c1]], [[c2]], bc.beta1, bc.beta2)
 
 
-def _outer_state(problem, lam):
-    """State at the cut of the solution fixed by the outer condition."""
+def _solve_each(a, b):
+    """np.linalg.solve of a stack a (L, n, n) against b (n, m); a singular
+    matrix gives NaN in its own slot only."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(a.shape[:-1] + b.shape[-1:], np.nan, dtype=np.result_type(a, b))
+        for i, ai in enumerate(a):
+            try:
+                out[i] = np.linalg.solve(ai, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _outer_maps(problem, lams):
+    """-z'(0)/z(0) for each lambda, z the solution fixed by the outer
+    condition of a one-edge problem: the map of a detached interval."""
     g, bc = problem
     if g.n != 1:
         raise ValueError("expected a one-edge problem")
-    edge = g.edges[0]
-    z0 = -np.conj(bc.beta2[0])
-    zp0 = np.conj(bc.beta1[0])
-    if bc.is_real():
-        z0, zp0 = z0.real, zp0.real
-    return EdgeSolution(edge, lam, z0, zp0, anchor=edge.length).at(0.0)
+    z, zp = z_values(g, bc, lams, (0.0,))
+    return -zp[:, 0] / z[:, 0]
+
+
+def _star_maps(problem, lams, cut_edges):
+    """Derivatives at each cut of the solutions with unit value at one cut,
+    (L, m, m): column k is the solution whose gamma-trace is the basis
+    vector of cut k's outer slot, row r its derivative at cut r's endpoint.
+
+    The origin (C) block of that trace system sees zero data, so these
+    solutions are Y combinations, their coefficients solved from the
+    beta-trace of Y at the outer ends.
+    """
+    g, bc = problem
+    yl, ylp = y_blocks(g, bc, lams, g.lengths)
+    cuts = list(cut_edges)
+    unit = np.zeros((g.n, len(cuts)))
+    unit[cuts, range(len(cuts))] = 1.0
+    return ylp[:, cuts, :] @ _solve_each(beta_trace(bc, yl, ylp), unit)
+
+
+def _interval_maps(edge, lams):
+    """Both-slot map of a detached interval [0, d], (L, 2, 2): columns are
+    the solutions with unit value at one end and zero at the other; rows
+    are the outward derivatives (plain at d, negated at 0)."""
+    t, = edge_transfers([(edge, 0.0, edge.length)], lams)
+    s = t[:, 0, 1]
+    return np.stack([np.stack([t[:, 1, 1] / s, -1.0 / s], axis=-1),
+                     np.stack([-1.0 / s, t[:, 0, 0] / s], axis=-1)], axis=-2)
 
 
 def map_M1(problem, lam, pole_scale=1.0) -> OneSidedMap:
@@ -101,29 +141,12 @@ def map_M1(problem, lam, pole_scale=1.0) -> OneSidedMap:
     the outer-condition solution z back to the cut.
     """
     g, bc = problem
-    z = _outer_state(problem, lam)
+    value = _outer_maps(problem, lambdas(lam)[0])[0]
     e_d = evans(g, _with_cut_condition(bc, "D"), lam).value
     _check_pole(lam, e_d, "E1", pole_scale)
     e_n = evans(g, _with_cut_condition(bc, "N"), lam).value
-    return OneSidedMap(side=OUTER, value=-z.deriv / z.value, lam=lam,
+    return OneSidedMap(side=OUTER, value=value, lam=lam,
                        numerator_evans=e_n, denominator_evans=e_d)
-
-
-def _star_cut_derivs(bundle: FrameBundle, cut_edges):
-    """Derivatives at each cut of the solutions with unit value at one cut.
-
-    Column k: solution whose gamma-trace is the basis vector of cut k's
-    outer slot; row r: its derivative at cut r's endpoint.
-    """
-    m = np.empty((len(cut_edges), len(cut_edges)), dtype=bundle.Yl.dtype)
-    for k, jk in enumerate(cut_edges):
-        rhs = np.zeros(2 * bundle.n)
-        rhs[jk] = 1.0
-        d = bundle.solve_trace(rhs)
-        for r, jr in enumerate(cut_edges):
-            _, up = bundle.component_at(d, jr, bundle.graph.edges[jr].length)
-            m[r, k] = up
-    return m
 
 
 def map_M2(problem, lam, cut_edge=0, pole_scale=1.0) -> OneSidedMap:
@@ -132,10 +155,9 @@ def map_M2(problem, lam, cut_edge=0, pole_scale=1.0) -> OneSidedMap:
     solution with unit value there and homogeneous conditions elsewhere.
     """
     g, bc = problem
-    bundle = FrameBundle(g, bc, lam)
-    e_d = bundle.evans_value()
+    e_d = evans(g, bc, lam).value
     _check_pole(lam, e_d, "E2", pole_scale)
-    value = _star_cut_derivs(bundle, (cut_edge,))[0, 0]
+    value = _star_maps(problem, lambdas(lam)[0], (cut_edge,))[0, 0, 0]
     b1 = bc.beta1.copy()
     b2 = bc.beta2.copy()
     b1[cut_edge], b2[cut_edge] = 0.0, 1.0
@@ -148,22 +170,6 @@ def two_sided_sum(m1: OneSidedMap, m2: OneSidedMap):
     if m1.lam != m2.lam:
         raise ValueError(f"maps at different lambda: {m1.lam} vs {m2.lam}")
     return m1.value + m2.value
-
-
-def _interval_2x2(edge, lam):
-    """Both-slot map of a detached interval [0, d]: columns are the solutions
-    with unit value at one end and zero at the other; rows are the outward
-    derivatives (plain at d, negated at 0)."""
-    d = edge.length
-    phi0 = EdgeSolution(edge, lam, 0.0, 1.0, anchor=0.0)
-    phid = EdgeSolution(edge, lam, 0.0, 1.0, anchor=d)
-    u_scale = phi0.at(d).value
-    w_scale = phid.at(0.0).value
-    up_d = phi0.at(d).deriv / u_scale
-    up_0 = phi0.at(0.0).deriv / u_scale
-    wp_d = phid.at(d).deriv / w_scale
-    wp_0 = phid.at(0.0).deriv / w_scale
-    return np.array([[up_d, wp_d], [-up_0, -wp_0]])
 
 
 def two_sided_2x2_same_wire(g: StarGraph, bc: BoundaryConditions,
@@ -181,7 +187,7 @@ def two_sided_2x2_same_wire(g: StarGraph, bc: BoundaryConditions,
     mid_graph, _ = parts["tilde1:DD"]
     e_mid = evans(*parts["tilde1:DD"], lam).value
     _check_pole(lam, e_mid, "Et1", pole_scale)
-    m1 = _interval_2x2(mid_graph.edges[0], lam)
+    m1 = _interval_maps(mid_graph.edges[0], lambdas(lam)[0])[0]
     m2 = np.diag([m_outer.value, m_star.value])
     return TwoSidedMap2x2(m1=m1, m2=m2, geometry=graphs.SAME_WIRE, lam=lam)
 
@@ -198,11 +204,9 @@ def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
     (j1, _), (j2, _) = spec.cuts
     m_out1 = map_M1(parts["omega1:D"], lam, pole_scale)
     m_out2 = map_M1(parts["tilde1:D"], lam, pole_scale)
-    star_graph, star_bc = parts["tilde2:DD"]
-    bundle = FrameBundle(star_graph, star_bc, lam)
-    e_star = bundle.evans_value()
+    e_star = evans(*parts["tilde2:DD"], lam).value
     _check_pole(lam, e_star, "Et2", pole_scale)
-    m2 = _star_cut_derivs(bundle, (j1, j2))
+    m2 = _star_maps(parts["tilde2:DD"], lambdas(lam)[0], (j1, j2))[0]
     m1 = np.diag([m_out1.value, m_out2.value])
     return TwoSidedMap2x2(m1=m1, m2=m2, geometry=graphs.TWO_WIRES, lam=lam)
 
@@ -212,42 +216,46 @@ def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
     """Sweep-friendly two-sided map value: M1 + M2 for a single cut,
     det(MM1 + MM2) for a double cut.
 
-    Skips the quotient legs and the pole bookkeeping of the full builders;
-    at a pole the value is a division blowup (or LinAlgError) the caller
-    must tolerate.  Pass parts=split_graph(...) to reuse a split.
+    lam may be an array of lambda, which gives an array of values.  Skips
+    the quotient legs and the pole bookkeeping of the full builders: at a
+    pole the value is a division blowup, or NaN where a trace block is
+    exactly singular, at that lambda only.  Pass parts=split_graph(...) to
+    reuse a split.
     """
     if parts is None:
         parts = split_graph(g, bc, spec)
+    lams, scalar = lambdas(lam)
+    vals = chunked(lambda ls: _two_sided(parts, spec, ls), lams)
+    return vals[0] if scalar else vals
+
+
+def _two_sided(parts, spec, lams):
     if spec.mode == graphs.SINGLE:
         (j, _), = spec.cuts
-        s = _outer_state(parts["omega1:D"], lam)
-        bundle = FrameBundle(*parts["omega2:D"], lam)
-        return -s.deriv / s.value + _star_cut_derivs(bundle, (j,))[0, 0]
+        return (_outer_maps(parts["omega1:D"], lams)
+                + _star_maps(parts["omega2:D"], lams, (j,))[:, 0, 0])
     if spec.mode == graphs.SAME_WIRE:
         (j, _), _ = spec.cuts
-        s = _outer_state(parts["omega1:D"], lam)
-        bundle = FrameBundle(*parts["tilde2:D"], lam)
-        m2 = np.diag([-s.deriv / s.value, _star_cut_derivs(bundle, (j,))[0, 0]])
         mid_graph, _ = parts["tilde1:DD"]
-        return np.linalg.det(_interval_2x2(mid_graph.edges[0], lam) + m2)
+        m2 = _diag2(_outer_maps(parts["omega1:D"], lams),
+                    _star_maps(parts["tilde2:D"], lams, (j,))[:, 0, 0])
+        return np.linalg.det(_interval_maps(mid_graph.edges[0], lams) + m2)
     (j1, _), (j2, _) = spec.cuts
-    sa = _outer_state(parts["omega1:D"], lam)
-    sb = _outer_state(parts["tilde1:D"], lam)
-    bundle = FrameBundle(*parts["tilde2:DD"], lam)
-    m1 = np.diag([-sa.deriv / sa.value, -sb.deriv / sb.value])
-    return np.linalg.det(m1 + _star_cut_derivs(bundle, (j1, j2)))
+    m1 = _diag2(_outer_maps(parts["omega1:D"], lams), _outer_maps(parts["tilde1:D"], lams))
+    return np.linalg.det(m1 + _star_maps(parts["tilde2:DD"], lams, (j1, j2)))
+
+
+def _diag2(a, b):
+    """Stack of 2 x 2 diagonal matrices diag(a[i], b[i])."""
+    out = np.zeros(a.shape + (2, 2), dtype=np.result_type(a, b))
+    out[:, 0, 0], out[:, 1, 1] = a, b
+    return out
 
 
 def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam):
     """Evans values of the split pieces, Dirichlet conditions at every cut."""
     parts = split_graph(g, bc, spec)
-    if spec.mode == graphs.SINGLE:
-        keys = ("omega1:D", "omega2:D")
-    elif spec.mode == graphs.SAME_WIRE:
-        keys = ("omega1:D", "tilde1:DD", "tilde2:D")
-    else:
-        keys = ("omega1:D", "tilde1:D", "tilde2:DD")
-    return {k: evans(*parts[k], lam).value for k in keys}
+    return {k: evans(*parts[k], lam).value for k in graphs.PIECE_KEYS[spec.mode]}
 
 
 def verify_single_split(g: StarGraph, bc: BoundaryConditions, cut, lam,

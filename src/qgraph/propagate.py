@@ -2,13 +2,13 @@
 
 Piecewise-constant potentials propagate through exact constant-coefficient
 transfer matrices; sampled potentials integrate the 2x2 fundamental system
-with an adaptive Runge-Kutta method and dense output.  Both paths build a
-solution object once per (edge, lam, initial data) and evaluate anywhere
-on the edge.
+with an adaptive Runge-Kutta method and dense output.  edge_transfers carries
+(u, u') between points of edges for a whole array of lambda at once;
+EdgeSolution builds one solution per (edge, lam, initial data) and
+evaluates it anywhere on the edge.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,10 @@ class OutOfDomain(ValueError):
 
 
 class MismatchedEvaluationPoint(ValueError):
+    pass
+
+
+class ImaginaryResidue(ArithmeticError):
     pass
 
 
@@ -41,26 +45,43 @@ def transfer_matrix(d, lam, nu=0.0):
 
     d may be negative; the formulas are parity-consistent so the result is
     the exact inverse of the forward step.  Entries stay real for real
-    inputs (hyperbolic regime included), complex otherwise.
+    inputs (hyperbolic regime included), complex otherwise.  Array
+    arguments broadcast: the result has shape broadcast(d, lam, nu) + (2, 2).
     """
-    w = lam - nu
+    d = np.asarray(d, dtype=float)
+    w = np.asarray(lam) - np.asarray(nu, dtype=float)
+    if np.iscomplexobj(w) and not w.imag.any():
+        w = w.real
     z = w * d * d
-    if abs(z) < _SERIES_CUT:
-        c = 1.0 - z / 2.0 + z * z / 24.0
-        s = d * (1.0 - z / 6.0 + z * z / 120.0)
+    small = np.abs(z) < _SERIES_CUT
+    if np.iscomplexobj(w):
+        om = np.sqrt(w)
+        c, s = np.cos(om * d), np.sin(om * d)
     else:
-        wc = complex(w)
-        if wc.imag == 0.0:
-            wr = wc.real
-            om = math.sqrt(abs(wr))
-            if wr > 0:
-                c, s = math.cos(om * d), math.sin(om * d) / om
-            else:
-                c, s = math.cosh(om * d), math.sinh(om * d) / om
+        om = np.sqrt(np.abs(w))
+        x = om * d
+        pos = w > 0
+        if pos.all():
+            c, s = np.cos(x), np.sin(x)
+        elif not pos.any():
+            c, s = np.cosh(x), np.sinh(x)
         else:
-            om = np.sqrt(wc)
-            c, s = np.cos(om * d), np.sin(om * d) / om
-    return np.array([[c, s], [-w * s, c]])
+            pos = np.broadcast_to(pos, x.shape)
+            c, s = np.empty_like(x), np.empty_like(x)
+            c[pos], s[pos] = np.cos(x[pos]), np.sin(x[pos])
+            c[~pos], s[~pos] = np.cosh(x[~pos]), np.sinh(x[~pos])
+    c = np.asarray(c)
+    s = np.asarray(s / np.where(small, 1.0, om))  # om = 0 only where the series takes over
+    if small.any():
+        zs, ds = z[small], np.broadcast_to(d, z.shape)[small]
+        c[small] = 1.0 - zs / 2.0 + zs * zs / 24.0
+        s[small] = ds * (1.0 - zs / 6.0 + zs * zs / 120.0)
+    m = np.empty(z.shape + (2, 2), dtype=np.result_type(c, s, w))
+    m[..., 0, 0] = c
+    m[..., 0, 1] = s
+    m[..., 1, 0] = -w * s
+    m[..., 1, 1] = c
+    return m
 
 
 def _domain_x(edge, x, slack=None):
@@ -69,20 +90,6 @@ def _domain_x(edge, x, slack=None):
     if not -slack <= x <= edge.length + slack:
         raise OutOfDomain(f"x={x} outside [0, {edge.length}]")
     return min(max(x, 0.0), edge.length)
-
-
-def _cs_arrays(w, d):
-    """cos(omega d) and sin(omega d)/omega for scalar w = lam - nu, array d."""
-    if w == 0:
-        return np.ones_like(d), d.astype(float)
-    wc = complex(w)
-    if wc.imag == 0.0:
-        om = math.sqrt(abs(wc.real))
-        if wc.real > 0:
-            return np.cos(om * d), np.sin(om * d) / om
-        return np.cosh(om * d), np.sinh(om * d) / om
-    om = np.sqrt(wc)
-    return np.cos(om * d), np.sin(om * d) / om
 
 
 class _PiecewiseEngine:
@@ -131,28 +138,37 @@ class _PiecewiseEngine:
                     0, len(self.seg_nu) - 1)
         base = np.where(xs >= self.anchor, k, k + 1)
         states = np.array(self.states)
-        d = xs - self.nodes[base]
         u0, up0 = states[base, 0], states[base, 1]
-        dt = complex if (states.dtype.kind == "c" or np.iscomplexobj(self.lam)) else float
-        u = np.zeros(xs.shape, dtype=dt)
-        up = np.zeros(xs.shape, dtype=dt)
-        for kk in np.unique(k):
-            m = k == kk
-            w = self.lam - self.seg_nu[kk]
-            c, s = _cs_arrays(w, d[m])
-            u[m] = c * u0[m] + s * up0[m]
-            up[m] = -w * s * u0[m] + c * up0[m]
-        return u, up
+        m = transfer_matrix(xs - self.nodes[base], self.lam, np.asarray(self.seg_nu)[k])
+        return m[:, 0, 0] * u0 + m[:, 0, 1] * up0, m[:, 1, 0] * u0 + m[:, 1, 1] * up0
+
+
+def _checked_real(a):
+    """The real part of a, whose imaginary part must be exactly zero.
+
+    For real lambda and real data every solution is real; a nonzero
+    imaginary part then means the computation went wrong, so it is an
+    error and never dropped.
+    """
+    if np.any(np.imag(a) != 0.0):
+        raise ImaginaryResidue(
+            f"imaginary part up to {np.max(np.abs(np.imag(a))):.3e} in a real problem")
+    return np.real(a)
 
 
 class _AdaptiveEngine:
-    """Dense-output fundamental matrix from 0, integrated as 8 real ODEs."""
+    """Dense-output fundamental matrix from 0, integrated as 8 real ODEs.
 
-    def __init__(self, edge, lam, value, deriv, anchor,
+    For real lambda the matrix is real, and it is returned as real numbers
+    through _checked_real.
+    """
+
+    def __init__(self, edge, lam, value=1.0, deriv=0.0, anchor=0.0,
                  rtol=1e-10, atol=1e-12):
         xs = np.asarray(edge.potential.xs)
         vs = np.asarray(edge.potential.vs)
         lam = complex(lam)
+        self._real = lam.imag == 0.0
 
         def rhs(x, y):
             m = (y[:4] + 1j * y[4:]).reshape(2, 2)
@@ -172,22 +188,70 @@ class _AdaptiveEngine:
             raise RuntimeError(f"Wronskian drift {drift:.2e} after tightening tolerances")
         self._sol = sol
         init = np.array([value, deriv])
-        self._coef = np.linalg.solve(self._unpack(sol.sol(anchor)), init) \
+        self._coef = np.linalg.solve(self.matrix(anchor), init) \
             if anchor != 0.0 else init
 
     @staticmethod
     def _unpack(y):
-        return (y[:4] + 1j * y[4:]).reshape(2, 2)
+        return (y[:4] + 1j * y[4:]).reshape((2, 2) + np.shape(y)[1:])
+
+    def matrix(self, x):
+        """Fundamental matrix at x (2 x 2), or at each of an array of x (2 x 2 x P)."""
+        m = self._unpack(self._sol.sol(x))
+        return _checked_real(m) if self._real else m
 
     def at(self, x):
-        return self._unpack(self._sol.sol(x)) @ self._coef
+        return self.matrix(x) @ self._coef
 
     def on(self, xs):
-        y = self._sol.sol(np.asarray(xs, dtype=float))
-        m = (y[:4] + 1j * y[4:]).reshape(2, 2, -1)
+        m = self.matrix(np.asarray(xs, dtype=float))
         u = m[0, 0] * self._coef[0] + m[0, 1] * self._coef[1]
         up = m[1, 0] * self._coef[0] + m[1, 1] * self._coef[1]
         return u, up
+
+
+def edge_transfers(legs, lams):
+    """Transfer matrices carrying (u, u') along edges for an array of L
+    lambdas: one (L, 2, 2) array per leg (edge, x0, x1), from x0 to x1.
+
+    Piecewise-constant potentials multiply the exact piece matrices in the
+    direction of travel; the pieces of every leg and every lambda go
+    through one transfer_matrix call.  Sampled potentials integrate the
+    fundamental matrix once per lambda.
+    """
+    lams = np.asarray(lams)
+    out = [None] * len(legs)
+    steps, owners = [], []
+    for i, (edge, x0, x1) in enumerate(legs):
+        x0, x1 = _domain_x(edge, x0), _domain_x(edge, x1)
+        pot = edge.potential
+        if isinstance(pot, Sampled):
+            out[i] = _adaptive_transfers(edge, lams, x0, x1)
+            continue
+        if not isinstance(pot, PiecewiseConstant):
+            raise TypeError(f"unsupported potential type {type(pot).__name__}")
+        lo, hi = min(x0, x1), max(x0, x1)
+        sign = 1.0 if x1 >= x0 else -1.0
+        for a, b, nu in (pot.pieces if sign > 0 else reversed(pot.pieces)):
+            d = min(b, hi) - max(a, lo)
+            if d > 0:
+                steps.append((sign * d, nu))
+                owners.append(i)
+    if steps:
+        steps = np.array(steps)
+        for m, i in zip(transfer_matrix(steps[:, :1], lams, steps[:, 1:]), owners):
+            out[i] = m if out[i] is None else m @ out[i]
+    return [np.broadcast_to(np.eye(2), lams.shape + (2, 2)) if m is None else m
+            for m in out]
+
+
+def _adaptive_transfers(edge, lams, x0, x1):
+    out = []
+    for lam in lams:
+        eng = _AdaptiveEngine(edge, lam)
+        m = eng.matrix(x1)
+        out.append(m if x0 == 0.0 else np.linalg.solve(eng.matrix(x0).T, m.T).T)
+    return np.array(out).reshape(lams.shape + (2, 2))
 
 
 class EdgeSolution:

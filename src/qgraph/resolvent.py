@@ -260,24 +260,25 @@ def segment_residual(g, lam, app: ResolventApplication, v) -> float:
         bks = _edge_breakpoints(edge)
         h = xs[1] - xs[0]
         inner = bks[(bks > xs[0]) & (bks < xs[-1])]
-        for i in range(xs.size - 1):
-            a, b = xs[i], xs[i + 1]
-            if inner.size and np.any((inner > a) & (inner < b)):
-                continue
-            nu = edge.potential.value_at(0.5 * (a + b))
-            v0 = complex(v_eval(np.array([0.5 * (a + b)]))[0])
-            w = lam - nu
-            m = transfer_matrix(h, lam, nu)
-            c, s = m[0, 0], m[0, 1]
-            if abs(w) * h * h < 1e-6:
-                onec = 0.5 * h * h * (1 - w * h * h / 12 * (1 - w * h * h / 30))
-            else:
-                onec = (1.0 - c) / w
-            pred_u = u[i] * c + up[i] * s - v0 * onec
-            pred_up = u[i] * (-w * s) + up[i] * c - v0 * s
-            scale = 1.0 + abs(u[i + 1]) + abs(up[i + 1])
-            worst = max(worst, abs(pred_u - u[i + 1]) / scale,
-                        abs(pred_up - up[i + 1]) / scale)
+        a, b = xs[:-1], xs[1:]
+        i = np.nonzero(~np.any((inner[:, None] > a) & (inner[:, None] < b), axis=0))[0]
+        if not i.size:
+            continue
+        mid = 0.5 * (a[i] + b[i])
+        nu = np.array([edge.potential.value_at(x) for x in mid])
+        v0 = np.asarray(v_eval(mid), dtype=complex)
+        w = lam - nu
+        m = transfer_matrix(h, lam, nu)
+        c, s = m[:, 0, 0], m[:, 0, 1]
+        series = np.abs(w) * h * h < 1e-6
+        with np.errstate(all="ignore"):  # (1 - c) / w is replaced where w is tiny
+            onec = np.where(series, 0.5 * h * h * (1 - w * h * h / 12 * (1 - w * h * h / 30)),
+                            (1.0 - c) / w)
+        pred_u = u[i] * c + up[i] * s - v0 * onec
+        pred_up = u[i] * (-w * s) + up[i] * c - v0 * s
+        scale = 1.0 + np.abs(u[i + 1]) + np.abs(up[i + 1])
+        worst = max(worst, float(np.max(np.abs(pred_u - u[i + 1]) / scale)),
+                    float(np.max(np.abs(pred_up - up[i + 1]) / scale)))
     return worst
 
 

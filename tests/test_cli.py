@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,3 +234,52 @@ def test_console_script_help():
     exe = shutil.which("qgraph")
     if exe:
         _run_help([exe])
+
+
+def _sampled_star():
+    """Two wires, a smooth sampled well on wire 1; the cut on wire 0 leaves
+    the sampled wire in the residual star."""
+    xs = np.linspace(0.0, 1.0, 9)
+    return cli.parse_scenario({
+        "graph": {"edges": [
+            {"length": 1.0},
+            {"length": 1.0, "potential": {"xs": list(xs),
+                                          "vs": list(-12.0 * np.sin(np.pi * xs))}}]},
+        "boundary": {"preset": "kirchhoff"},
+        "splits": {"mode": "single", "cuts": [[0, 0.5]]},
+        "sweep": {"lambda_min": 3.0, "lambda_max": 40.0, "samples": 2}})
+
+
+def test_sampled_star_piece_keeps_real_arithmetic():
+    # no complex value of the adaptive engine is cast or dropped silently
+    sc = _sampled_star()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        csv = cli.evans_csv(sc, samples=2, with_map=True)
+        text, ok = cli.verify_table(sc, "single", rounds=1)
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(float(cell) == 0.0 for row in rows for cell in row[2::2])
+    assert ok, text
+
+
+def test_pole_retry_is_reproducible_across_hash_seeds():
+    # the retry draws must not depend on the per-process string hash salt
+    script = ("from qgraph import cli, maps\n"
+              "calls = []\n"
+              "def check(x):\n"
+              "    calls.append(x)\n"
+              "    if len(calls) == 1:\n"
+              "        raise maps.PoleAtLambda(x, 0.0)\n"
+              "    return x\n"
+              "print(repr(cli._residual_rows('single_split', check, [10.0], 1e-7)))\n")
+    pkg_parent = str(Path(qgraph.__file__).resolve().parents[1])
+    outs = []
+    for salt in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=pkg_parent)
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert "10.0," not in outs[0]  # the retry moved off the pole
