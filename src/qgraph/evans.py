@@ -7,20 +7,19 @@ determinant of the 2n x 2n frame matrix; it does not depend on where the
 frame is evaluated, so the default evaluation point is the origin, where
 the Y blocks are exact initial data and only Z propagates.
 
-Every block comes from propagate.edge_transfers, two propagations per edge
-for a whole array of lambda.  evans and fundamental_frame accept such an
-array and return stacked results; evans works through it CHUNK lambdas
-at a time.
+Every block, and every value FrameBundle.families returns, comes from
+propagate.edge_transfers, two propagations per edge for a whole array of
+lambda.  evans and fundamental_frame accept such an array and return
+stacked results; evans works through it CHUNK lambdas at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .graphs import BoundaryConditions, StarGraph, require_valid_bc
-from .propagate import EdgeSolution, edge_transfers
+from .propagate import edge_transfers
 
 CHUNK = 64  # lambdas per batch; frames of a batch take O(CHUNK n^2) memory
 
@@ -109,21 +108,6 @@ def beta_trace(bc: BoundaryConditions, yl, ylp):
     return b1[:, None] * yl + b2[:, None] * ylp
 
 
-def z_solutions(g: StarGraph, bc: BoundaryConditions, lam):
-    """Per-edge solutions z_i with z_i(l_i) = -conj(h_i), z_i'(l_i) = conj(g_i)."""
-    z0, zp0 = _z_data(bc, _frame_dtype(bc, lambdas(lam)[0]))
-    return [EdgeSolution(edge, lam, z0[j], zp0[j], anchor=edge.length)
-            for j, edge in enumerate(g.edges)]
-
-
-def y_solutions(g: StarGraph, bc: BoundaryConditions, lam):
-    """n x n grid of solutions; [j][i] lives on edge j inside origin family i."""
-    y0, yp0 = _y_data(bc, _frame_dtype(bc, lambdas(lam)[0]))
-    n = g.n
-    return [[EdgeSolution(g.edges[j], lam, y0[j, i], yp0[j, i]) for i in range(n)]
-            for j in range(n)]
-
-
 def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
                       eval_point=None) -> FundamentalFrame:
     """Frame blocks at eval_point (default: the origin).  For an array of
@@ -180,8 +164,8 @@ class FrameBundle:
     gamma-trace matrix is block diagonal: Y columns satisfy the origin
     conditions exactly and Z columns the outer ones, so only the beta-trace
     of Y and the alpha-trace of Z (the C block) survive.  The blocks come
-    from the batched frame code; the per-edge solution objects ys and zs,
-    which evaluate anywhere on an edge, are built when first read.
+    from the batched frame code, and families() evaluates both families
+    anywhere on an edge through the same kernel.
     """
 
     def __init__(self, g: StarGraph, bc: BoundaryConditions, lam):
@@ -189,16 +173,25 @@ class FrameBundle:
         self.bc = bc
         self.lam = lam
         self.frame0 = fundamental_frame(g, bc, lam)
-        Yl, Ylp = y_blocks(g, bc, lambdas(lam)[0], g.lengths)
+        self._lams = lambdas(lam)[0]
+        Yl, Ylp = y_blocks(g, bc, self._lams, g.lengths)
         self.Yl, self.Ylp = Yl[0], Ylp[0]
 
-    @cached_property
-    def ys(self):
-        return y_solutions(self.graph, self.bc, self.lam)
+    def families(self, j, xs, weights):
+        """Both families on edge j at the positions xs (1-d), propagated from
+        0 and from l_j.  Column k of weights (n x m) combines the origin
+        family, whose data combine first as the equation is linear.  Returns
+        y (2, m, P) and z (2, P): values, then derivatives."""
+        edge = self.graph.edges[j]
+        dt = _frame_dtype(self.bc, self._lams)
+        (y0, yp0), (z0, zp0) = _y_data(self.bc, dt), _z_data(self.bc, dt)
 
-    @cached_property
-    def zs(self):
-        return z_solutions(self.graph, self.bc, self.lam)
+        def leg(x0, data):  # one leg at a time keeps the peak memory down
+            t = edge_transfers([(edge, x0, xs)], self._lams)[0][0]
+            return t[..., :1] * data[0] + t[..., 1:] * data[1]  # t @ data, faster
+        y = leg(0.0, np.stack([y0[j] @ weights, yp0[j] @ weights]))
+        z = leg(edge.length, np.array([[z0[j]], [zp0[j]]]))
+        return np.moveaxis(y, 0, -1), z[..., 0].T
 
     @property
     def n(self):
@@ -207,41 +200,21 @@ class FrameBundle:
     def c_block(self):
         return c_matrix(self.frame0, self.bc)
 
-    def beta_trace_y(self):
-        return beta_trace(self.bc, self.Yl, self.Ylp)
-
-    def trace_matrix(self):
-        n = self.n
-        dt = self.Yl.dtype
-        s = np.zeros((2 * n, 2 * n), dtype=np.promote_types(dt, self.c_block().dtype))
-        s[:n, :n] = self.beta_trace_y()
-        s[n:, n:] = self.c_block()
-        return s
-
     def evans_value(self):
         return np.linalg.det(frame_matrix(self.frame0))
 
     def solve_trace(self, rhs):
         """Coefficients d of a combination whose gamma-trace equals rhs."""
-        return np.linalg.solve(self.trace_matrix(), np.asarray(rhs))
+        n, c = self.n, self.c_block()
+        s = np.zeros((2 * n, 2 * n), dtype=np.promote_types(self.Yl.dtype, c.dtype))
+        s[:n, :n], s[n:, n:] = beta_trace(self.bc, self.Yl, self.Ylp), c
+        return np.linalg.solve(s, np.asarray(rhs))
 
     def component(self, d, j, xs):
         """(values, derivs) on edge j of the combination with coefficients d."""
-        n = self.n
-        xs = np.asarray(xs, dtype=float)
-        dt = np.promote_types(np.asarray(d).dtype, self.Yl.dtype)
-        u = np.zeros(xs.shape, dtype=dt)
-        up = np.zeros(xs.shape, dtype=dt)
-        for k in range(n):
-            if d[k] != 0:
-                v, vp = self.ys[j][k].on(xs)
-                u += d[k] * v
-                up += d[k] * vp
-        if d[n + j] != 0:
-            v, vp = self.zs[j].on(xs)
-            u += d[n + j] * v
-            up += d[n + j] * vp
-        return u, up
+        d = np.asarray(d)
+        y, z = self.families(j, np.asarray(xs, dtype=float), d[:self.n, None])
+        return y[0, 0] + d[self.n + j] * z[0], y[1, 0] + d[self.n + j] * z[1]
 
     def component_at(self, d, j, x):
         u, up = self.component(d, j, np.array([float(x)]))

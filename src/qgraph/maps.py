@@ -260,28 +260,33 @@ def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, l
 
 def verify_single_split(g: StarGraph, bc: BoundaryConditions, cut, lam,
                         pole_scale=1.0) -> float:
-    """Relative residual of E = E1 E2 (M1 + M2) at one lambda."""
+    """Residual of E = E1 E2 (M1 + M2) at one lambda over the size of the
+    terms, |E1 E2| (|M1| + |M2|), which shrinks with E on wide stars."""
     spec = SplitSpec((cut,), graphs.SINGLE)
     parts = split_graph(g, bc, spec)
     j = cut[0]
     m1 = map_M1(parts["omega1:D"], lam, pole_scale)
     m2 = map_M2(parts["omega2:D"], lam, cut_edge=j, pole_scale=pole_scale)
     e_full = evans(g, bc, lam).value
-    product = (m1.denominator_evans * m2.denominator_evans * two_sided_sum(m1, m2))
-    return float(abs(e_full - product) / (1.0 + abs(e_full)))
+    e12 = m1.denominator_evans * m2.denominator_evans
+    size = abs(e12) * (abs(m1.value) + abs(m2.value))
+    return float(abs(e_full - e12 * two_sided_sum(m1, m2)) / size)
 
 
 def verify_double_split(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec,
                         lam, pole_scale=1.0) -> float:
-    """Relative residual of E = E1 Et1 Et2 det(MM1 + MM2) at one lambda."""
+    """Residual of E = E1 Et1 Et2 det(a), a = MM1 + MM2, at one lambda over
+    the size of the terms, |E1 Et1 Et2| (|a00 a11| + |a01 a10|)."""
     if spec.mode == graphs.SAME_WIRE:
         two_sided = two_sided_2x2_same_wire(g, bc, spec, lam, pole_scale)
     else:
         two_sided = two_sided_2x2_two_wires(g, bc, spec, lam, pole_scale)
     factors = split_evans_factors(g, bc, spec, lam)
     e_full = evans(g, bc, lam).value
-    product = np.prod(list(factors.values())) * two_sided.det_sum
-    return float(abs(e_full - product) / (1.0 + abs(e_full)))
+    prod = np.prod(list(factors.values()))
+    a = two_sided.m1 + two_sided.m2
+    size = abs(prod) * (abs(a[0, 0] * a[1, 1]) + abs(a[0, 1] * a[1, 0]))
+    return float(abs(e_full - prod * two_sided.det_sum) / size)
 
 
 def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
@@ -289,6 +294,7 @@ def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
     """For a residual star with free outer slots on two wires:
     E^DD E^NN - E^ND E^DN equals the product of two complementary minors of
     the row-interleaved fundamental matrix (cut wires' Z columns dropped).
+    The residual is relative to |E^DD E^NN| + |E^ND E^DN|.
     """
     j1, j2 = cut_edges
     n = g.n
@@ -302,7 +308,7 @@ def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
         return evans(g, BoundaryConditions(bc.alpha1, bc.alpha2, b1, b2), lam).value
 
     D, N = (1.0, 0.0), (0.0, 1.0)
-    lhs = ev(D, D) * ev(N, N) - ev(N, D) * ev(D, N)
+    t1, t2 = ev(D, D) * ev(N, N), ev(N, D) * ev(D, N)
     fr = frame_matrix(fundamental_frame(g, bc, lam))
     order = [r for j in range(n) for r in (j, n + j)]
     fr = fr[order, :]
@@ -310,4 +316,4 @@ def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
     rest = [r for j in range(n) if j not in (j1, j2) for r in (2 * j, 2 * j + 1)]
     b1 = np.linalg.det(fr[np.ix_(sorted([2 * j1, 2 * j1 + 1] + rest), keep_cols)])
     b2 = np.linalg.det(fr[np.ix_(sorted([2 * j2, 2 * j2 + 1] + rest), keep_cols)])
-    return float(abs(lhs - b1 * b2) / (1.0 + abs(lhs)))
+    return float(abs(t1 - t2 - b1 * b2) / (abs(t1) + abs(t2)))

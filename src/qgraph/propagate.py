@@ -2,13 +2,15 @@
 
 Piecewise-constant potentials propagate through exact constant-coefficient
 transfer matrices; sampled potentials integrate the 2x2 fundamental system
-with an adaptive Runge-Kutta method and dense output.  edge_transfers carries
-(u, u') between points of edges for a whole array of lambda at once;
-EdgeSolution builds one solution per (edge, lam, initial data) and
-evaluates it anywhere on the edge.
+with an adaptive Runge-Kutta method and dense output.  edge_transfers, the
+one kernel behind every solution the package evaluates, carries (u, u') to
+one position or an array of them for a whole array of lambda.  EdgeSolution
+builds one solution per (edge, lam, initial data) with its own engine: the
+per-lambda public API and the kernel's independent test reference.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,7 @@ class StateVector:
 
 
 _SERIES_CUT = 1e-8  # on |omega d|^2; below this sin(omega d)/omega needs the series
+POSITION_CHUNK = 4096  # positions per transfer_matrix call of an array leg
 
 
 def transfer_matrix(d, lam, nu=0.0):
@@ -87,6 +90,10 @@ def transfer_matrix(d, lam, nu=0.0):
 def _domain_x(edge, x, slack=None):
     if slack is None:
         slack = 1e-12 * (1.0 + edge.length)
+    if isinstance(x, np.ndarray):
+        if x.size and (x.min() < -slack or x.max() > edge.length + slack):
+            raise OutOfDomain("evaluation points outside the edge")
+        return np.clip(x, 0.0, edge.length)
     if not -slack <= x <= edge.length + slack:
         raise OutOfDomain(f"x={x} outside [0, {edge.length}]")
     return min(max(x, 0.0), edge.length)
@@ -212,46 +219,86 @@ class _AdaptiveEngine:
 
 def edge_transfers(legs, lams):
     """Transfer matrices carrying (u, u') along edges for an array of L
-    lambdas: one (L, 2, 2) array per leg (edge, x0, x1), from x0 to x1.
+    lambdas: from x0 to x for each leg (edge, x0, x), (L, 2, 2) for a
+    scalar x and (L, P, 2, 2) for P positions on one side of x0.
 
-    Piecewise-constant potentials multiply the exact piece matrices in the
-    direction of travel; the pieces of every leg and every lambda go
-    through one transfer_matrix call.  Sampled potentials integrate the
-    fundamental matrix once per lambda.
+    Piecewise-constant potentials chain the exact piece matrices from x0
+    to the breakpoints, then step to each position from the last one
+    before it, so every step runs away from x0; the chains and scalar ends
+    of all legs and lambdas share one transfer_matrix call.  Sampled
+    potentials integrate the fundamental matrix once per lambda.
     """
     lams = np.asarray(lams)
-    out = [None] * len(legs)
-    steps, owners = [], []
-    for i, (edge, x0, x1) in enumerate(legs):
-        x0, x1 = _domain_x(edge, x0), _domain_x(edge, x1)
-        pot = edge.potential
-        if isinstance(pot, Sampled):
-            out[i] = _adaptive_transfers(edge, lams, x0, x1)
+    out, plans, rows = [None] * len(legs), [], []  # rows: steps (d, nu)
+    for i, (edge, x0, x) in enumerate(legs):
+        x0, xs = _domain_x(edge, x0), _domain_x(edge, x)
+        if isinstance(edge.potential, Sampled):
+            out[i] = _adaptive_transfers(edge, lams, x0, xs)
             continue
-        if not isinstance(pot, PiecewiseConstant):
-            raise TypeError(f"unsupported potential type {type(pot).__name__}")
-        lo, hi = min(x0, x1), max(x0, x1)
-        sign = 1.0 if x1 >= x0 else -1.0
-        for a, b, nu in (pot.pieces if sign > 0 else reversed(pot.pieces)):
-            d = min(b, hi) - max(a, lo)
-            if d > 0:
-                steps.append((sign * d, nu))
-                owners.append(i)
-    if steps:
-        steps = np.array(steps)
-        for m, i in zip(transfer_matrix(steps[:, :1], lams, steps[:, 1:]), owners):
-            out[i] = m if out[i] is None else m @ out[i]
-    return [np.broadcast_to(np.eye(2), lams.shape + (2, 2)) if m is None else m
-            for m in out]
+        if not isinstance(edge.potential, PiecewiseConstant):
+            raise TypeError(f"unsupported potential type {type(edge.potential).__name__}")
+        chain, partial, ci = _piecewise_steps(edge.potential, x0, xs)
+        plans.append((i, len(rows), len(chain), partial, ci))
+        rows += chain
+        if ci is None:
+            rows.append(partial)
+    if plans:
+        steps = np.array(rows, dtype=float).reshape(-1, 2)
+        mats = transfer_matrix(steps[:, :1], lams, steps[:, 1:])
+        for i, start, nc, partial, ci in plans:
+            cum = [*itertools.accumulate(mats[start:start + nc], lambda a, m: m @ a)] if nc else []
+            if ci is not None:
+                out[i] = _partial_transfers(partial, lams, cum, ci)
+            else:
+                out[i] = mats[start + nc] @ cum[-1] if nc else mats[start + nc]
+    return out
 
 
-def _adaptive_transfers(edge, lams, x0, x1):
+def _partial_transfers(steps, lams, cum, ci):
+    """(L, P, 2, 2) transfers of an array leg: each partial step after its
+    chain product, POSITION_CHUNK positions at a time to bound memory."""
+    base = np.stack([np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum], axis=1)
+    out = np.empty(lams.shape + (len(steps), 2, 2), dtype=np.result_type(lams, 1.0))
+    for k in range(0, len(steps), POSITION_CHUNK):
+        sl = slice(k, k + POSITION_CHUNK)
+        m, c = np.swapaxes(transfer_matrix(steps[sl, :1], lams, steps[sl, 1:]), 0, 1), ci[sl]
+        for r, q in itertools.product(range(2), range(2)):  # m @ base, faster entrywise
+            out[:, sl, r, q] = m[..., r, 0] * base[:, c, 0, q] + m[..., r, 1] * base[:, c, 1, q]
+    return out
+
+
+def _piecewise_steps(pot, x0, x):
+    """Steps (d, nu) of one leg: the chain of pieces from x0 to each
+    breakpoint short of the farthest position, and the partial steps to
+    the positions.  For an array of positions also returns how many chain
+    steps precede each partial step; a scalar follows the whole chain."""
+    scalar = not isinstance(x, np.ndarray)
+    lo, hi = (x, x) if scalar else (x.min(), x.max())
+    if lo < x0 < hi:
+        raise ValueError(f"positions on both sides of x0={x0}")
+    sign, lo, hi = (1.0 if hi > x0 else -1.0), min(lo, x0), max(hi, x0)
+    steps, ends = [], []
+    for a, b, nu in (pot.pieces if sign > 0 else reversed(pot.pieces)):
+        d = min(b, hi) - max(a, lo)
+        if d > 0:
+            steps.append((sign * d, nu))
+            ends.append(b if sign > 0 else a)
+    steps = steps or [(0.0, 0.0)]  # x = x0: a zero step is the identity
+    if scalar:
+        return steps[:-1], steps[-1], None
+    nodes = np.array([x0] + ends[:-1])
+    ci = np.searchsorted(sign * nodes, sign * x, side="right") - 1
+    return steps[:-1], np.stack([x - nodes[ci], np.array(steps)[ci, 1]], axis=-1), ci
+
+
+def _adaptive_transfers(edge, lams, x0, xs):
     out = []
     for lam in lams:
         eng = _AdaptiveEngine(edge, lam)
-        m = eng.matrix(x1)
-        out.append(m if x0 == 0.0 else np.linalg.solve(eng.matrix(x0).T, m.T).T)
-    return np.array(out).reshape(lams.shape + (2, 2))
+        m = np.moveaxis(eng.matrix(xs), (0, 1), (-2, -1))
+        out.append(m if x0 == 0.0 else np.linalg.solve(
+            eng.matrix(x0).T, np.swapaxes(m, -1, -2)).swapaxes(-1, -2))
+    return np.array(out).reshape(lams.shape + np.shape(xs) + (2, 2))
 
 
 class EdgeSolution:
@@ -281,11 +328,7 @@ class EdgeSolution:
 
     def on(self, xs):
         """Vectorized (values, derivatives) over an array of positions."""
-        xs = np.asarray(xs, dtype=float)
-        slack = 1e-12 * (1.0 + self.edge.length)
-        if xs.size and (xs.min() < -slack or xs.max() > self.edge.length + slack):
-            raise OutOfDomain("evaluation points outside the edge")
-        return self._engine.on(np.clip(xs, 0.0, self.edge.length))
+        return self._engine.on(_domain_x(self.edge, np.asarray(xs, dtype=float)))
 
 
 def propagate(edge: EdgeSpec, lam, state: StateVector, to_x) -> StateVector:

@@ -68,35 +68,34 @@ def _v_evaluator(v_j, length):
     return lambda x: np.interp(x, grid, arr)
 
 
-def _cumulative_integral(edge, v_eval, sol, xs):
-    """I(x) = integral from 0 to x of v * sol for every x in xs, plus I(L).
+def _panels(edge, xs):
+    """Gauss-Legendre nodes and weights, (S + P, GL_NODES) each: one panel
+    per potential segment, then for each x in xs the partial panel from
+    the start of its segment to x.  Also returns each x's segment."""
+    bks = _edge_breakpoints(edge)
+    seg = np.clip(np.searchsorted(bks, xs, side="right") - 1, 0, bks.size - 2)
+    a = np.concatenate([bks[:-1], bks[seg]])
+    h = np.concatenate([np.diff(bks), xs - bks[seg]])
+    return a[:, None] + np.multiply.outer(h, 0.5 * (_GL_X + 1.0)), \
+        np.multiply.outer(0.5 * h, _GL_W), seg
+
+
+def _cumulative_integral(v_eval, nodes, weights, seg, vals):
+    """I(x) = integral from 0 to x of v * f for each row f of vals (the
+    functions at the nodes of _panels, flattened) and each x, plus I(L).
 
     Gauss-Legendre per potential segment keeps the integrand smooth inside
     each panel; the partial panel up to x gets its own affine rule.
     """
-    bks = _edge_breakpoints(edge)
-    half = 0.5 * (_GL_X + 1.0)
-
-    def panel(a, bs):
-        # integrals over [a, b] for an array of b sharing the segment of a
-        bs = np.atleast_1d(bs)
-        nodes = a + np.multiply.outer(bs - a, half)
-        vals = sol.on(nodes.ravel())[0].reshape(nodes.shape)
-        vv = v_eval(nodes.ravel())
-        if not np.all(np.isfinite(np.asarray(vv, dtype=complex))):
-            raise QuadratureFailure("source term produced non-finite values")
-        integrand = vals * np.asarray(vv).reshape(nodes.shape)
-        return 0.5 * (bs - a) * (integrand @ _GL_W)
-
-    full = np.concatenate([[0.0], np.cumsum([panel(a, b)[0] for a, b in
-                                             zip(bks[:-1], bks[1:])])])
-    xs = np.asarray(xs, dtype=float)
-    seg = np.clip(np.searchsorted(bks, xs, side="right") - 1, 0, bks.size - 2)
-    out = np.empty(xs.shape, dtype=np.result_type(full.dtype, float))
-    for k in np.unique(seg):
-        mask = seg == k
-        out[mask] = full[k] + panel(bks[k], xs[mask])
-    return out, full[-1]
+    vv = np.asarray(v_eval(nodes.ravel()))
+    if not np.all(np.isfinite(vv.astype(complex))):
+        raise QuadratureFailure("source term produced non-finite values")
+    panel = (vals.reshape(vals.shape[:-1] + nodes.shape) * vv.reshape(nodes.shape)
+             * weights).sum(axis=-1)
+    s = nodes.shape[0] - seg.size
+    full = np.concatenate([np.zeros(vals.shape[:-1] + (1,)),
+                           np.cumsum(panel[..., :s], axis=-1)], axis=-1)
+    return full[..., seg] + panel[..., s:], full[..., -1]
 
 
 # ------------------------------------------------------------- tau selection
@@ -125,24 +124,28 @@ def select_tau(bundle: FrameBundle) -> TauSelection:
     return TauSelection(tau=tuple(tau), wronskians=tuple(ds))
 
 
-def particular_solution(bundle: FrameBundle, tau: TauSelection, v_j, j, x):
-    """Variation-of-parameters solution of (H - lambda)u = v on edge j.
-
-    Vanishing data where each partner vanishes: the y_tau weight collects
-    the source beyond x, the z weight the source before it.
-    """
+def _particular(bundle: FrameBundle, tau: TauSelection, v_j, j, xs):
+    """Variation-of-parameters solution of (H - lambda)u = v on edge j at
+    xs, values and derivatives, z_j there and I_z(L) / D_j, from one
+    evaluation of the edge.  The y_tau weight collects the source beyond
+    x, the z weight the source before it."""
     edge = bundle.graph.edges[j]
-    v_eval = _v_evaluator(v_j, edge.length)
-    y = bundle.ys[j][tau.tau[j]]
-    z = bundle.zs[j]
+    nodes, weights, seg = _panels(edge, xs)
+    y, z = bundle.families(j, np.concatenate([xs, nodes.ravel()]),
+                           np.eye(bundle.n)[:, tau.tau[j], None])
+    p = xs.size
+    (iy, iz), (_, iz_tot) = _cumulative_integral(
+        _v_evaluator(v_j, edge.length), nodes, weights, seg,
+        np.stack([y[0, 0, p:], z[0, p:]]))
     d = tau.wronskians[j]
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    iy, _ = _cumulative_integral(edge, v_eval, y, xs)
-    iz, iz_tot = _cumulative_integral(edge, v_eval, z, xs)
-    yv = y.on(xs)[0]
-    zv = z.on(xs)[0]
-    out = -(yv * (iz_tot - iz) + zv * iy) / d
-    return out if np.ndim(x) else out[0]
+    u = -(y[:, 0, :p] * (iz_tot - iz) + z[:, :p] * iy) / d
+    return u, z[:, :p], iz_tot / d
+
+
+def particular_solution(bundle: FrameBundle, tau: TauSelection, v_j, j, x):
+    """Variation-of-parameters solution of (H - lambda)u = v on edge j."""
+    u, _, _ = _particular(bundle, tau, v_j, j, np.atleast_1d(np.asarray(x, dtype=float)))
+    return u[0] if np.ndim(x) else u[0, 0]
 
 
 # ---------------------------------------------------------------- resolvent
@@ -170,13 +173,13 @@ def _off_spectrum_det(bundle: FrameBundle):
     return det
 
 
-def _cramer_columns(c, rhs):
-    det = np.linalg.det(c)
+def _cramer_dets(c, rhs):
+    """det(c) with column k replaced by rhs, for each k."""
     out = np.empty(rhs.shape[0], dtype=complex)
     for k in range(rhs.shape[0]):
         ck = c.copy()
         ck[:, k] = rhs
-        out[k] = np.linalg.det(ck) / det
+        out[k] = np.linalg.det(ck)
     return out
 
 
@@ -195,52 +198,31 @@ def resolvent_apply(g, bc, lam, v) -> ResolventApplication:
     if len(v) != n:
         raise ValueError(f"need one source per edge, got {len(v)} for n={n}")
 
-    grids, ypg, ypd, t_vals = [], [], [], []
-    for j, edge in enumerate(g.edges):
-        v_eval = _v_evaluator(v[j], edge.length)
-        y = bundle.ys[j][tau.tau[j]]
-        z = bundle.zs[j]
-        d = tau.wronskians[j]
-        xs = np.linspace(0.0, edge.length, GRID_POINTS)
-        iy, _ = _cumulative_integral(edge, v_eval, y, xs)
-        iz, iz_tot = _cumulative_integral(edge, v_eval, z, xs)
-        yv, yder = y.on(xs)
-        zv, zder = z.on(xs)
-        grids.append(xs)
-        ypg.append(-(yv * (iz_tot - iz) + zv * iy) / d)
-        ypd.append(-(yder * (iz_tot - iz) + zder * iy) / d)
-        t_vals.append(iz_tot / d)
-
+    grids = tuple(np.linspace(0.0, e.length, GRID_POINTS) for e in g.edges)
+    parts = [_particular(bundle, tau, v[j], j, grids[j]) for j in range(n)]
     rhs = sum((bc.alpha1[:, j] * bundle.frame0.Y[j, tau.tau[j]]
-               + bc.alpha2[:, j] * bundle.frame0.Yp[j, tau.tau[j]]) * t_vals[j]
+               + bc.alpha2[:, j] * bundle.frame0.Yp[j, tau.tau[j]]) * parts[j][2]
               for j in range(n))
     c_mat = bundle.c_block()
     cz = np.linalg.solve(c_mat, rhs)
     if n <= 3:
-        alt = _cramer_columns(np.asarray(c_mat, dtype=complex),
-                              np.asarray(rhs, dtype=complex))
+        c = np.asarray(c_mat, dtype=complex)
+        alt = _cramer_dets(c, np.asarray(rhs, dtype=complex)) / np.linalg.det(c)
         dev = np.max(np.abs(alt - cz)) / (1.0 + np.max(np.abs(cz)))
         if dev > 1e-9:
             raise ArithmeticError(f"coefficient solves disagree by {dev:.2e}; "
                                   "lambda is too close to the spectrum")
     coeff = np.concatenate([np.zeros(n, dtype=cz.dtype), cz])
 
-    out, out_d = [], []
-    for j in range(n):
-        zv, zder = bundle.zs[j].on(grids[j])
-        out.append(ypg[j] + cz[j] * zv)
-        out_d.append(ypd[j] + cz[j] * zder)
-    vals_l = np.array([out[j][-1] for j in range(n)])
-    ders_l = np.array([out_d[j][-1] for j in range(n)])
-    vals_0 = np.array([out[j][0] for j in range(n)])
-    ders_0 = np.array([out_d[j][0] for j in range(n)])
-    bd = BoundaryData(vals_l, ders_l, vals_0, ders_0)
+    out = [u + cz[j] * z for j, (u, z, _) in enumerate(parts)]  # values, derivatives
+    ends = np.array([(u[0, -1], u[1, -1], u[0, 0], u[1, 0]) for u in out]).T
+    bd = BoundaryData(*ends)
     gres = float(np.abs(gamma_trace(bc, bd)).max())
     return ResolventApplication(
-        lam=lam, grids=tuple(grids), coefficients=coeff,
-        y_p=tuple(ypg), y_p_deriv=tuple(ypd),
-        output=tuple(out), output_deriv=tuple(out_d),
-        dirichlet_trace=np.concatenate([vals_l, vals_0]),
+        lam=lam, grids=grids, coefficients=coeff,
+        y_p=tuple(u[0] for u, _, _ in parts), y_p_deriv=tuple(u[1] for u, _, _ in parts),
+        output=tuple(u[0] for u in out), output_deriv=tuple(u[1] for u in out),
+        dirichlet_trace=np.concatenate([ends[0], ends[2]]),
         neumann_trace=neumann_trace(bd),
         gamma_residual=gres, tau=tau)
 
@@ -403,14 +385,11 @@ def adjustment_vectors(ps: ProjectionSet) -> AdjustmentVectors:
 def _l2_inner(bundle: FrameBundle, d, v) -> complex:
     """Integral over the graph of (combination with coefficients d) * conj(v)."""
     total = 0.0
-    half = 0.5 * (_GL_X + 1.0)
     for j, edge in enumerate(bundle.graph.edges):
-        v_eval = _v_evaluator(v[j], edge.length)
-        bks = _edge_breakpoints(edge)
-        for a, b in zip(bks[:-1], bks[1:]):
-            nodes = a + (b - a) * half
-            uu, _ = bundle.component(d, j, nodes)
-            total += 0.5 * (b - a) * np.sum(_GL_W * uu * np.conj(v_eval(nodes)))
+        nodes, weights, _ = _panels(edge, np.empty(0))
+        uu, _ = bundle.component(d, j, nodes.ravel())
+        vv = _v_evaluator(v[j], edge.length)(nodes.ravel())
+        total += np.sum(weights.ravel() * uu * np.conj(vv))
     return total
 
 
@@ -469,26 +448,21 @@ def u_gamma(g, bc, lam, i) -> UGammaPaths:
     z0 = np.diag(f0.Z)
     zp0 = np.diag(f0.Zp)
 
-    grids, direct_vals, formula_vals = [], [], []
+    grids, direct_vals, formula_vals, ends = [], [], [], []
     sup = 0.0
     for j, edge in enumerate(g.edges):
         xs = np.linspace(0.0, edge.length, GRID_POINTS)
-        du, _ = bundle.component(d, j, xs)
-        w_vec = (bc.alpha1[:, j] * f0.Y[j, tau.tau[j]]
-                 + bc.alpha2[:, j] * f0.Yp[j, tau.tau[j]])
-        cof = np.empty(n, dtype=complex)
-        for k in range(n):
-            ck = c_mat.copy()
-            ck[:, k] = w_vec
-            cof[k] = np.linalg.det(ck)
+        # the direct solution and the partner y_tau in one evaluation
+        y, z = bundle.families(j, xs, np.column_stack([d[:n], np.eye(n)[:, tau.tau[j]]]))
+        du, dup = y[:, 0] + d[n + j] * z
+        yx, zx = y[0, 1], z[0]
+        yv0 = f0.Y[j, tau.tau[j]]
+        yp0 = f0.Yp[j, tau.tau[j]]
+        cof = _cramer_dets(c_mat, bc.alpha1[:, j] * yv0 + bc.alpha2[:, j] * yp0)
         dj = tau.wronskians[j]
-        zx, _ = bundle.zs[j].on(xs)
-        yx, _ = bundle.ys[j][tau.tau[j]].on(xs)
         # slots of other edges see only the z-profile of edge j; the two
         # slots of edge j itself mix in the partner y_tau
         mixed = (zx * cof[j] - det_c * yx) / (det_c * dj)
-        yv0 = f0.Y[j, tau.tau[j]]
-        yp0 = f0.Yp[j, tau.tau[j]]
         u_formula = weights_d[j] * zl[j] * mixed + weights_n[j] * zpl[j] * mixed
         u_formula += weights_d[n + j] * zx * (z0[j] * cof[j] - det_c * yv0) / (det_c * dj)
         u_formula += weights_n[n + j] * (-zx) * (zp0[j] * cof[j] - det_c * yp0) / (det_c * dj)
@@ -503,12 +477,10 @@ def u_gamma(g, bc, lam, i) -> UGammaPaths:
         grids.append(xs)
         direct_vals.append(du)
         formula_vals.append(u_formula)
+        ends.append((du[-1], dup[-1], du[0], dup[0]))
         sup = max(sup, float(np.abs(du - u_formula).max()))
 
-    bd_vals = [bundle.component_at(d, j, g.edges[j].length) for j in range(n)]
-    bd = BoundaryData([v for v, _ in bd_vals], [p for _, p in bd_vals],
-                      [bundle.component_at(d, j, 0.0)[0] for j in range(n)],
-                      [bundle.component_at(d, j, 0.0)[1] for j in range(n)])
+    bd = BoundaryData(*np.array(ends).T)
     tres = float(np.abs(gamma_trace(bc, bd) - rhs).max())
     return UGammaPaths(lam=lam, index=i, grids=tuple(grids),
                        direct=tuple(direct_vals), formula=tuple(formula_vals),

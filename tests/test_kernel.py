@@ -6,6 +6,8 @@ at the origin, the Y blocks read at the outer ends, the gamma-trace solve
 and component_at for the cut derivatives.  The batched results must agree
 with it to 1e-12 of the largest reference value over each grid.
 """
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,12 @@ from hypothesis import strategies as st
 from conftest import pc, rand_bc_cayley, rand_bc_real
 from qgraph import (BoundaryConditions, EdgeSolution, EdgeSpec, FrameBundle,
                     SplitSpec, StarGraph, build_preset, evans, free_edge,
-                    fundamental_frame, frame_matrix, split_graph,
-                    two_sided_value)
+                    fundamental_frame, frame_matrix, particular_solution,
+                    resolvent_apply, select_tau, split_graph, two_sided_value,
+                    u_gamma)
+from qgraph import resolvent
 from qgraph.graphs import SAME_WIRE, SINGLE, TWO_WIRES
+from test_cli import _sampled_star
 
 TOL = 1e-12  # relative to the largest reference value over a grid
 
@@ -53,6 +58,12 @@ class RefBundle:
         s[n:, n:] = bc.alpha1 @ self.Z + bc.alpha2 @ self.Zp
         return np.linalg.solve(s, rhs)
 
+    def component(self, d, j, xs):
+        """(values, derivs) on edge j: the EdgeSolution members summed."""
+        members = [self.ys[j][k] for k in range(self.n)] + [self.zs[j]]
+        coef = [d[k] for k in range(self.n)] + [d[self.n + j]]
+        return sum(c * np.array(m.on(xs)) for c, m in zip(coef, members))
+
     def component_at(self, d, j, x):
         up = d[self.n + j] * self.zs[j].at(x).deriv
         for k in range(self.n):
@@ -68,6 +79,18 @@ class RefBundle:
             for r, jr in enumerate(cut_edges):
                 m[r, k] = self.component_at(d, jr, self.g.edges[jr].length)
         return m
+
+
+class EdgeSolutionBundle(FrameBundle):
+    """A FrameBundle whose families are sums of RefBundle's EdgeSolutions."""
+
+    @cached_property
+    def ref(self):
+        return RefBundle(self.graph, self.bc, self.lam)
+
+    def families(self, j, xs, weights):
+        ys = np.array([self.ref.ys[j][k].on(xs) for k in range(self.n)])
+        return np.einsum("kcp,km->cmp", ys, weights), np.array(self.ref.zs[j].on(xs))
 
 
 def ref_outer(problem, lam):
@@ -157,6 +180,12 @@ def test_evans_and_bundle_blocks_match_reference(seed, n, complex_lam, complex_b
         assert_close([getattr(b, block) for b in bundles], [getattr(r, block) for r in refs])
     assert_close([b.frame0.Z for b in bundles], [r.Z for r in refs])
     assert_close([b.frame0.Zp for b in bundles], [r.Zp for r in refs])
+    # both families anywhere on each edge, ends included
+    for b, r in zip(bundles[::4], refs[::4]):
+        d = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        for j, e in enumerate(g.edges):
+            xs = np.concatenate([[0.0, e.length], rng.uniform(0.0, e.length, 6)])
+            assert_close(b.component(d, j, xs), r.component(d, j, xs))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
@@ -244,3 +273,29 @@ def test_boundary_conditions_mismatch_rejected():
     with pytest.raises(ValueError):
         evans(g, BoundaryConditions(np.eye(2), np.zeros((2, 2)), [1, 1], [0, 0]),
               np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("lam", [7.3, 13.1 + 2.0j])
+def test_resolvent_on_sampled_wire_matches_edge_solutions(lam, monkeypatch):
+    sc = _sampled_star()
+    g, bc = sc.graph, sc.bc
+    v = [1.0, lambda x: np.sin(np.pi * x)]
+    xs = np.linspace(0.0, 1.0, 33)
+
+    def run():
+        b = resolvent.FrameBundle(g, bc, lam)
+        tau = select_tau(b)
+        app = resolvent_apply(g, bc, lam, v)
+        ugs = [u_gamma(g, bc, lam, i) for i in (1, 2)]  # sampled wire's slot, an origin slot
+        return ([particular_solution(b, tau, v[j], j, xs) for j in range(g.n)],
+                app, ugs)
+
+    parts, app, ugs = run()
+    monkeypatch.setattr(resolvent, "FrameBundle", EdgeSolutionBundle)
+    ref_parts, ref_app, ref_ugs = run()
+    assert_close(parts, ref_parts)
+    for field in ("output", "output_deriv", "y_p", "y_p_deriv"):
+        assert_close(getattr(app, field), getattr(ref_app, field))
+    for ug, ref in zip(ugs, ref_ugs):
+        assert_close(ug.direct, ref.direct)
+        assert_close(ug.formula, ref.formula)

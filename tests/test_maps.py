@@ -6,7 +6,7 @@ import pytest
 from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley,
                       rand_bc_real, rand_graph, two_wire)
 from qgraph import (BoundaryConditions, EdgeSpec, PoleAtLambda, SplitSpec,
-                    StarGraph, evans, free_edge, map_M1, map_M2,
+                    StarGraph, build_preset, evans, free_edge, map_M1, map_M2,
                     minor_identity_check, split_graph, two_sided_2x2_same_wire,
                     two_sided_2x2_two_wires, two_sided_sum, two_sided_value,
                     verify_double_split, verify_single_split)
@@ -224,3 +224,34 @@ def test_minor_identity_random(rng):
     assert minor_identity_check(g, rand_bc_real(4, rng), 12.0, (1, 3)) < 1e-10
     with pytest.raises(ValueError):
         minor_identity_check(g, rand_bc_real(4, rng), 12.0, (2, 2))
+
+
+def test_double_split_residual_exposes_a_wrong_factor_on_a_wide_star(monkeypatch):
+    # an 8-wire Kirchhoff star with Dirichlet ends has |E| ~ 4e-6 at
+    # lambda = 20, so a residual over 1 + |E| passed a factor off by 1%
+    from qgraph import maps
+    from qgraph.graphs import TWO_WIRES
+    rng = np.random.default_rng(1)
+    edges, breaks = [], []
+    for _ in range(8):
+        length = rng.uniform(0.75, 1.25)
+        b1, b2 = sorted(rng.choice(np.arange(1, 8), 2, replace=False))
+        xs = (0.0, b1 * length / 8, b2 * length / 8, length)
+        vals = rng.uniform(-12.0, 12.0, 3)
+        edges.append(EdgeSpec(length, pc(*[(xs[i], xs[i + 1], vals[i]) for i in range(3)])))
+        breaks.append(xs[1])
+    g = StarGraph(tuple(edges))
+    bc = build_preset("kirchhoff", 8)
+    spec = SplitSpec(((0, breaks[0]), (1, breaks[1])), TWO_WIRES)
+    assert abs(evans(g, bc, 20.0).value) < 1e-5
+    assert verify_double_split(g, bc, spec, 20.0) < 1e-13
+    true_factors = maps.split_evans_factors
+
+    def one_factor_off(*args):
+        factors = true_factors(*args)
+        key = next(iter(factors))
+        factors[key] *= 1.01
+        return factors
+
+    monkeypatch.setattr(maps, "split_evans_factors", one_factor_off)
+    assert verify_double_split(g, bc, spec, 20.0) > 1e-7
