@@ -39,6 +39,7 @@ from .propagate import (
     adaptive_reference,
     basis_pair,
     propagate,
+    segment_transfer,
     transfer_matrix,
     wronskian,
 )

@@ -354,14 +354,13 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
         amps = rng.uniform(-2.0, 2.0, g.n)
         v = [float(a) for a in amps]
 
-        def gamma_res(t):
-            return resolvent_apply(g, bc, t, v).gamma_residual
+        @functools.lru_cache(maxsize=None)
+        def residuals(t):  # both rows of one lambda from one application
+            app = resolvent_apply(g, bc, t, v)
+            return app.gamma_residual, segment_residual(g, t, app, v)
 
-        def ode_res(t):
-            return segment_residual(g, t, resolvent_apply(g, bc, t, v), v)
-
-        rows = _residual_rows("gamma_trace", gamma_res, lams, 1e-8)
-        rows += _residual_rows("ode_defect", ode_res, lams, 1e-7)
+        rows = _residual_rows("gamma_trace", lambda t: residuals(t)[0], lams, 1e-8)
+        rows += _residual_rows("ode_defect", lambda t: residuals(t)[1], lams, 1e-7)
     elif which == "projections":
         ps = build_projections(bc)
         dim = 2 * g.n

@@ -15,6 +15,7 @@ a beta slot (cut at a local outer endpoint).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class PiecewiseConstant:
     def span(self):
         return self.pieces[0][0], self.pieces[-1][1]
 
+    @cached_property
+    def segments(self):
+        """((a, b, V(a), V(b)), ...): the linear segment table; flat here."""
+        return tuple((a, b, v, v) for a, b, v in self.pieces)
+
     def value_at(self, x):
         for a, b, v in self.pieces:
             if a <= x <= b:
@@ -114,6 +120,11 @@ class Sampled:
     @property
     def span(self):
         return self.xs[0], self.xs[-1]
+
+    @cached_property
+    def segments(self):
+        """((a, b, V(a), V(b)), ...): one linear segment per sample interval."""
+        return tuple(zip(self.xs[:-1], self.xs[1:], self.vs[:-1], self.vs[1:]))
 
     def value_at(self, x):
         return float(np.interp(x, self.xs, self.vs))

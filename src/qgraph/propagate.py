@@ -1,12 +1,21 @@
 """Per-edge initial value problems for -u'' + V u = lam u.
 
-Piecewise-constant potentials propagate through exact constant-coefficient
-transfer matrices; sampled potentials integrate the 2x2 fundamental system
-with an adaptive Runge-Kutta method and dense output.  edge_transfers, the
-one kernel behind every solution the package evaluates, carries (u, u') to
-one position or an array of them for a whole array of lambda.  EdgeSolution
-builds one solution per (edge, lam, initial data) with its own engine: the
-per-lambda public API and the kernel's independent test reference.
+Every potential is a table of linear segments (a, b, V(a), V(b)): a
+piecewise-constant one has flat segments, a sampled one interpolates
+linearly between its samples.  A flat segment propagates through the exact
+constant-coefficient transfer matrix.  On a sloped one the equation is
+Airy's, so the transfer is exact too, F(b) F(a)^-1 with F built from
+exponentially scaled Airy functions; where the slope is so small that the
+Airy argument is large (its phase loses digits), a constant step at the
+mean potential with the first-order linear-perturbation correction (CPM/LPM:
+Ixaru 1984; Ledoux et al., Comput. Phys. Commun. 175 (2006) 424) is the more
+accurate of the two.  edge_transfers, the one kernel behind every solution
+the package evaluates, carries (u, u') to one position or an array of them
+for a whole array of lambda.  EdgeSolution builds one solution per (edge,
+lam, initial data) from the same segment steps: the per-lambda public API
+and the kernel's test reference.  adaptive_reference integrates the
+equation with an adaptive Runge-Kutta method instead, as an independent
+oracle.
 """
 from __future__ import annotations
 
@@ -14,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.special import airy, airye
 
 from .graphs import EdgeSpec, PiecewiseConstant, Sampled
 
@@ -24,10 +33,6 @@ class OutOfDomain(ValueError):
 
 
 class MismatchedEvaluationPoint(ValueError):
-    pass
-
-
-class ImaginaryResidue(ArithmeticError):
     pass
 
 
@@ -87,6 +92,101 @@ def transfer_matrix(d, lam, nu=0.0):
     return m
 
 
+_EPS = np.finfo(float).eps
+_LPM_BIAS = 10.0   # LPM is kept unless its error estimate exceeds this many Airy estimates
+_AIRY_MAX = 1e5    # |xi| beyond which airye gives no values
+
+
+def segment_transfer(d, lam, v0, slope=0.0):
+    """Map (u, u') at x to x + d for the linear potential v0 + slope (t - x).
+
+    Flat steps are transfer_matrix steps; an array without slope is one
+    transfer_matrix call.  A sloped step is the exact Airy transfer, or,
+    where its error estimate is the smaller, the constant step at the mean
+    potential plus the first-order linear-perturbation correction.  d may
+    be negative (the result is then the inverse of the forward step), real
+    arguments give real matrices, and the arguments broadcast like those of
+    transfer_matrix.
+    """
+    slope = np.asarray(slope, dtype=float)
+    if not slope.any():
+        return transfer_matrix(d, lam, v0)
+    lam = np.asarray(lam)
+    if np.iscomplexobj(lam) and not lam.imag.any():
+        lam = lam.real
+    d, v0 = np.asarray(d, dtype=float), np.asarray(v0, dtype=float)
+    m = transfer_matrix(d, lam, v0 + 0.5 * slope * d)
+    flat = m.reshape(-1, 2, 2)
+    d, lam, v0, s = (np.broadcast_to(a, m.shape[:-2]).ravel() for a in (d, lam, v0, slope))
+    i = np.flatnonzero(s)
+    d, lam, v0, s = d[i], lam[i], v0[i], s[i]
+    k = np.cbrt(s)
+    with np.errstate(all="ignore"):  # tiny slopes give huge xi; they take the LPM branch
+        xa = (v0 - lam) / (k * k)
+        dxi = np.abs(k * d)
+        big = np.maximum(np.abs(xa), np.abs(xa + k * d))
+        # Error estimates: LPM dxi^6 / (1 + sqrt|xi| dxi)^3, second order in
+        # the slope; Airy eps (|xi|^1.5 + (1 + |xi|) / dxi), the phase digits
+        # lost at large |xi| and the rounding of xi on short steps.  Both
+        # sides below are multiplied by dxi.
+        use_airy = (dxi ** 7 > _LPM_BIAS * _EPS * (big ** 1.5 * dxi + 1.0 + big)
+                    * (1.0 + np.sqrt(big) * dxi) ** 3) & (big < _AIRY_MAX)
+    lpm = ~use_airy
+    if lpm.any():
+        dl, sl, rows = d[lpm], s[lpm], i[lpm]
+        w = lam[lpm] - (v0[lpm] + 0.5 * sl * dl)
+        c, sn = flat[rows, 0, 0], flat[rows, 0, 1]
+        z = w * dl * dl
+        with np.errstate(all="ignore"):  # (sn - d c) / w is replaced where z is tiny
+            j = np.where(np.abs(z) < 1e-2,
+                         dl ** 3 * (1 / 3 - z / 30 + z * z / 840 - z ** 3 / 45360),
+                         (sn - dl * c) / w)
+        e = -0.25 * sl * j  # T1 = s J diag(1, -1), J = -(S - d c) / (4 w)
+        flat[rows, 0, 0] += e
+        flat[rows, 1, 1] -= e
+    if use_airy.any():
+        flat[i[use_airy]] = _airy_transfer(d[use_airy], k[use_airy], xa[use_airy])
+    return m
+
+
+def _airy_basis(xi):
+    """Scaled Airy pair at xi: (a, a', b, b', za, zb, W) with the solutions
+    A = a exp(-za), B = b exp(-zb), derivatives alike, and W = W{A, B}.
+
+    Real xi: A = Ai, B = Bi, scaled by airye where xi >= 0.  Complex xi:
+    B = Ai(xi exp(-+2 pi i / 3)) for Im xi >= 0 (< 0), because off the real
+    axis Ai and Bi can grow alike, and a step through them would cancel
+    digits; the pair (A, B) keeps one decaying solution on that half-plane.
+    """
+    if np.iscomplexobj(xi):
+        up = xi.imag >= 0
+        rot = np.where(up, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))
+        a, ap, _, _ = airye(xi)
+        b, bp, _, _ = airye(rot * xi)
+        return (a, ap, b, rot * bp, 2 / 3 * xi * np.sqrt(xi),
+                2 / 3 * rot * xi * np.sqrt(rot * xi),
+                np.where(up, np.exp(1j * np.pi / 6), np.exp(-1j * np.pi / 6)) / (2 * np.pi))
+    vals, neg = np.empty((4,) + xi.shape), xi < 0
+    vals[:, neg] = airy(xi[neg])  # oscillatory: no scaling needed, and airye has none
+    vals[:, ~neg] = airye(xi[~neg])
+    za = 2 / 3 * np.where(neg, 0.0, xi) ** 1.5
+    return (*vals, za, -za, 1 / np.pi)
+
+
+def _airy_transfer(d, k, xa):
+    """F(xb) F(xa)^-1 with F = [[A, B], [k A', k B']] and xb = xa + k d: the
+    exact step for V - lam = k^3 (t + xa / k^2) on [0, d]."""
+    a0, ap0, b0, bp0, za0, zb0, w = _airy_basis(xa)
+    a1, ap1, b1, bp1, za1, zb1, _ = _airy_basis(xa + k * d)
+    e1, e2 = np.exp(-za1 - zb0) / w, np.exp(-zb1 - za0) / w
+    m = np.empty(xa.shape + (2, 2), dtype=np.result_type(a0, e1))
+    m[:, 0, 0] = a1 * bp0 * e1 - b1 * ap0 * e2
+    m[:, 0, 1] = (b1 * a0 * e2 - a1 * b0 * e1) / k
+    m[:, 1, 0] = k * (ap1 * bp0 * e1 - bp1 * ap0 * e2)
+    m[:, 1, 1] = bp1 * a0 * e2 - ap1 * b0 * e1
+    return m
+
+
 def _domain_x(edge, x, slack=None):
     if slack is None:
         slack = 1e-12 * (1.0 + edge.length)
@@ -100,82 +200,65 @@ def _domain_x(edge, x, slack=None):
 
 
 class _PiecewiseEngine:
-    """Breakpoint cache: exact states at every node, one transfer per query."""
+    """Breakpoint cache: exact states at every node, one segment step per query."""
 
     def __init__(self, edge, lam, value, deriv, anchor):
-        pieces = edge.potential.pieces
-        nodes = [pieces[0][0]] + [b for _, b, _ in pieces]
-        seg_nu = [v for _, _, v in pieces]
-        ia = None
-        for k, (a, b, v) in enumerate(pieces):
-            if a <= anchor <= b:
-                ia = k
-                break
-        if anchor not in nodes:
-            nodes.insert(ia + 1, anchor)
-            seg_nu.insert(ia, seg_nu[ia])
-            ia += 1
-        else:
+        segs = edge.potential.segments
+        nodes = [segs[0][0]] + [b for _, b, _, _ in segs]
+        # per segment: V at its left and right node, and its slope
+        vl, vr = [va for _, _, va, _ in segs], [vb for _, _, _, vb in segs]
+        slope = [(vb - va) / (b - a) for a, b, va, vb in segs]
+        if anchor in nodes:
             ia = nodes.index(anchor)
+        else:
+            ia = int(np.searchsorted(nodes, anchor))
+            v = vl[ia - 1] + slope[ia - 1] * (anchor - nodes[ia - 1])
+            nodes.insert(ia, anchor)
+            vl.insert(ia, v)
+            vr.insert(ia - 1, v)
+            slope.insert(ia, slope[ia - 1])
         self.nodes = np.array(nodes)
-        self.seg_nu = seg_nu
+        self.vl, self.vr, self.slope = np.array(vl), np.array(vr), np.array(slope)
         self.lam = lam
         states = [None] * len(nodes)
         states[ia] = np.array([value, deriv])
         for k in range(ia + 1, len(nodes)):
-            m = transfer_matrix(nodes[k] - nodes[k - 1], lam, seg_nu[k - 1])
+            m = segment_transfer(nodes[k] - nodes[k - 1], lam, vl[k - 1], slope[k - 1])
             states[k] = m @ states[k - 1]
         for k in range(ia - 1, -1, -1):
-            m = transfer_matrix(nodes[k] - nodes[k + 1], lam, seg_nu[k])
+            m = segment_transfer(nodes[k] - nodes[k + 1], lam, vr[k], slope[k])
             states[k] = m @ states[k + 1]
-        self.states = states
+        self.states = np.array(states)
         self.anchor = anchor
 
-    def at(self, x):
-        k = int(np.searchsorted(self.nodes, x, side="right")) - 1
-        k = min(max(k, 0), len(self.seg_nu) - 1)
-        # step away from the anchor to keep growing modes from cancelling
-        base = k if x >= self.anchor else k + 1
-        m = transfer_matrix(x - self.nodes[base], self.lam, self.seg_nu[k])
-        return m @ self.states[base]
-
     def on(self, xs):
+        """(values, derivatives) at the positions xs, each stepped from the
+        node on its anchor side so growing modes do not cancel."""
         xs = np.asarray(xs, dtype=float)
         k = np.clip(np.searchsorted(self.nodes, xs, side="right") - 1,
-                    0, len(self.seg_nu) - 1)
-        base = np.where(xs >= self.anchor, k, k + 1)
-        states = np.array(self.states)
-        u0, up0 = states[base, 0], states[base, 1]
-        m = transfer_matrix(xs - self.nodes[base], self.lam, np.asarray(self.seg_nu)[k])
-        return m[:, 0, 0] * u0 + m[:, 0, 1] * up0, m[:, 1, 0] * u0 + m[:, 1, 1] * up0
-
-
-def _checked_real(a):
-    """The real part of a, whose imaginary part must be exactly zero.
-
-    For real lambda and real data every solution is real; a nonzero
-    imaginary part then means the computation went wrong, so it is an
-    error and never dropped.
-    """
-    if np.any(np.imag(a) != 0.0):
-        raise ImaginaryResidue(
-            f"imaginary part up to {np.max(np.abs(np.imag(a))):.3e} in a real problem")
-    return np.real(a)
+                    0, len(self.slope) - 1)
+        fwd = xs >= self.anchor
+        base = np.where(fwd, k, k + 1)
+        m = segment_transfer(xs - self.nodes[base], self.lam,
+                             np.where(fwd, self.vl[k], self.vr[k]), self.slope[k])
+        u0, up0 = self.states[base, 0], self.states[base, 1]
+        return m[..., 0, 0] * u0 + m[..., 0, 1] * up0, m[..., 1, 0] * u0 + m[..., 1, 1] * up0
 
 
 class _AdaptiveEngine:
     """Dense-output fundamental matrix from 0, integrated as 8 real ODEs.
 
-    For real lambda the matrix is real, and it is returned as real numbers
-    through _checked_real.
+    It backs only adaptive_reference, the test oracle, so its tolerances
+    favour accuracy over speed.
     """
 
     def __init__(self, edge, lam, value=1.0, deriv=0.0, anchor=0.0,
-                 rtol=1e-10, atol=1e-12):
+                 rtol=1e-12, atol=1e-14):
+        from scipy.integrate import solve_ivp  # only this oracle integrates
+
         xs = np.asarray(edge.potential.xs)
         vs = np.asarray(edge.potential.vs)
         lam = complex(lam)
-        self._real = lam.imag == 0.0
 
         def rhs(x, y):
             m = (y[:4] + 1j * y[4:]).reshape(2, 2)
@@ -183,7 +266,7 @@ class _AdaptiveEngine:
             return np.concatenate([dm.real.ravel(), dm.imag.ravel()])
 
         y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        for tols in ((rtol, atol), (1e-12, 1e-14)):
+        for tols in ((rtol, atol), (rtol / 10, atol / 10)):
             sol = solve_ivp(rhs, (0.0, edge.length), y0, method="DOP853",
                             dense_output=True, rtol=tols[0], atol=tols[1])
             if not sol.success:
@@ -204,8 +287,7 @@ class _AdaptiveEngine:
 
     def matrix(self, x):
         """Fundamental matrix at x (2 x 2), or at each of an array of x (2 x 2 x P)."""
-        m = self._unpack(self._sol.sol(x))
-        return _checked_real(m) if self._real else m
+        return self._unpack(self._sol.sol(x))
 
     def at(self, x):
         return self.matrix(x) @ self._coef
@@ -222,29 +304,25 @@ def edge_transfers(legs, lams):
     lambdas: from x0 to x for each leg (edge, x0, x), (L, 2, 2) for a
     scalar x and (L, P, 2, 2) for P positions on one side of x0.
 
-    Piecewise-constant potentials chain the exact piece matrices from x0
-    to the breakpoints, then step to each position from the last one
-    before it, so every step runs away from x0; the chains and scalar ends
-    of all legs and lambdas share one transfer_matrix call.  Sampled
-    potentials integrate the fundamental matrix once per lambda.
+    Each leg chains the exact segment steps from x0 to the breakpoints,
+    then steps to each position from the last breakpoint before it, so
+    every step runs away from x0; the chains and scalar ends of all legs
+    and lambdas share one segment_transfer call.
     """
     lams = np.asarray(lams)
-    out, plans, rows = [None] * len(legs), [], []  # rows: steps (d, nu)
+    out, plans, rows = [None] * len(legs), [], []  # rows: steps (d, V at start, slope)
     for i, (edge, x0, x) in enumerate(legs):
-        x0, xs = _domain_x(edge, x0), _domain_x(edge, x)
-        if isinstance(edge.potential, Sampled):
-            out[i] = _adaptive_transfers(edge, lams, x0, xs)
-            continue
-        if not isinstance(edge.potential, PiecewiseConstant):
+        if not isinstance(edge.potential, (PiecewiseConstant, Sampled)):
             raise TypeError(f"unsupported potential type {type(edge.potential).__name__}")
-        chain, partial, ci = _piecewise_steps(edge.potential, x0, xs)
+        chain, partial, ci = _segment_steps(edge.potential, _domain_x(edge, x0),
+                                            _domain_x(edge, x))
         plans.append((i, len(rows), len(chain), partial, ci))
         rows += chain
         if ci is None:
             rows.append(partial)
     if plans:
-        steps = np.array(rows, dtype=float).reshape(-1, 2)
-        mats = transfer_matrix(steps[:, :1], lams, steps[:, 1:])
+        steps = np.array(rows, dtype=float).reshape(-1, 3)
+        mats = segment_transfer(steps[:, :1], lams, steps[:, 1:2], steps[:, 2:])
         for i, start, nc, partial, ci in plans:
             cum = [*itertools.accumulate(mats[start:start + nc], lambda a, m: m @ a)] if nc else []
             if ci is not None:
@@ -261,44 +339,42 @@ def _partial_transfers(steps, lams, cum, ci):
     out = np.empty(lams.shape + (len(steps), 2, 2), dtype=np.result_type(lams, 1.0))
     for k in range(0, len(steps), POSITION_CHUNK):
         sl = slice(k, k + POSITION_CHUNK)
-        m, c = np.swapaxes(transfer_matrix(steps[sl, :1], lams, steps[sl, 1:]), 0, 1), ci[sl]
+        m = np.swapaxes(segment_transfer(steps[sl, :1], lams, steps[sl, 1:2], steps[sl, 2:]), 0, 1)
+        c = ci[sl]
         for r, q in itertools.product(range(2), range(2)):  # m @ base, faster entrywise
             out[:, sl, r, q] = m[..., r, 0] * base[:, c, 0, q] + m[..., r, 1] * base[:, c, 1, q]
     return out
 
 
-def _piecewise_steps(pot, x0, x):
-    """Steps (d, nu) of one leg: the chain of pieces from x0 to each
-    breakpoint short of the farthest position, and the partial steps to
-    the positions.  For an array of positions also returns how many chain
-    steps precede each partial step; a scalar follows the whole chain."""
+def _segment_steps(pot, x0, x):
+    """Steps (d, V at start, slope) of one leg: the chain of segments from
+    x0 to each breakpoint short of the farthest position, and the partial
+    steps to the positions.  For an array of positions also returns how
+    many chain steps precede each partial step; a scalar follows the whole
+    chain."""
     scalar = not isinstance(x, np.ndarray)
     lo, hi = (x, x) if scalar else (x.min(), x.max())
     if lo < x0 < hi:
         raise ValueError(f"positions on both sides of x0={x0}")
     sign, lo, hi = (1.0 if hi > x0 else -1.0), min(lo, x0), max(hi, x0)
     steps, ends = [], []
-    for a, b, nu in (pot.pieces if sign > 0 else reversed(pot.pieces)):
+    for a, b, va, vb in (pot.segments if sign > 0 else reversed(pot.segments)):
         d = min(b, hi) - max(a, lo)
         if d > 0:
-            steps.append((sign * d, nu))
+            if va == vb:
+                steps.append((sign * d, va, 0.0))
+            else:
+                slope = (vb - va) / (b - a)
+                start = max(a, lo) if sign > 0 else min(b, hi)
+                steps.append((sign * d, vb if start == b else va + slope * (start - a), slope))
             ends.append(b if sign > 0 else a)
-    steps = steps or [(0.0, 0.0)]  # x = x0: a zero step is the identity
+    steps = steps or [(0.0, 0.0, 0.0)]  # x = x0: a zero step is the identity
     if scalar:
         return steps[:-1], steps[-1], None
     nodes = np.array([x0] + ends[:-1])
     ci = np.searchsorted(sign * nodes, sign * x, side="right") - 1
-    return steps[:-1], np.stack([x - nodes[ci], np.array(steps)[ci, 1]], axis=-1), ci
-
-
-def _adaptive_transfers(edge, lams, x0, xs):
-    out = []
-    for lam in lams:
-        eng = _AdaptiveEngine(edge, lam)
-        m = np.moveaxis(eng.matrix(xs), (0, 1), (-2, -1))
-        out.append(m if x0 == 0.0 else np.linalg.solve(
-            eng.matrix(x0).T, np.swapaxes(m, -1, -2)).swapaxes(-1, -2))
-    return np.array(out).reshape(lams.shape + np.shape(xs) + (2, 2))
+    table = np.array(steps)[ci]
+    return steps[:-1], np.stack([x - nodes[ci], table[:, 1], table[:, 2]], axis=-1), ci
 
 
 class EdgeSolution:
@@ -308,16 +384,13 @@ class EdgeSolution:
         anchor = _domain_x(edge, anchor)
         self.edge = edge
         self.lam = lam
-        if isinstance(edge.potential, PiecewiseConstant):
-            self._engine = _PiecewiseEngine(edge, lam, value, deriv, anchor)
-        elif isinstance(edge.potential, Sampled):
-            self._engine = _AdaptiveEngine(edge, lam, value, deriv, anchor)
-        else:
+        if not isinstance(edge.potential, (PiecewiseConstant, Sampled)):
             raise TypeError(f"unsupported potential type {type(edge.potential).__name__}")
+        self._engine = _PiecewiseEngine(edge, lam, value, deriv, anchor)
 
     def at(self, x) -> StateVector:
         x = _domain_x(self.edge, x)
-        u, up = self._engine.at(x)
+        u, up = self._engine.on(x)
         return StateVector(value=u, deriv=up, x=x, lam=self.lam)
 
     def value_at(self, x):
@@ -360,8 +433,9 @@ def wronskian(a: StateVector, b: StateVector):
 
 
 def adaptive_reference(edge: EdgeSpec, lam, value, deriv, anchor=0.0):
-    """Run the adaptive integrator on any profile; cross-check path for the
-    exact piecewise propagation."""
+    """Run the adaptive integrator on any profile: the independent
+    cross-check of the exact segment propagation, and the only user of
+    _AdaptiveEngine."""
     pot = edge.potential
     if isinstance(pot, PiecewiseConstant):
         # sample just inside each piece so the step function survives interp

@@ -43,6 +43,8 @@ from qgraph import (EndpointNudged, OnSpectrum, NoIndependentPartner,
                     verify_single_split, x_independence_check)
 from qgraph.cli import count_report, parse_scenario, _EXAMPLES
 from qgraph.graphs import SAME_WIRE, SINGLE, TWO_WIRES, BoundaryData
+from scipy.linalg import eigh_tridiagonal
+from test_cli import _sampled_star
 
 CONFIGS = []  # (graph, bc) pairs from the random suites, reused by criterion 10
 
@@ -410,3 +412,43 @@ def test_criterion_10_evaluation_point_invariance():
     _line(10, ok, f"determinant spread over 5 evaluation points worst "
                   f"{worst:.2e} (tol 1e-9) across {len(CONFIGS)} configurations")
     assert worst <= 1e-9
+
+
+def _fd_star_spectrum(sc, interval, cells):
+    """Eigenvalues in interval of a two-wire Kirchhoff star with Dirichlet
+    ends by second-order finite differences, cells per unit length.  The
+    origin conditions make the star one interval, wire 0 reversed then
+    wire 1, and the three-point Laplacian on it is tridiagonal."""
+    (e0, e1) = sc.graph.edges
+    h = 1.0 / cells
+    x0 = np.linspace(0.0, e0.length, round(e0.length * cells) + 1)
+    x1 = np.linspace(0.0, e1.length, round(e1.length * cells) + 1)
+    assert np.isclose(x0[1], h) and np.isclose(x1[1], h)
+    v = np.concatenate([[e0.potential.value_at(x) for x in x0[-2:0:-1]],
+                        [e1.potential.value_at(x) for x in x1[:-1]]])
+    return eigh_tridiagonal(2.0 / h ** 2 + v, np.full(v.size - 1, -1.0 / h ** 2),
+                            select="v", select_range=interval)[0]
+
+
+def test_criterion_11_sampled_star_default_grid_count():
+    # a sampled (piecewise-linear) well counted on the default grid, with
+    # every Evans value from the exact segment steps
+    data = _sampled_star().to_dict()
+    data.pop("sweep")
+    data["count"] = {"intervals": [[5.0, 60.0]]}
+    sc = parse_scenario(data)
+    t0 = time.perf_counter()
+    human, machine, all_hold = count_report(sc)
+    dt = time.perf_counter() - t0
+    zeros = [z for z, _ in machine["intervals"][0]["full"]["zeros"]]
+    coarse, fine = (_fd_star_spectrum(sc, (5.0, 60.0), c) for c in (1024, 2048))
+    estimate = np.abs(coarse - fine)  # two-mesh error estimate of the coarse mesh
+    dev = np.abs(np.array(zeros) - fine) if len(zeros) == len(fine) else np.inf
+    ok = all_hold and len(coarse) == len(zeros) and np.all(dev <= estimate) and dt < 10.0
+    _line(11, ok, f"{machine['intervals'][0]['identity']!r} in {dt:.2f}s (ceiling 10s), "
+                  f"eigenvalues off the finite-difference spectrum by at most "
+                  f"{np.max(dev / estimate):.2f} of its two-mesh error estimate")
+    assert all_hold, human
+    assert len(coarse) == len(fine) == len(zeros)
+    assert np.all(dev <= estimate)
+    assert dt < 10.0

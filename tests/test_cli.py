@@ -138,6 +138,35 @@ def test_verify_table_deterministic(tmp_path):
     assert t3 != t1  # different seed, different abscissae
 
 
+def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
+    # gamma_trace and ode_defect rows share one application per evaluated
+    # lambda; a retried lambda is a new key, and the rows match fresh work
+    sc = cli.load_scenario(_scenario_file(tmp_path))
+    real, calls, sources = cli.resolvent_apply, [], []
+
+    def counted(g, bc, lam, v):
+        calls.append(lam)
+        sources.append(v)
+        if len(calls) == 1:
+            raise qgraph.OnSpectrum("forced")
+        return real(g, bc, lam, v)
+
+    monkeypatch.setattr(cli, "resolvent_apply", counted)
+    text, ok = cli.verify_table(sc, "resolvent", seed=2, rounds=4)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    gamma = [float(r[1]) for r in rows if r[0] == "gamma_trace"]
+    ode = [float(r[1]) for r in rows if r[0] == "ode_defect"]
+    assert ok and len(gamma) == len(ode) == 4
+    assert gamma[0] != ode[0] and gamma[1:] == ode[1:]  # only gamma_trace retried
+    assert len(calls) == 1 + 4 + 1
+    v = sources[0]
+    for name, lam, res, _, _ in rows:
+        app = real(sc.graph, sc.bc, float(lam), v)
+        fresh = (app.gamma_residual if name == "gamma_trace"
+                 else cli.segment_residual(sc.graph, float(lam), app, v))
+        assert res == cli._fmt(fresh)
+
+
 def test_verify_projections_and_exit_zero(tmp_path, capsys):
     code = cli.main(["verify", "--scenario", _scenario_file(tmp_path),
                      "--which", "projections"])
@@ -261,6 +290,26 @@ def test_sampled_star_piece_keeps_real_arithmetic():
     assert len(rows) == 2
     assert all(float(cell) == 0.0 for row in rows for cell in row[2::2])
     assert ok, text
+
+
+def test_sampled_star_never_integrates(monkeypatch):
+    # every command propagates a sampled wire by exact segment steps; only
+    # the adaptive oracle integrates
+    import scipy.integrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp outside the adaptive oracle")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+    sc = _sampled_star()
+    cli.evans_csv(sc, samples=4, with_map=True)
+    for which in ("single", "minors", "resolvent", "ugamma", "projections"):
+        cli.verify_table(sc, which, rounds=1)
+    data = sc.to_dict()
+    data["count"] = {"intervals": [[5.0, 30.0]], "grid": 200}
+    cli.count_report(cli.parse_scenario(data))
+    with pytest.raises(AssertionError):
+        qgraph.adaptive_reference(sc.graph.edges[1], 5.0, 1.0, 0.0)
 
 
 def test_pole_retry_is_reproducible_across_hash_seeds():

@@ -1,14 +1,19 @@
+import importlib
+
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qgraph import (EdgeSpec, EdgeSolution, Sampled, adaptive_reference,
-                    basis_pair, free_edge, propagate, transfer_matrix,
-                    wronskian)
+from qgraph import (EdgeSpec, EdgeSolution, Sampled, StarGraph, adaptive_reference,
+                    basis_pair, build_preset, evans, free_edge, propagate,
+                    segment_transfer, transfer_matrix, wronskian)
 from qgraph.propagate import (MismatchedEvaluationPoint, OutOfDomain,
                               StateVector)
 from conftest import pc
+
+propagate_module = importlib.import_module("qgraph.propagate")  # the name propagate is the function
 
 
 # ---------------------------------------------------------------- transfer
@@ -49,6 +54,97 @@ def test_transfer_roundtrip():
     assert np.allclose(back @ fwd, np.eye(2), atol=1e-13)
 
 
+# ------------------------------------------------------- linear segments
+
+SEGMENT_TOL = 1e-10  # on the balanced matrix, relative to its largest entry
+
+
+def airy_reference(d, lam, v0, s):
+    """F(xi(d)) F(xi(0))^-1 for V = v0 + s t at 40 digits, plus as many as
+    the Airy phase |xi|^1.5 takes.  Complex lambda uses the pair Ai(xi),
+    Ai(xi exp(-+2 pi i / 3)), which stays independent off the real axis."""
+    k0 = np.cbrt(s)
+    big = abs(v0 - lam) / k0 ** 2 + abs(k0 * d)
+    with mp.workdps(40 + int(np.log10(1.0 + big ** 1.5))):
+        d, v0, s = mp.mpf(d), mp.mpf(v0), mp.mpf(s)
+        lam = mp.mpc(lam) if complex(lam).imag else mp.mpf(complex(lam).real)
+        k = mp.cbrt(s) if s > 0 else -mp.cbrt(-s)
+        xa = (v0 - lam) / k ** 2
+        if complex(lam).imag:
+            up = mp.im(xa) >= 0
+            rot = mp.expjpi(mp.mpf(-2) / 3 if up else mp.mpf(2) / 3)
+            w = mp.expjpi(mp.mpf(1) / 6 if up else mp.mpf(-1) / 6) / (2 * mp.pi)
+            second = lambda x: (mp.airyai(rot * x), rot * mp.airyai(rot * x, 1))
+        else:
+            w = 1 / mp.pi
+            second = lambda x: (mp.airybi(x), mp.airybi(x, 1))
+
+        def frame(x):
+            b, bp = second(x)
+            return mp.matrix([[mp.airyai(x), b], [k * mp.airyai(x, 1), k * bp]])
+
+        fa = frame(xa)
+        inv = mp.matrix([[fa[1, 1], -fa[0, 1]], [-fa[1, 0], fa[0, 0]]]) / (k * w)
+        t = frame(xa + k * d) * inv
+        return np.array([[complex(t[i, j]) for j in range(2)] for i in range(2)])
+
+
+def balanced(m, d, lam, v0, s):
+    """diag(1, 1/om) m diag(1, om) with om the largest local wavenumber or
+    1/|d|, so that all four entries are on one scale."""
+    om = np.sqrt(max(abs(lam - v0), abs(lam - v0 - s * d), d ** -2))
+    return m * np.array([[1.0, om], [1.0 / om, 1.0]])
+
+
+@given(log_d=st.floats(-6.0, 0.5), backward=st.booleans(),
+       log_s=st.floats(-14.0, 3.0), falling=st.booleans(),
+       v0=st.floats(-50.0, 50.0), regime=st.sampled_from(("real", "forbidden", "complex")),
+       lam_re=st.floats(-60.0, 100.0), log_gap=st.floats(0.0, 4.0), lam_im=st.floats(-5.0, 5.0))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_linear_segment_step_matches_mpmath_airy(log_d, backward, log_s, falling, v0,
+                                                 regime, lam_re, log_gap, lam_im):
+    # slopes from 1e-14 (the flat fallback) to 1e3, steps from 1e-6 to 3 in
+    # both directions, deep forbidden regions (lambda up to 1e4 below V)
+    # and complex lambda
+    d = (-1.0 if backward else 1.0) * 10.0 ** log_d
+    s = (-1.0 if falling else 1.0) * 10.0 ** log_s
+    lam = {"real": lam_re, "forbidden": min(v0, v0 + s * d) - 10.0 ** log_gap,
+           "complex": lam_re + 1j * lam_im}[regime]
+    growth = np.sqrt(max(0.0, max(v0, v0 + s * d) - np.real(lam))) * abs(d)
+    assume(growth + abs(np.imag(lam)) * abs(d) < 300.0)  # no overflow
+    m = segment_transfer(d, lam, v0, s)
+    ref = airy_reference(d, lam, v0, s)
+    err = balanced(m - ref, d, lam, v0, s)
+    assert np.abs(err).max() <= SEGMENT_TOL * np.abs(balanced(ref, d, lam, v0, s)).max()
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    assert abs(det - 1.0) <= 1e-12 * (1.0 + np.abs(m).max()) ** 2
+    assert m.dtype.kind == ("c" if np.imag(lam) else "f")
+
+
+def test_segment_transfer_broadcasts_and_inverts():
+    d = np.array([0.3, -0.2, 0.7])[:, None]
+    lams = np.array([2.0, 25.0, 60.0, -30.0])
+    m = segment_transfer(d, lams, 1.5, np.array([4.0, 0.0, -1e-9])[:, None])
+    assert m.shape == (3, 4, 2, 2) and m.dtype.kind == "f"
+    assert np.array_equal(m[1], transfer_matrix(-0.2, lams, 1.5))
+    for t in lams:  # the backward step from the far end undoes the forward one
+        back = segment_transfer(-0.3, t, 1.5 + 4.0 * 0.3, 4.0)
+        assert np.allclose(back @ segment_transfer(0.3, t, 1.5, 4.0), np.eye(2), atol=1e-12)
+
+
+def test_flat_potentials_never_reach_airy(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Airy step on a flat segment")
+    monkeypatch.setattr(propagate_module, "_airy_transfer", refuse)
+    g = StarGraph((EdgeSpec(1.0, pc((0.0, 0.4, -6.0), (0.4, 1.0, 2.0))), free_edge(1.3)))
+    calls = []
+    real = propagate_module.transfer_matrix
+    monkeypatch.setattr(propagate_module, "transfer_matrix",
+                        lambda *a: calls.append(a) or real(*a))
+    evans(g, build_preset("kirchhoff", 2), np.linspace(1.0, 40.0, 9))
+    assert len(calls) == 1
+
+
 # -------------------------------------------------------------- propagation
 
 def test_piecewise_closed_form():
@@ -79,6 +175,20 @@ def test_piecewise_agrees_with_adaptive():
     rv, rd = ref.on(xs)
     assert np.abs(v - rv).max() < 1e-8
     assert np.abs(d - rd).max() < 1e-8
+
+
+def test_sampled_agrees_with_adaptive():
+    # the exact segment steps against the independent adaptive integrator
+    xs = np.linspace(0.0, 1.2, 31)
+    edge = EdgeSpec(1.2, Sampled(tuple(xs), tuple(8.0 * np.cos(4 * xs) - 3.0 * xs)))
+    pts = np.linspace(0.0, 1.2, 23)
+    for lam, anchor in ((11.0, 0.0), (-4.0, 0.0), (27.5 + 3.0j, 0.0), (11.0, 0.53)):
+        sol = EdgeSolution(edge, lam, 1.0, 0.5, anchor=anchor)
+        ref = adaptive_reference(edge, lam, 1.0, 0.5, anchor=anchor)
+        v, d = sol.on(pts)
+        rv, rd = ref.on(pts)
+        assert np.abs(v - rv).max() < 1e-8
+        assert np.abs(d - rd).max() < 1e-8
 
 
 def test_sampled_potential_uses_adaptive():
