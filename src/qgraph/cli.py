@@ -45,8 +45,8 @@ from .graphs import (PIECE_KEYS, SAME_WIRE, SINGLE, TWO_WIRES,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
                      build_preset, free_edge, split_graph)
 from .resolvent import (NoIndependentPartner, OnSpectrum, QuadratureFailure,
-                        build_projections, projection_equations,
-                        resolvent_apply, segment_residual, u_gamma)
+                        _u_gamma, build_projections, projection_equations,
+                        resolvent_apply, segment_residual)
 from .graphs import BoundaryData
 
 
@@ -304,13 +304,14 @@ def _sample_lambdas(rng, sweep, rounds):
     return rng.uniform(lo, hi, rounds)
 
 
-def _residual_rows(name, fn, lams, tol, retries=60):
-    """Evaluate fn at each lambda, resampling when it lands on a pole."""
+def _residual_rows(name, fn, lams, tol):
+    """Evaluate fn at each lambda, resampling up to 60 times when it lands
+    on a pole."""
     rows = []
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     for lam in lams:
         x = lam
-        for _ in range(retries):
+        for _ in range(60):
             try:
                 rows.append((name, x, float(fn(x)), tol))
                 break
@@ -391,15 +392,14 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
         lams = _sample_lambdas(rng, sc.sweep, rounds or 5)
 
         @functools.lru_cache(maxsize=None)
-        def residuals(t, k):  # both rows of one (k, lambda) from one solve
-            ug = u_gamma(g, bc, t, k)
-            return ug.sup_discrepancy, ug.trace_residual
+        def paths(t):  # every row of one lambda from one bundle
+            return _u_gamma(g, bc, t, range(2 * g.n))
 
         for i in range(2 * g.n):
-            rows += _residual_rows(
-                f"ugamma_sup_e{i}", lambda t, k=i: residuals(t, k)[0], lams, 1e-7)
-            rows += _residual_rows(
-                f"ugamma_trace_e{i}", lambda t, k=i: residuals(t, k)[1], lams, 1e-8)
+            rows += _residual_rows(f"ugamma_sup_e{i}",
+                                   lambda t, k=i: paths(t)[k].sup_discrepancy, lams, 1e-7)
+            rows += _residual_rows(f"ugamma_trace_e{i}",
+                                   lambda t, k=i: paths(t)[k].trace_residual, lams, 1e-8)
     else:
         raise ScenarioError(f"unknown verification {which!r}")
 

@@ -81,9 +81,9 @@ def lambda_grid(interval, grid=None):
     return np.linspace(lo, hi, grid + 1)
 
 
-def _refine_dip(f, a, b, refine_tol):
+def _refine_dip(f, a, b):
     res = minimize_scalar(lambda x: abs(f(x)), bounds=(a, b), method="bounded",
-                          options={"xatol": refine_tol})
+                          options={"xatol": REFINE_TOL})
     return float(res.x), float(res.fun)
 
 
@@ -92,7 +92,7 @@ def _pointwise(f):
     return lambda xs: np.array([f(x) for x in xs], dtype=float)
 
 
-def _scan_zeros(fs, xs, refine_tol):
+def _scan_zeros(fs, xs):
     """Sign-change zeros plus tangency (multiplicity 2) probing on given abscissae.
 
     fs maps an array of lambda to an array of real values.  Non-finite
@@ -118,7 +118,7 @@ def _scan_zeros(fs, xs, refine_tol):
             # grid point exactly on a zero; neighbors then show no sign change
             zeros.append((float(fxs[i]), 1))
         elif fvs[i] * fvs[i + 1] < 0.0:
-            loc = brentq(f, fxs[i], fxs[i + 1], xtol=refine_tol)
+            loc = brentq(f, fxs[i], fxs[i + 1], xtol=REFINE_TOL)
             zeros.append((float(loc), 1))
     if fvs[-1] == 0.0:
         zeros.append((float(fxs[-1]), 1))
@@ -132,7 +132,7 @@ def _scan_zeros(fs, xs, refine_tol):
             continue
         if taken.size and np.min(np.abs(taken - fxs[i])) < 2 * (fxs[i + 1] - fxs[i - 1]):
             continue
-        loc, fmin = _refine_dip(f, fxs[i - 1], fxs[i + 1], refine_tol)
+        loc, fmin = _refine_dip(f, fxs[i - 1], fxs[i + 1])
         if fmin >= DIP_ACCEPT * scale:
             continue
         h = 0.125 * (fxs[i + 1] - fxs[i - 1])
@@ -155,9 +155,9 @@ def _warn_if_coarse(zeros, xs):
                           "cells; consider a finer grid", GridTooCoarse)
 
 
-def _count(fs, interval, grid, refine_tol) -> CountReport:
+def _count(fs, interval, grid) -> CountReport:
     xs = lambda_grid(interval, grid)
-    zeros, _ = _scan_zeros(fs, xs, refine_tol)
+    zeros, _ = _scan_zeros(fs, xs)
     zeros = [(z, m) for z, m in zeros if interval[0] < z < interval[1]]
     _warn_if_coarse(zeros, xs)
     return CountReport(interval=(float(interval[0]), float(interval[1])),
@@ -165,27 +165,27 @@ def _count(fs, interval, grid, refine_tol) -> CountReport:
                        count=sum(m for _, m in zeros), delta_N=None)
 
 
-def count_zeros(f, interval, grid=None, refine_tol=REFINE_TOL) -> CountReport:
+def count_zeros(f, interval, grid=None) -> CountReport:
     """Zeros of a real-valued function of one lambda on [lo, hi], endpoints excluded."""
-    return _count(_pointwise(f), interval, grid, refine_tol)
+    return _count(_pointwise(f), interval, grid)
 
 
 def _evans_values(g, bc):
     return lambda ts: evans(g, bc, ts).value
 
 
-def count_eigenvalues(g, bc, interval, grid=None, refine_tol=REFINE_TOL) -> CountReport:
+def count_eigenvalues(g, bc, interval, grid=None) -> CountReport:
     """Eigenvalue count as zeros of the canonical Evans function."""
     if not bc.is_real():
         raise ValueError("sign-change counting needs real boundary data")
-    return _count(_evans_values(g, bc), interval, grid, refine_tol)
+    return _count(_evans_values(g, bc), interval, grid)
 
 
-def _merge_poles(reports, pole_merge_tol):
+def _merge_poles(reports):
     events = sorted((z, m) for r in reports for z, m in r.zeros)
     merged = []
     for loc, order in events:
-        if merged and loc - merged[-1][0] <= pole_merge_tol * (1 + abs(loc)):
+        if merged and loc - merged[-1][0] <= POLE_MERGE_TOL * (1 + abs(loc)):
             prev_loc, prev_order = merged[-1]
             merged[-1] = (prev_loc, prev_order + order)
         else:
@@ -193,8 +193,7 @@ def _merge_poles(reports, pole_merge_tol):
     return merged
 
 
-def map_delta(map_fn, denominators, interval, grid=None, refine_tol=REFINE_TOL,
-              pole_merge_tol=POLE_MERGE_TOL, denominator_reports=None) -> CountReport:
+def map_delta(map_fn, denominators, interval, grid=None) -> CountReport:
     """Zeros minus poles of a meromorphic map on an interval.
 
     Poles are not probed on the map itself: they are the zeros of the
@@ -203,9 +202,7 @@ def map_delta(map_fn, denominators, interval, grid=None, refine_tol=REFINE_TOL,
     subintervals, skipping samples where evaluation blew up.  map_fn and
     the denominators are functions of one lambda.
     """
-    if denominator_reports is None:
-        denominator_reports = [count_zeros(d, interval, grid, refine_tol)
-                               for d in denominators]
+    denominator_reports = [count_zeros(d, interval, grid) for d in denominators]
 
     def safe(x):
         try:
@@ -214,16 +211,14 @@ def map_delta(map_fn, denominators, interval, grid=None, refine_tol=REFINE_TOL,
         except (maps.PoleAtLambda, ZeroDivisionError, np.linalg.LinAlgError):
             return math.nan
 
-    return _map_delta(_pointwise(safe), denominator_reports, interval, grid,
-                      refine_tol, pole_merge_tol)
+    return _map_delta(_pointwise(safe), denominator_reports, interval, grid)
 
 
-def _map_delta(fs, denominator_reports, interval, grid, refine_tol,
-               pole_merge_tol) -> CountReport:
+def _map_delta(fs, denominator_reports, interval, grid) -> CountReport:
     lo, hi = float(interval[0]), float(interval[1])
-    poles = _merge_poles(denominator_reports, pole_merge_tol)
+    poles = _merge_poles(denominator_reports)
     for p, _ in poles:
-        if min(abs(p - lo), abs(p - hi)) <= refine_tol:
+        if min(abs(p - lo), abs(p - hi)) <= REFINE_TOL:
             raise PoleOnBoundary(f"map pole at lambda={p} sits on the interval boundary")
 
     total = lambda_grid(interval, grid).size - 1
@@ -235,15 +230,15 @@ def _map_delta(fs, denominator_reports, interval, grid, refine_tol,
         # side would fake a sign change.  The margin only needs to beat the
         # bisection uncertainty; zeros interlace arbitrarily close to poles,
         # so anything larger risks swallowing one.
-        trim_a = 10 * refine_tol * (1 + abs(a))
-        trim_b = 10 * refine_tol * (1 + abs(b))
+        trim_a = 10 * REFINE_TOL * (1 + abs(a))
+        trim_b = 10 * REFINE_TOL * (1 + abs(b))
         a_eff = a + trim_a if pole_a else a
         b_eff = b - trim_b if pole_b else b
-        if b_eff - a_eff <= 4 * refine_tol:
+        if b_eff - a_eff <= 4 * REFINE_TOL:
             continue
         share = ((math.sqrt(b) - math.sqrt(a)) / span) if lo >= 0 else ((b - a) / span)
         sub = lambda_grid((a_eff, b_eff), max(MIN_GRID, math.ceil(total * share)))
-        found, _ = _scan_zeros(fs, sub, refine_tol)
+        found, _ = _scan_zeros(fs, sub)
         zeros.extend((z, m) for z, m in found if a_eff < z < b_eff)
     zeros = [(z, m) for z, m in sorted(zeros) if lo < z < hi]
     n_zeros = sum(m for _, m in zeros)
@@ -274,12 +269,11 @@ class CountingIdentityReport:
         return f"{self.full.count} = {terms} + {self.delta_N} {verdict}"
 
 
-def verify_counting(g, bc, spec, interval, grid=None,
-                    refine_tol=REFINE_TOL) -> CountingIdentityReport:
+def verify_counting(g, bc, spec, interval, grid=None) -> CountingIdentityReport:
     """Check N_full = sum of piece counts + delta_N, all terms independent.
 
     Endpoints sitting on any involved spectrum are nudged inward by
-    10 * refine_tol (with a warning); if that does not clear them the
+    10 * REFINE_TOL (with a warning); if that does not clear them the
     interval is rejected.
     """
     if not bc.is_real():
@@ -290,11 +284,11 @@ def verify_counting(g, bc, spec, interval, grid=None,
     probes = [_evans_values(g, bc)] + list(dens.values())
 
     def on_spectrum(x):
-        pair = np.array([x - refine_tol, x + refine_tol])
+        pair = np.array([x - REFINE_TOL, x + REFINE_TOL])
         return any(v[0] * v[1] <= 0 for v in (f(pair) for f in probes))
 
     lo, hi = float(interval[0]), float(interval[1])
-    for end, step in ((0, 10 * refine_tol), (1, -10 * refine_tol)):
+    for end, step in ((0, 10 * REFINE_TOL), (1, -10 * REFINE_TOL)):
         x = (lo, hi)[end]
         if on_spectrum(x):
             moved = x + step
@@ -308,15 +302,14 @@ def verify_counting(g, bc, spec, interval, grid=None,
             else:
                 hi = moved
     nudged = (lo, hi)
-    full = count_eigenvalues(g, bc, nudged, grid, refine_tol)
-    piece_reports = {k: _count(dens[k], nudged, grid, refine_tol) for k in keys}
+    full = count_eigenvalues(g, bc, nudged, grid)
+    piece_reports = {k: _count(dens[k], nudged, grid) for k in keys}
 
     def map_values(ts):
         with np.errstate(all="ignore"):
             return maps.two_sided_value(g, bc, spec, ts, parts=parts)
 
-    map_report = _map_delta(map_values, [piece_reports[k] for k in keys], nudged,
-                            grid, refine_tol, POLE_MERGE_TOL)
+    map_report = _map_delta(map_values, [piece_reports[k] for k in keys], nudged, grid)
     holds = full.count == sum(r.count for r in piece_reports.values()) + map_report.delta_N
     return CountingIdentityReport(interval=nudged, full=full, pieces=piece_reports,
                                   map_report=map_report, holds=holds)

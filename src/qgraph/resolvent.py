@@ -8,7 +8,10 @@ boundary-condition matrices also define a unitary U whose eigenspaces at
 -1 and +1 give the Dirichlet and Neumann projections of boundary data; the
 remainder carries a self-adjoint operator Lambda.  Both structures combine
 in trace formulas that recover boundary-value solutions from resolvent
-traces, which is the module's independent check on the map construction.
+traces, which is the module's independent check on the map construction:
+u_gamma builds the solution with gamma-trace e_i from the trace system and,
+on each edge j, as a z_j + b y_tau from adjustment-vector weights.  One
+FrameBundle serves every slot i of one lambda.
 """
 from __future__ import annotations
 
@@ -48,10 +51,8 @@ _GL_X, _GL_W = roots_legendre(GL_NODES)
 
 
 def _edge_breakpoints(edge):
-    pieces = getattr(edge.potential, "pieces", None)
-    if pieces is None:
-        return np.array([0.0, edge.length])
-    return np.array([pieces[0][0]] + [b for _, b, _ in pieces])
+    segs = edge.potential.segments
+    return np.array([segs[0][0]] + [b for _, b, _, _ in segs])
 
 
 def _v_evaluator(v_j, length):
@@ -428,61 +429,54 @@ def u_gamma(g, bc, lam, i) -> UGammaPaths:
     The direct path solves the block trace system.  The formula path never
     sees that system: it combines resolvent-trace building blocks (one
     definite integral each) weighted by the adjustment vectors, which is
-    what makes it an independent check.
+    what makes it an independent check.  On edge j that combination is
+    a z_j + b y_tau, two profiles whose weights depend on the slot only
+    through e_i and its adjustment-vector columns.
     """
+    return _u_gamma(g, bc, lam, (i,))[0]
+
+
+def _u_gamma(g, bc, lam, slots):
+    """u_gamma for each slot in slots, from one bundle: only the right
+    sides and the adjustment-vector columns depend on the slot."""
+    slots = list(slots)
     bundle = FrameBundle(g, bc, lam)
     det_c = _off_spectrum_det(bundle)
     n = bundle.n
-    rhs = np.zeros(2 * n)
-    rhs[i] = 1.0
+    rhs = np.eye(2 * n)[:, slots]
     d = bundle.solve_trace(rhs)
 
     tau = select_tau(bundle)
     av = adjustment_vectors(build_projections(bc))
-    weights_d = av.L[:, i] + av.M[:, i]
-    weights_n = av.N[:, i]
+    wd, wn = (av.L + av.M)[:, slots], av.N[:, slots]
     f0 = bundle.frame0
     c_mat = np.asarray(bundle.c_block(), dtype=complex)
-    zl = -np.conj(bc.beta2)          # z_k at the outer endpoint
-    zpl = np.conj(bc.beta1)
-    z0 = np.diag(f0.Z)
-    zp0 = np.diag(f0.Zp)
+    zl, zpl = -np.conj(bc.beta2)[:, None], np.conj(bc.beta1)[:, None]  # z at the outer ends
+    z0, zp0 = np.diag(f0.Z)[:, None], np.diag(f0.Zp)[:, None]          # z at the origin
+    gk = wd[:n] * zl + wn[:n] * zpl + wd[n:] * z0 - wn[n:] * zp0
 
-    grids, direct_vals, formula_vals, ends = [], [], [], []
-    sup = 0.0
+    grids, direct, formula = [], [], []
     for j, edge in enumerate(g.edges):
         xs = np.linspace(0.0, edge.length, GRID_POINTS)
-        # the direct solution and the partner y_tau in one evaluation
-        y, z = bundle.families(j, xs, np.column_stack([d[:n], np.eye(n)[:, tau.tau[j]]]))
-        du, dup = y[:, 0] + d[n + j] * z
-        yx, zx = y[0, 1], z[0]
-        yv0 = f0.Y[j, tau.tau[j]]
-        yp0 = f0.Yp[j, tau.tau[j]]
+        t, dj = tau.tau[j], tau.wronskians[j]
+        # the direct solutions and the partner y_tau in one evaluation
+        y, z = bundle.families(j, xs, np.column_stack([d[:n], np.eye(n)[:, t]]))
+        yv0, yp0 = f0.Y[j, t], f0.Yp[j, t]
         cof = _cramer_dets(c_mat, bc.alpha1[:, j] * yv0 + bc.alpha2[:, j] * yp0)
-        dj = tau.wronskians[j]
-        # slots of other edges see only the z-profile of edge j; the two
-        # slots of edge j itself mix in the partner y_tau
-        mixed = (zx * cof[j] - det_c * yx) / (det_c * dj)
-        u_formula = weights_d[j] * zl[j] * mixed + weights_n[j] * zpl[j] * mixed
-        u_formula += weights_d[n + j] * zx * (z0[j] * cof[j] - det_c * yv0) / (det_c * dj)
-        u_formula += weights_n[n + j] * (-zx) * (zp0[j] * cof[j] - det_c * yp0) / (det_c * dj)
-        for k in range(n):
-            if k == j:
-                continue
-            common = zx / dj * cof[k] / det_c
-            u_formula += weights_d[k] * common * zl[k]
-            u_formula += weights_n[k] * common * zpl[k]
-            u_formula += weights_d[n + k] * common * z0[k]
-            u_formula += weights_n[n + k] * (-common * zp0[k])
+        a = (cof @ gk / det_c - wd[n + j] * yv0 + wn[n + j] * yp0) / dj
+        b = -(wd[j] * zl[j] + wn[j] * zpl[j]) / dj
         grids.append(xs)
-        direct_vals.append(du)
-        formula_vals.append(u_formula)
-        ends.append((du[-1], dup[-1], du[0], dup[0]))
-        sup = max(sup, float(np.abs(du - u_formula).max()))
+        direct.append(y[:, :-1] + d[n + j, :, None] * z[:, None])  # values, derivatives
+        formula.append(a[:, None] * z[0] + b[:, None] * y[0, -1])
 
-    bd = BoundaryData(*np.array(ends).T)
-    tres = float(np.abs(gamma_trace(bc, bd) - rhs).max())
-    return UGammaPaths(lam=lam, index=i, grids=tuple(grids),
-                       direct=tuple(direct_vals), formula=tuple(formula_vals),
-                       sup_discrepancy=sup, trace_residual=tres,
-                       coefficients=d)
+    out = []
+    for s, i in enumerate(slots):
+        u = [v[:, s] for v in direct]
+        bd = BoundaryData(*np.array([(v[0, -1], v[1, -1], v[0, 0], v[1, 0]) for v in u]).T)
+        out.append(UGammaPaths(
+            lam=lam, index=i, grids=tuple(grids), direct=tuple(v[0] for v in u),
+            formula=tuple(f[s] for f in formula),
+            sup_discrepancy=float(max(np.abs(v[0] - f[s]).max() for v, f in zip(u, formula))),
+            trace_residual=float(np.abs(gamma_trace(bc, bd) - rhs[:, s]).max()),
+            coefficients=d[:, s]))
+    return out

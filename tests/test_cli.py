@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qgraph
-from qgraph import cli
+from qgraph import cli, resolvent
 from qgraph.counting import PoleOnBoundary
 
 
@@ -165,6 +165,39 @@ def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
         fresh = (app.gamma_residual if name == "gamma_trace"
                  else cli.segment_residual(sc.graph, float(lam), app, v))
         assert res == cli._fmt(fresh)
+
+
+def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
+    # every slot's rows of one lambda come from one FrameBundle; a retried
+    # lambda is a new key, and the rows match fresh work
+    sc = cli.load_scenario(_scenario_file(tmp_path))
+    real, calls, bundles = cli._u_gamma, [], []
+
+    class Counted(resolvent.FrameBundle):
+        def __init__(self, g, bc, lam):
+            bundles.append(lam)
+            super().__init__(g, bc, lam)
+
+    def forced(g, bc, lam, slots):
+        calls.append(lam)
+        if len(calls) == 1:
+            raise qgraph.OnSpectrum("forced")
+        return real(g, bc, lam, slots)
+
+    monkeypatch.setattr(resolvent, "FrameBundle", Counted)
+    monkeypatch.setattr(cli, "_u_gamma", forced)
+    text, ok = cli.verify_table(sc, "ugamma", seed=2, rounds=3)
+    monkeypatch.undo()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    n = sc.graph.n
+    assert ok and len(rows) == 2 * 2 * n * 3
+    lams = {float(r[1]) for r in rows}
+    assert len(lams) == 3 + 1  # only the first row of ugamma_sup_e0 retried
+    assert sorted(bundles) == sorted(lams)
+    for name, lam, res, _, _ in rows:
+        fresh = resolvent._u_gamma(sc.graph, sc.bc, float(lam), range(2 * n))
+        ug = fresh[int(name.rsplit("_e", 1)[1])]
+        assert res == cli._fmt(ug.sup_discrepancy if "_sup_" in name else ug.trace_residual)
 
 
 def test_verify_projections_and_exit_zero(tmp_path, capsys):

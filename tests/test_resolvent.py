@@ -2,8 +2,11 @@
 cross-checks, pinned on problems with known closed-form outputs."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
-from conftest import barrier_end, pc, rand_bc_real
+from conftest import barrier_end, pc, rand_bc_cayley, rand_bc_real
 from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec, FrameBundle,
                     NoIndependentPartner, OnSpectrum, QuadratureFailure,
                     SingularDeltaCombination, StarGraph, adjustment_vectors,
@@ -11,7 +14,10 @@ from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec, FrameBundle,
                     inner_product_check, map_M2, particular_solution,
                     projection_equations, resolvent_apply, segment_residual,
                     select_tau, split_graph, u_gamma)
+from qgraph import resolvent
 from qgraph.graphs import SINGLE, SplitSpec
+from test_cli import _sampled_star
+from test_kernel import random_star
 
 
 def _trace_data(app):
@@ -102,6 +108,22 @@ def test_quadrature_rejects_nonfinite_source():
     bc = build_preset("dirichlet", 1)
     with pytest.raises(QuadratureFailure):
         resolvent_apply(g, bc, -1.0, [lambda x: np.where(x > 0.5, np.nan, 1.0)])
+
+
+def test_sampled_wire_quadrature_converges(monkeypatch):
+    # one Gauss-Legendre panel per linear segment keeps every panel smooth,
+    # so tripling the nodes moves the output by rounding only
+    sc = _sampled_star()
+    v = [1.0, lambda x: np.sin(np.pi * x)]
+    lams = (7.3, 13.1 + 2.0j, 41.7)
+    coarse = [resolvent_apply(sc.graph, sc.bc, lam, v).output for lam in lams]
+    x, w = roots_legendre(96)
+    monkeypatch.setattr(resolvent, "_GL_X", x)
+    monkeypatch.setattr(resolvent, "_GL_W", w)
+    for lam, out in zip(lams, coarse):
+        fine = resolvent_apply(sc.graph, sc.bc, lam, v).output
+        scale = max(np.abs(u).max() for u in fine)
+        assert max(np.abs(a - b).max() for a, b in zip(out, fine)) <= 1e-13 * scale
 
 
 def test_kirchhoff_projection_ranks():
@@ -220,3 +242,34 @@ def test_cut_derivative_reproduces_star_map():
     _, up = b.component_at(d, 0, star[0].edges[0].length)
     assert abs(up - m2) < 1e-11
     assert u_gamma(*star, lam, 0).sup_discrepancy < 1e-10
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), complex_bc=st.booleans(),
+       complex_lam=st.booleans(), sampled=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_all_slots_match_per_slot(seed, n, complex_bc, complex_lam, sampled):
+    # one bundle serves every slot; each slot's paths equal its own call
+    rng = np.random.default_rng(seed)
+    if sampled:
+        g, n = _sampled_star().graph, 2
+    else:
+        g = random_star(rng, n)
+    bc = rand_bc_cayley(n, rng) if complex_bc else rand_bc_real(n, rng)
+    lam = rng.uniform(-5.0, 60.0) + (1j * rng.uniform(-3.0, 3.0) if complex_lam else 0.0)
+    try:
+        every = resolvent._u_gamma(g, bc, lam, range(2 * n))
+    except (OnSpectrum, NoIndependentPartner):
+        assume(False)
+
+    def close(a, b):
+        return np.max(np.abs(np.asarray(a) - b)) <= 1e-12 * np.max(np.abs(b))
+
+    assert len(every) == 2 * n
+    for i, ug in enumerate(every):
+        one = u_gamma(g, bc, lam, i)
+        assert ug.index == i and ug.lam == lam
+        assert close(ug.coefficients, one.coefficients)
+        assert close(ug.direct, one.direct) and close(ug.formula, one.formula)
+        scale = np.max(np.abs(one.direct))
+        assert abs(ug.sup_discrepancy - one.sup_discrepancy) <= 1e-12 * scale
+        assert abs(ug.trace_residual - one.trace_residual) <= 1e-12 * scale
