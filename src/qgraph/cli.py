@@ -28,7 +28,6 @@ configurations).  Exit codes: 0 success, 2 validation, 3 numerical,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -304,23 +303,25 @@ def _sample_lambdas(rng, sweep, rounds):
     return rng.uniform(lo, hi, rounds)
 
 
-def _residual_rows(name, fn, lams, tol):
-    """Evaluate fn at each lambda, resampling up to 60 times when it lands
-    on a pole."""
-    rows = []
-    rng = np.random.default_rng(zlib.crc32(name.encode()))
+def _residual_rows(checks, fn, lams):
+    """Rows for each (name, tol) of checks at each lambda, name-major; fn(x)
+    gives one residual per check.  A lambda that lands on a pole is
+    resampled, up to 60 times, once for all the checks."""
+    found = []
+    rng = np.random.default_rng(zlib.crc32(checks[0][0].encode()))
     for lam in lams:
         x = lam
         for _ in range(60):
             try:
-                rows.append((name, x, float(fn(x)), tol))
+                found.append((x, [float(r) for r in fn(x)]))
                 break
             except (maps.PoleAtLambda, OnSpectrum, NoIndependentPartner,
                     ArithmeticError, np.linalg.LinAlgError):
                 x = lam + rng.uniform(-0.5, 0.5)
         else:
-            raise QuadratureFailure(f"{name}: no pole-free lambda near {lam}")
-    return rows
+            raise QuadratureFailure(f"{checks[0][0]}: no pole-free lambda near {lam}")
+    return [(name, x, res[k], tol) for k, (name, tol) in enumerate(checks)
+            for x, res in found]
 
 
 def verify_table(sc: Scenario, which, seed=0, rounds=None):
@@ -333,35 +334,30 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
             raise ScenarioError("verify single needs a single-cut splits block")
         lams = _sample_lambdas(rng, sc.sweep, rounds or 20)
         cut = sc.splits.cuts[0]
-        rows = _residual_rows("single_split",
-                              lambda t: maps.verify_single_split(g, bc, cut, t),
-                              lams, 1e-7)
+        rows = _residual_rows((("single_split", 1e-7),),
+                              lambda t: (maps.verify_single_split(g, bc, cut, t),), lams)
     elif which == "double":
         if sc.splits is None or sc.splits.mode not in (SAME_WIRE, TWO_WIRES):
             raise ScenarioError("verify double needs a two-cut splits block")
         lams = _sample_lambdas(rng, sc.sweep, rounds or 20)
-        rows = _residual_rows("double_split",
-                              lambda t: maps.verify_double_split(g, bc, sc.splits, t),
-                              lams, 1e-7)
+        rows = _residual_rows((("double_split", 1e-7),),
+                              lambda t: (maps.verify_double_split(g, bc, sc.splits, t),), lams)
     elif which == "minors":
         if g.n < 2:
             raise ScenarioError("minor identity needs at least two wires")
         lams = _sample_lambdas(rng, sc.sweep, rounds or 20)
-        rows = _residual_rows("minor_identity",
-                              lambda t: maps.minor_identity_check(g, bc, t),
-                              lams, 1e-8)
+        rows = _residual_rows((("minor_identity", 1e-8),),
+                              lambda t: (maps.minor_identity_check(g, bc, t),), lams)
     elif which == "resolvent":
         lams = _sample_lambdas(rng, sc.sweep, rounds or 10)
         amps = rng.uniform(-2.0, 2.0, g.n)
         v = [float(a) for a in amps]
 
-        @functools.lru_cache(maxsize=None)
         def residuals(t):  # both rows of one lambda from one application
             app = resolvent_apply(g, bc, t, v)
             return app.gamma_residual, segment_residual(g, t, app, v)
 
-        rows = _residual_rows("gamma_trace", lambda t: residuals(t)[0], lams, 1e-8)
-        rows += _residual_rows("ode_defect", lambda t: residuals(t)[1], lams, 1e-7)
+        rows = _residual_rows((("gamma_trace", 1e-8), ("ode_defect", 1e-7)), residuals, lams)
     elif which == "projections":
         ps = build_projections(bc)
         dim = 2 * g.n
@@ -384,22 +380,19 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
                               [u[-1] for u in app.output_deriv],
                               [u[0] for u in app.output],
                               [u[0] for u in app.output_deriv])
-            return max(projection_equations(ps, bd))
+            return (max(projection_equations(ps, bd)),)
 
-        rows += _residual_rows("trace_relations", trace_res,
-                               [lam0 + 0.05], 1e-8)
+        rows += _residual_rows((("trace_relations", 1e-8),), trace_res, [lam0 + 0.05])
     elif which == "ugamma":
         lams = _sample_lambdas(rng, sc.sweep, rounds or 5)
 
-        @functools.lru_cache(maxsize=None)
         def paths(t):  # every row of one lambda from one bundle
-            return _u_gamma(g, bc, t, range(2 * g.n))
+            return [r for p in _u_gamma(g, bc, t, range(2 * g.n))
+                    for r in (p.sup_discrepancy, p.trace_residual)]
 
-        for i in range(2 * g.n):
-            rows += _residual_rows(f"ugamma_sup_e{i}",
-                                   lambda t, k=i: paths(t)[k].sup_discrepancy, lams, 1e-7)
-            rows += _residual_rows(f"ugamma_trace_e{i}",
-                                   lambda t, k=i: paths(t)[k].trace_residual, lams, 1e-8)
+        checks = [(f"ugamma_{kind}_e{i}", tol) for i in range(2 * g.n)
+                  for kind, tol in (("sup", 1e-7), ("trace", 1e-8))]
+        rows = _residual_rows(checks, paths, lams)
     else:
         raise ScenarioError(f"unknown verification {which!r}")
 

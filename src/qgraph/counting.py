@@ -112,26 +112,19 @@ def _scan_zeros(fs, xs):
     scale = float(np.median(np.abs(fvs)))
     if scale == 0.0:
         scale = float(np.max(np.abs(fvs))) or 1.0
-    zeros = []
-    for i in range(fxs.size - 1):
-        if fvs[i] == 0.0:
-            # grid point exactly on a zero; neighbors then show no sign change
-            zeros.append((float(fxs[i]), 1))
-        elif fvs[i] * fvs[i + 1] < 0.0:
-            loc = brentq(f, fxs[i], fxs[i + 1], xtol=REFINE_TOL)
-            zeros.append((float(loc), 1))
-    if fvs[-1] == 0.0:
-        zeros.append((float(fxs[-1]), 1))
+    # a grid point exactly on a zero shows no sign change to its neighbors
+    zeros = [(float(x), 1) for x in fxs[fvs == 0.0]]
+    zeros += [(float(brentq(f, fxs[i], fxs[i + 1], xtol=REFINE_TOL)), 1)
+              for i in np.flatnonzero(fvs[:-1] * fvs[1:] < 0.0)]
     # dips: local minima of |f| with no sign change can hide a double zero
-    taken = np.array([z for z, _ in zeros]) if zeros else np.empty(0)
-    for i in range(1, fxs.size - 1):
-        a, b, c = fvs[i - 1], fvs[i], fvs[i + 1]
-        if not (abs(b) <= abs(a) and abs(b) <= abs(c) and a * b > 0 and b * c > 0):
-            continue
-        if abs(b) > DIP_PREFILTER * scale:
-            continue
-        if taken.size and np.min(np.abs(taken - fxs[i])) < 2 * (fxs[i + 1] - fxs[i - 1]):
-            continue
+    a, b, c = np.abs(fvs[:-2]), np.abs(fvs[1:-1]), np.abs(fvs[2:])
+    dip = ((b <= a) & (b <= c) & (fvs[:-2] * fvs[1:-1] > 0) & (fvs[1:-1] * fvs[2:] > 0)
+           & (b <= DIP_PREFILTER * scale))
+    if zeros:
+        taken = np.array([z for z, _ in zeros])
+        gap = np.abs(taken[:, None] - fxs[1:-1]).min(axis=0)
+        dip &= gap >= 2 * (fxs[2:] - fxs[:-2])
+    for i in np.flatnonzero(dip) + 1:
         loc, fmin = _refine_dip(f, fxs[i - 1], fxs[i + 1])
         if fmin >= DIP_ACCEPT * scale:
             continue

@@ -11,7 +11,9 @@ routes are compared, not assumed: OneSidedMap records both.)
 The factorizations these maps enter are
     E = E1 E2 (M1 + M2)                       (one cut)
     E = E1 Et1 Et2 det(MM1 + MM2)             (two cuts, either geometry)
-with every Evans factor taken with Dirichlet conditions at the cuts.
+with every Evans factor taken with Dirichlet conditions at the cuts.  One
+assembly of (MM1, MM2) over an array of lambda serves the sweep value, the
+2 x 2 builders and the split residuals.
 """
 from __future__ import annotations
 
@@ -180,16 +182,7 @@ def two_sided_2x2_same_wire(g: StarGraph, bc: BoundaryConditions,
     """
     if spec.mode != graphs.SAME_WIRE:
         raise ValueError("expected a same-wire split")
-    parts = split_graph(g, bc, spec)
-    (j, _), _ = spec.cuts
-    m_outer = map_M1(parts["omega1:D"], lam, pole_scale)
-    m_star = map_M2(parts["tilde2:D"], lam, cut_edge=j, pole_scale=pole_scale)
-    mid_graph, _ = parts["tilde1:DD"]
-    e_mid = evans(*parts["tilde1:DD"], lam).value
-    _check_pole(lam, e_mid, "Et1", pole_scale)
-    m1 = _interval_maps(mid_graph.edges[0], lambdas(lam)[0])[0]
-    m2 = np.diag([m_outer.value, m_star.value])
-    return TwoSidedMap2x2(m1=m1, m2=m2, geometry=graphs.SAME_WIRE, lam=lam)
+    return _checked_map(g, bc, spec, lam, pole_scale)[1]
 
 
 def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
@@ -200,15 +193,16 @@ def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
     """
     if spec.mode != graphs.TWO_WIRES:
         raise ValueError("expected a two-wire split")
-    parts = split_graph(g, bc, spec)
-    (j1, _), (j2, _) = spec.cuts
-    m_out1 = map_M1(parts["omega1:D"], lam, pole_scale)
-    m_out2 = map_M1(parts["tilde1:D"], lam, pole_scale)
-    e_star = evans(*parts["tilde2:DD"], lam).value
-    _check_pole(lam, e_star, "Et2", pole_scale)
-    m2 = _star_maps(parts["tilde2:DD"], lambdas(lam)[0], (j1, j2))[0]
-    m1 = np.diag([m_out1.value, m_out2.value])
-    return TwoSidedMap2x2(m1=m1, m2=m2, geometry=graphs.TWO_WIRES, lam=lam)
+    return _checked_map(g, bc, spec, lam, pole_scale)[1]
+
+
+def _checked_map(g, bc, spec, lam, pole_scale):
+    """Piece Evans factors and the two-sided map at one lambda, or PoleAtLambda."""
+    factors = split_evans_factors(g, bc, spec, lam)
+    for key, value in factors.items():
+        _check_pole(lam, value, key, pole_scale)
+    m1, m2 = _blocks(split_graph(g, bc, spec), spec, lambdas(lam)[0])
+    return factors, TwoSidedMap2x2(m1=m1[0], m2=m2[0], geometry=spec.mode, lam=lam)
 
 
 def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
@@ -230,19 +224,27 @@ def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
 
 
 def _two_sided(parts, spec, lams):
+    a = np.add(*_blocks(parts, spec, lams))
+    # a single cut keeps the plain sum: det of a 1 x 1 stack is not bitwise its entry
+    return a[:, 0, 0] if spec.mode == graphs.SINGLE else np.linalg.det(a)
+
+
+def _blocks(parts, spec, lams):
+    """(MM1, MM2) for each lambda, (L, k, k) each for k cuts; slot order is
+    the order of spec.cuts."""
     if spec.mode == graphs.SINGLE:
         (j, _), = spec.cuts
-        return (_outer_maps(parts["omega1:D"], lams)
-                + _star_maps(parts["omega2:D"], lams, (j,))[:, 0, 0])
+        return (_outer_maps(parts["omega1:D"], lams)[:, None, None],
+                _star_maps(parts["omega2:D"], lams, (j,)))
     if spec.mode == graphs.SAME_WIRE:
         (j, _), _ = spec.cuts
         mid_graph, _ = parts["tilde1:DD"]
-        m2 = _diag2(_outer_maps(parts["omega1:D"], lams),
-                    _star_maps(parts["tilde2:D"], lams, (j,))[:, 0, 0])
-        return np.linalg.det(_interval_maps(mid_graph.edges[0], lams) + m2)
+        return (_interval_maps(mid_graph.edges[0], lams),
+                _diag2(_outer_maps(parts["omega1:D"], lams),
+                       _star_maps(parts["tilde2:D"], lams, (j,))[:, 0, 0]))
     (j1, _), (j2, _) = spec.cuts
-    m1 = _diag2(_outer_maps(parts["omega1:D"], lams), _outer_maps(parts["tilde1:D"], lams))
-    return np.linalg.det(m1 + _star_maps(parts["tilde2:DD"], lams, (j1, j2)))
+    return (_diag2(_outer_maps(parts["omega1:D"], lams), _outer_maps(parts["tilde1:D"], lams)),
+            _star_maps(parts["tilde2:DD"], lams, (j1, j2)))
 
 
 def _diag2(a, b):
@@ -262,31 +264,28 @@ def verify_single_split(g: StarGraph, bc: BoundaryConditions, cut, lam,
                         pole_scale=1.0) -> float:
     """Residual of E = E1 E2 (M1 + M2) at one lambda over the size of the
     terms, |E1 E2| (|M1| + |M2|), which shrinks with E on wide stars."""
-    spec = SplitSpec((cut,), graphs.SINGLE)
-    parts = split_graph(g, bc, spec)
-    j = cut[0]
-    m1 = map_M1(parts["omega1:D"], lam, pole_scale)
-    m2 = map_M2(parts["omega2:D"], lam, cut_edge=j, pole_scale=pole_scale)
-    e_full = evans(g, bc, lam).value
-    e12 = m1.denominator_evans * m2.denominator_evans
-    size = abs(e12) * (abs(m1.value) + abs(m2.value))
-    return float(abs(e_full - e12 * two_sided_sum(m1, m2)) / size)
+    return _split_residual(g, bc, SplitSpec((cut,), graphs.SINGLE), lam, pole_scale)
 
 
 def verify_double_split(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec,
                         lam, pole_scale=1.0) -> float:
     """Residual of E = E1 Et1 Et2 det(a), a = MM1 + MM2, at one lambda over
     the size of the terms, |E1 Et1 Et2| (|a00 a11| + |a01 a10|)."""
-    if spec.mode == graphs.SAME_WIRE:
-        two_sided = two_sided_2x2_same_wire(g, bc, spec, lam, pole_scale)
-    else:
-        two_sided = two_sided_2x2_two_wires(g, bc, spec, lam, pole_scale)
-    factors = split_evans_factors(g, bc, spec, lam)
-    e_full = evans(g, bc, lam).value
+    if spec.mode == graphs.SINGLE:
+        raise ValueError("expected a two-cut split")
+    return _split_residual(g, bc, spec, lam, pole_scale)
+
+
+def _split_residual(g, bc, spec, lam, pole_scale):
+    factors, two = _checked_map(g, bc, spec, lam, pole_scale)
     prod = np.prod(list(factors.values()))
-    a = two_sided.m1 + two_sided.m2
-    size = abs(prod) * (abs(a[0, 0] * a[1, 1]) + abs(a[0, 1] * a[1, 0]))
-    return float(abs(e_full - prod * two_sided.det_sum) / size)
+    e_full = evans(g, bc, lam).value
+    a = two.m1 + two.m2
+    if spec.mode == graphs.SINGLE:
+        term, size = a[0, 0], abs(two.m1[0, 0]) + abs(two.m2[0, 0])
+    else:
+        term, size = two.det_sum, abs(a[0, 0] * a[1, 1]) + abs(a[0, 1] * a[1, 0])
+    return float(abs(e_full - prod * term) / (abs(prod) * size))
 
 
 def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,

@@ -22,6 +22,7 @@ from scipy.special import roots_legendre
 
 from .evans import FrameBundle
 from .graphs import BoundaryData, Sampled, gamma_trace, neumann_trace
+from .propagate import segment_transfer
 
 GL_NODES = 32        # Gauss-Legendre nodes per potential segment
 GRID_POINTS = 513    # per-edge output grid
@@ -205,14 +206,11 @@ def resolvent_apply(g, bc, lam, v) -> ResolventApplication:
                + bc.alpha2[:, j] * bundle.frame0.Yp[j, tau.tau[j]]) * parts[j][2]
               for j in range(n))
     c_mat = bundle.c_block()
+    loss = np.linalg.cond(c_mat) * np.finfo(float).eps
+    if loss > 1e-9:
+        raise ArithmeticError(f"coefficient system loses {loss:.2e} to conditioning; "
+                              "lambda is too close to the spectrum")
     cz = np.linalg.solve(c_mat, rhs)
-    if n <= 3:
-        c = np.asarray(c_mat, dtype=complex)
-        alt = _cramer_dets(c, np.asarray(rhs, dtype=complex)) / np.linalg.det(c)
-        dev = np.max(np.abs(alt - cz)) / (1.0 + np.max(np.abs(cz)))
-        if dev > 1e-9:
-            raise ArithmeticError(f"coefficient solves disagree by {dev:.2e}; "
-                                  "lambda is too close to the spectrum")
     coeff = np.concatenate([np.zeros(n, dtype=cz.dtype), cz])
 
     out = [u + cz[j] * z for j, (u, z, _) in enumerate(parts)]  # values, derivatives
@@ -232,14 +230,15 @@ def segment_residual(g, lam, app: ResolventApplication, v) -> float:
     """Largest defect of (H - lambda)output = v, checked by exact
     propagation across every grid interval.
 
-    Needs v constant on each potential segment (indicators and per-edge
-    constants qualify); grid intervals containing a breakpoint are skipped.
+    Each interval steps with the exact transfer of its linear potential
+    segment; the source enters through Gauss-Legendre quadrature of the
+    transfers from each node to the interval's end.  Grid intervals
+    containing a breakpoint or sample node are skipped.
     """
-    from .propagate import transfer_matrix
     worst = 0.0
+    tau, wts = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
     for j, edge in enumerate(g.edges):
         xs, u, up = app.grids[j], app.output[j], app.output_deriv[j]
-        v_eval = _v_evaluator(v[j], edge.length)
         bks = _edge_breakpoints(edge)
         h = xs[1] - xs[0]
         inner = bks[(bks > xs[0]) & (bks < xs[-1])]
@@ -247,18 +246,21 @@ def segment_residual(g, lam, app: ResolventApplication, v) -> float:
         i = np.nonzero(~np.any((inner[:, None] > a) & (inner[:, None] < b), axis=0))[0]
         if not i.size:
             continue
-        mid = 0.5 * (a[i] + b[i])
-        nu = np.array([edge.potential.value_at(x) for x in mid])
-        v0 = np.asarray(v_eval(mid), dtype=complex)
-        w = lam - nu
-        m = transfer_matrix(h, lam, nu)
-        c, s = m[:, 0, 0], m[:, 0, 1]
-        series = np.abs(w) * h * h < 1e-6
-        with np.errstate(all="ignore"):  # (1 - c) / w is replaced where w is tiny
-            onec = np.where(series, 0.5 * h * h * (1 - w * h * h / 12 * (1 - w * h * h / 30)),
-                            (1.0 - c) / w)
-        pred_u = u[i] * c + up[i] * s - v0 * onec
-        pred_up = u[i] * (-w * s) + up[i] * c - v0 * s
+        seg = np.clip(np.searchsorted(bks, a[i], side="right") - 1, 0, bks.size - 2)
+        s0, s1, v0, v1 = np.array(edge.potential.segments)[seg].T
+        slope = (v1 - v0) / (s1 - s0)
+        vx = v0 + slope * (a[i] - s0)  # V at each interval's start
+        m = segment_transfer(h, lam, vx, slope)
+        # node-to-end transfers, once per run of equal (V, slope): a flat
+        # segment's intervals share theirs
+        new = np.r_[True, (np.diff(vx) != 0) | (np.diff(slope) != 0)]
+        r = np.flatnonzero(new)
+        kern = segment_transfer(h * (1.0 - tau), lam, vx[r, None] + slope[r, None] * h * tau,
+                                slope[r, None])[np.cumsum(new) - 1, :, :, 1]  # (I, nodes, 2)
+        src = np.asarray(_v_evaluator(v[j], edge.length)(a[i][:, None] + h * tau))
+        part = np.einsum("in,ink->ik", src * (h * wts), kern)
+        pred_u = u[i] * m[:, 0, 0] + up[i] * m[:, 0, 1] - part[:, 0]
+        pred_up = u[i] * m[:, 1, 0] + up[i] * m[:, 1, 1] - part[:, 1]
         scale = 1.0 + np.abs(u[i + 1]) + np.abs(up[i + 1])
         worst = max(worst, float(np.max(np.abs(pred_u - u[i + 1]) / scale)),
                     float(np.max(np.abs(pred_up - up[i + 1]) / scale)))

@@ -140,7 +140,8 @@ def test_verify_table_deterministic(tmp_path):
 
 def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
     # gamma_trace and ode_defect rows share one application per evaluated
-    # lambda; a retried lambda is a new key, and the rows match fresh work
+    # lambda, a lambda on a pole is resampled once for both rows, and the
+    # rows match fresh work
     sc = cli.load_scenario(_scenario_file(tmp_path))
     real, calls, sources = cli.resolvent_apply, [], []
 
@@ -157,8 +158,8 @@ def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
     gamma = [float(r[1]) for r in rows if r[0] == "gamma_trace"]
     ode = [float(r[1]) for r in rows if r[0] == "ode_defect"]
     assert ok and len(gamma) == len(ode) == 4
-    assert gamma[0] != ode[0] and gamma[1:] == ode[1:]  # only gamma_trace retried
-    assert len(calls) == 1 + 4 + 1
+    assert gamma == ode  # both rows take the one retried lambda
+    assert len(calls) == 1 + 4
     v = sources[0]
     for name, lam, res, _, _ in rows:
         app = real(sc.graph, sc.bc, float(lam), v)
@@ -168,8 +169,8 @@ def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
 
 
 def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
-    # every slot's rows of one lambda come from one FrameBundle; a retried
-    # lambda is a new key, and the rows match fresh work
+    # every slot's rows of one lambda come from one FrameBundle, a lambda
+    # on a pole is resampled once for every row, and the rows match fresh work
     sc = cli.load_scenario(_scenario_file(tmp_path))
     real, calls, bundles = cli._u_gamma, [], []
 
@@ -192,12 +193,38 @@ def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
     n = sc.graph.n
     assert ok and len(rows) == 2 * 2 * n * 3
     lams = {float(r[1]) for r in rows}
-    assert len(lams) == 3 + 1  # only the first row of ugamma_sup_e0 retried
+    assert len(lams) == 3  # every row of the first lambda takes one retry
     assert sorted(bundles) == sorted(lams)
     for name, lam, res, _, _ in rows:
         fresh = resolvent._u_gamma(sc.graph, sc.bc, float(lam), range(2 * n))
         ug = fresh[int(name.rsplit("_e", 1)[1])]
         assert res == cli._fmt(ug.sup_discrepancy if "_sup_" in name else ug.trace_residual)
+
+
+def test_verify_ugamma_resamples_a_pole_once_for_every_row(monkeypatch):
+    # the first lambda sits on an eigenvalue: one failing bundle and one
+    # retry serve all 4n rows of that lambda
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+    eig = qgraph.count_eigenvalues(sc.graph, sc.bc, (5.0, 60.0)).zeros[0][0]
+    real, bundles = cli._sample_lambdas, []
+
+    def on_eigenvalue(rng, sweep, rounds):
+        lams = real(rng, sweep, rounds)
+        lams[0] = eig
+        return lams
+
+    class Counted(resolvent.FrameBundle):
+        def __init__(self, g, bc, lam):
+            bundles.append(lam)
+            super().__init__(g, bc, lam)
+
+    monkeypatch.setattr(cli, "_sample_lambdas", on_eigenvalue)
+    monkeypatch.setattr(resolvent, "FrameBundle", Counted)
+    text, ok = cli.verify_table(sc, "ugamma", seed=2, rounds=3)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert ok and len(rows) == 2 * 2 * sc.graph.n * 3
+    assert bundles[0] == eig and len(bundles) == 1 + 1 + 2
+    assert {float(r[1]) for r in rows} == set(bundles[1:])
 
 
 def test_verify_projections_and_exit_zero(tmp_path, capsys):
@@ -298,18 +325,27 @@ def test_console_script_help():
         _run_help([exe])
 
 
-def _sampled_star():
+def _sampled_star(depth=12.0, samples=9):
     """Two wires, a smooth sampled well on wire 1; the cut on wire 0 leaves
     the sampled wire in the residual star."""
-    xs = np.linspace(0.0, 1.0, 9)
+    xs = np.linspace(0.0, 1.0, samples)
     return cli.parse_scenario({
         "graph": {"edges": [
             {"length": 1.0},
             {"length": 1.0, "potential": {"xs": list(xs),
-                                          "vs": list(-12.0 * np.sin(np.pi * xs))}}]},
+                                          "vs": list(-depth * np.sin(np.pi * xs))}}]},
         "boundary": {"preset": "kirchhoff"},
         "splits": {"mode": "single", "cuts": [[0, 0.5]]},
         "sweep": {"lambda_min": 3.0, "lambda_max": 40.0, "samples": 2}})
+
+
+def test_verify_resolvent_passes_on_a_steep_coarsely_sampled_well():
+    # the ODE defect steps each grid interval with its linear potential, so
+    # it measures the resolvent, not a midpoint model of the well
+    text, ok = cli.verify_table(_sampled_star(depth=120.0, samples=5), "resolvent", rounds=3)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert ok and len(rows) == 2 * 3
+    assert max(float(r[2]) for r in rows if r[0] == "ode_defect") < 1e-10
 
 
 def test_sampled_star_piece_keeps_real_arithmetic():
@@ -353,8 +389,8 @@ def test_pole_retry_is_reproducible_across_hash_seeds():
               "    calls.append(x)\n"
               "    if len(calls) == 1:\n"
               "        raise maps.PoleAtLambda(x, 0.0)\n"
-              "    return x\n"
-              "print(repr(cli._residual_rows('single_split', check, [10.0], 1e-7)))\n")
+              "    return (x,)\n"
+              "print(repr(cli._residual_rows((('single_split', 1e-7),), check, [10.0])))\n")
     pkg_parent = str(Path(qgraph.__file__).resolve().parents[1])
     outs = []
     for salt in ("1", "2"):

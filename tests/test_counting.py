@@ -52,6 +52,39 @@ def test_close_zeros_warn():
     assert [z for z, _ in rep.zeros] == pytest.approx([30.0, 30.5], abs=1e-8)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_masks_match_the_cell_loop(seed, monkeypatch):
+    # the vectorised sign-change and dip detection hands brentq and the dip
+    # probe the brackets, in the order, that a loop over the cells gives
+    from qgraph import counting
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(1.0, 2.0, 200)
+    vs = np.repeat(rng.choice([-1.0, 1.0], 20), 10) * rng.uniform(0.1, 1.0, 200)
+    vs[rng.choice(200, 15, replace=False)] *= 1e-7  # dip candidates
+    vs[rng.choice(200, 4, replace=False)] = 0.0     # grid points on a zero
+    calls = []
+    monkeypatch.setattr(counting, "brentq", lambda f, a, b, xtol: (
+        calls.append(("root", a, b)) or 0.5 * (a + b)))
+    monkeypatch.setattr(counting, "_refine_dip", lambda f, a, b: (
+        calls.append(("dip", a, b)) or (0.5 * (a + b), np.inf)))
+    counting._scan_zeros(lambda ts: vs if ts.size == xs.size else np.ones(ts.size), xs)
+
+    want, taken = [], list(xs[vs == 0.0])
+    for i in range(xs.size - 1):
+        if vs[i] != 0.0 and vs[i] * vs[i + 1] < 0.0:
+            want.append(("root", xs[i], xs[i + 1]))
+            taken.append(0.5 * (xs[i] + xs[i + 1]))
+    scale = np.median(np.abs(vs))
+    for i in range(1, xs.size - 1):
+        a, b, c = vs[i - 1:i + 2]
+        if (abs(b) <= abs(a) and abs(b) <= abs(c) and a * b > 0 and b * c > 0
+                and abs(b) <= counting.DIP_PREFILTER * scale
+                and np.min(np.abs(np.array(taken) - xs[i])) >= 2 * (xs[i + 1] - xs[i - 1])):
+            want.append(("dip", xs[i - 1], xs[i + 1]))
+    assert calls == want
+    assert any(k == "root" for k, _, _ in calls) and any(k == "dip" for k, _, _ in calls)
+
+
 def test_barrier_end_reference_run():
     g, bc, spec = barrier_end()
     rep = verify_counting(g, bc, spec, (5.0, 60.0))

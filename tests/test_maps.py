@@ -255,3 +255,25 @@ def test_double_split_residual_exposes_a_wrong_factor_on_a_wide_star(monkeypatch
 
     monkeypatch.setattr(maps, "split_evans_factors", one_factor_off)
     assert verify_double_split(g, bc, spec, 20.0) > 1e-7
+
+
+@pytest.mark.parametrize("case", [barrier_interior, two_wire])
+def test_double_split_row_evaluates_each_evans_function_once(case, monkeypatch):
+    # the three pieces and the whole graph, and no one-sided map with its
+    # Neumann numerator
+    from qgraph import maps
+    g, bc, spec = case()
+    real, graphs_seen = maps.evans, []
+
+    def counted(g_, bc_, lam):
+        graphs_seen.append(g_)
+        return real(g_, bc_, lam)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("one-sided map called")
+
+    monkeypatch.setattr(maps, "evans", counted)
+    monkeypatch.setattr(maps, "map_M1", unused)
+    monkeypatch.setattr(maps, "map_M2", unused)
+    assert verify_double_split(g, bc, spec, 20.0) < 1e-13
+    assert len(graphs_seen) == 4 and sum(x is g for x in graphs_seen) == 1

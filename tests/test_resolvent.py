@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from conftest import barrier_end, pc, rand_bc_cayley, rand_bc_real
+from conftest import barrier_end, pc, rand_bc_cayley, rand_bc_real, two_wire
 from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec, FrameBundle,
                     NoIndependentPartner, OnSpectrum, QuadratureFailure,
                     SingularDeltaCombination, StarGraph, adjustment_vectors,
@@ -92,6 +92,17 @@ def test_on_spectrum_raises():
     bc = build_preset("dirichlet", 1)
     with pytest.raises((OnSpectrum, NoIndependentPartner)):
         resolvent_apply(g, bc, np.pi ** 2, [1.0])
+
+
+@pytest.mark.parametrize("eig", [4.247691628724768, 18.37233741736003, 34.940992929497476])
+def test_ill_conditioned_coefficient_solve_raises(eig):
+    # two_wire eigenvalues: 1e-8 away the determinant test still passes,
+    # but the coefficient system has lost too many digits to trust
+    g, bc, _ = two_wire()
+    with pytest.raises(ArithmeticError, match="too close to the spectrum") as e:
+        resolvent_apply(g, bc, eig + 1e-8, [1.0, 0.5])
+    assert not isinstance(e.value, OnSpectrum)
+    assert resolvent_apply(g, bc, eig + 1e-3, [1.0, 0.5]).gamma_residual < 1e-10
 
 
 def test_select_tau_at_eigenvalue():
