@@ -198,10 +198,11 @@ def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
 
 def _checked_map(g, bc, spec, lam, pole_scale):
     """Piece Evans factors and the two-sided map at one lambda, or PoleAtLambda."""
-    factors = split_evans_factors(g, bc, spec, lam)
+    parts = split_graph(g, bc, spec)
+    factors = split_evans_factors(g, bc, spec, lam, parts)
     for key, value in factors.items():
         _check_pole(lam, value, key, pole_scale)
-    m1, m2 = _blocks(split_graph(g, bc, spec), spec, lambdas(lam)[0])
+    m1, m2 = _blocks(parts, spec, lambdas(lam)[0])
     return factors, TwoSidedMap2x2(m1=m1[0], m2=m2[0], geometry=spec.mode, lam=lam)
 
 
@@ -254,9 +255,11 @@ def _diag2(a, b):
     return out
 
 
-def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam):
-    """Evans values of the split pieces, Dirichlet conditions at every cut."""
-    parts = split_graph(g, bc, spec)
+def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
+                        parts=None):
+    """Evans values of the split pieces, Dirichlet conditions at every cut;
+    pass parts=split_graph(...) to reuse a split."""
+    parts = split_graph(g, bc, spec) if parts is None else parts
     return {k: evans(*parts[k], lam).value for k in graphs.PIECE_KEYS[spec.mode]}
 
 

@@ -24,7 +24,7 @@ from .evans import FrameBundle
 from .graphs import BoundaryData, Sampled, gamma_trace, neumann_trace
 from .propagate import segment_transfer
 
-GL_NODES = 32        # Gauss-Legendre nodes per potential segment
+GL_NODES = 4         # Gauss-Legendre nodes per grid panel
 GRID_POINTS = 513    # per-edge output grid
 KERNEL_TOL = 1e-10   # relative singular-value threshold for kernels
 SPECTRUM_TOL = 1e-12
@@ -49,6 +49,8 @@ class SingularDeltaCombination(ValueError):
 # ---------------------------------------------------------------- quadrature
 
 _GL_X, _GL_W = roots_legendre(GL_NODES)
+# segment_residual's own rule: the resolvent's would reproduce its panel sums exactly
+_CHECK_X, _CHECK_W = roots_legendre(32)
 
 
 def _edge_breakpoints(edge):
@@ -71,33 +73,28 @@ def _v_evaluator(v_j, length):
 
 
 def _panels(edge, xs):
-    """Gauss-Legendre nodes and weights, (S + P, GL_NODES) each: one panel
-    per potential segment, then for each x in xs the partial panel from
-    the start of its segment to x.  Also returns each x's segment."""
-    bks = _edge_breakpoints(edge)
-    seg = np.clip(np.searchsorted(bks, xs, side="right") - 1, 0, bks.size - 2)
-    a = np.concatenate([bks[:-1], bks[seg]])
-    h = np.concatenate([np.diff(bks), xs - bks[seg]])
-    return a[:, None] + np.multiply.outer(h, 0.5 * (_GL_X + 1.0)), \
-        np.multiply.outer(0.5 * h, _GL_W), seg
+    """Gauss-Legendre nodes and weights, (P, GL_NODES) each, on the P grid
+    panels between neighbouring breakpoints, output grid points and xs,
+    so none crosses a breakpoint; also each x's index among their ends."""
+    ends = np.unique(np.r_[_edge_breakpoints(edge),
+                           np.linspace(0.0, edge.length, GRID_POINTS), xs])
+    h = np.diff(ends)
+    return ends[:-1, None] + np.multiply.outer(h, 0.5 * (_GL_X + 1.0)), \
+        np.multiply.outer(0.5 * h, _GL_W), np.searchsorted(ends, xs)
 
 
-def _cumulative_integral(v_eval, nodes, weights, seg, vals):
+def _cumulative_integral(v_eval, nodes, weights, at, vals):
     """I(x) = integral from 0 to x of v * f for each row f of vals (the
-    functions at the nodes of _panels, flattened) and each x, plus I(L).
-
-    Gauss-Legendre per potential segment keeps the integrand smooth inside
-    each panel; the partial panel up to x gets its own affine rule.
-    """
+    functions at the nodes of _panels, flattened) and each x, plus I(L):
+    the running sum of the panel sums, read at each x's panel end."""
     vv = np.asarray(v_eval(nodes.ravel()))
     if not np.all(np.isfinite(vv.astype(complex))):
         raise QuadratureFailure("source term produced non-finite values")
     panel = (vals.reshape(vals.shape[:-1] + nodes.shape) * vv.reshape(nodes.shape)
              * weights).sum(axis=-1)
-    s = nodes.shape[0] - seg.size
-    full = np.concatenate([np.zeros(vals.shape[:-1] + (1,)),
-                           np.cumsum(panel[..., :s], axis=-1)], axis=-1)
-    return full[..., seg] + panel[..., s:], full[..., -1]
+    total = np.concatenate([np.zeros(vals.shape[:-1] + (1,)),
+                            np.cumsum(panel, axis=-1)], axis=-1)
+    return total[..., at], total[..., -1]
 
 
 # ------------------------------------------------------------- tau selection
@@ -132,12 +129,12 @@ def _particular(bundle: FrameBundle, tau: TauSelection, v_j, j, xs):
     evaluation of the edge.  The y_tau weight collects the source beyond
     x, the z weight the source before it."""
     edge = bundle.graph.edges[j]
-    nodes, weights, seg = _panels(edge, xs)
+    nodes, weights, at = _panels(edge, xs)
     y, z = bundle.families(j, np.concatenate([xs, nodes.ravel()]),
                            np.eye(bundle.n)[:, tau.tau[j], None])
     p = xs.size
     (iy, iz), (_, iz_tot) = _cumulative_integral(
-        _v_evaluator(v_j, edge.length), nodes, weights, seg,
+        _v_evaluator(v_j, edge.length), nodes, weights, at,
         np.stack([y[0, 0, p:], z[0, p:]]))
     d = tau.wronskians[j]
     u = -(y[:, 0, :p] * (iz_tot - iz) + z[:, :p] * iy) / d
@@ -236,7 +233,7 @@ def segment_residual(g, lam, app: ResolventApplication, v) -> float:
     containing a breakpoint or sample node are skipped.
     """
     worst = 0.0
-    tau, wts = 0.5 * (_GL_X + 1.0), 0.5 * _GL_W
+    tau, wts = 0.5 * (_CHECK_X + 1.0), 0.5 * _CHECK_W
     for j, edge in enumerate(g.edges):
         xs, u, up = app.grids[j], app.output[j], app.output_deriv[j]
         bks = _edge_breakpoints(edge)

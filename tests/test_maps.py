@@ -277,3 +277,18 @@ def test_double_split_row_evaluates_each_evans_function_once(case, monkeypatch):
     monkeypatch.setattr(maps, "map_M2", unused)
     assert verify_double_split(g, bc, spec, 20.0) < 1e-13
     assert len(graphs_seen) == 4 and sum(x is g for x in graphs_seen) == 1
+
+
+def test_double_split_row_splits_once(monkeypatch):
+    # the pole checks and the map blocks share one split
+    from qgraph import maps
+    g, bc, spec = two_wire()
+    real, calls = maps.split_graph, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maps, "split_graph", counted)
+    assert verify_double_split(g, bc, spec, 20.0) < 1e-13
+    assert len(calls) == 1

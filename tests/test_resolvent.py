@@ -1,12 +1,15 @@
 """Resolvent application, boundary projections, and the trace-formula
 cross-checks, pinned on problems with known closed-form outputs."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_legendre
 
-from conftest import barrier_end, pc, rand_bc_cayley, rand_bc_real, two_wire
+from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real,
+                      two_wire)
 from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec, FrameBundle,
                     NoIndependentPartner, OnSpectrum, QuadratureFailure,
                     SingularDeltaCombination, StarGraph, adjustment_vectors,
@@ -82,9 +85,7 @@ def test_smooth_source_segment_residual():
     g, bc, v = robin_problem()
     app = resolvent_apply(g, bc, 5.3, v)
     assert app.gamma_residual < 1e-12
-    # quadratic source is not piecewise constant; the defect check only
-    # applies to intervals where v is constant, so probe edge 0 only
-    assert segment_residual(g, 5.3, app, [1.0, 0.0]) is not None
+    assert segment_residual(g, 5.3, app, v) < 1e-12
 
 
 def test_on_spectrum_raises():
@@ -122,8 +123,8 @@ def test_quadrature_rejects_nonfinite_source():
 
 
 def test_sampled_wire_quadrature_converges(monkeypatch):
-    # one Gauss-Legendre panel per linear segment keeps every panel smooth,
-    # so tripling the nodes moves the output by rounding only
+    # no grid panel crosses a linear segment's end, so every panel is
+    # smooth and 24 times the nodes moves the output by rounding only
     sc = _sampled_star()
     v = [1.0, lambda x: np.sin(np.pi * x)]
     lams = (7.3, 13.1 + 2.0j, 41.7)
@@ -135,6 +136,73 @@ def test_sampled_wire_quadrature_converges(monkeypatch):
         fine = resolvent_apply(sc.graph, sc.bc, lam, v).output
         scale = max(np.abs(u).max() for u in fine)
         assert max(np.abs(a - b).max() for a, b in zip(out, fine)) <= 1e-13 * scale
+
+
+def test_ode_defect_sees_a_resolvent_quadrature_error(monkeypatch):
+    # the check integrates with its own rule; were it the resolvent's on the
+    # same intervals, its sums would equal the resolvent's and agree at any
+    # node count
+    g, bc, _ = barrier_end()
+    v = [1.0, lambda x: np.sin(np.pi * x)]
+    lams = (7.3, 41.7, 13.1 + 2.0j)
+    for lam in lams:
+        app = resolvent_apply(g, bc, lam, v)
+        assert segment_residual(g, lam, app, v) < 1e-13
+    x, w = roots_legendre(1)
+    monkeypatch.setattr(resolvent, "_GL_X", x)
+    monkeypatch.setattr(resolvent, "_GL_W", w)
+    for lam in lams:
+        app = resolvent_apply(g, bc, lam, v)
+        assert segment_residual(g, lam, app, v) > 1e-10
+
+
+def test_particular_solution_does_not_depend_on_the_x_set():
+    # a few scattered x get the quadrature of the whole output grid
+    g, bc, _ = barrier_end()
+    xs = np.array([0.25, 0.5, 0.875])
+    grid = np.linspace(0.0, 1.0, resolvent.GRID_POINTS)
+    at = np.searchsorted(grid, xs)
+    assert np.array_equal(grid[at], xs)
+    for lam in (7.3, 41.7, 400.3):
+        b = FrameBundle(g, bc, lam)
+        sel = select_tau(b)
+        dense = particular_solution(b, sel, lambda x: np.sin(np.pi * x), 0, grid)
+        few = particular_solution(b, sel, lambda x: np.sin(np.pi * x), 0, xs)
+        assert np.abs(few - dense[at]).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_resolvent_evaluates_each_leg_on_grid_panels_only(monkeypatch):
+    # four nodes a panel between grid points and breakpoints, plus the grid
+    # itself; one 32-node panel per segment and per output point evaluated
+    # about 17 000 positions a leg
+    evans = sys.modules["qgraph.evans"]  # qgraph.evans is also the function
+    g, bc, _ = barrier_end()
+    real, legs = evans.edge_transfers, []
+
+    def counted(legs_, lams):
+        legs.extend(legs_)
+        return real(legs_, lams)
+
+    monkeypatch.setattr(evans, "edge_transfers", counted)
+    resolvent_apply(g, bc, 7.3, [1.0, lambda x: np.sin(np.pi * x)])
+    assert max(np.size(x) for _, _, x in legs) > resolvent.GRID_POINTS
+    for edge, _, x in legs:
+        bound = 5 * (resolvent.GRID_POINTS + len(edge.potential.segments))
+        assert np.size(x) <= bound
+
+
+@pytest.mark.parametrize("case", ["barrier_end", "barrier_interior", "two_wire", "sampled"])
+def test_resolvent_holds_at_large_lambda(case):
+    if case == "sampled":
+        sc = _sampled_star(depth=120.0, samples=5)
+        g, bc = sc.graph, sc.bc
+    else:
+        g, bc, _ = {"barrier_end": barrier_end, "barrier_interior": barrier_interior,
+                    "two_wire": two_wire}[case]()
+    v = [1.0, lambda x: np.sin(np.pi * x)]
+    app = resolvent_apply(g, bc, 2000.7, v)
+    assert app.gamma_residual <= 1e-12
+    assert segment_residual(g, 2000.7, app, v) <= 1e-11
 
 
 def test_kirchhoff_projection_ranks():
