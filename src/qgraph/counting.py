@@ -12,8 +12,9 @@ with multiplicity two; the paper-scale examples produce at most order-two
 coincidences.
 
 The scans evaluate a whole grid in one call of a function of an array of
-lambda; root refinement and dip probes call it with one-element arrays.
-count_zeros and map_delta take functions of one lambda and lift them.
+lambda, then refine all its sign-change brackets with one call per step;
+dip probes call it with one-element arrays.  count_zeros and map_delta take
+functions of one lambda and lift them.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar  # brentq unused: perfbench/tracing.py wraps it
 
 from . import maps
 from .evans import evans
@@ -50,6 +51,10 @@ class PoleOnBoundary(ValueError):
 
 class EndpointOnSpectrum(ValueError):
     pass
+
+
+class RefineFailure(ArithmeticError):
+    """A root bracket met a non-finite value or did not converge."""
 
 
 @dataclass(frozen=True)
@@ -92,51 +97,90 @@ def _pointwise(f):
     return lambda xs: np.array([f(x) for x in xs], dtype=float)
 
 
-def _scan_zeros(fs, xs):
-    """Sign-change zeros plus tangency (multiplicity 2) probing on given abscissae.
+def _refine(fs, a, b, fa, fb):
+    """Roots of fs in the brackets [a, b] with end values fa, fb, all at once:
+    Chandrupatla's inverse quadratic / bisection hybrid (Adv. Eng. Softw. 28
+    (1997) 145-149), one call of fs per step on the brackets still wider than
+    0.5 * REFINE_TOL + 4 eps |x|; a root is the secant point of its last bracket.
+    """
+    roots, live, t, steps = np.empty(len(a)), np.arange(len(a)), 0.5, 0
+    x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    with np.errstate(all="ignore"):
+        while live.size:
+            if steps == 100:  # brentq's default maxiter
+                raise RefineFailure(f"{live.size} root bracket(s) not converged in 100 steps")
+            steps += 1
+            x = x1 + t * (x2 - x1)
+            f = np.asarray(fs(x), dtype=float)
+            if not np.isfinite(f).all():
+                raise RefineFailure(f"non-finite value at lambda={x[~np.isfinite(f)][0]}")
+            same = np.sign(f) == np.sign(f1)
+            x3, f3, x2, f2 = np.where(same, [x1, f1, x2, f2], [x2, f2, x1, f1])
+            x1, f1 = x, f
+            tol = 0.5 * REFINE_TOL + 4 * np.finfo(float).eps * np.abs(x1)
+            dx = np.abs(x2 - x1)
+            done = (dx < tol) | (f1 == 0.0)
+            roots[live[done]] = (x1 - f1 * (x2 - x1) / (f2 - f1))[done]
+            # inverse quadratic step where the three points admit it, else bisect
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            iqi = (phi ** 2 < xi) & ((1 - phi) ** 2 < 1 - xi)
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / (x2 - x1)
+                         * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
+            live, x1, x2, f1, f2, t = (v[~done] for v in (live, x1, x2, f1, f2, t))
+    return roots
 
-    fs maps an array of lambda to an array of real values.  Non-finite
-    values (poles screened out by the caller) are skipped; sign changes are
-    only read between consecutive finite samples.
+
+def _scan_zeros(fs, grids):
+    """Sign-change zeros plus tangency (multiplicity 2) probing, one sorted list
+    per sub-grid.  fs maps an array of lambda to real values and is called once
+    on all sub-grids together, then once per refinement step of all their
+    brackets.  Non-finite values (poles screened out by the caller) are skipped:
+    sign changes, scale and dips are read per sub-grid, between finite samples.
     """
     with np.errstate(all="ignore"):
-        vs = np.asarray(fs(xs), dtype=float)
+        vs = np.asarray(fs(np.concatenate(grids)), dtype=float)
 
     def f(x):
         return float(fs(np.array([x]))[0])
 
-    finite = np.isfinite(vs)
-    fxs, fvs = xs[finite], vs[finite]
-    if fxs.size < 2:
-        return [], 1.0
-    scale = float(np.median(np.abs(fvs)))
-    if scale == 0.0:
-        scale = float(np.max(np.abs(fvs))) or 1.0
-    # a grid point exactly on a zero shows no sign change to its neighbors
-    zeros = [(float(x), 1) for x in fxs[fvs == 0.0]]
-    zeros += [(float(brentq(f, fxs[i], fxs[i + 1], xtol=REFINE_TOL)), 1)
-              for i in np.flatnonzero(fvs[:-1] * fvs[1:] < 0.0)]
-    # dips: local minima of |f| with no sign change can hide a double zero
-    a, b, c = np.abs(fvs[:-2]), np.abs(fvs[1:-1]), np.abs(fvs[2:])
-    dip = ((b <= a) & (b <= c) & (fvs[:-2] * fvs[1:-1] > 0) & (fvs[1:-1] * fvs[2:] > 0)
-           & (b <= DIP_PREFILTER * scale))
-    if zeros:
-        taken = np.array([z for z, _ in zeros])
-        gap = np.abs(taken[:, None] - fxs[1:-1]).min(axis=0)
-        dip &= gap >= 2 * (fxs[2:] - fxs[:-2])
-    for i in np.flatnonzero(dip) + 1:
-        loc, fmin = _refine_dip(f, fxs[i - 1], fxs[i + 1])
-        if fmin >= DIP_ACCEPT * scale:
+    scans = [(xs[np.isfinite(v)], v[np.isfinite(v)])
+             for xs, v in zip(grids, np.split(vs, np.cumsum([g.size for g in grids])[:-1]))]
+    cells = [np.flatnonzero(fvs[:-1] * fvs[1:] < 0.0) for _, fvs in scans]
+    ends = [(fxs[i], fxs[i + 1], fvs[i], fvs[i + 1]) for (fxs, fvs), i in zip(scans, cells)]
+    a, b, fa, fb = (np.concatenate(col) for col in zip(*ends))
+    roots = np.split(_refine(fs, a, b, fa, fb), np.cumsum([i.size for i in cells])[:-1])
+    found = []
+    for (fxs, fvs), refined in zip(scans, roots):
+        if fxs.size < 2:
+            found.append([])
             continue
-        h = 0.125 * (fxs[i + 1] - fxs[i - 1])
-        fm, fp = f(loc - h), f(loc + h)
-        if fm * fp <= 0 or (f(loc) - fm) * (fp - f(loc)) >= 0:
-            warnings.warn(f"tangency near lambda={loc:.6g} has an unexpected "
-                          "derivative pattern; counting it as multiplicity 2",
-                          GridTooCoarse)
-        zeros.append((loc, 2))
-    zeros.sort()
-    return zeros, scale
+        scale = float(np.median(np.abs(fvs)))
+        if scale == 0.0:
+            scale = float(np.max(np.abs(fvs))) or 1.0
+        # a grid point exactly on a zero shows no sign change to its neighbors
+        zeros = [(float(x), 1) for x in fxs[fvs == 0.0]] + [(float(z), 1) for z in refined]
+        # dips: local minima of |f| with no sign change can hide a double zero
+        a, b, c = np.abs(fvs[:-2]), np.abs(fvs[1:-1]), np.abs(fvs[2:])
+        dip = ((b <= a) & (b <= c) & (fvs[:-2] * fvs[1:-1] > 0) & (fvs[1:-1] * fvs[2:] > 0)
+               & (b <= DIP_PREFILTER * scale))
+        if zeros:
+            taken = np.array([z for z, _ in zeros])
+            gap = np.abs(taken[:, None] - fxs[1:-1]).min(axis=0)
+            dip &= gap >= 2 * (fxs[2:] - fxs[:-2])
+        for i in np.flatnonzero(dip) + 1:
+            loc, fmin = _refine_dip(f, fxs[i - 1], fxs[i + 1])
+            if fmin >= DIP_ACCEPT * scale:
+                continue
+            h = 0.125 * (fxs[i + 1] - fxs[i - 1])
+            fm, fp = f(loc - h), f(loc + h)
+            if fm * fp <= 0 or (f(loc) - fm) * (fp - f(loc)) >= 0:
+                warnings.warn(f"tangency near lambda={loc:.6g} has an unexpected "
+                              "derivative pattern; counting it as multiplicity 2",
+                              GridTooCoarse)
+            zeros.append((loc, 2))
+        found.append(sorted(zeros))
+    return found
 
 
 def _warn_if_coarse(zeros, xs):
@@ -150,7 +194,7 @@ def _warn_if_coarse(zeros, xs):
 
 def _count(fs, interval, grid) -> CountReport:
     xs = lambda_grid(interval, grid)
-    zeros, _ = _scan_zeros(fs, xs)
+    [zeros] = _scan_zeros(fs, [xs])
     zeros = [(z, m) for z, m in zeros if interval[0] < z < interval[1]]
     _warn_if_coarse(zeros, xs)
     return CountReport(interval=(float(interval[0]), float(interval[1])),
@@ -216,7 +260,7 @@ def _map_delta(fs, denominator_reports, interval, grid) -> CountReport:
 
     total = lambda_grid(interval, grid).size - 1
     span = (math.sqrt(hi) - math.sqrt(lo)) if lo >= 0 else (hi - lo)
-    zeros = []
+    subs = []
     bounds = [(lo, False)] + [(p, True) for p, _ in poles] + [(hi, False)]
     for (a, pole_a), (b, pole_b) in zip(bounds[:-1], bounds[1:]):
         # stay just clear of each refined pole: a sample landing on its far
@@ -230,10 +274,9 @@ def _map_delta(fs, denominator_reports, interval, grid) -> CountReport:
         if b_eff - a_eff <= 4 * REFINE_TOL:
             continue
         share = ((math.sqrt(b) - math.sqrt(a)) / span) if lo >= 0 else ((b - a) / span)
-        sub = lambda_grid((a_eff, b_eff), max(MIN_GRID, math.ceil(total * share)))
-        found, _ = _scan_zeros(fs, sub)
-        zeros.extend((z, m) for z, m in found if a_eff < z < b_eff)
-    zeros = [(z, m) for z, m in sorted(zeros) if lo < z < hi]
+        subs.append(lambda_grid((a_eff, b_eff), max(MIN_GRID, math.ceil(total * share))))
+    found = _scan_zeros(fs, subs) if subs else []
+    zeros = sorted((z, m) for sub, zs in zip(subs, found) for z, m in zs if sub[0] < z < sub[-1])
     n_zeros = sum(m for _, m in zeros)
     n_poles = sum(o for _, o in poles)
     return CountReport(interval=(lo, hi), zeros=tuple(zeros), poles=tuple(poles),
@@ -276,25 +319,22 @@ def verify_counting(g, bc, spec, interval, grid=None) -> CountingIdentityReport:
     dens = {k: _evans_values(*parts[k]) for k in keys}
     probes = [_evans_values(g, bc)] + list(dens.values())
 
-    def on_spectrum(x):
-        pair = np.array([x - REFINE_TOL, x + REFINE_TOL])
-        return any(v[0] * v[1] <= 0 for v in (f(pair) for f in probes))
+    def on_spectrum(xs):
+        # per x: does any probe change sign between x - REFINE_TOL and x + REFINE_TOL
+        pairs = np.add.outer(xs, [-REFINE_TOL, REFINE_TOL])
+        vs = [f(pairs.ravel()).reshape(pairs.shape) for f in probes]
+        return np.any([v[:, 0] * v[:, 1] <= 0 for v in vs], axis=0)
 
-    lo, hi = float(interval[0]), float(interval[1])
-    for end, step in ((0, 10 * REFINE_TOL), (1, -10 * REFINE_TOL)):
-        x = (lo, hi)[end]
-        if on_spectrum(x):
-            moved = x + step
-            warnings.warn(f"interval endpoint {x} sits on a spectrum; "
-                          f"nudged to {moved}", EndpointNudged)
-            if on_spectrum(moved):
-                raise EndpointOnSpectrum(f"endpoint {x} still on a spectrum "
-                                         "after nudging")
-            if end == 0:
-                lo = moved
-            else:
-                hi = moved
-    nudged = (lo, hi)
+    ends = [float(interval[0]), float(interval[1])]
+    for end in np.flatnonzero(on_spectrum(ends)):
+        x = ends[end]
+        moved = x + (10 * REFINE_TOL if end == 0 else -10 * REFINE_TOL)
+        warnings.warn(f"interval endpoint {x} sits on a spectrum; nudged to {moved}",
+                      EndpointNudged)
+        if on_spectrum([moved])[0]:
+            raise EndpointOnSpectrum(f"endpoint {x} still on a spectrum after nudging")
+        ends[end] = moved
+    nudged = tuple(ends)
     full = count_eigenvalues(g, bc, nudged, grid)
     piece_reports = {k: _count(dens[k], nudged, grid) for k in keys}
 

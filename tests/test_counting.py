@@ -3,8 +3,12 @@ grid behavior, tangency handling, pole bookkeeping, and the counting
 identity on random problems."""
 import warnings
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import barrier_end, barrier_interior, rand_bc_real, rand_graph, two_wire
 from qgraph import (EndpointNudged, GridTooCoarse, PoleOnBoundary, SplitSpec,
@@ -54,8 +58,8 @@ def test_close_zeros_warn():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scan_masks_match_the_cell_loop(seed, monkeypatch):
-    # the vectorised sign-change and dip detection hands brentq and the dip
-    # probe the brackets, in the order, that a loop over the cells gives
+    # the vectorised sign-change and dip detection hands the root refiner and
+    # the dip probe the brackets, in the order, that a loop over the cells gives
     from qgraph import counting
     rng = np.random.default_rng(seed)
     xs = np.linspace(1.0, 2.0, 200)
@@ -63,11 +67,18 @@ def test_scan_masks_match_the_cell_loop(seed, monkeypatch):
     vs[rng.choice(200, 15, replace=False)] *= 1e-7  # dip candidates
     vs[rng.choice(200, 4, replace=False)] = 0.0     # grid points on a zero
     calls = []
-    monkeypatch.setattr(counting, "brentq", lambda f, a, b, xtol: (
-        calls.append(("root", a, b)) or 0.5 * (a + b)))
+
+    def refine(fs, a, b, fa, fb):
+        # seeded with the grid values, never re-evaluated at the bracket ends
+        assert np.array_equal(fa, vs[np.searchsorted(xs, a)])
+        assert np.array_equal(fb, vs[np.searchsorted(xs, b)])
+        calls.extend(("root", x, y) for x, y in zip(a, b))
+        return 0.5 * (a + b)
+
+    monkeypatch.setattr(counting, "_refine", refine)
     monkeypatch.setattr(counting, "_refine_dip", lambda f, a, b: (
         calls.append(("dip", a, b)) or (0.5 * (a + b), np.inf)))
-    counting._scan_zeros(lambda ts: vs if ts.size == xs.size else np.ones(ts.size), xs)
+    counting._scan_zeros(lambda ts: vs if ts.size == xs.size else np.ones(ts.size), [xs])
 
     want, taken = [], list(xs[vs == 0.0])
     for i in range(xs.size - 1):
@@ -83,6 +94,79 @@ def test_scan_masks_match_the_cell_loop(seed, monkeypatch):
             want.append(("dip", xs[i - 1], xs[i + 1]))
     assert calls == want
     assert any(k == "root" for k, _, _ in calls) and any(k == "dip" for k, _, _ in calls)
+
+
+@given(omega=st.floats(0.5, 6.0), phi=st.floats(0.0, 3.1), lo=st.floats(0.0, 20.0),
+       width=st.floats(5.0, 80.0), grid=st.integers(64, 400))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_refine_matches_analytic_roots(omega, phi, lo, width, grid):
+    from qgraph import counting
+    xs = lambda_grid((lo, lo + width), grid)
+    fs = lambda ts: np.sin(omega * np.sqrt(ts) + phi)
+    vs = fs(xs)
+    i = np.flatnonzero(vs[:-1] * vs[1:] < 0.0)
+    roots = counting._refine(fs, xs[i], xs[i + 1], vs[i], vs[i + 1])
+    k = np.ceil((omega * np.sqrt(xs[i]) + phi) / np.pi)  # the one k*pi in the cell
+    exact = ((k * np.pi - phi) / omega) ** 2
+    assert np.all((xs[i] <= roots) & (roots <= xs[i + 1]))
+    assert np.all(np.abs(roots - exact) <= 1e-12 * (1 + np.abs(exact)))
+
+
+def test_refine_fails_loudly():
+    from qgraph import counting
+    one = lambda v: np.array([v])
+    with pytest.raises(counting.RefineFailure, match="non-finite"):
+        counting._refine(lambda ts: np.full(ts.shape, np.nan),
+                         one(0.0), one(1.0), one(-1.0), one(1.0))
+    # a step function defeats interpolation; bisecting 2e30 down to 5e-11 takes 134 steps
+    with pytest.raises(counting.RefineFailure, match="not converged in 100 steps"):
+        counting._refine(lambda ts: np.sign(ts - 0.3), one(-1e30), one(1e30), one(-1.0), one(1.0))
+    assert counting._refine(lambda ts: np.sign(ts - 0.3), one(-1.0), one(1.0),
+                            one(-1.0), one(1.0)) == pytest.approx(0.3, abs=1e-10)
+    # grid samples in the NaN gap are skipped, so the gap sits inside a
+    # bracket; no NaN root may come back and be filtered away unseen
+    with pytest.raises(ArithmeticError):
+        count_zeros(lambda t: math.nan if abs(t - 30.0) < 0.05 else t - 30.0, (5.0, 60.0))
+
+
+@pytest.mark.parametrize("case, interval", [(barrier_end, (5.0, 60.0)),
+                                            (barrier_interior, (5.0, 60.0)),
+                                            (two_wire, (3.0, 60.0))])
+def test_refined_zeros_match_a_tight_brentq(case, interval):
+    from scipy.optimize import brentq
+    from qgraph import evans, split_graph, two_sided_value
+    g, bc, spec = case()
+    rep = verify_counting(g, bc, spec, interval)
+    parts = split_graph(g, bc, spec)
+    terms = [(rep.full, lambda t: evans(g, bc, t).value),
+             (rep.map_report, lambda t: two_sided_value(g, bc, spec, t, parts=parts))]
+    terms += [(r, lambda t, p=parts[k]: evans(*p, t).value) for k, r in rep.pieces.items()]
+    for r, f in terms:
+        for z, m in r.zeros:
+            if m == 1:
+                ref = brentq(lambda t: float(f(t)), z - 1e-6, z + 1e-6, xtol=1e-15)
+                assert abs(z - ref) <= 1e-12, (z, ref)
+
+
+def test_verify_counting_work_guard(monkeypatch):
+    # kernel calls of one identity check: each term refines all its brackets
+    # in lock-step from the grid values, and the endpoint probes are batched
+    from qgraph import counting, maps
+    calls = {"evans": 0, "two_sided_value": 0}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(counting, "evans")
+    count(maps, "two_sided_value")
+    g, bc, spec = barrier_end()
+    assert verify_counting(g, bc, spec, (5.0, 60.0)).holds
+    assert calls["two_sided_value"] <= 8 and sum(calls.values()) <= 30, calls
 
 
 def test_barrier_end_reference_run():
