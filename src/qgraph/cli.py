@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from . import maps
 from .counting import EndpointOnSpectrum, PoleOnBoundary, verify_counting
 from .evans import evans
-from .graphs import (PIECE_KEYS, SAME_WIRE, SINGLE, TWO_WIRES,
+from .graphs import (SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
                      build_preset, free_edge, split_graph)
@@ -51,6 +52,17 @@ from .graphs import BoundaryData
 
 class ScenarioError(ValueError):
     pass
+
+
+@contextmanager
+def _reading(where):
+    """Report a missing key or a wrongly shaped value of a scenario block."""
+    try:
+        yield
+    except KeyError as e:
+        raise ScenarioError(f"{where} is missing {e.args[0]!r}") from e
+    except (TypeError, AttributeError) as e:
+        raise ScenarioError(f"bad {where}: {e}") from e
 
 
 # ------------------------------------------------------------ serialization
@@ -116,13 +128,8 @@ def _parse_boundary(spec, n):
             bc = BoundaryConditions(bc.alpha1, bc.alpha2,
                                     np.full(n, g), np.full(n, h))
         return bc
-    try:
-        return BoundaryConditions(_matrix_from(spec["alpha1"]),
-                                  _matrix_from(spec["alpha2"]),
-                                  _vector_from(spec["beta1"]),
-                                  _vector_from(spec["beta2"]))
-    except KeyError as e:
-        raise ScenarioError(f"boundary block is missing {e.args[0]!r}") from e
+    return BoundaryConditions(_matrix_from(spec["alpha1"]), _matrix_from(spec["alpha2"]),
+                              _vector_from(spec["beta1"]), _vector_from(spec["beta2"]))
 
 
 def _boundary_to(block, bc):
@@ -162,39 +169,36 @@ class Scenario:
 
 
 def parse_scenario(data: dict) -> Scenario:
-    try:
-        edge_specs = data["graph"]["edges"]
-    except (KeyError, TypeError) as e:
-        raise ScenarioError("scenario needs graph.edges") from e
+    with _reading("scenario"):
+        edge_specs, boundary = list(data["graph"]["edges"]), data["boundary"]
     edges = []
-    for es in edge_specs:
-        length = float(es["length"])
-        edges.append(EdgeSpec(length, _parse_potential(es.get("potential"), length)))
+    for i, es in enumerate(edge_specs):
+        with _reading(f"graph.edges[{i}]"):
+            length = float(es["length"])
+            edges.append(EdgeSpec(length, _parse_potential(es.get("potential"), length)))
     graph = StarGraph(tuple(edges))
-    if "boundary" not in data:
-        raise ScenarioError("scenario needs a boundary block")
-    bc = _parse_boundary(data["boundary"], graph.n)
+    with _reading("boundary"):
+        bc = _parse_boundary(boundary, graph.n)
     splits = None
     if "splits" in data:
-        blk = data["splits"]
-        splits = SplitSpec(tuple((int(j), float(s)) for j, s in blk["cuts"]),
-                           blk["mode"])
+        with _reading("splits"):
+            mode, cuts = data["splits"]["mode"], data["splits"]["cuts"]
+        with _reading("splits.cuts"):
+            splits = SplitSpec(tuple((int(j), float(s)) for j, s in cuts), mode)
     sweep = None
     if "sweep" in data:
-        blk = data["sweep"]
-        sweep = (float(blk["lambda_min"]), float(blk["lambda_max"]),
-                 int(blk["samples"]))
+        with _reading("sweep"):
+            blk = data["sweep"]
+            sweep = (float(blk["lambda_min"]), float(blk["lambda_max"]), int(blk["samples"]))
         if sweep[2] < 0:
             raise ScenarioError("samples must be >= 0")
-    intervals = ()
-    grid = None
-    if "count" in data:
-        blk = data["count"]
+    with _reading("count"):
+        blk = data.get("count", {})
         intervals = tuple((float(lo), float(hi)) for lo, hi in blk.get("intervals", []))
         grid = blk.get("grid")
     return Scenario(graph=graph, bc=bc, splits=splits, sweep=sweep,
                     count_intervals=intervals, count_grid=grid,
-                    boundary_block=data["boundary"])
+                    boundary_block=boundary)
 
 
 def scenario_json(sc: Scenario) -> str:
@@ -220,7 +224,7 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
     parts = None
     if sc.splits is not None:
         parts = split_graph(sc.graph, sc.bc, sc.splits)
-        keys = PIECE_KEYS[sc.splits.mode]
+        keys = [p.factor_key for p in sc.splits.pieces]
     header = ["lambda", "Re(E)", "Im(E)"]
     for k in keys:
         header += [f"Re(E[{k}])", f"Im(E[{k}])"]

@@ -27,7 +27,7 @@ from scipy.optimize import brentq, minimize_scalar  # brentq unused: perfbench/t
 
 from . import maps
 from .evans import evans
-from .graphs import PIECE_KEYS, split_graph
+from .graphs import split_graph
 
 REFINE_TOL = 1e-10
 GRID_PER_UNIT = 512       # grid points per unit of sqrt(lambda) span
@@ -315,7 +315,7 @@ def verify_counting(g, bc, spec, interval, grid=None) -> CountingIdentityReport:
     if not bc.is_real():
         raise ValueError("sign-change counting needs real boundary data")
     parts = split_graph(g, bc, spec)
-    keys = PIECE_KEYS[spec.mode]
+    keys = [p.factor_key for p in spec.pieces]
     dens = {k: _evans_values(*parts[k]) for k in keys}
     probes = [_evans_values(g, bc)] + list(dens.values())
 

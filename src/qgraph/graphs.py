@@ -6,16 +6,17 @@ pair of n x n matrices (alpha1, alpha2) acting on origin data plus diagonal
 pairs (beta1, beta2) acting on the outer endpoints, subject to the usual
 rank and self-adjointness constraints.
 
-Splitting a graph at interior points produces interval subproblems and a
-residual star, each equipped with Dirichlet or Neumann conditions at the
-cut.  Cut conditions always use the pair (1, 0) for Dirichlet and (0, 1)
-for Neumann, whether they land in an alpha slot (cut at a local origin) or
-a beta slot (cut at a local outer endpoint).
+Splitting a graph at interior cut points gives one detached interval per
+cut and a residual star, by one rule for every mode (split_graph).  A cut
+condition is the pair (1, 0) for Dirichlet or (0, 1) for Neumann, in an
+alpha slot (cut at a local origin) or a beta slot (at a local outer end).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,13 +234,23 @@ SINGLE = "single"
 SAME_WIRE = "same_wire"
 TWO_WIRES = "two_wires"
 
-# split_graph keys of the pieces, Dirichlet at every cut, whose Evans
-# functions factor the whole one; in factor order, per split mode
-PIECE_KEYS = {
-    SINGLE: ("omega1:D", "omega2:D"),
-    SAME_WIRE: ("omega1:D", "tilde1:DD", "tilde2:D"),
-    TWO_WIRES: ("omega1:D", "tilde1:D", "tilde2:DD"),
-}
+
+class Piece(NamedTuple):
+    """The interval that cut `origin` detaches, up to the cut in `outer` or
+    the wire's end; or (origin None) the residual star, cut at `outer`."""
+
+    name: str
+    origin: object    # cut index at the local origin, None for the star
+    outer: tuple      # cut indices in outer (beta) slots, in cut order
+    side: int         # 0 on the MM1 side of the two-sided map, 1 on MM2
+    ports: tuple      # the cuts on its boundary, in the slot order of its map
+    factor_key: str   # split_graph key, Dirichlet at every port
+
+
+def _piece(name, origin, outer, side):
+    """A Piece with its ports and factor key filled in."""
+    ports = outer if origin is None else outer + (origin,)
+    return Piece(name, origin, outer, side, ports, f"{name}:{'D' * len(ports)}")
 
 
 @dataclass(frozen=True)
@@ -272,6 +283,22 @@ class SplitSpec:
             if j1 == j2:
                 raise CutsOutOfOrder("two_wires cuts must lie on distinct edges")
 
+    @cached_property
+    def pieces(self):
+        """The piece each cut detaches, in cut order, then the residual star;
+        a piece lies on the MM1 side when an odd number of cuts separates it
+        from the star."""
+        cuts = self.cuts
+        names = ("omega1", "omega2") if len(cuts) == 1 else (
+            "omega1", *(f"tilde{i}" for i in range(1, len(cuts) + 1)))
+        out = []
+        for k, (j, s) in enumerate(cuts):
+            wire = sorted((t, m) for m, (i, t) in enumerate(cuts) if i == j)
+            at = wire.index((s, k))  # cuts inside this one on its wire
+            out.append(_piece(names[k], k, tuple(m for _, m in wire[at + 1:at + 2]), at % 2))
+        star = tuple(k for k, (j, s) in enumerate(cuts) if min(t for i, t in cuts if i == j) == s)
+        return (*out, _piece(names[-1], None, star, 1))
+
 
 @dataclass(frozen=True)
 class BcReport:
@@ -282,19 +309,19 @@ class BcReport:
         return self.ok
 
 
-def _block_rank_ok(m1, m2):
-    block = np.hstack([m1, m2])
-    sv = np.linalg.svd(block, compute_uv=False)
-    return sv[-1] > RANK_TOL * sv[0] if sv[0] > 0 else False
+def _rank_ok(sv):
+    """Singular values sv of an n x 2n block: full rank to RANK_TOL."""
+    return sv.min() > RANK_TOL * sv.max() if sv.max() > 0 else False
 
 
 def validate_bc(bc: BoundaryConditions) -> BcReport:
     """Check rank, self-adjointness and nondegeneracy; name every failure."""
     failures = []
     a1, a2 = bc.alpha1, bc.alpha2
-    if not _block_rank_ok(a1, a2):
+    if not _rank_ok(np.linalg.svd(np.hstack([a1, a2]), compute_uv=False)):
         failures.append(("RankDeficient", "rank([alpha1 alpha2]) < n"))
-    if not _block_rank_ok(np.diag(bc.beta1), np.diag(bc.beta2)):
+    pair_norms = np.hypot(np.abs(bc.beta1), np.abs(bc.beta2))  # the sv of the beta block
+    if not _rank_ok(pair_norms):
         failures.append(("RankDeficient", "rank([beta1 beta2]) < n"))
     scale = 1.0 + max(np.abs(a1).max(), np.abs(a2).max()) ** 2
     herm = a1 @ a2.conj().T - a2 @ a1.conj().T
@@ -302,7 +329,7 @@ def validate_bc(bc: BoundaryConditions) -> BcReport:
         failures.append(("NotSelfAdjoint", "alpha1 alpha2* != alpha2 alpha1*"))
     pair_scale = 1.0 + max(np.abs(bc.beta1).max(), np.abs(bc.beta2).max())
     for i, (g, h) in enumerate(zip(bc.beta1, bc.beta2)):
-        if np.hypot(abs(g), abs(h)) <= 1e-12 * pair_scale:
+        if pair_norms[i] <= 1e-12 * pair_scale:
             failures.append(("DegenerateDiagonalPair", f"(g_{i}, h_{i}) = (0, 0)"))
         elif abs((g * np.conj(h)).imag) > SELFADJ_TOL * pair_scale**2:
             failures.append(("NotSelfAdjoint", f"g_{i} conj(h_{i}) not real"))
@@ -394,27 +421,6 @@ def _check_cut(graph, j, s):
         raise CutOnVertex(f"cut at {s} not interior to (0, {ell})")
 
 
-def _interval_part(edge, a, b, origin_pair, far_pair):
-    """One-edge star over [a, b] of `edge`, local coordinate x - a."""
-    sub = StarGraph((EdgeSpec(b - a, edge.potential.restrict(a, b)),))
-    c1, c2 = origin_pair
-    g, h = far_pair
-    bc = BoundaryConditions([[c1]], [[c2]], [g], [h])
-    return sub, bc
-
-
-def _shortened_star(graph, cuts):
-    """Truncate each cut edge j to [0, s]; cuts is {j: s}."""
-    edges = []
-    for j, edge in enumerate(graph.edges):
-        if j in cuts:
-            s = cuts[j]
-            edges.append(EdgeSpec(s, edge.potential.restrict(0.0, s)))
-        else:
-            edges.append(edge)
-    return StarGraph(tuple(edges))
-
-
 def _replace_outer(bc, replacements):
     """New bc with (g_j, h_j) overridden for each j in replacements."""
     b1, b2 = bc.beta1.copy(), bc.beta2.copy()
@@ -424,15 +430,17 @@ def _replace_outer(bc, replacements):
 
 
 def split_graph(graph: StarGraph, bc: BoundaryConditions, spec: SplitSpec) -> dict:
-    """All subgraph problems generated by a split, keyed by piece and cut condition.
+    """All subgraph problems of a split, keyed "piece:letters".
 
-    single:    omega1:{D,N}   interval [s1, l_j], cut at local 0, outer Gamma kept
-               omega2:{D,N}   star with edge j shortened to s1, cut in the beta slot
-    same_wire: omega1:{D,N}, tilde1:{DD,DN,ND,NN}, tilde2:{D,N}
-               tilde1 spans [s2, s1] with local 0 at s2; its first superscript
-               letter is the condition at s1 (far slot), the second at s2
-    two_wires: omega1:{D,N} on edge j1, tilde1:{D,N} on edge j2,
-               tilde2:{DD,DN,ND,NN} with first letter at s1, second at s2
+    One rule lays out every mode (spec.pieces): cut k detaches the stretch
+    of its wire from s_k (local 0) to the next cut outward (outer slot) or
+    to the wire's end; the residual star keeps each cut wire up to its
+    innermost cut (outer slot).  The letters give the condition, D or N,
+    at each cut on the piece's boundary, in cut order.
+
+    single:    omega1 [s1, l_j], omega2 star
+    same_wire: omega1 [s1, l_j], tilde1 [s2, s1] (letters: s1, s2), tilde2 star
+    two_wires: omega1 [s1, l_j1], tilde1 [s2, l_j2], tilde2 star (letters: s1, s2)
     """
     require_valid_bc(bc)
     if graph.n != bc.n:
@@ -440,37 +448,24 @@ def split_graph(graph: StarGraph, bc: BoundaryConditions, spec: SplitSpec) -> di
     for j, s in spec.cuts:
         _check_cut(graph, j, s)
     parts = {}
-    if spec.mode == SINGLE:
-        (j, s1), = spec.cuts
-        edge = graph.edges[j]
-        far = (bc.beta1[j], bc.beta2[j])
-        for c, pair in _CUT_PAIRS.items():
-            parts[f"omega1:{c}"] = _interval_part(edge, s1, edge.length, pair, far)
-            parts[f"omega2:{c}"] = (_shortened_star(graph, {j: s1}),
-                                    _replace_outer(bc, {j: pair}))
-    elif spec.mode == SAME_WIRE:
-        (j, s1), (_, s2) = spec.cuts
-        edge = graph.edges[j]
-        far = (bc.beta1[j], bc.beta2[j])
-        for c, pair in _CUT_PAIRS.items():
-            parts[f"omega1:{c}"] = _interval_part(edge, s1, edge.length, pair, far)
-            parts[f"tilde2:{c}"] = (_shortened_star(graph, {j: s2}),
-                                    _replace_outer(bc, {j: pair}))
-        for c1, pair1 in _CUT_PAIRS.items():      # condition at s1 (far slot)
-            for c2, pair2 in _CUT_PAIRS.items():  # condition at s2 (origin slot)
-                parts[f"tilde1:{c1}{c2}"] = _interval_part(edge, s2, s1, pair2, pair1)
-    else:
-        (j1, s1), (j2, s2) = spec.cuts
-        e1, e2 = graph.edges[j1], graph.edges[j2]
-        for c, pair in _CUT_PAIRS.items():
-            parts[f"omega1:{c}"] = _interval_part(e1, s1, e1.length, pair,
-                                                  (bc.beta1[j1], bc.beta2[j1]))
-            parts[f"tilde1:{c}"] = _interval_part(e2, s2, e2.length, pair,
-                                                  (bc.beta1[j2], bc.beta2[j2]))
-        star = _shortened_star(graph, {j1: s1, j2: s2})
-        for c1, pair1 in _CUT_PAIRS.items():
-            for c2, pair2 in _CUT_PAIRS.items():
-                parts[f"tilde2:{c1}{c2}"] = (star, _replace_outer(bc, {j1: pair1, j2: pair2}))
-    for sub, sub_bc in parts.values():
-        require_valid_bc(sub_bc)
+    for piece in spec.pieces:
+        if piece.origin is None:
+            ends = dict(spec.cuts[k] for k in piece.outer)
+            sub = StarGraph(tuple(EdgeSpec(ends[j], e.potential.restrict(0.0, ends[j]))
+                                  if j in ends else e for j, e in enumerate(graph.edges)))
+        else:
+            j, a = spec.cuts[piece.origin]
+            edge = graph.edges[j]
+            b = spec.cuts[piece.outer[0]][1] if piece.outer else edge.length
+            sub = StarGraph((EdgeSpec(b - a, edge.potential.restrict(a, b)),))
+            end = (bc.beta1[j], bc.beta2[j])
+        for letters in itertools.product(_CUT_PAIRS, repeat=len(piece.ports)):
+            pair = {k: _CUT_PAIRS[c] for k, c in zip(sorted(piece.ports), letters)}
+            if piece.origin is None:
+                sub_bc = _replace_outer(bc, {spec.cuts[k][0]: pair[k] for k in piece.outer})
+            else:
+                c1, c2 = pair[piece.origin]
+                g, h = pair[piece.outer[0]] if piece.outer else end
+                sub_bc = BoundaryConditions([[c1]], [[c2]], [g], [h])
+            parts[f"{piece.name}:{''.join(letters)}"] = (sub, require_valid_bc(sub_bc))
     return parts

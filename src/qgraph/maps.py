@@ -126,9 +126,9 @@ def _star_maps(problem, lams, cut_edges):
 
 
 def _interval_maps(edge, lams):
-    """Both-slot map of a detached interval [0, d], (L, 2, 2): columns are
-    the solutions with unit value at one end and zero at the other; rows
-    are the outward derivatives (plain at d, negated at 0)."""
+    """Both-slot map of a detached interval [0, d], (L, 2, 2), slot 0 at d:
+    columns are the solutions with unit value at one end and zero at the
+    other; rows are the outward derivatives (plain at d, negated at 0)."""
     t, = edge_transfers([(edge, 0.0, edge.length)], lams)
     s = t[:, 0, 1]
     return np.stack([np.stack([t[:, 1, 1] / s, -1.0 / s], axis=-1),
@@ -160,10 +160,7 @@ def map_M2(problem, lam, cut_edge=0, pole_scale=1.0) -> OneSidedMap:
     e_d = evans(g, bc, lam).value
     _check_pole(lam, e_d, "E2", pole_scale)
     value = _star_maps(problem, lambdas(lam)[0], (cut_edge,))[0, 0, 0]
-    b1 = bc.beta1.copy()
-    b2 = bc.beta2.copy()
-    b1[cut_edge], b2[cut_edge] = 0.0, 1.0
-    e_n = evans(g, BoundaryConditions(bc.alpha1, bc.alpha2, b1, b2), lam).value
+    e_n = evans(g, graphs._replace_outer(bc, {cut_edge: graphs.NEUMANN_PAIR}), lam).value
     return OneSidedMap(side=STAR, value=value, lam=lam,
                        numerator_evans=e_n, denominator_evans=e_d)
 
@@ -227,31 +224,37 @@ def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
 def _two_sided(parts, spec, lams):
     a = np.add(*_blocks(parts, spec, lams))
     # a single cut keeps the plain sum: det of a 1 x 1 stack is not bitwise its entry
-    return a[:, 0, 0] if spec.mode == graphs.SINGLE else np.linalg.det(a)
+    return a[:, 0, 0] if len(spec.cuts) == 1 else np.linalg.det(a)
 
 
 def _blocks(parts, spec, lams):
-    """(MM1, MM2) for each lambda, (L, k, k) each for k cuts; slot order is
-    the order of spec.cuts."""
-    if spec.mode == graphs.SINGLE:
-        (j, _), = spec.cuts
-        return (_outer_maps(parts["omega1:D"], lams)[:, None, None],
-                _star_maps(parts["omega2:D"], lams, (j,)))
-    if spec.mode == graphs.SAME_WIRE:
-        (j, _), _ = spec.cuts
-        mid_graph, _ = parts["tilde1:DD"]
-        return (_interval_maps(mid_graph.edges[0], lams),
-                _diag2(_outer_maps(parts["omega1:D"], lams),
-                       _star_maps(parts["tilde2:D"], lams, (j,))[:, 0, 0]))
-    (j1, _), (j2, _) = spec.cuts
-    return (_diag2(_outer_maps(parts["omega1:D"], lams), _outer_maps(parts["tilde1:D"], lams)),
-            _star_maps(parts["tilde2:DD"], lams, (j1, j2)))
+    """(MM1, MM2) for each lambda, (L, k, k) each for k cuts, slot order the
+    order of spec.cuts: each piece's Dirichlet-to-Neumann block, placed on
+    its ports on its side (graphs.Piece)."""
+    sides = ([], [])
+    for piece in spec.pieces:
+        problem = parts[piece.factor_key]
+        if piece.origin is None:
+            block = _star_maps(problem, lams, [spec.cuts[k][0] for k in piece.outer])
+        elif piece.outer:
+            block = _interval_maps(problem[0].edges[0], lams)
+        else:
+            block = _outer_maps(problem, lams)[:, None, None]
+        sides[piece.side].append((piece.ports, block))
+    return tuple(_side_map(blocks, len(spec.cuts)) for blocks in sides)
 
 
-def _diag2(a, b):
-    """Stack of 2 x 2 diagonal matrices diag(a[i], b[i])."""
-    out = np.zeros(a.shape + (2, 2), dtype=np.result_type(a, b))
-    out[:, 0, 0], out[:, 1, 1] = a, b
+def _side_map(blocks, k):
+    """(L, k, k) stack of one side's (ports, block) pairs; no two pieces of
+    one side share a port, so the blocks are placed, not added."""
+    (ports, block), *rest = blocks
+    if not rest and ports == tuple(range(k)):
+        return block
+    out = np.zeros(block.shape[:1] + (k, k), dtype=np.result_type(*(b for _, b in blocks)))
+    for ports, block in blocks:
+        for a, p in enumerate(ports):
+            for b, q in enumerate(ports):
+                out[:, p, q] = block[:, a, b]
     return out
 
 
@@ -260,7 +263,7 @@ def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, l
     """Evans values of the split pieces, Dirichlet conditions at every cut;
     pass parts=split_graph(...) to reuse a split."""
     parts = split_graph(g, bc, spec) if parts is None else parts
-    return {k: evans(*parts[k], lam).value for k in graphs.PIECE_KEYS[spec.mode]}
+    return {p.factor_key: evans(*parts[p.factor_key], lam).value for p in spec.pieces}
 
 
 def verify_single_split(g: StarGraph, bc: BoundaryConditions, cut, lam,
@@ -284,7 +287,7 @@ def _split_residual(g, bc, spec, lam, pole_scale):
     prod = np.prod(list(factors.values()))
     e_full = evans(g, bc, lam).value
     a = two.m1 + two.m2
-    if spec.mode == graphs.SINGLE:
+    if len(spec.cuts) == 1:
         term, size = a[0, 0], abs(two.m1[0, 0]) + abs(two.m2[0, 0])
     else:
         term, size = two.det_sum, abs(a[0, 0] * a[1, 1]) + abs(a[0, 1] * a[1, 0])
@@ -304,12 +307,9 @@ def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
         raise ValueError("need two distinct cut wires")
 
     def ev(pair1, pair2):
-        b1, b2 = bc.beta1.copy(), bc.beta2.copy()
-        b1[j1], b2[j1] = pair1
-        b1[j2], b2[j2] = pair2
-        return evans(g, BoundaryConditions(bc.alpha1, bc.alpha2, b1, b2), lam).value
+        return evans(g, graphs._replace_outer(bc, {j1: pair1, j2: pair2}), lam).value
 
-    D, N = (1.0, 0.0), (0.0, 1.0)
+    D, N = graphs.DIRICHLET_PAIR, graphs.NEUMANN_PAIR
     t1, t2 = ev(D, D) * ev(N, N), ev(N, D) * ev(D, N)
     fr = frame_matrix(fundamental_frame(g, bc, lam))
     order = [r for j in range(n) for r in (j, n + j)]

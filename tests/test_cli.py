@@ -112,6 +112,21 @@ def test_count_report_text_and_machine_blob(tmp_path, capsys):
         6.58182, 19.47846, 36.41483, 58.12901]
 
 
+@pytest.mark.parametrize("name, keys", [
+    ("barrier_interior", ["omega1:D", "tilde1:DD", "tilde2:D"]),
+    ("two_wire", ["omega1:D", "tilde1:D", "tilde2:DD"])])
+def test_two_cut_examples_keep_the_piece_order(name, keys):
+    sc = cli.parse_scenario(cli._EXAMPLES[name])
+    header = cli.evans_csv(sc, samples=2, with_map=True).splitlines()[0]
+    assert header.split(",") == (["lambda", "Re(E)", "Im(E)"]
+                                 + [f"{part}(E[{k}])" for k in keys for part in ("Re", "Im")]
+                                 + ["Re(map)", "Im(map)"])
+    text, machine, _ = cli.count_report(sc)
+    for line in (l for l in text.splitlines() if l.startswith("  full:")):
+        assert [w.split("=")[0] for w in line.split() if "=" in w] == keys
+    assert all(list(block["pieces"]) == keys for block in machine["intervals"])
+
+
 def test_count_notes_interval_dependence(tmp_path, capsys):
     code = cli.main(["count", "--scenario", _scenario_file(tmp_path, "two_wire")])
     assert code == 0
@@ -262,6 +277,20 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
     bad_bc.write_text(json.dumps(blob), encoding="utf-8")
     assert cli.main(["evans", "--scenario", str(bad_bc)]) == 2
     capsys.readouterr()
+    # a missing or wrongly shaped key is named, with no traceback
+    for key, spoil in (("mode", lambda d: d["splits"].pop("mode")),
+                       ("length", lambda d: d["graph"]["edges"][0].pop("length")),
+                       ("lambda_max", lambda d: d["sweep"].pop("lambda_max")),
+                       ("vs", lambda d: d["graph"]["edges"][1].update(
+                           potential={"xs": [0.0, 1.0]})),
+                       ("cuts", lambda d: d["splits"].update(cuts=5)),
+                       ("count", lambda d: d.update(count=None))):
+        doc = cli.parse_scenario(cli._EXAMPLES["barrier_end"]).to_dict()
+        spoil(doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["count", "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario:") and key in err
 
 
 def test_exit_4_on_boundary_pole(tmp_path, monkeypatch, capsys):

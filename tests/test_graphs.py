@@ -89,6 +89,15 @@ def test_degenerate_outer_pair_reported():
         require_valid_bc(bad)
 
 
+def test_small_outer_pair_is_a_rank_defect_only():
+    # (1e-11, 0) is not the (0, 0) pair, but its singular value is below
+    # RANK_TOL times the largest
+    bc = BoundaryConditions(np.eye(2), np.zeros((2, 2)), [1.0, 1e-11], [0.0, 0.0])
+    assert validate_bc(bc).failures == (("RankDeficient", "rank([beta1 beta2]) < n"),)
+    with pytest.raises(RankDeficient):
+        require_valid_bc(bc)
+
+
 def test_complex_outer_pair_needs_real_product():
     # g conj(h) = i is not real
     bad = BoundaryConditions(np.eye(1), np.zeros((1, 1)), [1.0], [1.0j])

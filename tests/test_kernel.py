@@ -190,12 +190,12 @@ def test_evans_and_bundle_blocks_match_reference(seed, n, complex_lam, complex_b
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
        mode=st.sampled_from((SINGLE, SAME_WIRE, TWO_WIRES)),
-       complex_lam=st.booleans())
+       complex_lam=st.booleans(), complex_bc=st.booleans())
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_two_sided_value_matches_reference(seed, n, mode, complex_lam):
+def test_two_sided_value_matches_reference(seed, n, mode, complex_lam, complex_bc):
     rng = np.random.default_rng(seed)
     g = random_star(rng, n)
-    bc = rand_bc_real(n, rng, margin=0.15)
+    bc = rand_bc_cayley(n, rng) if complex_bc else rand_bc_real(n, rng, margin=0.15)
     spec = random_split(rng, g, mode)
     lams = random_lambdas(rng, complex_lam)
     with np.errstate(all="ignore"):
