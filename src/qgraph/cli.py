@@ -40,7 +40,7 @@ import numpy as np
 from . import maps
 from .counting import EndpointOnSpectrum, PoleOnBoundary, verify_counting
 from .evans import evans
-from .graphs import (SAME_WIRE, SINGLE, TWO_WIRES,
+from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
                      build_preset, free_edge, split_graph)
@@ -110,7 +110,7 @@ def _potential_to(p):
     return {"xs": list(p.xs), "vs": list(p.vs)}
 
 
-_END_PAIRS = {"dirichlet": (1.0, 0.0), "neumann": (0.0, 1.0)}
+_END_PAIRS = {"dirichlet": DIRICHLET_PAIR, "neumann": NEUMANN_PAIR}
 
 
 def _parse_boundary(spec, n):
@@ -192,6 +192,8 @@ def parse_scenario(data: dict) -> Scenario:
             sweep = (float(blk["lambda_min"]), float(blk["lambda_max"]), int(blk["samples"]))
         if sweep[2] < 0:
             raise ScenarioError("samples must be >= 0")
+        if not np.isfinite(sweep[:2]).all():
+            raise ScenarioError(f"sweep lambda range [{sweep[0]}, {sweep[1]}] is not finite")
     with _reading("count"):
         blk = data.get("count", {})
         intervals = tuple((float(lo), float(hi)) for lo, hi in blk.get("intervals", []))
@@ -330,6 +332,8 @@ def _residual_rows(checks, fn, lams):
 
 def verify_table(sc: Scenario, which, seed=0, rounds=None):
     """Residual table for one cross-check family; returns (text, all-pass)."""
+    if rounds is not None and rounds < 1:
+        raise ScenarioError(f"need at least one lambda sample per check, got {rounds}")
     rng = np.random.default_rng(seed)
     g, bc = sc.graph, sc.bc
     rows = []

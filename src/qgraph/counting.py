@@ -73,8 +73,8 @@ def lambda_grid(interval, grid=None):
     equal spacing there keeps a fixed number of points per oscillation.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
+    if not (hi > lo and np.isfinite((lo, hi)).all()):
+        raise ValueError(f"interval [{lo}, {hi}] is empty or not finite")
     if grid is None:
         span = math.sqrt(hi) - math.sqrt(lo) if lo >= 0 else math.sqrt(hi - lo)
         grid = math.ceil(GRID_PER_UNIT * span)

@@ -2,7 +2,8 @@
 
 The frame stacks two solution families: Y columns launched from the origin
 with data (-alpha2*, alpha1*), and the diagonal Z family launched from the
-outer endpoints with data (-conj h_i, conj g_i).  The Evans function is the
+outer endpoints with data (-conj h_i, conj g_i); _launch alone states that
+rule, and real conditions give real data.  The Evans function is the
 determinant of the 2n x 2n frame matrix; it does not depend on where the
 frame is evaluated, so the default evaluation point is the origin, where
 the Y blocks are exact initial data and only Z propagates.
@@ -58,27 +59,20 @@ def chunked(fn, lams):
     return np.concatenate([fn(lams[i:i + CHUNK]) for i in range(0, lams.size, CHUNK)])
 
 
-def _frame_dtype(bc, lams):
-    return complex if (np.iscomplexobj(lams) or not bc.is_real()) else float
-
-
-def _y_data(bc, dt):
-    """Origin data (Y, Y') of the Y family: column i is member i."""
-    y0, yp0 = -bc.alpha2.conj().T, bc.alpha1.conj().T
-    return (y0.real, yp0.real) if dt is float else (y0, yp0)
-
-
-def _z_data(bc, dt):
-    """Outer-end data (z, z') of each edge's z solution."""
-    z0, zp0 = -np.conj(bc.beta2), np.conj(bc.beta1)
-    return (z0.real, zp0.real) if dt is float else (z0, zp0)
+def _launch(bc):
+    """(Y, Y') at the origin, column i member i, and (z, z') at each outer
+    end; cached on the immutable condition set, as every frame reads it."""
+    data = getattr(bc, "_launch_data", None)
+    if data is None:
+        data = (-bc.alpha2.conj().T, bc.alpha1.conj().T, -np.conj(bc.beta2), np.conj(bc.beta1))
+        object.__setattr__(bc, "_launch_data", data)
+    return data
 
 
 def y_blocks(g: StarGraph, bc: BoundaryConditions, lams, xs):
     """Y family at xs[j] on edge j: (Y, Y'), each (L, n, n)."""
-    dt = _frame_dtype(bc, lams)
-    y0, yp0 = _y_data(bc, dt)
-    Y = np.empty((lams.size, g.n, g.n), dtype=dt)
+    y0, yp0 = _launch(bc)[:2]
+    Y = np.empty((lams.size, g.n, g.n), dtype=np.result_type(lams, y0))
     Yp = np.empty_like(Y)
     Y[:], Yp[:] = y0, yp0
     moved = [j for j in range(g.n) if xs[j] != 0.0]
@@ -92,7 +86,7 @@ def y_blocks(g: StarGraph, bc: BoundaryConditions, lams, xs):
 
 def z_values(g: StarGraph, bc: BoundaryConditions, lams, xs):
     """z_j at xs[j] on edge j: (z, z'), each (L, n)."""
-    z0, zp0 = _z_data(bc, _frame_dtype(bc, lams))
+    z0, zp0 = _launch(bc)[2:]
     t = np.stack(edge_transfers([(e, e.length, x) for e, x in zip(g.edges, xs)], lams),
                  axis=1)
     return (t[..., 0, 0] * z0 + t[..., 0, 1] * zp0,
@@ -102,10 +96,7 @@ def z_values(g: StarGraph, bc: BoundaryConditions, lams, xs):
 def beta_trace(bc: BoundaryConditions, yl, ylp):
     """beta1 Y(l) + beta2 Y'(l), row j at edge j's outer end; Y blocks may
     carry a leading lambda axis."""
-    b1, b2 = bc.beta1, bc.beta2
-    if yl.dtype.kind != "c":
-        b1, b2 = b1.real, b2.real  # keep real data real for root bracketing
-    return b1[:, None] * yl + b2[:, None] * ylp
+    return bc.beta1[:, None] * yl + bc.beta2[:, None] * ylp
 
 
 def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
@@ -150,10 +141,7 @@ def c_matrix(frame: FundamentalFrame, bc: BoundaryConditions) -> np.ndarray:
     """alpha1 Z(0) + alpha2 Z'(0); only defined on origin-evaluated frames."""
     if np.any(frame.eval_point != 0.0):
         raise ValueError("c_matrix needs a frame evaluated at the origin")
-    a1, a2 = bc.alpha1, bc.alpha2
-    if frame.Z.dtype.kind != "c":
-        a1, a2 = a1.real, a2.real  # keep real data real for root bracketing
-    return a1 @ frame.Z + a2 @ frame.Zp
+    return bc.alpha1 @ frame.Z + bc.alpha2 @ frame.Zp
 
 
 class FrameBundle:
@@ -183,8 +171,7 @@ class FrameBundle:
         family, whose data combine first as the equation is linear.  Returns
         y (2, m, P) and z (2, P): values, then derivatives."""
         edge = self.graph.edges[j]
-        dt = _frame_dtype(self.bc, self._lams)
-        (y0, yp0), (z0, zp0) = _y_data(self.bc, dt), _z_data(self.bc, dt)
+        y0, yp0, z0, zp0 = _launch(self.bc)
 
         def leg(x0, data):  # one leg at a time keeps the peak memory down
             t = edge_transfers([(edge, x0, xs)], self._lams)[0][0]

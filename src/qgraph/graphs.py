@@ -64,7 +64,9 @@ class PiecewiseConstant:
         object.__setattr__(self, "pieces", pieces)
         if not pieces:
             raise ValueError("empty piecewise potential")
-        for a, b, _ in pieces:
+        for a, b, v in pieces:
+            if not np.isfinite((a, b, v)).all():
+                raise ValueError(f"piece ({a}, {b}, {v}) has a non-finite entry")
             if not b > a:
                 raise ValueError(f"empty or reversed piece ({a}, {b})")
         for (_, b0, _), (a1, _, _) in zip(pieces[:-1], pieces[1:]):
@@ -115,6 +117,9 @@ class Sampled:
         object.__setattr__(self, "vs", vs)
         if len(xs) != len(vs) or len(xs) < 2:
             raise ValueError("sampled potential needs matching grids of length >= 2")
+        bad = np.array(xs + vs)[~np.isfinite(xs + vs)]
+        if bad.size:
+            raise ValueError(f"sampled potential has a non-finite sample {bad[0]}")
         if any(x1 <= x0 for x0, x1 in zip(xs[:-1], xs[1:])):
             raise ValueError("sample grid must be strictly increasing")
 
@@ -144,8 +149,8 @@ class EdgeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "length", float(self.length))
-        if not self.length > 0:
-            raise ValueError("edge length must be positive")
+        if not 0.0 < self.length < np.inf:
+            raise ValueError(f"edge length must be positive and finite, got {self.length}")
         lo, hi = self.potential.span
         if abs(lo) > 1e-12 or abs(hi - self.length) > 1e-12 * max(1.0, self.length):
             raise ValueError(f"potential spans [{lo}, {hi}], edge needs [0, {self.length}]")
@@ -173,14 +178,15 @@ class StarGraph:
     def lengths(self):
         return np.array([e.length for e in self.edges])
 
-    @property
-    def total_length(self):
-        return float(sum(e.length for e in self.edges))
-
 
 @dataclass(frozen=True)
 class BoundaryConditions:
-    """alpha1 u(0) + alpha2 u'(0) = 0 at the origin, g_i u_i(l_i) + h_i u_i'(l_i) = 0 outside."""
+    """alpha1 u(0) + alpha2 u'(0) = 0 at the origin, g_i u_i(l_i) + h_i u_i'(l_i) = 0 outside.
+
+    Data that pass is_real (every imaginary part within 1e-14) are stored
+    as float arrays, so real data at real lambda give real frames with no
+    cast downstream; evans._launch turns them into solution launch data.
+    """
 
     alpha1: np.ndarray
     alpha2: np.ndarray
@@ -188,18 +194,20 @@ class BoundaryConditions:
     beta2: np.ndarray  # diagonal entries h_i
 
     def __post_init__(self):
-        a1 = np.atleast_2d(np.asarray(self.alpha1, dtype=complex))
-        a2 = np.atleast_2d(np.asarray(self.alpha2, dtype=complex))
-        b1 = np.atleast_1d(np.asarray(self.beta1, dtype=complex))
-        b2 = np.atleast_1d(np.asarray(self.beta2, dtype=complex))
-        object.__setattr__(self, "alpha1", a1)
-        object.__setattr__(self, "alpha2", a2)
-        object.__setattr__(self, "beta1", b1)
-        object.__setattr__(self, "beta2", b2)
+        data = {k: f(np.asarray(getattr(self, k), dtype=complex)) for k, f in
+                (("alpha1", np.atleast_2d), ("alpha2", np.atleast_2d),
+                 ("beta1", np.atleast_1d), ("beta2", np.atleast_1d))}
+        a1, a2, b1, b2 = data.values()
         n = a1.shape[0]
         if a1.shape != (n, n) or a2.shape != (n, n) or b1.shape != (n,) or b2.shape != (n,):
             raise DimensionMismatch("alpha matrices must be n x n, beta diagonals length n")
-        real = all(np.max(np.abs(m.imag)) <= 1e-14 for m in (a1, a2, b1, b2))
+        flat = np.concatenate([m.ravel() for m in data.values()])
+        if not np.isfinite(flat).all():
+            k, m = next((k, m) for k, m in data.items() if not np.isfinite(m).all())
+            raise ValueError(f"{k} has a non-finite entry {m[~np.isfinite(m)][0]}")
+        real = np.abs(flat.imag).max() <= 1e-14
+        for k, m in data.items():
+            object.__setattr__(self, k, m.real.copy() if real else m)
         object.__setattr__(self, "_real", bool(real))
 
     @property

@@ -187,9 +187,8 @@ def _airy_transfer(d, k, xa):
     return m
 
 
-def _domain_x(edge, x, slack=None):
-    if slack is None:
-        slack = 1e-12 * (1.0 + edge.length)
+def _domain_x(edge, x):
+    slack = 1e-12 * (1.0 + edge.length)
     if isinstance(x, np.ndarray):
         if x.size and (x.min() < -slack or x.max() > edge.length + slack):
             raise OutOfDomain("evaluation points outside the edge")
@@ -391,12 +390,6 @@ class EdgeSolution:
         x = _domain_x(self.edge, x)
         u, up = self._engine.on(x)
         return StateVector(value=u, deriv=up, x=x, lam=self.lam)
-
-    def value_at(self, x):
-        return self.at(x).value
-
-    def deriv_at(self, x):
-        return self.at(x).deriv
 
     def on(self, xs):
         """Vectorized (values, derivatives) over an array of positions."""

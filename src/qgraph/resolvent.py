@@ -11,7 +11,9 @@ in trace formulas that recover boundary-value solutions from resolvent
 traces, which is the module's independent check on the map construction:
 u_gamma builds the solution with gamma-trace e_i from the trace system and,
 on each edge j, as a z_j + b y_tau from adjustment-vector weights.  One
-FrameBundle serves every slot i of one lambda.
+FrameBundle serves every slot i of one lambda, and both constructions read
+one partner-trace table: the resolvent's right side, which the formula
+path solves against C once per lambda.  Launch data come from evans._launch.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .evans import FrameBundle
+from .evans import FrameBundle, _launch
 from .graphs import BoundaryData, Sampled, gamma_trace, neumann_trace
 from .propagate import segment_transfer
 
@@ -110,17 +112,23 @@ def select_tau(bundle: FrameBundle) -> TauSelection:
     f = bundle.frame0
     wr = f.Y * np.diag(f.Zp)[:, None] - f.Yp * np.diag(f.Z)[:, None]  # [j, i]
     scale = 1.0 + max(np.abs(m).max() for m in (f.Y, f.Yp, f.Z, f.Zp))
-    tau = []
-    ds = []
-    for j in range(bundle.n):
-        i = int(np.argmax(np.abs(wr[j])))
-        if abs(wr[j, i]) <= 1e-12 * scale**2:
-            raise NoIndependentPartner(
-                f"every origin solution is dependent with z on edge {j}; "
-                "lambda is effectively on the spectrum")
-        tau.append(i)
-        ds.append(wr[j, i])
-    return TauSelection(tau=tuple(tau), wronskians=tuple(ds))
+    tau = np.argmax(np.abs(wr), axis=1)
+    ds = wr[np.arange(bundle.n), tau]
+    weak = np.abs(ds) <= 1e-12 * scale**2
+    if weak.any():
+        raise NoIndependentPartner(
+            f"every origin solution is dependent with z on edge {int(np.argmax(weak))}; "
+            "lambda is effectively on the spectrum")
+    return TauSelection(tau=tuple(tau.tolist()), wronskians=tuple(ds))
+
+
+def _partners(bundle: FrameBundle, tau: TauSelection):
+    """Each edge's partner y_tau at the origin, (values, derivatives), and the
+    partner-trace table, whose column j, alpha1[:, j] y_tau(0) + alpha2[:, j]
+    y_tau'(0), is the origin trace that the z-correction cancels through C."""
+    f, t = bundle.frame0, list(tau.tau)
+    y, yp = f.Y[np.arange(bundle.n), t], f.Yp[np.arange(bundle.n), t]
+    return y, yp, bundle.bc.alpha1 * y + bundle.bc.alpha2 * yp
 
 
 def _particular(bundle: FrameBundle, tau: TauSelection, v_j, j, xs):
@@ -172,16 +180,6 @@ def _off_spectrum_det(bundle: FrameBundle):
     return det
 
 
-def _cramer_dets(c, rhs):
-    """det(c) with column k replaced by rhs, for each k."""
-    out = np.empty(rhs.shape[0], dtype=complex)
-    for k in range(rhs.shape[0]):
-        ck = c.copy()
-        ck[:, k] = rhs
-        out[k] = np.linalg.det(ck)
-    return out
-
-
 def resolvent_apply(g, bc, lam, v) -> ResolventApplication:
     """Apply the resolvent of (H - lambda) to a per-edge source v.
 
@@ -199,9 +197,7 @@ def resolvent_apply(g, bc, lam, v) -> ResolventApplication:
 
     grids = tuple(np.linspace(0.0, e.length, GRID_POINTS) for e in g.edges)
     parts = [_particular(bundle, tau, v[j], j, grids[j]) for j in range(n)]
-    rhs = sum((bc.alpha1[:, j] * bundle.frame0.Y[j, tau.tau[j]]
-               + bc.alpha2[:, j] * bundle.frame0.Yp[j, tau.tau[j]]) * parts[j][2]
-              for j in range(n))
+    rhs = _partners(bundle, tau)[2] @ np.array([p[2] for p in parts])
     c_mat = bundle.c_block()
     loss = np.linalg.cond(c_mat) * np.finfo(float).eps
     if loss > 1e-9:
@@ -440,7 +436,7 @@ def _u_gamma(g, bc, lam, slots):
     sides and the adjustment-vector columns depend on the slot."""
     slots = list(slots)
     bundle = FrameBundle(g, bc, lam)
-    det_c = _off_spectrum_det(bundle)
+    _off_spectrum_det(bundle)
     n = bundle.n
     rhs = np.eye(2 * n)[:, slots]
     d = bundle.solve_trace(rhs)
@@ -448,25 +444,23 @@ def _u_gamma(g, bc, lam, slots):
     tau = select_tau(bundle)
     av = adjustment_vectors(build_projections(bc))
     wd, wn = (av.L + av.M)[:, slots], av.N[:, slots]
-    f0 = bundle.frame0
-    c_mat = np.asarray(bundle.c_block(), dtype=complex)
-    zl, zpl = -np.conj(bc.beta2)[:, None], np.conj(bc.beta1)[:, None]  # z at the outer ends
-    z0, zp0 = np.diag(f0.Z)[:, None], np.diag(f0.Zp)[:, None]          # z at the origin
+    f0, dj = bundle.frame0, np.array(tau.wronskians)[:, None]
+    zl, zpl = (v[:, None] for v in _launch(bc)[2:])  # z at the outer ends
+    z0, zp0 = np.diag(f0.Z)[:, None], np.diag(f0.Zp)[:, None]  # z at the origin
     gk = wd[:n] * zl + wn[:n] * zpl + wd[n:] * z0 - wn[n:] * zp0
+    yv0, yp0, traces = _partners(bundle, tau)
+    cof = np.linalg.solve(bundle.c_block(), traces)
+    a = (cof.T @ gk - wd[n:] * yv0[:, None] + wn[n:] * yp0[:, None]) / dj  # [edge, slot]
+    b = -(wd[:n] * zl + wn[:n] * zpl) / dj
 
     grids, direct, formula = [], [], []
     for j, edge in enumerate(g.edges):
         xs = np.linspace(0.0, edge.length, GRID_POINTS)
-        t, dj = tau.tau[j], tau.wronskians[j]
         # the direct solutions and the partner y_tau in one evaluation
-        y, z = bundle.families(j, xs, np.column_stack([d[:n], np.eye(n)[:, t]]))
-        yv0, yp0 = f0.Y[j, t], f0.Yp[j, t]
-        cof = _cramer_dets(c_mat, bc.alpha1[:, j] * yv0 + bc.alpha2[:, j] * yp0)
-        a = (cof @ gk / det_c - wd[n + j] * yv0 + wn[n + j] * yp0) / dj
-        b = -(wd[j] * zl[j] + wn[j] * zpl[j]) / dj
+        y, z = bundle.families(j, xs, np.column_stack([d[:n], np.eye(n)[:, tau.tau[j]]]))
         grids.append(xs)
         direct.append(y[:, :-1] + d[n + j, :, None] * z[:, None])  # values, derivatives
-        formula.append(a[:, None] * z[0] + b[:, None] * y[0, -1])
+        formula.append(a[j, :, None] * z[0] + b[j, :, None] * y[0, -1])
 
     out = []
     for s, i in enumerate(slots):

@@ -291,6 +291,29 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
         assert cli.main(["count", "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid scenario:") and key in err
+    # json reads NaN and Infinity; a non-finite number is named where it enters
+    inf, nan = float("inf"), float("nan")
+
+    def set_piece(d):
+        d["graph"]["edges"][0]["potential"]["pieces"][0][2] = nan
+
+    for command, value, spoil in (
+            ("count", "inf", lambda d: d["graph"]["edges"][0].update(length=inf)),
+            ("count", "nan", set_piece),
+            ("count", "inf", lambda d: d["graph"]["edges"][1].update(
+                potential={"xs": [0.0, 0.5, 1.0], "vs": [0.0, inf, 0.0]})),
+            ("evans", "nan", lambda d: d["sweep"].update(lambda_max=nan)),
+            ("count", "inf", lambda d: d["count"].update(intervals=[[5.0, inf]])),
+            ("count", "nan", lambda d: d.update(boundary={
+                "alpha1": [[[nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                "alpha2": [[[0.0, 0.0]] * 2] * 2, "beta1": [[1.0, 0.0]] * 2,
+                "beta2": [[0.0, 0.0]] * 2}))):
+        doc = cli.parse_scenario(cli._EXAMPLES["barrier_end"]).to_dict()
+        spoil(doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main([command, "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario:") and value in err, err
 
 
 def test_exit_4_on_boundary_pole(tmp_path, monkeypatch, capsys):
@@ -324,6 +347,16 @@ def test_verify_rejects_mismatched_mode(tmp_path):
     sc = cli.load_scenario(_scenario_file(tmp_path))
     with pytest.raises(cli.ScenarioError):
         cli.verify_table(sc, "double")
+
+
+def test_verify_needs_at_least_one_round(tmp_path, capsys):
+    path = _scenario_file(tmp_path)
+    sc = cli.load_scenario(path)
+    for rounds in (0, -1):
+        with pytest.raises(cli.ScenarioError, match="at least one"):
+            cli.verify_table(sc, "single", rounds=rounds)
+    assert cli.main(["verify", "--scenario", path, "--which", "single", "--grid", "0"]) == 2
+    assert "at least one" in capsys.readouterr().err
 
 
 def _run_help(argv, env=None):

@@ -8,7 +8,8 @@ from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec,
 from qgraph.graphs import (CutOnVertex, CutsOutOfOrder, DimensionMismatch,
                            NotSelfAdjoint, RankDeficient, SAME_WIRE, SINGLE,
                            require_valid_bc)
-from conftest import barrier_end, barrier_interior, pc, rand_bc_cayley, two_wire
+from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real,
+                      two_wire)
 
 
 # ---------------------------------------------------------------- potentials
@@ -113,6 +114,25 @@ def test_cayley_bc_valid(rng):
 def test_is_real_flag(rng):
     assert build_preset("kirchhoff", 2).is_real()
     assert not rand_bc_cayley(2, rng).is_real()
+
+
+def _fields(bc):
+    return (bc.alpha1, bc.alpha2, bc.beta1, bc.beta2)
+
+
+def test_real_data_are_stored_real(rng):
+    presets = [build_preset(k, 3) for k in ("dirichlet", "neumann", "kirchhoff", "robin")]
+    for bc in presets + [rand_bc_real(3, rng), rand_bc_real(3, rng, margin=0.1)]:
+        assert bc.is_real()
+        assert all(m.dtype == np.float64 for m in _fields(bc))
+    base = rand_bc_real(2, rng)
+    noisy = BoundaryConditions(*(m + 1e-16j for m in _fields(base)))
+    assert noisy.is_real() and all(m.dtype == np.float64 for m in _fields(noisy))
+    assert all(np.array_equal(a, b) for a, b in zip(_fields(noisy), _fields(base)))
+    tilted = BoundaryConditions(base.alpha1 + 1e-10j, base.alpha2, base.beta1, base.beta2)
+    assert not tilted.is_real() and all(m.dtype == np.complex128 for m in _fields(tilted))
+    cayley = rand_bc_cayley(3, rng)
+    assert not cayley.is_real() and all(m.dtype == np.complex128 for m in _fields(cayley))
 
 
 # ------------------------------------------------------------------- traces
