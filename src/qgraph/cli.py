@@ -39,7 +39,7 @@ import numpy as np
 
 from . import maps
 from .counting import EndpointOnSpectrum, PoleOnBoundary, verify_counting
-from .evans import evans
+from .evans import _evans_each
 from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
@@ -198,6 +198,8 @@ def parse_scenario(data: dict) -> Scenario:
         blk = data.get("count", {})
         intervals = tuple((float(lo), float(hi)) for lo, hi in blk.get("intervals", []))
         grid = blk.get("grid")
+        if grid is not None and int(grid) < 1:
+            raise ScenarioError(f"count grid must be at least 1, got {grid}")
     return Scenario(graph=graph, bc=bc, splits=splits, sweep=sweep,
                     count_intervals=intervals, count_grid=grid,
                     boundary_block=boundary)
@@ -222,6 +224,8 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
     lo, hi, m = sc.sweep
     if samples is not None:
         m = int(samples)
+        if m < 0:
+            raise ScenarioError(f"sweep samples must be >= 0, got {m}")
     keys = ()
     parts = None
     if sc.splits is not None:
@@ -233,8 +237,7 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
     if with_map:
         header += ["Re(map)", "Im(map)"]
     lams = np.linspace(lo, hi, m)
-    columns = [evans(sc.graph, sc.bc, lams).value]
-    columns += [evans(*parts[k], lams).value for k in keys]
+    columns = _evans_each([(sc.graph, sc.bc)] + [parts[k] for k in keys], lams)
     if with_map:
         with np.errstate(all="ignore"):
             columns.append(maps.two_sided_value(sc.graph, sc.bc, sc.splits, lams,

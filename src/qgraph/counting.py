@@ -13,8 +13,10 @@ coincidences.
 
 The scans evaluate a whole grid in one call of a function of an array of
 lambda, then refine all its sign-change brackets with one call per step;
-dip probes call it with one-element arrays.  count_zeros and map_delta take
-functions of one lambda and lift them.
+dip probes call it with one-element arrays.  verify_counting scans the full
+graph and every piece as one such function, one kernel call a step for all,
+each bracket carrying its function's row; a single count is the one-function
+case.  count_zeros and map_delta take functions of one lambda and lift them.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar  # brentq unused: perfbench/tracing.py wraps it
 
 from . import maps
-from .evans import evans
+from .evans import _evans_each, evans
 from .graphs import split_graph
 
 REFINE_TOL = 1e-10
@@ -78,6 +80,8 @@ def lambda_grid(interval, grid=None):
     if grid is None:
         span = math.sqrt(hi) - math.sqrt(lo) if lo >= 0 else math.sqrt(hi - lo)
         grid = math.ceil(GRID_PER_UNIT * span)
+    if int(grid) < 1:
+        raise ValueError(f"scan grid must be at least 1, got {grid}")
     grid = max(MIN_GRID, int(grid))
     if lo >= 0:
         xs = np.linspace(math.sqrt(lo), math.sqrt(hi), grid + 1) ** 2
@@ -97,12 +101,14 @@ def _pointwise(f):
     return lambda xs: np.array([f(x) for x in xs], dtype=float)
 
 
-def _refine(fs, a, b, fa, fb):
+def _refine(fs, a, b, fa, fb, rows=None):
     """Roots of fs in the brackets [a, b] with end values fa, fb, all at once:
     Chandrupatla's inverse quadratic / bisection hybrid (Adv. Eng. Softw. 28
     (1997) 145-149), one call of fs per step on the brackets still wider than
     0.5 * REFINE_TOL + 4 eps |x|; a root is the secant point of its last bracket.
+    Where fs gives a row of values per function, bracket i refines row rows[i].
     """
+    r = np.zeros(len(a), dtype=int) if rows is None else np.asarray(rows)
     roots, live, t, steps = np.empty(len(a)), np.arange(len(a)), 0.5, 0
     x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     with np.errstate(all="ignore"):
@@ -111,7 +117,7 @@ def _refine(fs, a, b, fa, fb):
                 raise RefineFailure(f"{live.size} root bracket(s) not converged in 100 steps")
             steps += 1
             x = x1 + t * (x2 - x1)
-            f = np.asarray(fs(x), dtype=float)
+            f = np.atleast_2d(np.asarray(fs(x), dtype=float))[r, np.arange(x.size)]
             if not np.isfinite(f).all():
                 raise RefineFailure(f"non-finite value at lambda={x[~np.isfinite(f)][0]}")
             same = np.sign(f) == np.sign(f1)
@@ -127,34 +133,41 @@ def _refine(fs, a, b, fa, fb):
             t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / (x2 - x1)
                          * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
             t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
-            live, x1, x2, f1, f2, t = (v[~done] for v in (live, x1, x2, f1, f2, t))
+            live, r, x1, x2, f1, f2, t = (v[~done] for v in (live, r, x1, x2, f1, f2, t))
     return roots
 
 
 def _scan_zeros(fs, grids):
     """Sign-change zeros plus tangency (multiplicity 2) probing, one sorted list
-    per sub-grid.  fs maps an array of lambda to real values and is called once
-    on all sub-grids together, then once per refinement step of all their
-    brackets.  Non-finite values (poles screened out by the caller) are skipped:
-    sign changes, scale and dips are read per sub-grid, between finite samples.
+    per sub-grid.  fs maps an array of lambda to real values, or to one row
+    of them per function of several, which gives a list per function and
+    sub-grid, function-major.  It is called once on all sub-grids together,
+    then once per refinement step of all brackets, each bracket carrying its
+    row: coincident functions have brackets at the same lambda.  Non-finite
+    values (poles screened out by the caller) are skipped: sign changes,
+    scale and dips are read per sub-grid, between finite samples.
     """
     with np.errstate(all="ignore"):
-        vs = np.asarray(fs(np.concatenate(grids)), dtype=float)
+        vs = np.atleast_2d(np.asarray(fs(np.concatenate(grids)), dtype=float))
 
-    def f(x):
-        return float(fs(np.array([x]))[0])
-
-    scans = [(xs[np.isfinite(v)], v[np.isfinite(v)])
-             for xs, v in zip(grids, np.split(vs, np.cumsum([g.size for g in grids])[:-1]))]
-    cells = [np.flatnonzero(fvs[:-1] * fvs[1:] < 0.0) for _, fvs in scans]
-    ends = [(fxs[i], fxs[i + 1], fvs[i], fvs[i + 1]) for (fxs, fvs), i in zip(scans, cells)]
+    cuts = np.cumsum([g.size for g in grids])[:-1]
+    scans = [(row, xs[np.isfinite(v)], v[np.isfinite(v)])
+             for row, vrow in enumerate(vs) for xs, v in zip(grids, np.split(vrow, cuts))]
+    cells = [np.flatnonzero(fvs[:-1] * fvs[1:] < 0.0) for _, _, fvs in scans]
+    ends = [(fxs[i], fxs[i + 1], fvs[i], fvs[i + 1]) for (_, fxs, fvs), i in zip(scans, cells)]
     a, b, fa, fb = (np.concatenate(col) for col in zip(*ends))
-    roots = np.split(_refine(fs, a, b, fa, fb), np.cumsum([i.size for i in cells])[:-1])
+    rows = np.repeat([row for row, _, _ in scans], [i.size for i in cells])
+    kw = {"rows": rows} if len(vs) > 1 else {}  # one function: the plain call
+    roots = np.split(_refine(fs, a, b, fa, fb, **kw), np.cumsum([i.size for i in cells])[:-1])
     found = []
-    for (fxs, fvs), refined in zip(scans, roots):
+    for (row, fxs, fvs), refined in zip(scans, roots):
         if fxs.size < 2:
             found.append([])
             continue
+
+        def f(x, row=row):
+            return float(np.atleast_2d(fs(np.array([x])))[row, 0])
+
         scale = float(np.median(np.abs(fvs)))
         if scale == 0.0:
             scale = float(np.max(np.abs(fvs))) or 1.0
@@ -192,30 +205,30 @@ def _warn_if_coarse(zeros, xs):
                           "cells; consider a finer grid", GridTooCoarse)
 
 
-def _count(fs, interval, grid) -> CountReport:
+def _count(fs, interval, grid):
+    """CountReports of the zeros of fs on one scan grid of the interval, one
+    per function (see _scan_zeros)."""
     xs = lambda_grid(interval, grid)
-    [zeros] = _scan_zeros(fs, [xs])
-    zeros = [(z, m) for z, m in zeros if interval[0] < z < interval[1]]
-    _warn_if_coarse(zeros, xs)
-    return CountReport(interval=(float(interval[0]), float(interval[1])),
-                       zeros=tuple(zeros), poles=(),
-                       count=sum(m for _, m in zeros), delta_N=None)
+    reports = []
+    for zeros in _scan_zeros(fs, [xs]):
+        zeros = [(z, m) for z, m in zeros if interval[0] < z < interval[1]]
+        _warn_if_coarse(zeros, xs)
+        reports.append(CountReport(interval=(float(interval[0]), float(interval[1])),
+                                   zeros=tuple(zeros), poles=(),
+                                   count=sum(m for _, m in zeros), delta_N=None))
+    return reports
 
 
 def count_zeros(f, interval, grid=None) -> CountReport:
     """Zeros of a real-valued function of one lambda on [lo, hi], endpoints excluded."""
-    return _count(_pointwise(f), interval, grid)
-
-
-def _evans_values(g, bc):
-    return lambda ts: evans(g, bc, ts).value
+    return _count(_pointwise(f), interval, grid)[0]
 
 
 def count_eigenvalues(g, bc, interval, grid=None) -> CountReport:
     """Eigenvalue count as zeros of the canonical Evans function."""
     if not bc.is_real():
         raise ValueError("sign-change counting needs real boundary data")
-    return _count(_evans_values(g, bc), interval, grid)
+    return _count(lambda ts: evans(g, bc, ts).value, interval, grid)[0]
 
 
 def _merge_poles(reports):
@@ -316,14 +329,16 @@ def verify_counting(g, bc, spec, interval, grid=None) -> CountingIdentityReport:
         raise ValueError("sign-change counting needs real boundary data")
     parts = split_graph(g, bc, spec)
     keys = [p.factor_key for p in spec.pieces]
-    dens = {k: _evans_values(*parts[k]) for k in keys}
-    probes = [_evans_values(g, bc)] + list(dens.values())
+    problems = [(g, bc)] + [parts[k] for k in keys]
+
+    def values(xs):  # one row per problem, all from one kernel call a batch
+        return np.array(_evans_each(problems, xs))
 
     def on_spectrum(xs):
-        # per x: does any probe change sign between x - REFINE_TOL and x + REFINE_TOL
+        # per x: does any problem change sign between x - REFINE_TOL and x + REFINE_TOL
         pairs = np.add.outer(xs, [-REFINE_TOL, REFINE_TOL])
-        vs = [f(pairs.ravel()).reshape(pairs.shape) for f in probes]
-        return np.any([v[:, 0] * v[:, 1] <= 0 for v in vs], axis=0)
+        vs = values(pairs.ravel()).reshape(-1, *pairs.shape)
+        return np.any(vs[..., 0] * vs[..., 1] <= 0, axis=0)
 
     ends = [float(interval[0]), float(interval[1])]
     for end in np.flatnonzero(on_spectrum(ends)):
@@ -335,8 +350,8 @@ def verify_counting(g, bc, spec, interval, grid=None) -> CountingIdentityReport:
             raise EndpointOnSpectrum(f"endpoint {x} still on a spectrum after nudging")
         ends[end] = moved
     nudged = tuple(ends)
-    full = count_eigenvalues(g, bc, nudged, grid)
-    piece_reports = {k: _count(dens[k], nudged, grid) for k in keys}
+    full, *reports = _count(values, nudged, grid)
+    piece_reports = dict(zip(keys, reports))
 
     def map_values(ts):
         with np.errstate(all="ignore"):

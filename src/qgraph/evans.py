@@ -11,7 +11,9 @@ the Y blocks are exact initial data and only Z propagates.
 Every block, and every value FrameBundle.families returns, comes from
 propagate.edge_transfers, two propagations per edge for a whole array of
 lambda.  evans and fundamental_frame accept such an array and return
-stacked results; evans works through it CHUNK lambdas at a time.
+stacked results.  _evans_each evaluates several problems, all their legs in
+one edge_transfers call per batch of max(1, CHUNK // sum of n^2) lambdas,
+which bounds a batch's memory; evans is its one-problem case.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from .graphs import BoundaryConditions, StarGraph, require_valid_bc
 from .propagate import edge_transfers
 
-CHUNK = 64  # lambdas per batch; frames of a batch take O(CHUNK n^2) memory
+CHUNK = 64 * 16 ** 2  # lambdas times n^2 per batch: the frames of a batch take O(CHUNK)
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,20 @@ def lambdas(lam):
     return np.atleast_1d(arr).astype(complex if np.iscomplexobj(arr) else float), arr.ndim == 0
 
 
-def chunked(fn, lams):
-    """fn over an array of lambda, CHUNK at a time, results concatenated."""
-    if lams.size <= CHUNK:
-        return fn(lams)
-    return np.concatenate([fn(lams[i:i + CHUNK]) for i in range(0, lams.size, CHUNK)])
+def chunked(fn, lams, size=1):
+    """fn over an array of lambda, max(1, CHUNK // size) lambdas a call, size
+    summing n^2 over the problems fn evaluates; fn returns a list of arrays,
+    each concatenated over the calls."""
+    step = max(1, CHUNK // size)
+    batches = [fn(lams[i:i + step]) for i in range(0, max(lams.size, 1), step)]
+    return batches[0] if len(batches) == 1 else [np.concatenate(c) for c in zip(*batches)]
+
+
+def _leg_transfers(groups, lams):
+    """edge_transfers of every leg list in groups through one call, split
+    back into one list of transfers per group."""
+    ts = iter(edge_transfers([leg for legs in groups for leg in legs], lams))
+    return [[next(ts) for _ in legs] for legs in groups]
 
 
 def _launch(bc):
@@ -69,26 +80,27 @@ def _launch(bc):
     return data
 
 
-def y_blocks(g: StarGraph, bc: BoundaryConditions, lams, xs):
-    """Y family at xs[j] on edge j: (Y, Y'), each (L, n, n)."""
+def y_blocks(bc: BoundaryConditions, lams, xs, ts):
+    """Y family at xs[j] on edge j: (Y, Y'), each (L, n, n), from the
+    transfers ts of the legs (edge j, 0, xs[j]) with xs[j] != 0."""
     y0, yp0 = _launch(bc)[:2]
-    Y = np.empty((lams.size, g.n, g.n), dtype=np.result_type(lams, y0))
+    Y = np.empty((lams.size,) + y0.shape, dtype=np.result_type(lams, y0))
     Yp = np.empty_like(Y)
     Y[:], Yp[:] = y0, yp0
-    moved = [j for j in range(g.n) if xs[j] != 0.0]
-    if moved:
-        t = np.stack(edge_transfers([(g.edges[j], 0.0, xs[j]) for j in moved], lams), axis=1)
+    if ts:
+        moved = np.flatnonzero(xs)
+        t = np.stack(ts, axis=1)
         a, ap = y0[moved], yp0[moved]
         Y[:, moved] = t[..., 0, 0, None] * a + t[..., 0, 1, None] * ap
         Yp[:, moved] = t[..., 1, 0, None] * a + t[..., 1, 1, None] * ap
     return Y, Yp
 
 
-def z_values(g: StarGraph, bc: BoundaryConditions, lams, xs):
-    """z_j at xs[j] on edge j: (z, z'), each (L, n)."""
+def z_values(bc: BoundaryConditions, ts):
+    """z_j at the end of its leg: (z, z'), each (L, n), from the transfers
+    ts of one leg per edge j, from its outer end."""
     z0, zp0 = _launch(bc)[2:]
-    t = np.stack(edge_transfers([(e, e.length, x) for e, x in zip(g.edges, xs)], lams),
-                 axis=1)
+    t = np.stack(ts, axis=1)
     return (t[..., 0, 0] * z0 + t[..., 0, 1] * zp0,
             t[..., 1, 0] * z0 + t[..., 1, 1] * zp0)
 
@@ -99,27 +111,40 @@ def beta_trace(bc: BoundaryConditions, yl, ylp):
     return bc.beta1[:, None] * yl + bc.beta2[:, None] * ylp
 
 
+def _frames(problems, lams, points):
+    """The frame of every (graph, bc) problem at its evaluation point (None:
+    the origin), stacked along the lambda axis, from one edge_transfers call."""
+    legs, xss = [], []
+    for (g, bc), point in zip(problems, points):
+        require_valid_bc(bc)
+        if bc.n != g.n:
+            raise ValueError(f"graph has {g.n} edges, bc has n={bc.n}")
+        xs = np.zeros(g.n) if point is None else np.asarray(point, dtype=float)
+        if xs.shape != (g.n,):
+            raise ValueError("eval_point needs one coordinate per edge")
+        xss.append(xs)
+        legs.append([(e, e.length, x) for e, x in zip(g.edges, xs)]
+                    + [(g.edges[j], 0.0, xs[j]) for j in np.flatnonzero(xs)])
+    frames = []
+    for (g, bc), xs, ts in zip(problems, xss, _leg_transfers(legs, lams)):
+        z, zp = z_values(bc, ts[:g.n])
+        Y, Yp = y_blocks(bc, lams, xs, ts[g.n:])
+        diag = np.arange(g.n)
+        Z = np.zeros(Y.shape, dtype=z.dtype)
+        Zp = np.zeros(Y.shape, dtype=zp.dtype)
+        Z[:, diag, diag], Zp[:, diag, diag] = z, zp
+        frames.append(FundamentalFrame(Y=Y, Z=Z, Yp=Yp, Zp=Zp, lam=lams, eval_point=xs))
+    return frames
+
+
 def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
                       eval_point=None) -> FundamentalFrame:
     """Frame blocks at eval_point (default: the origin).  For an array of
     lambda every block gains a leading lambda axis."""
-    require_valid_bc(bc)
-    n = g.n
-    if bc.n != n:
-        raise ValueError(f"graph has {n} edges, bc has n={bc.n}")
-    xs = np.zeros(n) if eval_point is None else np.asarray(eval_point, dtype=float)
-    if xs.shape != (n,):
-        raise ValueError("eval_point needs one coordinate per edge")
     lams, scalar = lambdas(lam)
-    z, zp = z_values(g, bc, lams, xs)
-    Y, Yp = y_blocks(g, bc, lams, xs)
-    diag = np.arange(n)
-    Z = np.zeros(Y.shape, dtype=z.dtype)
-    Zp = np.zeros(Y.shape, dtype=zp.dtype)
-    Z[:, diag, diag], Zp[:, diag, diag] = z, zp
-    if scalar:
-        Y, Z, Yp, Zp = Y[0], Z[0], Yp[0], Zp[0]
-    return FundamentalFrame(Y=Y, Z=Z, Yp=Yp, Zp=Zp, lam=lam, eval_point=xs)
+    [f] = _frames([(g, bc)], lams, [eval_point])
+    blocks = [b[0] if scalar else b for b in (f.Y, f.Z, f.Yp, f.Zp)]
+    return FundamentalFrame(*blocks, lam=lam, eval_point=f.eval_point)
 
 
 def frame_matrix(frame: FundamentalFrame) -> np.ndarray:
@@ -128,12 +153,20 @@ def frame_matrix(frame: FundamentalFrame) -> np.ndarray:
                            np.concatenate([frame.Yp, frame.Zp], axis=-1)], axis=-2)
 
 
+def _evans_each(problems, lams, points=None):
+    """Evans values of every (graph, bc) problem on one array of lambda as
+    lambdas() gives it, frames at points (default: the origins)."""
+    points = points or [None] * len(problems)
+    return chunked(lambda ls: [np.linalg.det(frame_matrix(f))
+                               for f in _frames(problems, ls, points)],
+                   lams, sum(g.n ** 2 for g, _ in problems))
+
+
 def evans(g: StarGraph, bc: BoundaryConditions, lam,
           eval_point=None) -> EvansValue:
     """Evans function at lam; value is an array for an array of lambda."""
     lams, scalar = lambdas(lam)
-    vals = chunked(lambda ls: np.linalg.det(frame_matrix(
-        fundamental_frame(g, bc, ls, eval_point))), lams)
+    [vals] = _evans_each([(g, bc)], lams, [eval_point])
     return EvansValue(value=vals[0] if scalar else vals, lam=lam)
 
 
@@ -162,7 +195,8 @@ class FrameBundle:
         self.lam = lam
         self.frame0 = fundamental_frame(g, bc, lam)
         self._lams = lambdas(lam)[0]
-        Yl, Ylp = y_blocks(g, bc, self._lams, g.lengths)
+        Yl, Ylp = y_blocks(bc, self._lams, g.lengths,
+                           edge_transfers([(e, 0.0, e.length) for e in g.edges], self._lams))
         self.Yl, self.Ylp = Yl[0], Ylp[0]
 
     def families(self, j, xs, weights):

@@ -13,7 +13,9 @@ alpha slot (cut at a local origin) or a beta slot (at a local outer end).
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -437,8 +439,26 @@ def _replace_outer(bc, replacements):
     return BoundaryConditions(bc.alpha1, bc.alpha2, b1, b2)
 
 
-def split_graph(graph: StarGraph, bc: BoundaryConditions, spec: SplitSpec) -> dict:
-    """All subgraph problems of a split, keyed "piece:letters".
+class _Split(Mapping):
+    """Read-only split: every key listed up front, each problem built and
+    validated on its first read."""
+
+    def __init__(self, builders):
+        self._builders = {key: functools.cache(build) for key, build in builders.items()}
+
+    def __getitem__(self, key):
+        return self._builders[key]()
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self):
+        return len(self._builders)
+
+
+def split_graph(graph: StarGraph, bc: BoundaryConditions, spec: SplitSpec):
+    """All subgraph problems of a split, a read-only mapping keyed
+    "piece:letters"; a problem is built when its key is first read.
 
     One rule lays out every mode (spec.pieces): cut k detaches the stretch
     of its wire from s_k (local 0) to the next cut outward (outer slot) or
@@ -455,25 +475,23 @@ def split_graph(graph: StarGraph, bc: BoundaryConditions, spec: SplitSpec) -> di
         raise DimensionMismatch(f"graph has {graph.n} edges, bc has n={bc.n}")
     for j, s in spec.cuts:
         _check_cut(graph, j, s)
-    parts = {}
-    for piece in spec.pieces:
+
+    def build(piece, letters):
+        pair = {k: _CUT_PAIRS[c] for k, c in zip(sorted(piece.ports), letters)}
         if piece.origin is None:
             ends = dict(spec.cuts[k] for k in piece.outer)
             sub = StarGraph(tuple(EdgeSpec(ends[j], e.potential.restrict(0.0, ends[j]))
                                   if j in ends else e for j, e in enumerate(graph.edges)))
-        else:
-            j, a = spec.cuts[piece.origin]
-            edge = graph.edges[j]
-            b = spec.cuts[piece.outer[0]][1] if piece.outer else edge.length
-            sub = StarGraph((EdgeSpec(b - a, edge.potential.restrict(a, b)),))
-            end = (bc.beta1[j], bc.beta2[j])
-        for letters in itertools.product(_CUT_PAIRS, repeat=len(piece.ports)):
-            pair = {k: _CUT_PAIRS[c] for k, c in zip(sorted(piece.ports), letters)}
-            if piece.origin is None:
-                sub_bc = _replace_outer(bc, {spec.cuts[k][0]: pair[k] for k in piece.outer})
-            else:
-                c1, c2 = pair[piece.origin]
-                g, h = pair[piece.outer[0]] if piece.outer else end
-                sub_bc = BoundaryConditions([[c1]], [[c2]], [g], [h])
-            parts[f"{piece.name}:{''.join(letters)}"] = (sub, require_valid_bc(sub_bc))
-    return parts
+            return sub, require_valid_bc(_replace_outer(bc, {spec.cuts[k][0]: pair[k]
+                                                             for k in piece.outer}))
+        j, a = spec.cuts[piece.origin]
+        edge = graph.edges[j]
+        b = spec.cuts[piece.outer[0]][1] if piece.outer else edge.length
+        sub = StarGraph((EdgeSpec(b - a, edge.potential.restrict(a, b)),))
+        g, h = pair[piece.outer[0]] if piece.outer else (bc.beta1[j], bc.beta2[j])
+        c1, c2 = pair[piece.origin]
+        return sub, require_valid_bc(BoundaryConditions([[c1]], [[c2]], [g], [h]))
+
+    return _Split({f"{piece.name}:{''.join(letters)}": functools.partial(build, piece, letters)
+                   for piece in spec.pieces
+                   for letters in itertools.product(_CUT_PAIRS, repeat=len(piece.ports))})

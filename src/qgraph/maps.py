@@ -13,7 +13,8 @@ The factorizations these maps enter are
     E = E1 Et1 Et2 det(MM1 + MM2)             (two cuts, either geometry)
 with every Evans factor taken with Dirichlet conditions at the cuts.  One
 assembly of (MM1, MM2) over an array of lambda serves the sweep value, the
-2 x 2 builders and the split residuals.
+2 x 2 builders and the split residuals, all pieces' legs propagated in one
+edge_transfers call; the one-sided maps are its one-piece case.
 """
 from __future__ import annotations
 
@@ -23,14 +24,14 @@ import numpy as np
 
 from . import graphs
 from .graphs import (BoundaryConditions, SplitSpec, StarGraph, split_graph)
-from .evans import (beta_trace, chunked, evans, frame_matrix, fundamental_frame,
-                    lambdas, y_blocks, z_values)
-from .propagate import edge_transfers
+from .evans import (_leg_transfers, beta_trace, chunked, evans, frame_matrix,
+                    fundamental_frame, lambdas, y_blocks, z_values)
 
 POLE_RTOL = 1e-6  # |denominator Evans| below this times the local scale is a pole
 
 OUTER = "outer"
 STAR = "star"
+INTERVAL = "interval"
 
 QUOTIENT_SIGN = {OUTER: -1.0, STAR: 1.0}
 
@@ -98,41 +99,36 @@ def _solve_each(a, b):
         return out
 
 
-def _outer_maps(problem, lams):
-    """-z'(0)/z(0) for each lambda, z the solution fixed by the outer
-    condition of a one-edge problem: the map of a detached interval."""
-    g, bc = problem
-    if g.n != 1:
-        raise ValueError("expected a one-edge problem")
-    z, zp = z_values(g, bc, lams, (0.0,))
-    return -zp[:, 0] / z[:, 0]
+def _dtn_blocks(pieces, lams):
+    """Dirichlet-to-Neumann block, (L, m, m), of each (kind, (graph, bc),
+    cut edges) piece, all legs through one edge_transfers call.
 
-
-def _star_maps(problem, lams, cut_edges):
-    """Derivatives at each cut of the solutions with unit value at one cut,
-    (L, m, m): column k is the solution whose gamma-trace is the basis
-    vector of cut k's outer slot, row r its derivative at cut r's endpoint.
-
-    The origin (C) block of that trace system sees zero data, so these
-    solutions are Y combinations, their coefficients solved from the
-    beta-trace of Y at the outer ends.
+    OUTER, one edge cut at the origin: -z'(0)/z(0), z fixed by the outer
+    condition.  INTERVAL, [0, d] cut at both ends (slot 0 at d): columns are
+    the solutions with unit value at one end and zero at the other, rows the
+    outward derivatives.  STAR, cut at the outer ends of the cut edges:
+    column k is the solution whose gamma-trace is cut k's basis vector, row
+    r its derivative at cut r; the origin block of that trace system sees
+    zero data, so these are Y combinations solved from Y's beta-trace.
     """
-    g, bc = problem
-    yl, ylp = y_blocks(g, bc, lams, g.lengths)
-    cuts = list(cut_edges)
-    unit = np.zeros((g.n, len(cuts)))
-    unit[cuts, range(len(cuts))] = 1.0
-    return ylp[:, cuts, :] @ _solve_each(beta_trace(bc, yl, ylp), unit)
-
-
-def _interval_maps(edge, lams):
-    """Both-slot map of a detached interval [0, d], (L, 2, 2), slot 0 at d:
-    columns are the solutions with unit value at one end and zero at the
-    other; rows are the outward derivatives (plain at d, negated at 0)."""
-    t, = edge_transfers([(edge, 0.0, edge.length)], lams)
-    s = t[:, 0, 1]
-    return np.stack([np.stack([t[:, 1, 1] / s, -1.0 / s], axis=-1),
-                     np.stack([-1.0 / s, t[:, 0, 0] / s], axis=-1)], axis=-2)
+    legs = [[(e, e.length, 0.0) if kind == OUTER else (e, 0.0, e.length) for e in g.edges]
+            for kind, (g, _), _ in pieces]
+    blocks = []
+    for (kind, (g, bc), cuts), ts in zip(pieces, _leg_transfers(legs, lams)):
+        if kind == OUTER:
+            z, zp = z_values(bc, ts)
+            blocks.append((-zp / z)[:, :, None])
+        elif kind == INTERVAL:
+            t = ts[0]
+            s = t[:, 0, 1]
+            blocks.append(np.stack([np.stack([t[:, 1, 1] / s, -1.0 / s], axis=-1),
+                                    np.stack([-1.0 / s, t[:, 0, 0] / s], axis=-1)], axis=-2))
+        else:
+            yl, ylp = y_blocks(bc, lams, g.lengths, ts)
+            unit = np.zeros((g.n, len(cuts)))
+            unit[cuts, range(len(cuts))] = 1.0
+            blocks.append(ylp[:, cuts, :] @ _solve_each(beta_trace(bc, yl, ylp), unit))
+    return blocks
 
 
 def map_M1(problem, lam, pole_scale=1.0) -> OneSidedMap:
@@ -143,7 +139,9 @@ def map_M1(problem, lam, pole_scale=1.0) -> OneSidedMap:
     the outer-condition solution z back to the cut.
     """
     g, bc = problem
-    value = _outer_maps(problem, lambdas(lam)[0])[0]
+    if g.n != 1:
+        raise ValueError("expected a one-edge problem")
+    value = _dtn_blocks([(OUTER, problem, [])], lambdas(lam)[0])[0][0, 0, 0]
     e_d = evans(g, _with_cut_condition(bc, "D"), lam).value
     _check_pole(lam, e_d, "E1", pole_scale)
     e_n = evans(g, _with_cut_condition(bc, "N"), lam).value
@@ -159,7 +157,7 @@ def map_M2(problem, lam, cut_edge=0, pole_scale=1.0) -> OneSidedMap:
     g, bc = problem
     e_d = evans(g, bc, lam).value
     _check_pole(lam, e_d, "E2", pole_scale)
-    value = _star_maps(problem, lambdas(lam)[0], (cut_edge,))[0, 0, 0]
+    value = _dtn_blocks([(STAR, problem, [cut_edge])], lambdas(lam)[0])[0][0, 0, 0]
     e_n = evans(g, graphs._replace_outer(bc, {cut_edge: graphs.NEUMANN_PAIR}), lam).value
     return OneSidedMap(side=STAR, value=value, lam=lam,
                        numerator_evans=e_n, denominator_evans=e_d)
@@ -217,7 +215,8 @@ def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
     if parts is None:
         parts = split_graph(g, bc, spec)
     lams, scalar = lambdas(lam)
-    vals = chunked(lambda ls: _two_sided(parts, spec, ls), lams)
+    [vals] = chunked(lambda ls: [_two_sided(parts, spec, ls)], lams,
+                     sum(parts[p.factor_key][0].n ** 2 for p in spec.pieces))
     return vals[0] if scalar else vals
 
 
@@ -231,15 +230,11 @@ def _blocks(parts, spec, lams):
     """(MM1, MM2) for each lambda, (L, k, k) each for k cuts, slot order the
     order of spec.cuts: each piece's Dirichlet-to-Neumann block, placed on
     its ports on its side (graphs.Piece)."""
+    kinds = [STAR if p.origin is None else INTERVAL if p.outer else OUTER for p in spec.pieces]
+    blocks = _dtn_blocks([(kind, parts[p.factor_key], [spec.cuts[k][0] for k in p.outer])
+                          for kind, p in zip(kinds, spec.pieces)], lams)
     sides = ([], [])
-    for piece in spec.pieces:
-        problem = parts[piece.factor_key]
-        if piece.origin is None:
-            block = _star_maps(problem, lams, [spec.cuts[k][0] for k in piece.outer])
-        elif piece.outer:
-            block = _interval_maps(problem[0].edges[0], lams)
-        else:
-            block = _outer_maps(problem, lams)[:, None, None]
+    for piece, block in zip(spec.pieces, blocks):
         sides[piece.side].append((piece.ports, block))
     return tuple(_side_map(blocks, len(spec.cuts)) for blocks in sides)
 

@@ -1,0 +1,116 @@
+"""One kernel call per step for several problems: the batched Evans path
+against each problem alone, the kernel-call budget of a counting identity,
+the memory rule for lambda batches, and the lazily built split."""
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import barrier_end, pc, rand_bc_cayley, rand_bc_real, two_wire
+from qgraph import (EdgeSpec, Sampled, StarGraph, build_preset, count_eigenvalues, evans,
+                    frame_matrix, free_edge, fundamental_frame, split_graph, verify_counting)
+
+evans_module = importlib.import_module("qgraph.evans")
+maps_module = importlib.import_module("qgraph.maps")
+graphs_module = importlib.import_module("qgraph.graphs")
+
+
+def _star(rng, n, sampled):
+    edges = []
+    for j in range(n):
+        length = rng.uniform(0.5, 2.0)
+        if sampled and j == 0:
+            xs = np.linspace(0.0, length, int(rng.integers(2, 12)))
+            edges.append(EdgeSpec(length, Sampled(tuple(xs), tuple(rng.uniform(-15, 15, xs.size)))))
+            continue
+        nodes = [0.0, *np.sort(rng.uniform(0.1, 0.9, int(rng.integers(0, 3)))) * length, length]
+        edges.append(EdgeSpec(length, pc(*[(a, b, rng.uniform(-15.0, 15.0))
+                                           for a, b in zip(nodes[:-1], nodes[1:])])))
+    return StarGraph(tuple(edges))
+
+
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       size=st.integers(1, 400), complex_lam=st.booleans(), moved=st.booleans())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_batched_evans_is_each_problem_alone(seed, sizes, size, complex_lam, moved):
+    rng = np.random.default_rng(seed)
+    problems = []
+    for n in sizes:
+        g = _star(rng, n, sampled=bool(rng.integers(2)))
+        problems.append((g, rand_bc_cayley(n, rng) if rng.integers(2) else rand_bc_real(n, rng)))
+    points = [rng.uniform(0.0, 1.0, g.n) * g.lengths if moved else None for g, _ in problems]
+    lams = np.sort(rng.uniform(-5.0, 60.0, size))
+    if complex_lam:
+        lams = lams + 1j * rng.uniform(-3.0, 3.0, size)
+    batched = evans_module._evans_each(problems, lams, points)
+    for (g, bc), xs, vals in zip(problems, points, batched):
+        assert np.array_equal(vals, evans(g, bc, lams, eval_point=xs).value)
+        assert np.array_equal(vals, np.linalg.det(frame_matrix(fundamental_frame(g, bc, lams, xs))))
+
+
+def _count_kernel_calls(monkeypatch, sizes):
+    """Record the lambda count of every edge_transfers call, wherever a
+    qgraph module binds the kernel."""
+    for module in (evans_module, maps_module):
+        if hasattr(module, "edge_transfers"):
+            inner = module.edge_transfers
+
+            def counted(legs, lams, inner=inner):
+                sizes.append(np.size(lams))
+                return inner(legs, lams)
+            monkeypatch.setattr(module, "edge_transfers", counted)
+
+
+def test_counting_identity_kernel_call_budget(monkeypatch):
+    # the full graph and both pieces share each grid and refinement step, and
+    # the map assembly propagates all its pieces together
+    sizes = []
+    _count_kernel_calls(monkeypatch, sizes)
+    g, bc, spec = barrier_end()
+    assert verify_counting(g, bc, spec, (5.0, 60.0)).holds
+    assert len(sizes) <= 20, len(sizes)
+
+
+def test_lambda_batches_follow_the_memory_rule(monkeypatch):
+    lams = np.linspace(1.0, 60.0, 1000)
+    for n, most in ((16, 64), (2, 1000)):
+        sizes = []
+        with monkeypatch.context() as m:
+            _count_kernel_calls(m, sizes)
+            vals = evans(StarGraph((free_edge(1.0),) * n), build_preset("kirchhoff", n), lams).value
+        assert vals.shape == lams.shape and sum(sizes) == lams.size
+        assert max(sizes) == most, (n, sizes)
+
+
+def test_coincident_pieces_count_alone():
+    # on two_wire omega1:D and tilde1:D are the same problem, so their brackets
+    # sit at identical lambda; each report is the one its piece gives alone
+    g, bc, spec = two_wire()
+    parts = split_graph(g, bc, spec)
+    rep = verify_counting(g, bc, spec, (3.0, 60.0))
+    assert rep.pieces["omega1:D"].zeros == rep.pieces["tilde1:D"].zeros
+    for key in ("omega1:D", "tilde1:D"):
+        assert rep.pieces[key] == count_eigenvalues(*parts[key], rep.interval)
+
+
+def test_split_builds_only_the_keys_it_reads(monkeypatch):
+    g, bc, spec = two_wire()
+    seen = []
+    inner = graphs_module.validate_bc
+    monkeypatch.setattr(graphs_module, "validate_bc", lambda c: seen.append(c) or inner(c))
+    verify_counting(g, bc, spec, (3.0, 60.0))
+    monkeypatch.setattr(graphs_module, "validate_bc", inner)
+    dirichlet = [split_graph(g, bc, spec)[p.factor_key][1] for p in spec.pieces]
+    assert 0 < len(seen) <= 1 + len(dirichlet)
+
+    def same(a, b):
+        return all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in ("alpha1", "alpha2", "beta1", "beta2"))
+    assert all(c is bc or any(same(c, d) for d in dirichlet) for c in seen)
+    # every key is still listed, and one read builds a problem once
+    parts = split_graph(g, bc, spec)
+    assert len(parts) == 8 and parts["tilde2:NN"] is parts["tilde2:NN"]
+    with pytest.raises(TypeError):
+        parts["omega1:D"] = parts["omega1:N"]

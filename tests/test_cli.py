@@ -314,6 +314,21 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
         assert cli.main([command, "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid scenario:") and value in err, err
+    # a non-positive scan grid or a negative sample count is named, on the
+    # command line and in the scenario's count block alike
+    doc = cli.parse_scenario(cli._EXAMPLES["barrier_end"]).to_dict()
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for argv, value in ((["count", "--grid", "-5"], "-5"), (["count", "--grid", "0"], "0"),
+                        (["evans", "--grid", "-1"], "-1")):
+        assert cli.main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario:") and f"got {value}" in err, err
+    for grid in (0, -3):
+        doc["count"]["grid"] = grid
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["count", "--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario:") and f"got {grid}" in err, err
 
 
 def test_exit_4_on_boundary_pole(tmp_path, monkeypatch, capsys):
