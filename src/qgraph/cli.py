@@ -242,9 +242,8 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
         with np.errstate(all="ignore"):
             columns.append(maps.two_sided_value(sc.graph, sc.bc, sc.splits, lams,
                                                 parts=parts))
-    lines = [",".join([_fmt(lam)] + [cell for col in columns
-                                     for cell in (_fmt(np.real(col[i])), _fmt(np.imag(col[i])))])
-             for i, lam in enumerate(lams)]
+    table = np.column_stack([lams] + [p for col in columns for p in (np.real(col), np.imag(col))])
+    lines = [",".join(map("{:.17g}".format, row)) for row in table.tolist()]
     return "\n".join([",".join(header)] + lines) + "\n"
 
 
@@ -312,10 +311,20 @@ def _sample_lambdas(rng, sweep, rounds):
     return rng.uniform(lo, hi, rounds)
 
 
-def _residual_rows(checks, fn, lams):
+def _residual_rows(checks, fn, lams, batched=False):
     """Rows for each (name, tol) of checks at each lambda, name-major; fn(x)
     gives one residual per check.  A lambda that lands on a pole is
-    resampled, up to 60 times, once for all the checks."""
+    resampled, up to 60 times, once for all the checks.  batched: first one
+    call fn(lams), an array or a broadcast scalar per check; if it raises or
+    gives a non-finite value, the loop runs as if that call never had."""
+    if batched:
+        try:
+            res = np.broadcast_to(np.array(fn(lams), dtype=float), (len(checks), len(lams)))
+            if np.isfinite(res).all():
+                return [(name, x, r, tol) for (name, tol), row in zip(checks, res.tolist())
+                        for x, r in zip(lams, row)]
+        except (ArithmeticError, np.linalg.LinAlgError):  # the loop's errors, poles included
+            pass
     found = []
     rng = np.random.default_rng(zlib.crc32(checks[0][0].encode()))
     for lam in lams:
@@ -343,22 +352,16 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
     if which == "single":
         if sc.splits is None or sc.splits.mode != SINGLE:
             raise ScenarioError("verify single needs a single-cut splits block")
-        lams = _sample_lambdas(rng, sc.sweep, rounds or 20)
-        cut = sc.splits.cuts[0]
-        rows = _residual_rows((("single_split", 1e-7),),
-                              lambda t: (maps.verify_single_split(g, bc, cut, t),), lams)
+        check = (("single_split", 1e-7),
+                 lambda t: maps.verify_single_split(g, bc, sc.splits.cuts[0], t))
     elif which == "double":
         if sc.splits is None or sc.splits.mode not in (SAME_WIRE, TWO_WIRES):
             raise ScenarioError("verify double needs a two-cut splits block")
-        lams = _sample_lambdas(rng, sc.sweep, rounds or 20)
-        rows = _residual_rows((("double_split", 1e-7),),
-                              lambda t: (maps.verify_double_split(g, bc, sc.splits, t),), lams)
+        check = ("double_split", 1e-7), lambda t: maps.verify_double_split(g, bc, sc.splits, t)
     elif which == "minors":
         if g.n < 2:
             raise ScenarioError("minor identity needs at least two wires")
-        lams = _sample_lambdas(rng, sc.sweep, rounds or 20)
-        rows = _residual_rows((("minor_identity", 1e-8),),
-                              lambda t: (maps.minor_identity_check(g, bc, t),), lams)
+        check = ("minor_identity", 1e-8), lambda t: maps.minor_identity_check(g, bc, t)
     elif which == "resolvent":
         lams = _sample_lambdas(rng, sc.sweep, rounds or 10)
         amps = rng.uniform(-2.0, 2.0, g.n)
@@ -406,6 +409,9 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
         rows = _residual_rows(checks, paths, lams)
     else:
         raise ScenarioError(f"unknown verification {which!r}")
+    if which in ("single", "double", "minors"):
+        rows = _residual_rows((check[0],), lambda t: (check[1](t),),
+                              _sample_lambdas(rng, sc.sweep, rounds or 20), batched=True)
 
     lines = ["check,lambda,residual,tolerance,status"]
     ok = True

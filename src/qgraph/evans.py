@@ -9,8 +9,9 @@ frame is evaluated, so the default evaluation point is the origin, where
 the Y blocks are exact initial data and only Z propagates.
 
 Every block, and every value FrameBundle.families returns, comes from
-propagate.edge_transfers, two propagations per edge for a whole array of
-lambda.  evans and fundamental_frame accept such an array and return
+propagate.edge_transfers: a bundle makes one call for its blocks and one
+for each families() call, which covers both families on every edge asked
+for.  evans and fundamental_frame accept an array of lambda and return
 stacked results.  _evans_each evaluates several problems, all their legs in
 one edge_transfers call per batch of max(1, CHUNK // sum of n^2) lambdas,
 which bounds a batch's memory; evans is its one-problem case.
@@ -193,26 +194,33 @@ class FrameBundle:
         self.graph = g
         self.bc = bc
         self.lam = lam
-        self.frame0 = fundamental_frame(g, bc, lam)
         self._lams = lambdas(lam)[0]
-        Yl, Ylp = y_blocks(bc, self._lams, g.lengths,
-                           edge_transfers([(e, 0.0, e.length) for e in g.edges], self._lams))
-        self.Yl, self.Ylp = Yl[0], Ylp[0]
+        # the frame at the outer ends holds Y(l); both frames in one kernel call
+        f0, fl = _frames([(g, bc)] * 2, self._lams, [None, g.lengths])
+        self.frame0 = FundamentalFrame(*(b[0] for b in (f0.Y, f0.Z, f0.Yp, f0.Zp)),
+                                       lam=lam, eval_point=f0.eval_point)
+        self.Yl, self.Ylp = fl.Y[0], fl.Yp[0]
 
-    def families(self, j, xs, weights):
-        """Both families on edge j at the positions xs (1-d), propagated from
-        0 and from l_j.  Column k of weights (n x m) combines the origin
+    def families(self, items):
+        """Both families at the positions xs (1-d) on edge j, propagated from
+        0 and from l_j, for each (j, xs, weights) of items, all through one
+        kernel call.  Column k of weights (n x m) combines the origin
         family, whose data combine first as the equation is linear.  Returns
-        y (2, m, P) and z (2, P): values, then derivatives."""
-        edge = self.graph.edges[j]
+        one pair y (2, m, P), z (2, P) per item: values, then derivatives."""
         y0, yp0, z0, zp0 = _launch(self.bc)
+        edges = self.graph.edges
+        ts = edge_transfers([leg for j, xs, _ in items for leg in
+                             ((edges[j], 0.0, xs), (edges[j], edges[j].length, xs))], self._lams)
 
-        def leg(x0, data):  # one leg at a time keeps the peak memory down
-            t = edge_transfers([(edge, x0, xs)], self._lams)[0][0]
+        def leg(data):  # contracted as the kernel makes it: one leg's transfers alive at a time
+            t = next(ts)[0]
             return t[..., :1] * data[0] + t[..., 1:] * data[1]  # t @ data, faster
-        y = leg(0.0, np.stack([y0[j] @ weights, yp0[j] @ weights]))
-        z = leg(edge.length, np.array([[z0[j]], [zp0[j]]]))
-        return np.moveaxis(y, 0, -1), z[..., 0].T
+        out = []
+        for j, _, weights in items:
+            y = leg(np.stack([y0[j] @ weights, yp0[j] @ weights]))
+            z = leg(np.array([[z0[j]], [zp0[j]]]))
+            out.append((np.moveaxis(y, 0, -1), z[..., 0].T))
+        return out
 
     @property
     def n(self):
@@ -234,7 +242,7 @@ class FrameBundle:
     def component(self, d, j, xs):
         """(values, derivs) on edge j of the combination with coefficients d."""
         d = np.asarray(d)
-        y, z = self.families(j, np.asarray(xs, dtype=float), d[:self.n, None])
+        [(y, z)] = self.families([(j, np.asarray(xs, dtype=float), d[:self.n, None])])
         return y[0, 0] + d[self.n + j] * z[0], y[1, 0] + d[self.n + j] * z[1]
 
     def component_at(self, d, j, x):

@@ -74,8 +74,9 @@ class TwoSidedMap2x2:
 
 
 def _check_pole(lam, value, label, pole_scale):
-    if abs(value) < POLE_RTOL * pole_scale:
-        raise PoleAtLambda(lam, value, label)
+    hit = np.flatnonzero(np.abs(value) < POLE_RTOL * pole_scale)
+    if hit.size:
+        raise PoleAtLambda(np.ravel(lam)[hit[0]], np.ravel(value)[hit[0]], label)
 
 
 def _with_cut_condition(bc: BoundaryConditions, letter: str) -> BoundaryConditions:
@@ -192,13 +193,14 @@ def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
 
 
 def _checked_map(g, bc, spec, lam, pole_scale):
-    """Piece Evans factors and the two-sided map at one lambda, or PoleAtLambda."""
+    """Piece Evans factors and the two-sided map at lam (stacked for an array), or PoleAtLambda."""
     parts = split_graph(g, bc, spec)
     factors = split_evans_factors(g, bc, spec, lam, parts)
     for key, value in factors.items():
         _check_pole(lam, value, key, pole_scale)
-    m1, m2 = _blocks(parts, spec, lambdas(lam)[0])
-    return factors, TwoSidedMap2x2(m1=m1[0], m2=m2[0], geometry=spec.mode, lam=lam)
+    lams, scalar = lambdas(lam)
+    m1, m2 = (m[0] if scalar else m for m in _blocks(parts, spec, lams))
+    return factors, TwoSidedMap2x2(m1=m1, m2=m2, geometry=spec.mode, lam=lam)
 
 
 def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
@@ -263,15 +265,15 @@ def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, l
 
 def verify_single_split(g: StarGraph, bc: BoundaryConditions, cut, lam,
                         pole_scale=1.0) -> float:
-    """Residual of E = E1 E2 (M1 + M2) at one lambda over the size of the
-    terms, |E1 E2| (|M1| + |M2|), which shrinks with E on wide stars."""
+    """Residual of E = E1 E2 (M1 + M2) at lam, one per lambda of an array, over
+    the size of the terms, |E1 E2| (|M1| + |M2|), which shrinks with E on wide stars."""
     return _split_residual(g, bc, SplitSpec((cut,), graphs.SINGLE), lam, pole_scale)
 
 
 def verify_double_split(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec,
                         lam, pole_scale=1.0) -> float:
-    """Residual of E = E1 Et1 Et2 det(a), a = MM1 + MM2, at one lambda over
-    the size of the terms, |E1 Et1 Et2| (|a00 a11| + |a01 a10|)."""
+    """Residual of E = E1 Et1 Et2 det(a), a = MM1 + MM2, at lam, one per lambda
+    of an array, over the size of the terms, |E1 Et1 Et2| (|a00 a11| + |a01 a10|)."""
     if spec.mode == graphs.SINGLE:
         raise ValueError("expected a two-cut split")
     return _split_residual(g, bc, spec, lam, pole_scale)
@@ -279,14 +281,16 @@ def verify_double_split(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec,
 
 def _split_residual(g, bc, spec, lam, pole_scale):
     factors, two = _checked_map(g, bc, spec, lam, pole_scale)
-    prod = np.prod(list(factors.values()))
+    prod = np.prod(list(factors.values()), axis=0)
     e_full = evans(g, bc, lam).value
     a = two.m1 + two.m2
     if len(spec.cuts) == 1:
-        term, size = a[0, 0], abs(two.m1[0, 0]) + abs(two.m2[0, 0])
+        term, size = a[..., 0, 0], abs(two.m1[..., 0, 0]) + abs(two.m2[..., 0, 0])
     else:
-        term, size = two.det_sum, abs(a[0, 0] * a[1, 1]) + abs(a[0, 1] * a[1, 0])
-    return float(abs(e_full - prod * term) / (abs(prod) * size))
+        term = two.det_sum
+        size = abs(a[..., 0, 0] * a[..., 1, 1]) + abs(a[..., 0, 1] * a[..., 1, 0])
+    res = abs(e_full - prod * term) / (abs(prod) * size)
+    return res if np.ndim(lam) else float(res)
 
 
 def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
@@ -294,7 +298,7 @@ def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
     """For a residual star with free outer slots on two wires:
     E^DD E^NN - E^ND E^DN equals the product of two complementary minors of
     the row-interleaved fundamental matrix (cut wires' Z columns dropped).
-    The residual is relative to |E^DD E^NN| + |E^ND E^DN|.
+    The residual, one per lambda of an array, is relative to |E^DD E^NN| + |E^ND E^DN|.
     """
     j1, j2 = cut_edges
     n = g.n
@@ -308,9 +312,10 @@ def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
     t1, t2 = ev(D, D) * ev(N, N), ev(N, D) * ev(D, N)
     fr = frame_matrix(fundamental_frame(g, bc, lam))
     order = [r for j in range(n) for r in (j, n + j)]
-    fr = fr[order, :]
+    fr = fr[..., order, :]
     keep_cols = [c for c in range(2 * n) if c not in (n + j1, n + j2)]
     rest = [r for j in range(n) if j not in (j1, j2) for r in (2 * j, 2 * j + 1)]
-    b1 = np.linalg.det(fr[np.ix_(sorted([2 * j1, 2 * j1 + 1] + rest), keep_cols)])
-    b2 = np.linalg.det(fr[np.ix_(sorted([2 * j2, 2 * j2 + 1] + rest), keep_cols)])
-    return float(abs(t1 - t2 - b1 * b2) / (abs(t1) + abs(t2)))
+    b1 = np.linalg.det(fr[..., sorted([2 * j1, 2 * j1 + 1] + rest), :][..., keep_cols])
+    b2 = np.linalg.det(fr[..., sorted([2 * j2, 2 * j2 + 1] + rest), :][..., keep_cols])
+    res = abs(t1 - t2 - b1 * b2) / (abs(t1) + abs(t2))
+    return res if np.ndim(lam) else float(res)

@@ -45,7 +45,7 @@ class StateVector:
 
 
 _SERIES_CUT = 1e-8  # on |omega d|^2; below this sin(omega d)/omega needs the series
-POSITION_CHUNK = 4096  # positions per transfer_matrix call of an array leg
+POSITION_CHUNK = 4096  # lambdas x positions per segment_transfer call of the array legs
 
 
 def transfer_matrix(d, lam, nu=0.0):
@@ -299,49 +299,54 @@ class _AdaptiveEngine:
 
 def edge_transfers(legs, lams):
     """Transfer matrices carrying (u, u') along edges for an array of L
-    lambdas: from x0 to x for each leg (edge, x0, x), (L, 2, 2) for a
-    scalar x and (L, P, 2, 2) for P positions on one side of x0.
+    lambdas, one per leg (edge, x0, x) in leg order: from x0 to x, (L, 2, 2)
+    for a scalar x and (L, P, 2, 2) for P positions on one side of x0.
 
     Each leg chains the exact segment steps from x0 to the breakpoints,
     then steps to each position from the last breakpoint before it, so
-    every step runs away from x0; the chains and scalar ends of all legs
-    and lambdas share one segment_transfer call.
+    every step runs away from x0.  The chains and scalar ends of all legs
+    share one segment_transfer call, the partial steps of all array legs one
+    chunked pass.  Returns an iterator that makes each array leg when it is
+    reached, so a caller that reduces each leg first never holds them all.
     """
     lams = np.asarray(lams)
-    out, plans, rows = [None] * len(legs), [], []  # rows: steps (d, V at start, slope)
-    for i, (edge, x0, x) in enumerate(legs):
+    plans, rows, partials = [], [], []  # rows: steps (d, V at start, slope)
+    for edge, x0, x in legs:
         if not isinstance(edge.potential, (PiecewiseConstant, Sampled)):
             raise TypeError(f"unsupported potential type {type(edge.potential).__name__}")
         chain, partial, ci = _segment_steps(edge.potential, _domain_x(edge, x0),
                                             _domain_x(edge, x))
-        plans.append((i, len(rows), len(chain), partial, ci))
+        plans.append((len(rows), len(chain), ci))
         rows += chain
+        (rows if ci is None else partials).append(partial)
+    steps = np.array(rows, dtype=float).reshape(-1, 3)
+    mats = segment_transfer(steps[:, :1], lams, steps[:, 1:2], steps[:, 2:]) if plans else None
+    return _leg_results(plans, mats, np.concatenate(partials) if partials else None, lams)
+
+
+def _leg_results(plans, mats, partial, lams):
+    """edge_transfers' legs from their chains in mats; the partial steps of the
+    array legs, rows of partial in leg order, in chunks of POSITION_CHUNK // L."""
+    size = max(1, POSITION_CHUNK // max(lams.size, 1))
+    chunk, at = (None, None), 0  # (first row, transfers) of the last chunk; the leg's first row
+    for start, nc, ci in plans:
+        cum = [*itertools.accumulate(mats[start:start + nc], lambda a, m: m @ a)] if nc else []
         if ci is None:
-            rows.append(partial)
-    if plans:
-        steps = np.array(rows, dtype=float).reshape(-1, 3)
-        mats = segment_transfer(steps[:, :1], lams, steps[:, 1:2], steps[:, 2:])
-        for i, start, nc, partial, ci in plans:
-            cum = [*itertools.accumulate(mats[start:start + nc], lambda a, m: m @ a)] if nc else []
-            if ci is not None:
-                out[i] = _partial_transfers(partial, lams, cum, ci)
-            else:
-                out[i] = mats[start + nc] @ cum[-1] if nc else mats[start + nc]
-    return out
-
-
-def _partial_transfers(steps, lams, cum, ci):
-    """(L, P, 2, 2) transfers of an array leg: each partial step after its
-    chain product, POSITION_CHUNK positions at a time to bound memory."""
-    base = np.stack([np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum], axis=1)
-    out = np.empty(lams.shape + (len(steps), 2, 2), dtype=np.result_type(lams, 1.0))
-    for k in range(0, len(steps), POSITION_CHUNK):
-        sl = slice(k, k + POSITION_CHUNK)
-        m = np.swapaxes(segment_transfer(steps[sl, :1], lams, steps[sl, 1:2], steps[sl, 2:]), 0, 1)
-        c = ci[sl]
-        for r, q in itertools.product(range(2), range(2)):  # m @ base, faster entrywise
-            out[:, sl, r, q] = m[..., r, 0] * base[:, c, 0, q] + m[..., r, 1] * base[:, c, 1, q]
-    return out
+            yield mats[start + nc] @ cum[-1] if nc else mats[start + nc]
+            continue
+        base = np.stack([np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum], axis=1)
+        out = np.empty(lams.shape + (len(ci), 2, 2), dtype=np.result_type(lams, 1.0))
+        for k in range(at - at % size, at + len(ci), size):
+            if chunk[0] != k:
+                s = partial[k:k + size]
+                chunk = k, np.swapaxes(segment_transfer(s[:, :1], lams, s[:, 1:2], s[:, 2:]), 0, 1)
+            lo, hi = max(k, at), min(k + size, at + len(ci))
+            o = slice(lo - at, hi - at)
+            m, b = chunk[1][:, lo - k:hi - k], base[:, ci[o]]
+            for r, q in itertools.product(range(2), range(2)):  # m @ b, faster entrywise
+                out[:, o, r, q] = m[..., r, 0] * b[..., 0, q] + m[..., r, 1] * b[..., 1, q]
+        at += len(ci)
+        yield out
 
 
 def _segment_steps(pot, x0, x):

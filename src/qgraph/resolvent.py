@@ -131,27 +131,30 @@ def _partners(bundle: FrameBundle, tau: TauSelection):
     return y, yp, bundle.bc.alpha1 * y + bundle.bc.alpha2 * yp
 
 
-def _particular(bundle: FrameBundle, tau: TauSelection, v_j, j, xs):
+def _particular(bundle: FrameBundle, tau: TauSelection, items):
     """Variation-of-parameters solution of (H - lambda)u = v on edge j at
-    xs, values and derivatives, z_j there and I_z(L) / D_j, from one
-    evaluation of the edge.  The y_tau weight collects the source beyond
-    x, the z weight the source before it."""
-    edge = bundle.graph.edges[j]
-    nodes, weights, at = _panels(edge, xs)
-    y, z = bundle.families(j, np.concatenate([xs, nodes.ravel()]),
-                           np.eye(bundle.n)[:, tau.tau[j], None])
-    p = xs.size
-    (iy, iz), (_, iz_tot) = _cumulative_integral(
-        _v_evaluator(v_j, edge.length), nodes, weights, at,
-        np.stack([y[0, 0, p:], z[0, p:]]))
-    d = tau.wronskians[j]
-    u = -(y[:, 0, :p] * (iz_tot - iz) + z[:, :p] * iy) / d
-    return u, z[:, :p], iz_tot / d
+    xs, values and derivatives, z_j there and I_z(L) / D_j, for each
+    (j, v_j, xs) of items, from one evaluation of the families.  The y_tau
+    weight collects the source beyond x, the z weight the source before it."""
+    edges = bundle.graph.edges
+    panels = [_panels(edges[j], xs) for j, _, xs in items]
+    fams = bundle.families([(j, np.concatenate([xs, nodes.ravel()]),
+                             np.eye(bundle.n)[:, tau.tau[j], None])
+                            for (j, _, xs), (nodes, _, _) in zip(items, panels)])
+    out = []
+    for (j, v_j, xs), (nodes, weights, at), (y, z) in zip(items, panels, fams):
+        p = xs.size
+        (iy, iz), (_, iz_tot) = _cumulative_integral(
+            _v_evaluator(v_j, edges[j].length), nodes, weights, at,
+            np.stack([y[0, 0, p:], z[0, p:]]))
+        d = tau.wronskians[j]
+        out.append((-(y[:, 0, :p] * (iz_tot - iz) + z[:, :p] * iy) / d, z[:, :p], iz_tot / d))
+    return out
 
 
 def particular_solution(bundle: FrameBundle, tau: TauSelection, v_j, j, x):
     """Variation-of-parameters solution of (H - lambda)u = v on edge j."""
-    u, _, _ = _particular(bundle, tau, v_j, j, np.atleast_1d(np.asarray(x, dtype=float)))
+    [(u, _, _)] = _particular(bundle, tau, [(j, v_j, np.atleast_1d(np.asarray(x, dtype=float)))])
     return u[0] if np.ndim(x) else u[0, 0]
 
 
@@ -196,7 +199,7 @@ def resolvent_apply(g, bc, lam, v) -> ResolventApplication:
         raise ValueError(f"need one source per edge, got {len(v)} for n={n}")
 
     grids = tuple(np.linspace(0.0, e.length, GRID_POINTS) for e in g.edges)
-    parts = [_particular(bundle, tau, v[j], j, grids[j]) for j in range(n)]
+    parts = _particular(bundle, tau, [(j, v[j], grids[j]) for j in range(n)])
     rhs = _partners(bundle, tau)[2] @ np.array([p[2] for p in parts])
     c_mat = bundle.c_block()
     loss = np.linalg.cond(c_mat) * np.finfo(float).eps
@@ -453,14 +456,13 @@ def _u_gamma(g, bc, lam, slots):
     a = (cof.T @ gk - wd[n:] * yv0[:, None] + wn[n:] * yp0[:, None]) / dj  # [edge, slot]
     b = -(wd[:n] * zl + wn[:n] * zpl) / dj
 
-    grids, direct, formula = [], [], []
-    for j, edge in enumerate(g.edges):
-        xs = np.linspace(0.0, edge.length, GRID_POINTS)
-        # the direct solutions and the partner y_tau in one evaluation
-        y, z = bundle.families(j, xs, np.column_stack([d[:n], np.eye(n)[:, tau.tau[j]]]))
-        grids.append(xs)
-        direct.append(y[:, :-1] + d[n + j, :, None] * z[:, None])  # values, derivatives
-        formula.append(a[j, :, None] * z[0] + b[j, :, None] * y[0, -1])
+    grids = [np.linspace(0.0, edge.length, GRID_POINTS) for edge in g.edges]
+    # the direct solutions and the partner y_tau in one evaluation
+    fams = bundle.families([(j, xs, np.column_stack([d[:n], np.eye(n)[:, tau.tau[j]]]))
+                            for j, xs in enumerate(grids)])
+    direct = [y[:, :-1] + d[n + j, :, None] * z[:, None]  # values, derivatives
+              for j, (y, z) in enumerate(fams)]
+    formula = [a[j, :, None] * z[0] + b[j, :, None] * y[0, -1] for j, (y, z) in enumerate(fams)]
 
     out = []
     for s, i in enumerate(slots):

@@ -1,6 +1,8 @@
 """One kernel call per step for several problems: the batched Evans path
 against each problem alone, the kernel-call budget of a counting identity,
-the memory rule for lambda batches, and the lazily built split."""
+the memory rule for lambda batches, the lazily built split, and the verify
+suites: the map checks on an array of lambda against their scalar calls, and
+the kernel calls of a verify table and of a resolvent application."""
 import importlib
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import barrier_end, pc, rand_bc_cayley, rand_bc_real, two_wire
-from qgraph import (EdgeSpec, Sampled, StarGraph, build_preset, count_eigenvalues, evans,
-                    frame_matrix, free_edge, fundamental_frame, split_graph, verify_counting)
+from conftest import barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real, two_wire
+from qgraph import (EdgeSpec, Sampled, SplitSpec, StarGraph, build_preset, cli,
+                    count_eigenvalues, evans, frame_matrix, free_edge, fundamental_frame,
+                    resolvent, resolvent_apply, split_graph, verify_counting)
+from qgraph.graphs import SINGLE, TWO_WIRES
 
 evans_module = importlib.import_module("qgraph.evans")
 maps_module = importlib.import_module("qgraph.maps")
@@ -114,3 +118,76 @@ def test_split_builds_only_the_keys_it_reads(monkeypatch):
     assert len(parts) == 8 and parts["tilde2:NN"] is parts["tilde2:NN"]
     with pytest.raises(TypeError):
         parts["omega1:D"] = parts["omega1:N"]
+
+
+def _map_check_cases():
+    """The three references and a seeded 4-wire star, cut once and on two wires."""
+    g = _star(np.random.default_rng(5), 4, sampled=False)
+    bc = build_preset("kirchhoff", 4)
+    half = [0.5 * length for length in g.lengths]
+    return [barrier_end(), barrier_interior(), two_wire(),
+            (g, bc, SplitSpec(((1, half[1]),), SINGLE)),
+            (g, bc, SplitSpec(((0, half[0]), (2, half[2])), TWO_WIRES))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_map_checks_on_an_array_are_their_scalar_calls(case):
+    g, bc, spec = _map_check_cases()[case]
+    lams = np.random.default_rng(case).uniform(1.0, 60.0, 20)
+    split = (maps_module.verify_single_split(g, bc, spec.cuts[0], t) if spec.mode == SINGLE
+             else maps_module.verify_double_split(g, bc, spec, t) for t in (lams, *lams))
+    minors = (maps_module.minor_identity_check(g, bc, t) for t in (lams, *lams))
+    for batched, *scalars in (list(split), list(minors)):
+        assert all(type(r) is float for r in scalars)
+        assert batched.shape == lams.shape
+        assert batched.tobytes() == np.array(scalars).tobytes()
+
+
+def test_verify_table_kernel_calls_do_not_grow_with_the_draws(monkeypatch):
+    # every draw of a map check in one array call
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+    for which in ("single", "minors"):
+        calls = []
+        for rounds in (1, 20):
+            sizes = []
+            with monkeypatch.context() as m:
+                _count_kernel_calls(m, sizes)
+                text, ok = cli.verify_table(sc, which, rounds=rounds)
+            assert ok and len(text.splitlines()) == 1 + rounds
+            calls.append(len(sizes))
+        assert calls[0] == calls[1], (which, calls)
+
+
+def test_resolvent_and_u_gamma_take_two_kernel_calls_a_lambda(monkeypatch):
+    # one for the bundle's frames, one for every family on every edge
+    g = _star(np.random.default_rng(3), 4, sampled=True)
+    bc = build_preset("kirchhoff", 4)
+    sizes = []
+    _count_kernel_calls(monkeypatch, sizes)
+    resolvent_apply(g, bc, 17.3, [1.0, 0.5, lambda x: np.sin(x), 2.0])
+    assert len(sizes) <= 2, len(sizes)
+    sizes.clear()
+    resolvent._u_gamma(g, bc, 17.3, range(2 * g.n))
+    assert len(sizes) <= 2, len(sizes)
+
+
+def test_single_table_with_a_draw_on_a_pole_gives_the_loop_rows(monkeypatch):
+    # the array call raises, and the table is the per-draw loop's, retry included
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+    piece = split_graph(sc.graph, sc.bc, sc.splits)["omega1:D"]
+    pole = count_eigenvalues(*piece, (5.0, 60.0)).zeros[0][0]
+    real_sample, real_rows = cli._sample_lambdas, cli._residual_rows
+
+    def first_on_pole(rng, sweep, rounds):
+        lams = real_sample(rng, sweep, rounds)
+        lams[0] = pole
+        return lams
+
+    monkeypatch.setattr(cli, "_sample_lambdas", first_on_pole)
+    text, ok = cli.verify_table(sc, "single", seed=2, rounds=4)
+    drawn = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
+    assert ok and drawn[0] != pole and abs(drawn[0] - pole) <= 0.5
+    assert drawn[1:] == list(real_sample(np.random.default_rng(2), sc.sweep, 4)[1:])
+    monkeypatch.setattr(cli, "_residual_rows",
+                        lambda checks, fn, lams, batched=False: real_rows(checks, fn, lams))
+    assert cli.verify_table(sc, "single", seed=2, rounds=4)[0] == text

@@ -88,9 +88,12 @@ class EdgeSolutionBundle(FrameBundle):
     def ref(self):
         return RefBundle(self.graph, self.bc, self.lam)
 
-    def families(self, j, xs, weights):
-        ys = np.array([self.ref.ys[j][k].on(xs) for k in range(self.n)])
-        return np.einsum("kcp,km->cmp", ys, weights), np.array(self.ref.zs[j].on(xs))
+    def families(self, items):
+        out = []
+        for j, xs, weights in items:
+            ys = np.array([self.ref.ys[j][k].on(xs) for k in range(self.n)])
+            out.append((np.einsum("kcp,km->cmp", ys, weights), np.array(self.ref.zs[j].on(xs))))
+        return out
 
 
 def ref_outer(problem, lam):
