@@ -194,7 +194,9 @@ class FrameBundle:
         self.graph = g
         self.bc = bc
         self.lam = lam
-        self._lams = lambdas(lam)[0]
+        self._lams, scalar = lambdas(lam)
+        if not scalar:
+            raise ValueError("a frame bundle takes one lambda")
         # the frame at the outer ends holds Y(l); both frames in one kernel call
         f0, fl = _frames([(g, bc)] * 2, self._lams, [None, g.lengths])
         self.frame0 = FundamentalFrame(*(b[0] for b in (f0.Y, f0.Z, f0.Yp, f0.Zp)),

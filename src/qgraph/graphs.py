@@ -153,6 +153,8 @@ class EdgeSpec:
         object.__setattr__(self, "length", float(self.length))
         if not 0.0 < self.length < np.inf:
             raise ValueError(f"edge length must be positive and finite, got {self.length}")
+        if not isinstance(self.potential, (PiecewiseConstant, Sampled)):
+            raise TypeError(f"unsupported potential type {type(self.potential).__name__}")
         lo, hi = self.potential.span
         if abs(lo) > 1e-12 or abs(hi - self.length) > 1e-12 * max(1.0, self.length):
             raise ValueError(f"potential spans [{lo}, {hi}], edge needs [0, {self.length}]")

@@ -137,16 +137,18 @@ def map_M1(problem, lam, pole_scale=1.0) -> OneSidedMap:
 
     The defining solution keeps the outer condition and has unit value at
     the cut; the map is minus its derivative there, computed by propagating
-    the outer-condition solution z back to the cut.
+    the outer-condition solution z back to the cut.  An array of lambda
+    gives array values, as evans does.
     """
     g, bc = problem
     if g.n != 1:
         raise ValueError("expected a one-edge problem")
-    value = _dtn_blocks([(OUTER, problem, [])], lambdas(lam)[0])[0][0, 0, 0]
+    lams, scalar = lambdas(lam)
+    value = _dtn_blocks([(OUTER, problem, [])], lams)[0][:, 0, 0]
     e_d = evans(g, _with_cut_condition(bc, "D"), lam).value
     _check_pole(lam, e_d, "E1", pole_scale)
     e_n = evans(g, _with_cut_condition(bc, "N"), lam).value
-    return OneSidedMap(side=OUTER, value=value, lam=lam,
+    return OneSidedMap(side=OUTER, value=value[0] if scalar else value, lam=lam,
                        numerator_evans=e_n, denominator_evans=e_d)
 
 
@@ -158,14 +160,15 @@ def map_M2(problem, lam, cut_edge=0, pole_scale=1.0) -> OneSidedMap:
     g, bc = problem
     e_d = evans(g, bc, lam).value
     _check_pole(lam, e_d, "E2", pole_scale)
-    value = _dtn_blocks([(STAR, problem, [cut_edge])], lambdas(lam)[0])[0][0, 0, 0]
+    lams, scalar = lambdas(lam)
+    value = _dtn_blocks([(STAR, problem, [cut_edge])], lams)[0][:, 0, 0]
     e_n = evans(g, graphs._replace_outer(bc, {cut_edge: graphs.NEUMANN_PAIR}), lam).value
-    return OneSidedMap(side=STAR, value=value, lam=lam,
+    return OneSidedMap(side=STAR, value=value[0] if scalar else value, lam=lam,
                        numerator_evans=e_n, denominator_evans=e_d)
 
 
 def two_sided_sum(m1: OneSidedMap, m2: OneSidedMap):
-    if m1.lam != m2.lam:
+    if not np.array_equal(m1.lam, m2.lam):
         raise ValueError(f"maps at different lambda: {m1.lam} vs {m2.lam}")
     return m1.value + m2.value
 

@@ -11,11 +11,12 @@ mean potential with the first-order linear-perturbation correction (CPM/LPM:
 Ixaru 1984; Ledoux et al., Comput. Phys. Commun. 175 (2006) 424) is the more
 accurate of the two.  edge_transfers, the one kernel behind every solution
 the package evaluates, carries (u, u') to one position or an array of them
-for a whole array of lambda.  EdgeSolution builds one solution per (edge,
-lam, initial data) from the same segment steps: the per-lambda public API
-and the kernel's test reference.  adaptive_reference integrates the
-equation with an adaptive Runge-Kutta method instead, as an independent
-oracle.
+for a whole array of lambda: one segment_transfer call steps the chains of
+all its legs, and one more the positions of each array leg.  EdgeSolution
+builds one solution per (edge, lam, initial data) from the same segment
+steps: the per-lambda public API and the kernel's test reference.
+adaptive_reference integrates the equation with an adaptive Runge-Kutta
+method instead, as an independent oracle.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ class StateVector:
 
 
 _SERIES_CUT = 1e-8  # on |omega d|^2; below this sin(omega d)/omega needs the series
-POSITION_CHUNK = 4096  # lambdas x positions per segment_transfer call of the array legs
 
 
 def transfer_matrix(d, lam, nu=0.0):
@@ -304,48 +304,36 @@ def edge_transfers(legs, lams):
 
     Each leg chains the exact segment steps from x0 to the breakpoints,
     then steps to each position from the last breakpoint before it, so
-    every step runs away from x0.  The chains and scalar ends of all legs
-    share one segment_transfer call, the partial steps of all array legs one
-    chunked pass.  Returns an iterator that makes each array leg when it is
-    reached, so a caller that reduces each leg first never holds them all.
+    every step runs away from x0.  Every leg is planned, and checked, at
+    the call; the chains and scalar ends of all legs share one
+    segment_transfer call.  Returns an iterator that makes each array leg,
+    with one segment_transfer call for its positions, when it is reached,
+    so a caller that reduces each leg first holds one leg at a time.
     """
     lams = np.asarray(lams)
-    plans, rows, partials = [], [], []  # rows: steps (d, V at start, slope)
+    plans, rows = [], []  # rows: chain steps and scalar ends (d, V at start, slope)
     for edge, x0, x in legs:
-        if not isinstance(edge.potential, (PiecewiseConstant, Sampled)):
-            raise TypeError(f"unsupported potential type {type(edge.potential).__name__}")
-        chain, partial, ci = _segment_steps(edge.potential, _domain_x(edge, x0),
-                                            _domain_x(edge, x))
-        plans.append((len(rows), len(chain), ci))
-        rows += chain
-        (rows if ci is None else partials).append(partial)
+        chain, end, ci = _segment_steps(edge.potential, _domain_x(edge, x0), _domain_x(edge, x))
+        plans.append((len(rows), len(chain), end, ci))
+        rows += [*chain, end] if ci is None else chain
     steps = np.array(rows, dtype=float).reshape(-1, 3)
     mats = segment_transfer(steps[:, :1], lams, steps[:, 1:2], steps[:, 2:]) if plans else None
-    return _leg_results(plans, mats, np.concatenate(partials) if partials else None, lams)
+    return _leg_results(plans, mats, lams)
 
 
-def _leg_results(plans, mats, partial, lams):
-    """edge_transfers' legs from their chains in mats; the partial steps of the
-    array legs, rows of partial in leg order, in chunks of POSITION_CHUNK // L."""
-    size = max(1, POSITION_CHUNK // max(lams.size, 1))
-    chunk, at = (None, None), 0  # (first row, transfers) of the last chunk; the leg's first row
-    for start, nc, ci in plans:
+def _leg_results(plans, mats, lams):
+    """edge_transfers' legs from their chains in mats, an array leg's
+    partial steps each after its chain product."""
+    for start, nc, end, ci in plans:
         cum = [*itertools.accumulate(mats[start:start + nc], lambda a, m: m @ a)] if nc else []
         if ci is None:
             yield mats[start + nc] @ cum[-1] if nc else mats[start + nc]
             continue
-        base = np.stack([np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum], axis=1)
-        out = np.empty(lams.shape + (len(ci), 2, 2), dtype=np.result_type(lams, 1.0))
-        for k in range(at - at % size, at + len(ci), size):
-            if chunk[0] != k:
-                s = partial[k:k + size]
-                chunk = k, np.swapaxes(segment_transfer(s[:, :1], lams, s[:, 1:2], s[:, 2:]), 0, 1)
-            lo, hi = max(k, at), min(k + size, at + len(ci))
-            o = slice(lo - at, hi - at)
-            m, b = chunk[1][:, lo - k:hi - k], base[:, ci[o]]
-            for r, q in itertools.product(range(2), range(2)):  # m @ b, faster entrywise
-                out[:, o, r, q] = m[..., r, 0] * b[..., 0, q] + m[..., r, 1] * b[..., 1, q]
-        at += len(ci)
+        b = np.stack([np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum], axis=1)[:, ci]
+        m = np.swapaxes(segment_transfer(end[:, :1], lams, end[:, 1:2], end[:, 2:]), 0, 1)
+        out = np.empty(m.shape, dtype=np.result_type(lams, 1.0))
+        for r, q in itertools.product(range(2), range(2)):  # m @ b, faster entrywise
+            out[..., r, q] = m[..., r, 0] * b[..., 0, q] + m[..., r, 1] * b[..., 1, q]
         yield out
 
 
@@ -387,8 +375,6 @@ class EdgeSolution:
         anchor = _domain_x(edge, anchor)
         self.edge = edge
         self.lam = lam
-        if not isinstance(edge.potential, (PiecewiseConstant, Sampled)):
-            raise TypeError(f"unsupported potential type {type(edge.potential).__name__}")
         self._engine = _PiecewiseEngine(edge, lam, value, deriv, anchor)
 
     def at(self, x) -> StateVector:

@@ -1,8 +1,9 @@
 """One kernel call per step for several problems: the batched Evans path
 against each problem alone, the kernel-call budget of a counting identity,
 the memory rule for lambda batches, the lazily built split, and the verify
-suites: the map checks on an array of lambda against their scalar calls, and
-the kernel calls of a verify table and of a resolvent application."""
+suites: the map checks and one-sided maps on an array of lambda against
+their scalar calls, and the kernel calls of a verify table and of a
+resolvent application."""
 import importlib
 
 import numpy as np
@@ -141,6 +142,24 @@ def test_map_checks_on_an_array_are_their_scalar_calls(case):
         assert all(type(r) is float for r in scalars)
         assert batched.shape == lams.shape
         assert batched.tobytes() == np.array(scalars).tobytes()
+
+
+@pytest.mark.parametrize("case", [0, 3])
+def test_one_sided_maps_on_an_array_are_their_scalar_calls(case):
+    # the single-cut cases: both maps of the cut, every field lambda by lambda
+    g, bc, spec = _map_check_cases()[case]
+    parts = split_graph(g, bc, spec)
+    lams = np.random.default_rng(case).uniform(1.0, 60.0, 20)
+    both = []
+    for build in (lambda t: maps_module.map_M1(parts["omega1:D"], t),
+                  lambda t: maps_module.map_M2(parts["omega2:D"], t, cut_edge=spec.cuts[0][0])):
+        batched, scalars = build(lams), [build(t) for t in lams]
+        for field in ("value", "numerator_evans", "denominator_evans"):
+            got = getattr(batched, field)
+            assert got.shape == lams.shape, field
+            assert got.tobytes() == np.array([getattr(m, field) for m in scalars]).tobytes(), field
+        both.append(batched)
+    assert np.array_equal(maps_module.two_sided_sum(*both), both[0].value + both[1].value)
 
 
 def test_verify_table_kernel_calls_do_not_grow_with_the_draws(monkeypatch):

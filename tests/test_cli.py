@@ -364,6 +364,15 @@ def test_verify_rejects_mismatched_mode(tmp_path):
         cli.verify_table(sc, "double")
 
 
+@pytest.mark.parametrize("name", ["barrier_interior", "two_wire"])
+def test_verify_double_table(tmp_path, capsys, name):
+    code = cli.main(["verify", "--scenario", _scenario_file(tmp_path, name),
+                     "--which", "double"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0 and len(rows) == 20
+    assert all(r.startswith("double_split,") and r.endswith(",PASS") for r in rows)
+
+
 def test_verify_needs_at_least_one_round(tmp_path, capsys):
     path = _scenario_file(tmp_path)
     sc = cli.load_scenario(path)

@@ -232,6 +232,24 @@ def test_pole_on_boundary_rejected():
                   (10.0 - 5e-11, 20.0))
 
 
+def test_map_delta_skips_samples_that_raise():
+    # the one-lambda path: a sample that raises counts as a blowup, not a sign
+    from qgraph.maps import PoleAtLambda
+    raised = []
+
+    def m(t):
+        if abs(t - 7.0) <= 1e-3:
+            raised.append(t)
+            raise PoleAtLambda(t, 0.0)
+        return (t - 5.0) * (t - 12.0) / (t - 10.0)
+
+    rep = map_delta(m, [lambda t: t - 10.0], (1.0, 20.0), grid=288)
+    assert raised  # this grid puts a sample 9.4e-5 from 7
+    assert [round(z, 9) for z, _ in rep.zeros] == [5.0, 12.0]
+    assert [round(p, 9) for p, _ in rep.poles] == [10.0]
+    assert rep.delta_N == 1
+
+
 def test_endpoint_on_eigenvalue_is_nudged():
     from scipy.optimize import brentq
     from qgraph import evans

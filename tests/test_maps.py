@@ -5,12 +5,12 @@ import pytest
 
 from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley,
                       rand_bc_real, rand_graph, two_wire)
-from qgraph import (BoundaryConditions, EdgeSpec, PoleAtLambda, SplitSpec,
+from qgraph import (BoundaryConditions, EdgeSpec, PoleAtLambda, Sampled, SplitSpec,
                     StarGraph, build_preset, evans, free_edge, map_M1, map_M2,
                     minor_identity_check, split_graph, two_sided_2x2_same_wire,
                     two_sided_2x2_two_wires, two_sided_sum, two_sided_value,
-                    verify_double_split, verify_single_split)
-from qgraph.graphs import SINGLE
+                    verify_counting, verify_double_split, verify_single_split)
+from qgraph.graphs import SAME_WIRE, SINGLE, TWO_WIRES
 
 
 def test_barrier_end_values_at_20():
@@ -292,3 +292,19 @@ def test_double_split_row_splits_once(monkeypatch):
     monkeypatch.setattr(maps, "split_graph", counted)
     assert verify_double_split(g, bc, spec, 20.0) < 1e-13
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", [SplitSpec(((0, 0.55),), SINGLE),
+                                  SplitSpec(((0, 0.9), (0, 0.35)), SAME_WIRE),
+                                  SplitSpec(((0, 0.5), (1, 0.5)), TWO_WIRES)])
+def test_splits_through_a_sampled_wire(spec):
+    # every cut splits the sampled wire, so its pieces are Sampled.restrict outputs
+    xs = np.linspace(0.0, 1.2, 13)
+    g = StarGraph((EdgeSpec(1.2, Sampled(tuple(xs), tuple(-15.0 * np.sin(np.pi * xs / 1.2)))),
+                   free_edge(1.0), free_edge(0.8)))
+    bc = build_preset("kirchhoff", 3)
+    assert verify_counting(g, bc, spec, (2.0, 60.0)).holds
+    lams = np.linspace(2.5, 58.5, 7)
+    res = (verify_single_split(g, bc, spec.cuts[0], lams) if spec.mode == SINGLE
+           else verify_double_split(g, bc, spec, lams))
+    assert res.shape == lams.shape and res.max() <= 1e-12

@@ -12,7 +12,7 @@ from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc
                       two_wire)
 from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec, FrameBundle,
                     NoIndependentPartner, OnSpectrum, QuadratureFailure,
-                    SingularDeltaCombination, StarGraph, adjustment_vectors,
+                    Sampled, SingularDeltaCombination, StarGraph, adjustment_vectors,
                     build_preset, build_projections, free_edge,
                     inner_product_check, map_M2, particular_solution,
                     projection_equations, resolvent_apply, segment_residual,
@@ -352,3 +352,27 @@ def test_all_slots_match_per_slot(seed, n, complex_bc, complex_lam, sampled):
         scale = np.max(np.abs(one.direct))
         assert abs(ug.sup_discrepancy - one.sup_discrepancy) <= 1e-12 * scale
         assert abs(ug.trace_residual - one.trace_residual) <= 1e-12 * scale
+
+
+def test_one_lambda_per_bundle():
+    # an array of lambda is refused, not cut to its first entry
+    g, bc, _ = barrier_end()
+    with pytest.raises(ValueError, match="one lambda"):
+        FrameBundle(g, bc, [17.3, 30.1])
+    with pytest.raises(ValueError, match="one lambda"):
+        resolvent_apply(g, bc, np.array([17.3, 30.1]), [1.0, 1.0])
+    with pytest.raises(ValueError, match="one lambda"):
+        u_gamma(g, bc, [17.3, 30.1], 0)
+
+
+def test_sampled_and_array_sources_are_their_interpolants():
+    # both source forms are linear interpolants on their own grids
+    g, bc, _ = barrier_end()
+    prof = Sampled((0.0, 0.2, 0.7, 1.0), (1.0, -2.0, 0.5, 3.0))
+    arr = np.array([0.0, 2.0, -1.0, 0.5, 1.5])
+    grid = np.linspace(0.0, g.edges[1].length, arr.size)
+    got = resolvent_apply(g, bc, 17.3, [prof, arr]).output
+    want = resolvent_apply(g, bc, 17.3, [lambda x: np.interp(x, prof.xs, prof.vs),
+                                         lambda x: np.interp(x, grid, arr)]).output
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
