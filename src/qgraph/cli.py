@@ -41,13 +41,11 @@ from . import maps
 from .counting import EndpointOnSpectrum, PoleOnBoundary, verify_counting
 from .evans import _evans_each
 from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
-                     BoundaryConditions, EdgeSpec, GraphError,
+                     BoundaryConditions, BoundaryData, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
                      build_preset, free_edge, split_graph)
-from .resolvent import (NoIndependentPartner, OnSpectrum, QuadratureFailure,
-                        _u_gamma, build_projections, projection_equations,
-                        resolvent_apply, segment_residual)
-from .graphs import BoundaryData
+from .resolvent import (QuadratureFailure, _u_gamma, build_projections,
+                        projection_equations, resolvent_apply, segment_residual)
 
 
 class ScenarioError(ValueError):
@@ -333,8 +331,7 @@ def _residual_rows(checks, fn, lams, batched=False):
             try:
                 found.append((x, [float(r) for r in fn(x)]))
                 break
-            except (maps.PoleAtLambda, OnSpectrum, NoIndependentPartner,
-                    ArithmeticError, np.linalg.LinAlgError):
+            except (ArithmeticError, np.linalg.LinAlgError):  # poles included
                 x = lam + rng.uniform(-0.5, 0.5)
         else:
             raise QuadratureFailure(f"{checks[0][0]}: no pole-free lambda near {lam}")

@@ -340,7 +340,7 @@ def verify_counting(g, bc, spec, interval, grid=None) -> CountingIdentityReport:
         vs = values(pairs.ravel()).reshape(-1, *pairs.shape)
         return np.any(vs[..., 0] * vs[..., 1] <= 0, axis=0)
 
-    ends = [float(interval[0]), float(interval[1])]
+    ends = lambda_grid(interval, grid)[[0, -1]].tolist()  # a bad interval fails before the probe
     for end in np.flatnonzero(on_spectrum(ends)):
         x = ends[end]
         moved = x + (10 * REFINE_TOL if end == 0 else -10 * REFINE_TOL)

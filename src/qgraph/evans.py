@@ -254,10 +254,9 @@ class FrameBundle:
 
 def x_independence_check(g: StarGraph, bc: BoundaryConditions, lam,
                          trial_points) -> float:
-    """Max relative spread of the determinant over the trial evaluation points."""
+    """Max spread of the determinant over the trial points, relative to its largest value."""
     trial_points = list(trial_points)
     if len(trial_points) < 2:
         raise ValueError("need at least two trial points")
-    vals = [evans(g, bc, lam, eval_point=xs).value for xs in trial_points]
-    ref = vals[0]
-    return float(max(abs(v - ref) for v in vals[1:]) / (1.0 + abs(ref)))
+    vals = np.array([evans(g, bc, lam, eval_point=xs).value for xs in trial_points])
+    return float(abs(vals[1:] - vals[0]).max() / abs(vals).max())

@@ -27,7 +27,7 @@ from .graphs import (BoundaryConditions, SplitSpec, StarGraph, split_graph)
 from .evans import (_leg_transfers, beta_trace, chunked, evans, frame_matrix,
                     fundamental_frame, lambdas, y_blocks, z_values)
 
-POLE_RTOL = 1e-6  # |denominator Evans| below this times the local scale is a pole
+POLE_RTOL = 1e-6  # a denominator zero within POLE_RTOL (1 + |lambda|) of lambda is a pole
 
 OUTER = "outer"
 STAR = "star"
@@ -73,10 +73,22 @@ class TwoSidedMap2x2:
         return np.linalg.det(self.m1 + self.m2)
 
 
-def _check_pole(lam, value, label, pole_scale):
-    hit = np.flatnonzero(np.abs(value) < POLE_RTOL * pole_scale)
+def _pole_probe(lam):
+    """lam's lambdas, then each moved by -h and by +h, h = POLE_RTOL (1 + |lambda|)."""
+    lams, _ = lambdas(lam)
+    h = POLE_RTOL * (1.0 + abs(lams))
+    return np.concatenate([lams, lams - h, lams + h])
+
+
+def _check_pole(lam, probed, label):
+    """Denominator values at lam from their values at _pole_probe(lam), or
+    PoleAtLambda where a zero lies within h by Newton distance |E / E'|, E'
+    the central difference: |E(lam)| <= |E(lam + h) - E(lam - h)| / 2."""
+    e, below, above = np.split(probed, 3)
+    hit = np.flatnonzero(2 * abs(e) <= abs(above - below))
     if hit.size:
-        raise PoleAtLambda(np.ravel(lam)[hit[0]], np.ravel(value)[hit[0]], label)
+        raise PoleAtLambda(np.ravel(lam)[hit[0]], e[hit[0]], label)
+    return e if np.ndim(lam) else e[0]
 
 
 def _with_cut_condition(bc: BoundaryConditions, letter: str) -> BoundaryConditions:
@@ -132,7 +144,7 @@ def _dtn_blocks(pieces, lams):
     return blocks
 
 
-def map_M1(problem, lam, pole_scale=1.0) -> OneSidedMap:
+def map_M1(problem, lam) -> OneSidedMap:
     """Map of a detached interval: (graph, bc) with the cut in the origin slot.
 
     The defining solution keeps the outer condition and has unit value at
@@ -145,21 +157,19 @@ def map_M1(problem, lam, pole_scale=1.0) -> OneSidedMap:
         raise ValueError("expected a one-edge problem")
     lams, scalar = lambdas(lam)
     value = _dtn_blocks([(OUTER, problem, [])], lams)[0][:, 0, 0]
-    e_d = evans(g, _with_cut_condition(bc, "D"), lam).value
-    _check_pole(lam, e_d, "E1", pole_scale)
+    e_d = _check_pole(lam, evans(g, _with_cut_condition(bc, "D"), _pole_probe(lam)).value, "E1")
     e_n = evans(g, _with_cut_condition(bc, "N"), lam).value
     return OneSidedMap(side=OUTER, value=value[0] if scalar else value, lam=lam,
                        numerator_evans=e_n, denominator_evans=e_d)
 
 
-def map_M2(problem, lam, cut_edge=0, pole_scale=1.0) -> OneSidedMap:
+def map_M2(problem, lam, cut_edge=0) -> OneSidedMap:
     """Map of a residual star: (graph, bc) with Dirichlet cut data in the
     outer slot of cut_edge.  Value is the derivative at the cut of the
     solution with unit value there and homogeneous conditions elsewhere.
     """
     g, bc = problem
-    e_d = evans(g, bc, lam).value
-    _check_pole(lam, e_d, "E2", pole_scale)
+    e_d = _check_pole(lam, evans(g, bc, _pole_probe(lam)).value, "E2")
     lams, scalar = lambdas(lam)
     value = _dtn_blocks([(STAR, problem, [cut_edge])], lams)[0][:, 0, 0]
     e_n = evans(g, graphs._replace_outer(bc, {cut_edge: graphs.NEUMANN_PAIR}), lam).value
@@ -174,33 +184,32 @@ def two_sided_sum(m1: OneSidedMap, m2: OneSidedMap):
 
 
 def two_sided_2x2_same_wire(g: StarGraph, bc: BoundaryConditions,
-                            spec: SplitSpec, lam, pole_scale=1.0) -> TwoSidedMap2x2:
+                            spec: SplitSpec, lam) -> TwoSidedMap2x2:
     """Cuts at s2 < s1 on one edge.  m1 is the both-slot map of the middle
     interval [s2, s1] (slot order: s1 first); m2 is diagonal because its
     domain is disconnected: the outer map at s1 and the star map at s2.
     """
     if spec.mode != graphs.SAME_WIRE:
         raise ValueError("expected a same-wire split")
-    return _checked_map(g, bc, spec, lam, pole_scale)[1]
+    return _checked_map(g, bc, spec, lam)[1]
 
 
 def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
-                            spec: SplitSpec, lam, pole_scale=1.0) -> TwoSidedMap2x2:
+                            spec: SplitSpec, lam) -> TwoSidedMap2x2:
     """Cuts on two distinct edges.  m1 is diagonal over the two detached
     outer intervals; m2 couples the cuts through the residual star, its
     columns solving for unit value at one cut and zero at the other.
     """
     if spec.mode != graphs.TWO_WIRES:
         raise ValueError("expected a two-wire split")
-    return _checked_map(g, bc, spec, lam, pole_scale)[1]
+    return _checked_map(g, bc, spec, lam)[1]
 
 
-def _checked_map(g, bc, spec, lam, pole_scale):
+def _checked_map(g, bc, spec, lam):
     """Piece Evans factors and the two-sided map at lam (stacked for an array), or PoleAtLambda."""
     parts = split_graph(g, bc, spec)
-    factors = split_evans_factors(g, bc, spec, lam, parts)
-    for key, value in factors.items():
-        _check_pole(lam, value, key, pole_scale)
+    factors = {key: _check_pole(lam, value, key) for key, value in
+               split_evans_factors(g, bc, spec, _pole_probe(lam), parts).items()}
     lams, scalar = lambdas(lam)
     m1, m2 = (m[0] if scalar else m for m in _blocks(parts, spec, lams))
     return factors, TwoSidedMap2x2(m1=m1, m2=m2, geometry=spec.mode, lam=lam)
@@ -266,24 +275,22 @@ def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, l
     return {p.factor_key: evans(*parts[p.factor_key], lam).value for p in spec.pieces}
 
 
-def verify_single_split(g: StarGraph, bc: BoundaryConditions, cut, lam,
-                        pole_scale=1.0) -> float:
+def verify_single_split(g: StarGraph, bc: BoundaryConditions, cut, lam) -> float:
     """Residual of E = E1 E2 (M1 + M2) at lam, one per lambda of an array, over
     the size of the terms, |E1 E2| (|M1| + |M2|), which shrinks with E on wide stars."""
-    return _split_residual(g, bc, SplitSpec((cut,), graphs.SINGLE), lam, pole_scale)
+    return _split_residual(g, bc, SplitSpec((cut,), graphs.SINGLE), lam)
 
 
-def verify_double_split(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec,
-                        lam, pole_scale=1.0) -> float:
+def verify_double_split(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam) -> float:
     """Residual of E = E1 Et1 Et2 det(a), a = MM1 + MM2, at lam, one per lambda
     of an array, over the size of the terms, |E1 Et1 Et2| (|a00 a11| + |a01 a10|)."""
     if spec.mode == graphs.SINGLE:
         raise ValueError("expected a two-cut split")
-    return _split_residual(g, bc, spec, lam, pole_scale)
+    return _split_residual(g, bc, spec, lam)
 
 
-def _split_residual(g, bc, spec, lam, pole_scale):
-    factors, two = _checked_map(g, bc, spec, lam, pole_scale)
+def _split_residual(g, bc, spec, lam):
+    factors, two = _checked_map(g, bc, spec, lam)
     prod = np.prod(list(factors.values()), axis=0)
     e_full = evans(g, bc, lam).value
     a = two.m1 + two.m2

@@ -287,9 +287,6 @@ class _AdaptiveEngine:
         """Fundamental matrix at x (2 x 2), or at each of an array of x (2 x 2 x P)."""
         return self._unpack(self._sol.sol(x))
 
-    def at(self, x):
-        return self.matrix(x) @ self._coef
-
     def on(self, xs):
         m = self.matrix(np.asarray(xs, dtype=float))
         u = m[0, 0] * self._coef[0] + m[0, 1] * self._coef[1]

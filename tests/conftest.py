@@ -44,6 +44,24 @@ def two_wire():
     return g, bc, spec
 
 
+def wide_star(n, seed):
+    """Seeded n-wire Kirchhoff star with Dirichlet ends: lengths in
+    [0.75, 1.25], on each wire three pieces in [-12, 12] with breakpoints at
+    two distinct eighths of its length, cut at the first breakpoint of
+    wires 0 and 1.  Its Evans values fall geometrically with n."""
+    rng = np.random.default_rng(seed)
+    edges, breaks = [], []
+    for _ in range(n):
+        length = rng.uniform(0.75, 1.25)
+        b1, b2 = sorted(rng.choice(np.arange(1, 8), 2, replace=False))
+        xs = (0.0, b1 * length / 8, b2 * length / 8, length)
+        vals = rng.uniform(-12.0, 12.0, 3)
+        edges.append(EdgeSpec(length, pc(*[(xs[i], xs[i + 1], vals[i]) for i in range(3)])))
+        breaks.append(xs[1])
+    spec = SplitSpec(((0, breaks[0]), (1, breaks[1])), TWO_WIRES)
+    return StarGraph(tuple(edges)), build_preset("kirchhoff", n), spec
+
+
 def rand_bc_real(n, rng, margin=0.0):
     """Random real self-adjoint conditions via two orthogonal factors.
 

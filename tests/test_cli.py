@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import qgraph
-from qgraph import cli, resolvent
+from conftest import wide_star
+from qgraph import cli, maps, resolvent
 from qgraph.counting import PoleOnBoundary
 
 
@@ -331,6 +332,17 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
         assert err.startswith("invalid scenario:") and f"got {grid}" in err, err
 
 
+def test_infinite_count_interval_is_rejected_before_any_evaluation(tmp_path, capsys):
+    doc = cli.parse_scenario(cli._EXAMPLES["barrier_end"]).to_dict()
+    doc["count"]["intervals"] = [[5.0, float("inf")]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["count", "--scenario", str(bad)]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_exit_4_on_boundary_pole(tmp_path, monkeypatch, capsys):
     def boom(*a, **k):
         raise PoleOnBoundary("map pole at lambda=5 sits on the interval boundary")
@@ -371,6 +383,32 @@ def test_verify_double_table(tmp_path, capsys, name):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert code == 0 and len(rows) == 20
     assert all(r.startswith("double_split,") and r.endswith(",PASS") for r in rows)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("n", [8, 16])
+def test_verify_double_table_on_a_wide_star(tmp_path, capsys, n, seed):
+    # the residual star's Evans values are ~1e-7 (n = 8) and ~1e-13 (n = 16), so an
+    # absolute pole threshold would call nearly every lambda a pole
+    g, bc, spec = wide_star(n, seed)
+    sc = cli.Scenario(graph=g, bc=bc, splits=spec, sweep=None, count_intervals=(),
+                      count_grid=None, boundary_block={"preset": "kirchhoff"})
+    path = tmp_path / "wide.scenario.json"
+    path.write_text(cli.scenario_json(sc), encoding="utf-8")
+    code = cli.main(["verify", "--scenario", str(path), "--which", "double"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0 and len(rows) == 20
+    assert all(r.startswith("double_split,") and r.endswith(",PASS") for r in rows)
+
+
+def test_verify_gives_up_when_every_lambda_is_a_pole(tmp_path, monkeypatch, capsys):
+    def pole(g, bc, cut, lam):
+        raise maps.PoleAtLambda(lam, 0.0)
+
+    monkeypatch.setattr(maps, "verify_single_split", pole)
+    code = cli.main(["verify", "--scenario", _scenario_file(tmp_path), "--which", "single"])
+    assert code == 3
+    assert "no pole-free lambda" in capsys.readouterr().err
 
 
 def test_verify_needs_at_least_one_round(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Frame construction, determinant invariants, and the trig reductions the
 reference configurations are known to satisfy."""
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import (barrier_end, barrier_interior, rand_bc_cayley,
-                      rand_bc_real, rand_graph, two_wire)
+                      rand_bc_real, rand_graph, two_wire, wide_star)
 from qgraph import (BoundaryConditions, FrameBundle, StarGraph, build_preset,
                     c_matrix, evans, frame_matrix, free_edge,
                     fundamental_frame, split_graph, x_independence_check)
@@ -51,6 +54,25 @@ def test_determinant_ignores_evaluation_point(rng):
         lens = np.array([e.length for e in g.edges])
         pts = [np.zeros(n)] + [rng.uniform(0, 1, n) * lens for _ in range(4)]
         assert x_independence_check(g, bc, rng.uniform(3, 40), pts) < 1e-9
+
+
+def test_evaluation_point_check_sees_one_wrong_point_on_a_wide_star(monkeypatch):
+    # |E| ~ 5e-13 on the 16-wire star at lambda = 20: a spread measured
+    # against 1 + |E| would pass a point whose value is 1% off
+    g, bc, _ = wide_star(16, 1)
+    lens = np.array([e.length for e in g.edges])
+    pts = [np.zeros(16), 0.5 * lens, 0.25 * lens]
+    assert abs(evans(g, bc, 20.0).value) < 1e-11
+    assert x_independence_check(g, bc, 20.0, pts) < 1e-11
+    module = importlib.import_module("qgraph.evans")  # qgraph.evans is also the function
+    true_evans = module.evans
+
+    def one_point_off(g_, bc_, lam, eval_point=None):
+        out = true_evans(g_, bc_, lam, eval_point=eval_point)
+        return replace(out, value=out.value * 1.01) if eval_point is pts[2] else out
+
+    monkeypatch.setattr(module, "evans", one_point_off)
+    assert x_independence_check(g, bc, 20.0, pts) > 1e-3
 
 
 def test_conjugate_symmetry_real_coefficients(rng):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley,
-                      rand_bc_real, rand_graph, two_wire)
+                      rand_bc_real, rand_graph, two_wire, wide_star)
 from qgraph import (BoundaryConditions, EdgeSpec, PoleAtLambda, Sampled, SplitSpec,
-                    StarGraph, build_preset, evans, free_edge, map_M1, map_M2,
-                    minor_identity_check, split_graph, two_sided_2x2_same_wire,
+                    StarGraph, build_preset, count_eigenvalues, evans, free_edge, map_M1,
+                    map_M2, minor_identity_check, split_graph, two_sided_2x2_same_wire,
                     two_sided_2x2_two_wires, two_sided_sum, two_sided_value,
                     verify_counting, verify_double_split, verify_single_split)
 from qgraph.graphs import SAME_WIRE, SINGLE, TWO_WIRES
@@ -125,11 +125,38 @@ def test_pole_detection():
     lam_star = (0.75 * np.pi) ** 2
     with pytest.raises(PoleAtLambda):
         map_M2(parts["omega2:D"], lam_star, cut_edge=0)
-    # a tight pole_scale lets callers probe closer to the pole
+    # within POLE_RTOL (1 + |lambda|) of the pole is still a pole
     near = lam_outer + 1e-5
     with pytest.raises(PoleAtLambda):
         map_M1(parts["omega1:D"], near)
-    assert np.isfinite(map_M1(parts["omega1:D"], near, pole_scale=1e-12).value)
+
+
+def test_maps_raise_near_their_poles_only():
+    # 1e-9 from a map pole is a pole, in an array too; 1e-3 away is not
+    g, bc, spec = barrier_end()
+    parts = split_graph(g, bc, spec)
+    for build, pole in ((lambda t: map_M1(parts["omega1:D"], t), (1.5 * np.pi) ** 2 - 10),
+                        (lambda t: map_M2(parts["omega2:D"], t, cut_edge=0),
+                         (0.75 * np.pi) ** 2)):
+        for lam in (pole + 1e-9, np.array([pole + 1e-3, pole + 1e-9])):
+            with pytest.raises(PoleAtLambda):
+                build(lam)
+        assert np.isfinite(build(pole + 1e-3).value)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_piece_eigenvalue_is_a_pole_on_a_wide_star(n):
+    # |E| of the 15-wire piece is ~1e-13 on the 16-wire star, far below any
+    # absolute threshold, yet only a lambda near a piece eigenvalue is a pole
+    g, bc, spec = wide_star(n, 1)
+    parts = split_graph(g, bc, spec)
+    reports = [count_eigenvalues(*parts[p.factor_key], (1.0, 60.0)) for p in spec.pieces]
+    firsts = [rep.zeros[0][0] for rep in reports if rep.zeros]  # the short outer piece has none
+    assert len(firsts) == 2
+    for p in firsts:
+        with pytest.raises(PoleAtLambda):
+            verify_double_split(g, bc, spec, p + 1e-9)
+        assert verify_double_split(g, bc, spec, p + 1e-3) < 1e-12
 
 
 def test_maps_decrease_between_poles():
