@@ -44,8 +44,8 @@ from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, BoundaryData, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
                      build_preset, free_edge, split_graph)
-from .resolvent import (QuadratureFailure, _u_gamma, build_projections,
-                        projection_equations, resolvent_apply, segment_residual)
+from .resolvent import (QuadratureFailure, _resolvent_residuals, _u_gamma_residuals,
+                        build_projections, projection_equations, resolvent_apply)
 
 
 class ScenarioError(ValueError):
@@ -363,12 +363,9 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
         lams = _sample_lambdas(rng, sc.sweep, rounds or 10)
         amps = rng.uniform(-2.0, 2.0, g.n)
         v = [float(a) for a in amps]
-
-        def residuals(t):  # both rows of one lambda from one application
-            app = resolvent_apply(g, bc, t, v)
-            return app.gamma_residual, segment_residual(g, t, app, v)
-
-        rows = _residual_rows((("gamma_trace", 1e-8), ("ode_defect", 1e-7)), residuals, lams)
+        # both rows of a lambda from one application, every draw in one pass
+        rows = _residual_rows((("gamma_trace", 1e-8), ("ode_defect", 1e-7)),
+                              lambda t: _resolvent_residuals(g, bc, t, v), lams, batched=True)
     elif which == "projections":
         ps = build_projections(bc)
         dim = 2 * g.n
@@ -396,14 +393,10 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
         rows += _residual_rows((("trace_relations", 1e-8),), trace_res, [lam0 + 0.05])
     elif which == "ugamma":
         lams = _sample_lambdas(rng, sc.sweep, rounds or 5)
-
-        def paths(t):  # every row of one lambda from one bundle
-            return [r for p in _u_gamma(g, bc, t, range(2 * g.n))
-                    for r in (p.sup_discrepancy, p.trace_residual)]
-
         checks = [(f"ugamma_{kind}_e{i}", tol) for i in range(2 * g.n)
                   for kind, tol in (("sup", 1e-7), ("trace", 1e-8))]
-        rows = _residual_rows(checks, paths, lams)
+        # every row of a lambda from one bundle, every draw in one pass
+        rows = _residual_rows(checks, lambda t: _u_gamma_residuals(g, bc, t), lams, batched=True)
     else:
         raise ScenarioError(f"unknown verification {which!r}")
     if which in ("single", "double", "minors"):

@@ -11,8 +11,9 @@ the Y blocks are exact initial data and only Z propagates.
 Every block, and every value FrameBundle.families returns, comes from
 propagate.edge_transfers: a bundle makes one call for its blocks and one
 for each families() call, which covers both families on every edge asked
-for.  evans and fundamental_frame accept an array of lambda and return
-stacked results.  _evans_each evaluates several problems, all their legs in
+for; FrameBundle.over holds the families of a whole array of lambda.
+evans and fundamental_frame accept an array of lambda and return stacked
+results.  _evans_each evaluates several problems, all their legs in
 one edge_transfers call per batch of max(1, CHUNK // sum of n^2) lambdas,
 which bounds a batch's memory; evans is its one-problem case.
 """
@@ -112,30 +113,42 @@ def beta_trace(bc: BoundaryConditions, yl, ylp):
     return bc.beta1[:, None] * yl + bc.beta2[:, None] * ylp
 
 
+def _frame_legs(g, bc, point):
+    """The evaluation point of a frame at point (None: the origin) and its
+    legs: one z leg per edge from its outer end, then one Y leg per moved edge."""
+    require_valid_bc(bc)
+    if bc.n != g.n:
+        raise ValueError(f"graph has {g.n} edges, bc has n={bc.n}")
+    xs = np.zeros(g.n) if point is None else np.asarray(point, dtype=float)
+    if xs.shape != (g.n,):
+        raise ValueError("eval_point needs one coordinate per edge")
+    return xs, ([(e, e.length, x) for e, x in zip(g.edges, xs)]
+                + [(g.edges[j], 0.0, xs[j]) for j in np.flatnonzero(xs)])
+
+
+def _frame(g, bc, lams, xs, ts):
+    """The frame at xs from the transfers ts of its _frame_legs."""
+    z, zp = z_values(bc, ts[:g.n])
+    Y, Yp = y_blocks(bc, lams, xs, ts[g.n:])
+    diag = np.arange(g.n)
+    Z = np.zeros(Y.shape, dtype=z.dtype)
+    Zp = np.zeros(Y.shape, dtype=zp.dtype)
+    Z[:, diag, diag], Zp[:, diag, diag] = z, zp
+    return FundamentalFrame(Y=Y, Z=Z, Yp=Yp, Zp=Zp, lam=lams, eval_point=xs)
+
+
 def _frames(problems, lams, points):
     """The frame of every (graph, bc) problem at its evaluation point (None:
     the origin), stacked along the lambda axis, from one edge_transfers call."""
-    legs, xss = [], []
-    for (g, bc), point in zip(problems, points):
-        require_valid_bc(bc)
-        if bc.n != g.n:
-            raise ValueError(f"graph has {g.n} edges, bc has n={bc.n}")
-        xs = np.zeros(g.n) if point is None else np.asarray(point, dtype=float)
-        if xs.shape != (g.n,):
-            raise ValueError("eval_point needs one coordinate per edge")
-        xss.append(xs)
-        legs.append([(e, e.length, x) for e, x in zip(g.edges, xs)]
-                    + [(g.edges[j], 0.0, xs[j]) for j in np.flatnonzero(xs)])
-    frames = []
-    for (g, bc), xs, ts in zip(problems, xss, _leg_transfers(legs, lams)):
-        z, zp = z_values(bc, ts[:g.n])
-        Y, Yp = y_blocks(bc, lams, xs, ts[g.n:])
-        diag = np.arange(g.n)
-        Z = np.zeros(Y.shape, dtype=z.dtype)
-        Zp = np.zeros(Y.shape, dtype=zp.dtype)
-        Z[:, diag, diag], Zp[:, diag, diag] = z, zp
-        frames.append(FundamentalFrame(Y=Y, Z=Z, Yp=Yp, Zp=Zp, lam=lams, eval_point=xs))
-    return frames
+    planned = [_frame_legs(g, bc, point) for (g, bc), point in zip(problems, points)]
+    return [_frame(g, bc, lams, xs, ts) for (g, bc), (xs, _), ts in
+            zip(problems, planned, _leg_transfers([legs for _, legs in planned], lams))]
+
+
+def _at(frame, lam, scalar):
+    """frame labelled lam, its lambda axis dropped for a scalar lam."""
+    blocks = [b[0] if scalar else b for b in (frame.Y, frame.Z, frame.Yp, frame.Zp)]
+    return FundamentalFrame(*blocks, lam=lam, eval_point=frame.eval_point)
 
 
 def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
@@ -144,8 +157,7 @@ def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
     lambda every block gains a leading lambda axis."""
     lams, scalar = lambdas(lam)
     [f] = _frames([(g, bc)], lams, [eval_point])
-    blocks = [b[0] if scalar else b for b in (f.Y, f.Z, f.Yp, f.Zp)]
-    return FundamentalFrame(*blocks, lam=lam, eval_point=f.eval_point)
+    return _at(f, lam, scalar)
 
 
 def frame_matrix(frame: FundamentalFrame) -> np.ndarray:
@@ -178,6 +190,15 @@ def c_matrix(frame: FundamentalFrame, bc: BoundaryConditions) -> np.ndarray:
     return bc.alpha1 @ frame.Z + bc.alpha2 @ frame.Zp
 
 
+def _one_lambda(lam, what):
+    """lambdas(lam)[0] for a scalar lam; what names the caller that
+    refuses an array, rather than cutting it to its first entry."""
+    lams, scalar = lambdas(lam)
+    if not scalar:
+        raise ValueError(f"{what} takes one lambda")
+    return lams
+
+
 class FrameBundle:
     """Both solution families of one (graph, bc, lambda), kept evaluatable.
 
@@ -186,43 +207,54 @@ class FrameBundle:
     gamma-trace matrix is block diagonal: Y columns satisfy the origin
     conditions exactly and Z columns the outer ones, so only the beta-trace
     of Y and the alpha-trace of Z (the C block) survive.  The blocks come
-    from the batched frame code, and families() evaluates both families
-    anywhere on an edge through the same kernel.
+    from one kernel call: the z legs of the origin frame and the Y legs to
+    the outer ends.  families() evaluates both families anywhere on an
+    edge through the same kernel.  FrameBundle.over builds the bundle of
+    an array of lambda, whose blocks, C block, trace solves, families and
+    weights gain a leading lambda axis; one lambda is its L = 1 case.
     """
 
     def __init__(self, g: StarGraph, bc: BoundaryConditions, lam):
-        self.graph = g
-        self.bc = bc
-        self.lam = lam
-        self._lams, scalar = lambdas(lam)
-        if not scalar:
-            raise ValueError("a frame bundle takes one lambda")
-        # the frame at the outer ends holds Y(l); both frames in one kernel call
-        f0, fl = _frames([(g, bc)] * 2, self._lams, [None, g.lengths])
-        self.frame0 = FundamentalFrame(*(b[0] for b in (f0.Y, f0.Z, f0.Yp, f0.Zp)),
-                                       lam=lam, eval_point=f0.eval_point)
-        self.Yl, self.Ylp = fl.Y[0], fl.Yp[0]
+        self._build(g, bc, lam, _one_lambda(lam, "a frame bundle"), True)
+
+    @classmethod
+    def over(cls, g: StarGraph, bc: BoundaryConditions, lams):
+        """The bundle of every lambda of lams, a 1-d array as lambdas() gives it."""
+        bundle = cls.__new__(cls)
+        bundle._build(g, bc, lams, lams, False)
+        return bundle
+
+    def _build(self, g, bc, lam, lams, scalar):
+        self.graph, self.bc, self.lam, self._lams, self._scalar = g, bc, lam, lams, scalar
+        xs, legs = _frame_legs(g, bc, None)
+        ts, tl = _leg_transfers([legs, [(e, 0.0, e.length) for e in g.edges]], lams)
+        self.frame0 = _at(_frame(g, bc, lams, xs, ts), lam, scalar)
+        self.Yl, self.Ylp = (b[0] if scalar else b for b in y_blocks(bc, lams, g.lengths, tl))
 
     def families(self, items):
         """Both families at the positions xs (1-d) on edge j, propagated from
         0 and from l_j, for each (j, xs, weights) of items, all through one
         kernel call.  Column k of weights (n x m) combines the origin
-        family, whose data combine first as the equation is linear.  Returns
-        one pair y (2, m, P), z (2, P) per item: values, then derivatives."""
+        family, whose data combine first as the equation is linear.  Yields
+        one pair y (2, m, P), z (2, P) per item, after the bundle's lambda
+        axis, which weights may share: values, then derivatives.  Each pair
+        is made when it is reached, so a caller that reduces each item
+        first holds one item's transfers and families at a time."""
         y0, yp0, z0, zp0 = _launch(self.bc)
         edges = self.graph.edges
         ts = edge_transfers([leg for j, xs, _ in items for leg in
                              ((edges[j], 0.0, xs), (edges[j], edges[j].length, xs))], self._lams)
 
         def leg(data):  # contracted as the kernel makes it: one leg's transfers alive at a time
-            t = next(ts)[0]
-            return t[..., :1] * data[0] + t[..., 1:] * data[1]  # t @ data, faster
-        out = []
-        for j, _, weights in items:
-            y = leg(np.stack([y0[j] @ weights, yp0[j] @ weights]))
-            z = leg(np.array([[z0[j]], [zp0[j]]]))
-            out.append((np.moveaxis(y, 0, -1), z[..., 0].T))
-        return out
+            t = next(ts)
+            t = t[0] if self._scalar else t
+            out = t[..., :1] * data[0]  # t @ data, faster entrywise, summed in place
+            out += t[..., 1:] * data[1]
+            return out
+        for j, _, weights in items:  # the y leg, then the z leg; no family outlives its item
+            data = np.stack([y0[j] @ weights, yp0[j] @ weights])[..., None, None, :]
+            yield (np.moveaxis(leg(data), -3, -1),
+                   np.swapaxes(leg(np.array([[z0[j]], [zp0[j]]]))[..., 0], -1, -2))
 
     @property
     def n(self):
@@ -237,8 +269,8 @@ class FrameBundle:
     def solve_trace(self, rhs):
         """Coefficients d of a combination whose gamma-trace equals rhs."""
         n, c = self.n, self.c_block()
-        s = np.zeros((2 * n, 2 * n), dtype=np.promote_types(self.Yl.dtype, c.dtype))
-        s[:n, :n], s[n:, n:] = beta_trace(self.bc, self.Yl, self.Ylp), c
+        s = np.zeros(c.shape[:-2] + (2 * n, 2 * n), dtype=np.promote_types(self.Yl.dtype, c.dtype))
+        s[..., :n, :n], s[..., n:, n:] = beta_trace(self.bc, self.Yl, self.Ylp), c
         return np.linalg.solve(s, np.asarray(rhs))
 
     def component(self, d, j, xs):
@@ -258,5 +290,5 @@ def x_independence_check(g: StarGraph, bc: BoundaryConditions, lam,
     trial_points = list(trial_points)
     if len(trial_points) < 2:
         raise ValueError("need at least two trial points")
-    vals = np.array([evans(g, bc, lam, eval_point=xs).value for xs in trial_points])
+    vals = np.array(_evans_each([(g, bc)] * len(trial_points), lambdas(lam)[0], trial_points))
     return float(abs(vals[1:] - vals[0]).max() / abs(vals).max())

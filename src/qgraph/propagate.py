@@ -325,13 +325,19 @@ def _leg_results(plans, mats, lams):
         cum = [*itertools.accumulate(mats[start:start + nc], lambda a, m: m @ a)] if nc else []
         if ci is None:
             yield mats[start + nc] @ cum[-1] if nc else mats[start + nc]
-            continue
-        b = np.stack([np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum], axis=1)[:, ci]
-        m = np.swapaxes(segment_transfer(end[:, :1], lams, end[:, 1:2], end[:, 2:]), 0, 1)
-        out = np.empty(m.shape, dtype=np.result_type(lams, 1.0))
-        for r, q in itertools.product(range(2), range(2)):  # m @ b, faster entrywise
-            out[..., r, q] = m[..., r, 0] * b[..., 0, q] + m[..., r, 1] * b[..., 1, q]
-        yield out
+        else:  # a call, so that none of its arrays outlives the leg
+            yield _positions(cum, end, ci, lams)
+
+
+def _positions(cum, end, ci, lams):
+    """An array leg's transfers: each position's partial step end after the
+    chain product cum[ci - 1] (the identity at ci = 0)."""
+    b = np.stack([np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum], axis=1)[:, ci]
+    m = np.swapaxes(segment_transfer(end[:, :1], lams, end[:, 1:2], end[:, 2:]), 0, 1)
+    out = np.empty(m.shape, dtype=np.result_type(lams, 1.0))
+    for r, q in itertools.product(range(2), range(2)):  # m @ b, faster entrywise
+        out[..., r, q] = m[..., r, 0] * b[..., 0, q] + m[..., r, 1] * b[..., 1, q]
+    return out
 
 
 def _segment_steps(pot, x0, x):

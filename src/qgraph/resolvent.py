@@ -10,10 +10,18 @@ remainder carries a self-adjoint operator Lambda.  Both structures combine
 in trace formulas that recover boundary-value solutions from resolvent
 traces, which is the module's independent check on the map construction:
 u_gamma builds the solution with gamma-trace e_i from the trace system and,
-on each edge j, as a z_j + b y_tau from adjustment-vector weights.  One
-FrameBundle serves every slot i of one lambda, and both constructions read
-one partner-trace table: the resolvent's right side, which the formula
-path solves against C once per lambda.  Launch data come from evans._launch.
+on each edge j, as a z_j + b y_tau from adjustment-vector weights.  Both
+constructions read one partner-trace table per lambda: the resolvent's
+right side, which the formula path solves against C once per lambda.
+
+The work is batched over lambda: _applications, _segment_residuals and
+_u_gamma take an array of lambda, and one FrameBundle.over serves every
+slot and every lambda, its families of every edge from one kernel call;
+the lambda-free work (panels, sources at the nodes, adjustment vectors) is
+done once.  The one-lambda public functions are its L = 1 case, and the
+verify tables hand it every draw, max(1, CHUNK // (n GRID_POINTS)) lambdas
+at a time.  Every check still applies to each lambda: a batch fails when
+one of its lambdas does.  Launch data come from evans._launch.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .evans import FrameBundle, _launch
+from .evans import FrameBundle, _launch, _one_lambda, chunked, lambdas
 from .graphs import BoundaryData, Sampled, gamma_trace, neumann_trace
 from .propagate import segment_transfer
 
@@ -107,54 +115,68 @@ class TauSelection:
     wronskians: tuple  # per-edge D_j = W(y_tau_j, z_j), constant in x
 
 
-def select_tau(bundle: FrameBundle) -> TauSelection:
-    """Pick, per edge, the origin-family column most independent of z."""
+def _taus(bundle: FrameBundle):
+    """select_tau's partner indices and Wronskians, (n,) each after the
+    bundle's lambda axis; raises if any lambda has no independent partner."""
     f = bundle.frame0
-    wr = f.Y * np.diag(f.Zp)[:, None] - f.Yp * np.diag(f.Z)[:, None]  # [j, i]
-    scale = 1.0 + max(np.abs(m).max() for m in (f.Y, f.Yp, f.Z, f.Zp))
-    tau = np.argmax(np.abs(wr), axis=1)
-    ds = wr[np.arange(bundle.n), tau]
-    weak = np.abs(ds) <= 1e-12 * scale**2
+    z, zp = (np.diagonal(m, axis1=-2, axis2=-1)[..., None] for m in (f.Z, f.Zp))
+    wr = f.Y * zp - f.Yp * z  # [..., j, i]
+    scale = 1.0 + np.max([np.abs(m).max(axis=(-2, -1)) for m in (f.Y, f.Yp, f.Z, f.Zp)], axis=0)
+    tau = np.argmax(np.abs(wr), axis=-1)
+    ds = np.take_along_axis(wr, tau[..., None], axis=-1)[..., 0]
+    weak = np.abs(ds) <= 1e-12 * scale[..., None] ** 2
     if weak.any():
         raise NoIndependentPartner(
-            f"every origin solution is dependent with z on edge {int(np.argmax(weak))}; "
+            f"every origin solution is dependent with z on edge {np.nonzero(weak)[-1][0]}; "
             "lambda is effectively on the spectrum")
+    return tau, ds
+
+
+def select_tau(bundle: FrameBundle) -> TauSelection:
+    """Pick, per edge, the origin-family column most independent of z."""
+    tau, ds = _taus(bundle)
     return TauSelection(tau=tuple(tau.tolist()), wronskians=tuple(ds))
 
 
-def _partners(bundle: FrameBundle, tau: TauSelection):
+def _partners(bundle: FrameBundle, tau):
     """Each edge's partner y_tau at the origin, (values, derivatives), and the
     partner-trace table, whose column j, alpha1[:, j] y_tau(0) + alpha2[:, j]
     y_tau'(0), is the origin trace that the z-correction cancels through C."""
-    f, t = bundle.frame0, list(tau.tau)
-    y, yp = f.Y[np.arange(bundle.n), t], f.Yp[np.arange(bundle.n), t]
-    return y, yp, bundle.bc.alpha1 * y + bundle.bc.alpha2 * yp
+    f = bundle.frame0
+    y, yp = (np.take_along_axis(m, tau[..., None], axis=-1)[..., 0] for m in (f.Y, f.Yp))
+    return y, yp, bundle.bc.alpha1 * y[..., None, :] + bundle.bc.alpha2 * yp[..., None, :]
 
 
-def _particular(bundle: FrameBundle, tau: TauSelection, items):
+def _particular(bundle: FrameBundle, tau, ds, items):
     """Variation-of-parameters solution of (H - lambda)u = v on edge j at
     xs, values and derivatives, z_j there and I_z(L) / D_j, for each
-    (j, v_j, xs) of items, from one evaluation of the families.  The y_tau
+    (j, v_j, xs) of items, after the bundle's lambda axis, from one
+    evaluation of the families; tau and ds as _taus gives them.  The y_tau
     weight collects the source beyond x, the z weight the source before it."""
     edges = bundle.graph.edges
     panels = [_panels(edges[j], xs) for j, _, xs in items]
     fams = bundle.families([(j, np.concatenate([xs, nodes.ravel()]),
-                             np.eye(bundle.n)[:, tau.tau[j], None])
+                             np.eye(bundle.n)[tau[..., j], :, None])
                             for (j, _, xs), (nodes, _, _) in zip(items, panels)])
     out = []
-    for (j, v_j, xs), (nodes, weights, at), (y, z) in zip(items, panels, fams):
+    for (j, v_j, xs), (nodes, weights, at) in zip(items, panels):
+        y, z = next(fams)
         p = xs.size
         (iy, iz), (_, iz_tot) = _cumulative_integral(
             _v_evaluator(v_j, edges[j].length), nodes, weights, at,
-            np.stack([y[0, 0, p:], z[0, p:]]))
-        d = tau.wronskians[j]
-        out.append((-(y[:, 0, :p] * (iz_tot - iz) + z[:, :p] * iy) / d, z[:, :p], iz_tot / d))
+            np.stack([y[..., 0, 0, p:], z[..., 0, p:]]))
+        d = ds[..., j]
+        out.append((-(y[..., 0, :p] * (iz_tot[..., None] - iz)[..., None, :]
+                      + z[..., :p] * iy[..., None, :]) / d[..., None, None],
+                    z[..., :p].copy(), iz_tot / d))
+        del y, z  # before the next item's families are made
     return out
 
 
 def particular_solution(bundle: FrameBundle, tau: TauSelection, v_j, j, x):
     """Variation-of-parameters solution of (H - lambda)u = v on edge j."""
-    [(u, _, _)] = _particular(bundle, tau, [(j, v_j, np.atleast_1d(np.asarray(x, dtype=float)))])
+    [(u, _, _)] = _particular(bundle, np.array(tau.tau), np.array(tau.wronskians),
+                              [(j, v_j, np.atleast_1d(np.asarray(x, dtype=float)))])
     return u[0] if np.ndim(x) else u[0, 0]
 
 
@@ -176,11 +198,50 @@ class ResolventApplication:
 
 
 def _off_spectrum_det(bundle: FrameBundle):
+    """Raises OnSpectrum unless the C block of every lambda of the bundle
+    (made by FrameBundle.over) is numerically nonsingular."""
     c = bundle.c_block()
     det = np.linalg.det(c)
-    if abs(det) <= SPECTRUM_TOL * (1.0 + np.abs(c).max()) ** bundle.n:
-        raise OnSpectrum(f"lambda={bundle.lam} is numerically on the spectrum")
-    return det
+    on = np.abs(det) <= SPECTRUM_TOL * (1.0 + np.abs(c).max(axis=(-2, -1))) ** bundle.n
+    if on.any():
+        raise OnSpectrum(f"lambda={bundle.lam[np.argmax(on)]} is numerically on the spectrum")
+
+
+def _applications(bundle: FrameBundle, v, labels):
+    """The resolvent applied to v at every lambda of the bundle (made by
+    FrameBundle.over), each labelled from labels; every family of every
+    lambda comes from one kernel call.  Raises if any lambda fails a check."""
+    _off_spectrum_det(bundle)
+    tau, ds = _taus(bundle)
+    n, bc = bundle.n, bundle.bc
+    if len(v) != n:
+        raise ValueError(f"need one source per edge, got {len(v)} for n={n}")
+
+    grids = tuple(np.linspace(0.0, e.length, GRID_POINTS) for e in bundle.graph.edges)
+    parts = _particular(bundle, tau, ds, [(j, v[j], grids[j]) for j in range(n)])
+    rhs = _partners(bundle, tau)[2] @ np.stack([p[2] for p in parts], axis=-1)[..., None]
+    c_mat = bundle.c_block()
+    loss = np.linalg.cond(c_mat) * np.finfo(float).eps
+    if loss.max() > 1e-9:
+        raise ArithmeticError(f"coefficient system loses {loss.max():.2e} to conditioning; "
+                              "lambda is too close to the spectrum")
+    cz = np.linalg.solve(c_mat, rhs)[..., 0]
+    coeff = np.concatenate([np.zeros(cz.shape, dtype=cz.dtype), cz], axis=-1)
+    out = [u + cz[:, j, None, None] * z for j, (u, z, _) in enumerate(parts)]  # values, derivatives
+
+    apps = []
+    for k, lam in enumerate(labels):
+        ends = np.array([(u[k, 0, -1], u[k, 1, -1], u[k, 0, 0], u[k, 1, 0]) for u in out]).T
+        bd = BoundaryData(*ends)
+        apps.append(ResolventApplication(
+            lam=lam, grids=grids, coefficients=coeff[k],
+            y_p=tuple(u[k, 0] for u, _, _ in parts), y_p_deriv=tuple(u[k, 1] for u, _, _ in parts),
+            output=tuple(u[k, 0] for u in out), output_deriv=tuple(u[k, 1] for u in out),
+            dirichlet_trace=np.concatenate([ends[0], ends[2]]),
+            neumann_trace=neumann_trace(bd),
+            gamma_residual=float(np.abs(gamma_trace(bc, bd)).max()),
+            tau=TauSelection(tau=tuple(tau[k].tolist()), wronskians=tuple(ds[k]))))
+    return apps
 
 
 def resolvent_apply(g, bc, lam, v) -> ResolventApplication:
@@ -191,35 +252,8 @@ def resolvent_apply(g, bc, lam, v) -> ResolventApplication:
     boundary traces come from exact endpoint evaluation, so the zero
     gamma-trace property is checked, not assumed.
     """
-    bundle = FrameBundle(g, bc, lam)
-    _off_spectrum_det(bundle)
-    tau = select_tau(bundle)
-    n = bundle.n
-    if len(v) != n:
-        raise ValueError(f"need one source per edge, got {len(v)} for n={n}")
-
-    grids = tuple(np.linspace(0.0, e.length, GRID_POINTS) for e in g.edges)
-    parts = _particular(bundle, tau, [(j, v[j], grids[j]) for j in range(n)])
-    rhs = _partners(bundle, tau)[2] @ np.array([p[2] for p in parts])
-    c_mat = bundle.c_block()
-    loss = np.linalg.cond(c_mat) * np.finfo(float).eps
-    if loss > 1e-9:
-        raise ArithmeticError(f"coefficient system loses {loss:.2e} to conditioning; "
-                              "lambda is too close to the spectrum")
-    cz = np.linalg.solve(c_mat, rhs)
-    coeff = np.concatenate([np.zeros(n, dtype=cz.dtype), cz])
-
-    out = [u + cz[j] * z for j, (u, z, _) in enumerate(parts)]  # values, derivatives
-    ends = np.array([(u[0, -1], u[1, -1], u[0, 0], u[1, 0]) for u in out]).T
-    bd = BoundaryData(*ends)
-    gres = float(np.abs(gamma_trace(bc, bd)).max())
-    return ResolventApplication(
-        lam=lam, grids=grids, coefficients=coeff,
-        y_p=tuple(u[0] for u, _, _ in parts), y_p_deriv=tuple(u[1] for u, _, _ in parts),
-        output=tuple(u[0] for u in out), output_deriv=tuple(u[1] for u in out),
-        dirichlet_trace=np.concatenate([ends[0], ends[2]]),
-        neumann_trace=neumann_trace(bd),
-        gamma_residual=gres, tau=tau)
+    [app] = _applications(FrameBundle.over(g, bc, _one_lambda(lam, "resolvent_apply")), v, [lam])
+    return app
 
 
 def segment_residual(g, lam, app: ResolventApplication, v) -> float:
@@ -231,10 +265,18 @@ def segment_residual(g, lam, app: ResolventApplication, v) -> float:
     transfers from each node to the interval's end.  Grid intervals
     containing a breakpoint or sample node are skipped.
     """
-    worst = 0.0
+    return float(_segment_residuals(g, _one_lambda(lam, "segment_residual"), [app], v)[0])
+
+
+def _segment_residuals(g, lams, apps, v):
+    """segment_residual of each application of apps at its lambda of lams:
+    the grid, the source at the check nodes and the runs of equal (V,
+    slope) are shared, and the transfers of every lambda come together."""
+    worst = np.zeros(lams.size)
     tau, wts = 0.5 * (_CHECK_X + 1.0), 0.5 * _CHECK_W
     for j, edge in enumerate(g.edges):
-        xs, u, up = app.grids[j], app.output[j], app.output_deriv[j]
+        xs = apps[0].grids[j]
+        u, up = (np.stack([getattr(a, f)[j] for a in apps]) for f in ("output", "output_deriv"))
         bks = _edge_breakpoints(edge)
         h = xs[1] - xs[0]
         inner = bks[(bks > xs[0]) & (bks < xs[-1])]
@@ -246,21 +288,31 @@ def segment_residual(g, lam, app: ResolventApplication, v) -> float:
         s0, s1, v0, v1 = np.array(edge.potential.segments)[seg].T
         slope = (v1 - v0) / (s1 - s0)
         vx = v0 + slope * (a[i] - s0)  # V at each interval's start
-        m = segment_transfer(h, lam, vx, slope)
+        m = segment_transfer(h, lams[:, None], vx, slope)
         # node-to-end transfers, once per run of equal (V, slope): a flat
         # segment's intervals share theirs
         new = np.r_[True, (np.diff(vx) != 0) | (np.diff(slope) != 0)]
-        r = np.flatnonzero(new)
-        kern = segment_transfer(h * (1.0 - tau), lam, vx[r, None] + slope[r, None] * h * tau,
-                                slope[r, None])[np.cumsum(new) - 1, :, :, 1]  # (I, nodes, 2)
-        src = np.asarray(_v_evaluator(v[j], edge.length)(a[i][:, None] + h * tau))
-        part = np.einsum("in,ink->ik", src * (h * wts), kern)
-        pred_u = u[i] * m[:, 0, 0] + up[i] * m[:, 0, 1] - part[:, 0]
-        pred_up = u[i] * m[:, 1, 0] + up[i] * m[:, 1, 1] - part[:, 1]
-        scale = 1.0 + np.abs(u[i + 1]) + np.abs(up[i + 1])
-        worst = max(worst, float(np.max(np.abs(pred_u - u[i + 1]) / scale)),
-                    float(np.max(np.abs(pred_up - up[i + 1]) / scale)))
+        r, run = np.flatnonzero(new), np.cumsum(new) - 1
+        kern = segment_transfer(h * (1.0 - tau), lams[:, None, None],
+                                vx[r, None] + slope[r, None] * h * tau,
+                                slope[r, None])[..., 1]  # (L, runs, nodes, 2)
+        src = np.asarray(_v_evaluator(v[j], edge.length)(a[i][:, None] + h * tau)) * (h * wts)
+        part = np.stack([np.einsum("in,ink->ik", src, k[run]) for k in kern])
+        pred_u = u[:, i] * m[..., 0, 0] + up[:, i] * m[..., 0, 1] - part[..., 0]
+        pred_up = u[:, i] * m[..., 1, 0] + up[:, i] * m[..., 1, 1] - part[..., 1]
+        scale = 1.0 + np.abs(u[:, i + 1]) + np.abs(up[:, i + 1])
+        worst = np.maximum.reduce([worst, np.max(np.abs(pred_u - u[:, i + 1]) / scale, axis=-1),
+                                   np.max(np.abs(pred_up - up[:, i + 1]) / scale, axis=-1)])
     return worst
+
+
+def _resolvent_residuals(g, bc, lam, v):
+    """The gamma_trace and ode_defect residuals of the resolvent applied to v."""
+    def rows(ls):
+        apps = _applications(FrameBundle.over(g, bc, ls), v, ls)
+        return np.column_stack([[a.gamma_residual for a in apps],
+                                _segment_residuals(g, ls, apps, v)])
+    return _by_chunks(g, lam, rows)
 
 
 # -------------------------------------------------------------- projections
@@ -382,12 +434,16 @@ def adjustment_vectors(ps: ProjectionSet) -> AdjustmentVectors:
 # ------------------------------------------------- trace-formula cross paths
 
 def _l2_inner(bundle: FrameBundle, d, v) -> complex:
-    """Integral over the graph of (combination with coefficients d) * conj(v)."""
+    """Integral over the graph of (combination with coefficients d) * conj(v),
+    every wire through one families call."""
+    n, edges = bundle.n, bundle.graph.edges
+    panels = [_panels(e, np.empty(0))[:2] for e in edges]
+    fams = bundle.families([(j, nodes.ravel(), d[..., :n, None])
+                            for j, (nodes, _) in enumerate(panels)])
     total = 0.0
-    for j, edge in enumerate(bundle.graph.edges):
-        nodes, weights, _ = _panels(edge, np.empty(0))
-        uu, _ = bundle.component(d, j, nodes.ravel())
-        vv = _v_evaluator(v[j], edge.length)(nodes.ravel())
+    for j, ((nodes, weights), (y, z)) in enumerate(zip(panels, fams)):
+        uu = y[..., 0, 0, :] + d[..., n + j, None] * z[..., 0, :]
+        vv = _v_evaluator(v[j], edges[j].length)(nodes.ravel())
         total += np.sum(weights.ravel() * uu * np.conj(vv))
     return total
 
@@ -395,18 +451,16 @@ def _l2_inner(bundle: FrameBundle, d, v) -> complex:
 def inner_product_check(g, bc, lam, f, v) -> float:
     """Two evaluations of (u_Gamma, v): direct quadrature of the solution
     with gamma-trace f against v, and the adjustment-vector pairing with
-    the resolvent's boundary traces.  Returns their relative discrepancy."""
-    bundle = FrameBundle(g, bc, lam)
-    _off_spectrum_det(bundle)
-    d = bundle.solve_trace(np.asarray(f, dtype=complex))
-    direct = _l2_inner(bundle, d, v)
-    rv = resolvent_apply(g, bc, lam, v)
-    av = adjustment_vectors(build_projections(bc))
+    the resolvent's boundary traces, both from one bundle.  Returns their
+    discrepancy relative to the sum of their sizes, 0 when both vanish."""
+    bundle = FrameBundle.over(g, bc, _one_lambda(lam, "inner_product_check"))
+    [rv] = _applications(bundle, v, [lam])
     f_arr = np.asarray(f, dtype=complex)
-    lf = av.L @ f_arr + av.M @ f_arr
-    nf = av.N @ f_arr
-    paired = lf @ rv.dirichlet_trace + nf @ rv.neumann_trace
-    return float(abs(direct - paired) / (1.0 + abs(direct)))
+    direct = _l2_inner(bundle, bundle.solve_trace(f_arr), v)
+    av = adjustment_vectors(build_projections(bc))
+    paired = (av.L @ f_arr + av.M @ f_arr) @ rv.dirichlet_trace + av.N @ f_arr @ rv.neumann_trace
+    size = abs(direct) + abs(paired)
+    return float(abs(direct - paired) / size) if size else 0.0
 
 
 @dataclass(frozen=True)
@@ -431,47 +485,78 @@ def u_gamma(g, bc, lam, i) -> UGammaPaths:
     a z_j + b y_tau, two profiles whose weights depend on the slot only
     through e_i and its adjustment-vector columns.
     """
+    _one_lambda(lam, "u_gamma")
     return _u_gamma(g, bc, lam, (i,))[0]
 
 
 def _u_gamma(g, bc, lam, slots):
     """u_gamma for each slot in slots, from one bundle: only the right
-    sides and the adjustment-vector columns depend on the slot."""
+    sides and the adjustment-vector columns depend on the slot.  For an
+    array of lam, one such list per lambda, every lambda from one bundle
+    and one families call."""
+    lams, scalar = lambdas(lam)
     slots = list(slots)
-    bundle = FrameBundle(g, bc, lam)
+    bundle = FrameBundle.over(g, bc, lams)
     _off_spectrum_det(bundle)
     n = bundle.n
     rhs = np.eye(2 * n)[:, slots]
-    d = bundle.solve_trace(rhs)
+    d = bundle.solve_trace(rhs)  # [lambda, coefficient, slot]
 
-    tau = select_tau(bundle)
+    tau, ds = _taus(bundle)
     av = adjustment_vectors(build_projections(bc))
     wd, wn = (av.L + av.M)[:, slots], av.N[:, slots]
-    f0, dj = bundle.frame0, np.array(tau.wronskians)[:, None]
+    f0, dj = bundle.frame0, ds[..., None]
     zl, zpl = (v[:, None] for v in _launch(bc)[2:])  # z at the outer ends
-    z0, zp0 = np.diag(f0.Z)[:, None], np.diag(f0.Zp)[:, None]  # z at the origin
+    z0, zp0 = (np.diagonal(m, axis1=-2, axis2=-1)[..., None] for m in (f0.Z, f0.Zp))  # origin
     gk = wd[:n] * zl + wn[:n] * zpl + wd[n:] * z0 - wn[n:] * zp0
     yv0, yp0, traces = _partners(bundle, tau)
     cof = np.linalg.solve(bundle.c_block(), traces)
-    a = (cof.T @ gk - wd[n:] * yv0[:, None] + wn[n:] * yp0[:, None]) / dj  # [edge, slot]
+    a = (np.swapaxes(cof, -1, -2) @ gk - wd[n:] * yv0[..., None]
+         + wn[n:] * yp0[..., None]) / dj  # [lambda, edge, slot]
     b = -(wd[:n] * zl + wn[:n] * zpl) / dj
 
-    grids = [np.linspace(0.0, edge.length, GRID_POINTS) for edge in g.edges]
+    grids = tuple(np.linspace(0.0, edge.length, GRID_POINTS) for edge in g.edges)
     # the direct solutions and the partner y_tau in one evaluation
-    fams = bundle.families([(j, xs, np.column_stack([d[:n], np.eye(n)[:, tau.tau[j]]]))
+    fams = bundle.families([(j, xs, np.concatenate([d[:, :n], np.eye(n)[tau[:, j], :, None]], -1))
                             for j, xs in enumerate(grids)])
-    direct = [y[:, :-1] + d[n + j, :, None] * z[:, None]  # values, derivatives
-              for j, (y, z) in enumerate(fams)]
-    formula = [a[j, :, None] * z[0] + b[j, :, None] * y[0, -1] for j, (y, z) in enumerate(fams)]
+    direct, ends, formula = [], [], []
+    for j in range(n):
+        y, z = next(fams)
+        w = d[:, None, n + j, :, None]
+        direct.append(y[:, 0, :-1] + w[:, 0] * z[:, None, 0])  # [lambda, slot, x]
+        # values and derivatives at l and at 0, for the traces
+        ends.append(y[:, :, :-1, [-1, 0]] + w * z[:, :, None, [-1, 0]])
+        formula.append(a[:, j, :, None] * z[:, None, 0])
+        formula[-1] += b[:, j, :, None] * y[:, 0, -1, None]
+        del y, z  # before the next edge's families are made
 
     out = []
-    for s, i in enumerate(slots):
-        u = [v[:, s] for v in direct]
-        bd = BoundaryData(*np.array([(v[0, -1], v[1, -1], v[0, 0], v[1, 0]) for v in u]).T)
-        out.append(UGammaPaths(
-            lam=lam, index=i, grids=tuple(grids), direct=tuple(v[0] for v in u),
-            formula=tuple(f[s] for f in formula),
-            sup_discrepancy=float(max(np.abs(v[0] - f[s]).max() for v, f in zip(u, formula))),
-            trace_residual=float(np.abs(gamma_trace(bc, bd) - rhs[:, s]).max()),
-            coefficients=d[:, s]))
-    return out
+    for k, lam_k in enumerate([lam] if scalar else lams):
+        paths = []
+        for s, i in enumerate(slots):
+            bd = BoundaryData(*np.array([e[k, :, s].T.ravel() for e in ends]).T)
+            paths.append(UGammaPaths(
+                lam=lam_k, index=i, grids=grids, direct=tuple(u[k, s] for u in direct),
+                formula=tuple(f[k, s] for f in formula),
+                sup_discrepancy=float(max(np.abs(u[k, s] - f[k, s]).max()
+                                          for u, f in zip(direct, formula))),
+                trace_residual=float(np.abs(gamma_trace(bc, bd) - rhs[:, s]).max()),
+                coefficients=d[k, :, s]))
+        out.append(paths)
+    return out[0] if scalar else out
+
+
+def _u_gamma_residuals(g, bc, lam):
+    """The sup and trace residuals of u_gamma at every slot, slot-major."""
+    return _by_chunks(g, lam, lambda ls: np.array(
+        [[r for p in paths for r in (p.sup_discrepancy, p.trace_residual)]
+         for paths in _u_gamma(g, bc, ls, range(2 * g.n))]))
+
+
+def _by_chunks(g, lam, rows):
+    """rows(lams), an (L, K) array, at lam: K floats, or for an array of lam
+    K rows over it, evaluated max(1, CHUNK // (n GRID_POINTS)) lambdas at a
+    time, so a chunk holds a bounded number of edge grids."""
+    lams, scalar = lambdas(lam)
+    [res] = chunked(lambda ls: [rows(ls)], lams, g.n * GRID_POINTS)
+    return res[0].tolist() if scalar else res.T

@@ -2,8 +2,9 @@
 against each problem alone, the kernel-call budget of a counting identity,
 the memory rule for lambda batches, the lazily built split, and the verify
 suites: the map checks and one-sided maps on an array of lambda against
-their scalar calls, and the kernel calls of a verify table and of a
-resolvent application."""
+their scalar calls, the kernel calls of a verify table and of a resolvent
+application, the lambda-batched resolvent core against its one-lambda
+calls, and the passes of a resolvent or ugamma table."""
 import importlib
 
 import numpy as np
@@ -16,6 +17,7 @@ from qgraph import (EdgeSpec, Sampled, SplitSpec, StarGraph, build_preset, cli,
                     count_eigenvalues, evans, frame_matrix, free_edge, fundamental_frame,
                     resolvent, resolvent_apply, split_graph, verify_counting)
 from qgraph.graphs import SINGLE, TWO_WIRES
+from test_cli import _sampled_star
 
 evans_module = importlib.import_module("qgraph.evans")
 maps_module = importlib.import_module("qgraph.maps")
@@ -210,3 +212,112 @@ def test_single_table_with_a_draw_on_a_pole_gives_the_loop_rows(monkeypatch):
     monkeypatch.setattr(cli, "_residual_rows",
                         lambda checks, fn, lams, batched=False: real_rows(checks, fn, lams))
     assert cli.verify_table(sc, "single", seed=2, rounds=4)[0] == text
+
+
+def _same(a, b):
+    """Bitwise equal: arrays by their bytes, scalars by value."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+def _close(a, b):
+    """Equal to rounding, relative to the larger of 1 and the values."""
+    if isinstance(a, resolvent.TauSelection):
+        return a.tau == b.tau and _close(a.wronskians, b.wronskians)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+def _each_or_none(fn, lams):
+    """fn at each lambda, or the type of the first error one raises."""
+    out = []
+    for lam in lams:
+        try:
+            out.append(fn(lam))
+        except ArithmeticError as e:
+            return type(e)
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), size=st.integers(1, 5),
+       complex_lam=st.booleans(), complex_bc=st.booleans(), sampled=st.booleans())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_batched_resolvent_core_is_each_lambda_alone(seed, n, size, complex_lam, complex_bc,
+                                                     sampled):
+    # the applications, ode defects and u_gamma paths (every slot) of a
+    # batch of lambdas are, bit for bit, the one-lambda calls' at each
+    # lambda; a batch raises exactly when one of its lambdas does.  One wire
+    # with complex data is equal to rounding only: there every product of
+    # complex 1 x 1 blocks is a single element for one lambda, which numpy
+    # multiplies in its scalar loop, and a strided run for a batch, which
+    # it multiplies in its vector loop with fused multiply-adds
+    same = _close if n == 1 and complex_bc else _same
+    rng = np.random.default_rng(seed)
+    g = _sampled_star().graph if sampled and n == 2 else _star(rng, n, sampled)
+    bc = rand_bc_cayley(n, rng) if complex_bc else rand_bc_real(n, rng)
+    lams = rng.uniform(-5.0, 60.0, size)
+    if complex_lam:
+        lams = lams + 1j * rng.uniform(0.5, 3.0, size) * rng.choice([-1, 1], size)
+    v = [rng.uniform(-2.0, 2.0) for _ in range(n - 1)] + [lambda x: np.sin(3.0 * x)]
+
+    apps = _each_or_none(lambda t: resolvent_apply(g, bc, t, v), lams)
+    paths = _each_or_none(lambda t: resolvent._u_gamma(g, bc, t, range(2 * n)), lams)
+    try:
+        batch = resolvent._applications(resolvent.FrameBundle.over(g, bc, lams), v, lams)
+    except ArithmeticError as e:
+        assert apps is type(e)
+    else:
+        assert isinstance(apps, list)
+        defects = resolvent._segment_residuals(g, lams, batch, v)
+        for lam, got, one, defect in zip(lams, batch, apps, defects):
+            for field in ("lam", "grids", "coefficients", "y_p", "y_p_deriv", "output",
+                          "output_deriv", "dirichlet_trace", "neumann_trace",
+                          "gamma_residual", "tau"):
+                assert same(getattr(got, field), getattr(one, field)), field
+            assert same(defect, resolvent.segment_residual(g, lam, one, v))
+    try:
+        batch = resolvent._u_gamma(g, bc, lams, range(2 * n))
+    except ArithmeticError as e:
+        assert paths is type(e)
+    else:
+        assert isinstance(paths, list)
+        for got, one in zip(batch, paths):
+            assert len(got) == len(one) == 2 * n
+            for a, b in zip(got, one):
+                for field in ("lam", "index", "grids", "direct", "formula",
+                              "sup_discrepancy", "trace_residual", "coefficients"):
+                    assert same(getattr(a, field), getattr(b, field)), field
+
+
+@pytest.mark.parametrize("which", ["resolvent", "ugamma"])
+def test_resolvent_tables_make_one_pass_per_chunk(monkeypatch, which):
+    # a table whose draws all pass takes the same kernel calls at 4 and 40
+    # draws while they fit one chunk; more draws than a chunk make one pass
+    # per chunk, and their rows are the per-draw loop's
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+    per_chunk = evans_module.CHUNK // (sc.graph.n * resolvent.GRID_POINTS)
+    assert 4 < per_chunk < 40
+    real_rows = cli._residual_rows
+
+    def table(rounds, chunk=evans_module.CHUNK, loop=False):
+        sizes = []
+        with monkeypatch.context() as m:
+            _count_kernel_calls(m, sizes)
+            m.setattr(evans_module, "CHUNK", chunk)
+            if loop:
+                m.setattr(cli, "_residual_rows",
+                          lambda checks, fn, lams, batched=False: real_rows(checks, fn, lams))
+            text, ok = cli.verify_table(sc, which, seed=3, rounds=rounds)
+        assert ok
+        return text, sizes
+
+    wide = 40 * sc.graph.n * resolvent.GRID_POINTS
+    few, many = table(4, wide)[1], table(40, wide)[1]
+    assert len(few) == len(many) == 2 and set(few) == {4} and set(many) == {40}
+    text, sizes = table(40)
+    chunks = -(-40 // per_chunk)
+    assert len(sizes) == 2 * chunks and sum(sizes) == 2 * 40 and max(sizes) == per_chunk
+    assert text == table(40, loop=True)[0]

@@ -154,93 +154,126 @@ def test_verify_table_deterministic(tmp_path):
     assert t3 != t1  # different seed, different abscissae
 
 
+def _draws(seed, sc, rounds):
+    return list(cli._sample_lambdas(np.random.default_rng(seed), sc.sweep, rounds))
+
+
 def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
     # gamma_trace and ode_defect rows share one application per evaluated
-    # lambda, a lambda on a pole is resampled once for both rows, and the
-    # rows match fresh work
+    # lambda; every draw goes to the core in one batched call; a lambda on
+    # a pole fails that call, and the per-draw loop resamples it once for
+    # both rows; the rows match fresh per-lambda work
     sc = cli.load_scenario(_scenario_file(tmp_path))
-    real, calls, sources = cli.resolvent_apply, [], []
+    draws = _draws(2, sc, 4)
+    real, calls, sources = cli._resolvent_residuals, [], []
 
     def counted(g, bc, lam, v):
-        calls.append(lam)
+        calls.append(np.atleast_1d(lam).tolist())
         sources.append(v)
-        if len(calls) == 1:
+        if fail and draws[0] in calls[-1]:
             raise qgraph.OnSpectrum("forced")
         return real(g, bc, lam, v)
 
-    monkeypatch.setattr(cli, "resolvent_apply", counted)
-    text, ok = cli.verify_table(sc, "resolvent", seed=2, rounds=4)
-    rows = [line.split(",") for line in text.splitlines()[1:]]
-    gamma = [float(r[1]) for r in rows if r[0] == "gamma_trace"]
-    ode = [float(r[1]) for r in rows if r[0] == "ode_defect"]
-    assert ok and len(gamma) == len(ode) == 4
-    assert gamma == ode  # both rows take the one retried lambda
-    assert len(calls) == 1 + 4
-    v = sources[0]
-    for name, lam, res, _, _ in rows:
-        app = real(sc.graph, sc.bc, float(lam), v)
-        fresh = (app.gamma_residual if name == "gamma_trace"
-                 else cli.segment_residual(sc.graph, float(lam), app, v))
-        assert res == cli._fmt(fresh)
+    monkeypatch.setattr(cli, "_resolvent_residuals", counted)
+    for fail in (False, True):
+        calls.clear()
+        text, ok = cli.verify_table(sc, "resolvent", seed=2, rounds=4)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        gamma = [float(r[1]) for r in rows if r[0] == "gamma_trace"]
+        ode = [float(r[1]) for r in rows if r[0] == "ode_defect"]
+        assert ok and len(gamma) == len(ode) == 4
+        assert gamma == ode  # both rows of a lambda take the one application
+        if fail:  # the batch, the failing draw, its one retry, then the other draws
+            assert calls == [draws, [draws[0]], [gamma[0]], *([x] for x in draws[1:])]
+            assert gamma[0] != draws[0] and abs(gamma[0] - draws[0]) <= 0.5
+            assert gamma[1:] == draws[1:]
+        else:
+            assert calls == [draws] and gamma == draws
+        v = sources[0]
+        for name, lam, res, _, _ in rows:
+            app = resolvent.resolvent_apply(sc.graph, sc.bc, float(lam), v)
+            fresh = (app.gamma_residual if name == "gamma_trace"
+                     else resolvent.segment_residual(sc.graph, float(lam), app, v))
+            assert res == cli._fmt(fresh)
+
+
+class _CountedBundle(resolvent.FrameBundle):
+    """Records the lambdas of every bundle the resolvent core builds."""
+    built = []
+
+    @classmethod
+    def over(cls, g, bc, lams):
+        cls.built.append(np.asarray(lams).tolist())
+        return super().over(g, bc, lams)
 
 
 def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
-    # every slot's rows of one lambda come from one FrameBundle, a lambda
-    # on a pole is resampled once for every row, and the rows match fresh work
+    # every row of every draw comes from one batched call and one bundle; a
+    # lambda on a pole fails that call, and the per-draw loop builds one
+    # bundle per lambda, resampling the failing one once for every row; the
+    # rows match fresh per-lambda work
     sc = cli.load_scenario(_scenario_file(tmp_path))
-    real, calls, bundles = cli._u_gamma, [], []
+    draws = _draws(2, sc, 3)
+    real, calls, bundles = cli._u_gamma_residuals, [], _CountedBundle.built
 
-    class Counted(resolvent.FrameBundle):
-        def __init__(self, g, bc, lam):
-            bundles.append(lam)
-            super().__init__(g, bc, lam)
-
-    def forced(g, bc, lam, slots):
-        calls.append(lam)
-        if len(calls) == 1:
+    def forced(g, bc, lam):
+        calls.append(np.atleast_1d(lam).tolist())
+        if fail and draws[0] in calls[-1]:
             raise qgraph.OnSpectrum("forced")
-        return real(g, bc, lam, slots)
+        return real(g, bc, lam)
 
-    monkeypatch.setattr(resolvent, "FrameBundle", Counted)
-    monkeypatch.setattr(cli, "_u_gamma", forced)
-    text, ok = cli.verify_table(sc, "ugamma", seed=2, rounds=3)
-    monkeypatch.undo()
-    rows = [line.split(",") for line in text.splitlines()[1:]]
+    monkeypatch.setattr(resolvent, "FrameBundle", _CountedBundle)
+    monkeypatch.setattr(cli, "_u_gamma_residuals", forced)
     n = sc.graph.n
-    assert ok and len(rows) == 2 * 2 * n * 3
-    lams = {float(r[1]) for r in rows}
-    assert len(lams) == 3  # every row of the first lambda takes one retry
-    assert sorted(bundles) == sorted(lams)
-    for name, lam, res, _, _ in rows:
-        fresh = resolvent._u_gamma(sc.graph, sc.bc, float(lam), range(2 * n))
-        ug = fresh[int(name.rsplit("_e", 1)[1])]
-        assert res == cli._fmt(ug.sup_discrepancy if "_sup_" in name else ug.trace_residual)
+    for fail in (False, True):
+        calls.clear()
+        bundles.clear()
+        text, ok = cli.verify_table(sc, "ugamma", seed=2, rounds=3)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert ok and len(rows) == 2 * 2 * n * 3
+        lams = list(dict.fromkeys(float(r[1]) for r in rows))
+        assert len(lams) == 3  # every row of the first lambda takes one retry
+        if fail:
+            assert calls == [draws, [draws[0]], [lams[0]], *([x] for x in draws[1:])]
+            assert lams[0] != draws[0] and lams[1:] == draws[1:]
+            assert bundles == [[x] for x in lams]
+        else:
+            assert calls == [draws] and bundles == [draws] and lams == draws
+        fresh = {lam: resolvent._u_gamma(sc.graph, sc.bc, lam, range(2 * n)) for lam in lams}
+        for name, lam, res, _, _ in rows:
+            ug = fresh[float(lam)][int(name.rsplit("_e", 1)[1])]
+            assert res == cli._fmt(ug.sup_discrepancy if "_sup_" in name else ug.trace_residual)
 
 
 def test_verify_ugamma_resamples_a_pole_once_for_every_row(monkeypatch):
-    # the first lambda sits on an eigenvalue: one failing bundle and one
-    # retry serve all 4n rows of that lambda
+    # the first lambda sits on an eigenvalue: the batched bundle fails, then
+    # one failing bundle and one retry serve all 4n rows of that lambda, and
+    # the other draws' rows are the ones the batch gives without the pole
     sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
     eig = qgraph.count_eigenvalues(sc.graph, sc.bc, (5.0, 60.0)).zeros[0][0]
-    real, bundles = cli._sample_lambdas, []
+    real, bundles = cli._sample_lambdas, _CountedBundle.built
+    bundles.clear()
 
     def on_eigenvalue(rng, sweep, rounds):
         lams = real(rng, sweep, rounds)
         lams[0] = eig
         return lams
 
-    class Counted(resolvent.FrameBundle):
-        def __init__(self, g, bc, lam):
-            bundles.append(lam)
-            super().__init__(g, bc, lam)
-
+    monkeypatch.setattr(resolvent, "FrameBundle", _CountedBundle)
+    batched, _ = cli.verify_table(sc, "ugamma", seed=2, rounds=3)
+    assert bundles == [_draws(2, sc, 3)]
+    bundles.clear()
     monkeypatch.setattr(cli, "_sample_lambdas", on_eigenvalue)
-    monkeypatch.setattr(resolvent, "FrameBundle", Counted)
     text, ok = cli.verify_table(sc, "ugamma", seed=2, rounds=3)
     rows = [line.split(",") for line in text.splitlines()[1:]]
     assert ok and len(rows) == 2 * 2 * sc.graph.n * 3
-    assert bundles[0] == eig and len(bundles) == 1 + 1 + 2
-    assert {float(r[1]) for r in rows} == set(bundles[1:])
+    draws = [eig] + _draws(2, sc, 3)[1:]
+    assert bundles[:2] == [draws, [eig]] and len(bundles) == 2 + 3
+    assert all(len(b) == 1 for b in bundles[1:])
+    assert list(dict.fromkeys(float(r[1]) for r in rows)) == [b[0] for b in bundles[2:]]
+    def kept(table):
+        return [line for line in table.splitlines()[1:] if float(line.split(",")[1]) in draws[1:]]
+    assert kept(text) == kept(batched)
 
 
 def test_verify_projections_and_exit_zero(tmp_path, capsys):

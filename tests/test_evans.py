@@ -1,7 +1,6 @@
 """Frame construction, determinant invariants, and the trig reductions the
 reference configurations are known to satisfy."""
 import importlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,14 +64,32 @@ def test_evaluation_point_check_sees_one_wrong_point_on_a_wide_star(monkeypatch)
     assert abs(evans(g, bc, 20.0).value) < 1e-11
     assert x_independence_check(g, bc, 20.0, pts) < 1e-11
     module = importlib.import_module("qgraph.evans")  # qgraph.evans is also the function
-    true_evans = module.evans
+    true_each = module._evans_each
 
-    def one_point_off(g_, bc_, lam, eval_point=None):
-        out = true_evans(g_, bc_, lam, eval_point=eval_point)
-        return replace(out, value=out.value * 1.01) if eval_point is pts[2] else out
+    def one_point_off(problems, lams, points=None):
+        vals = true_each(problems, lams, points)
+        return [v * 1.01 if xs is pts[2] else v for v, xs in zip(vals, points)]
 
-    monkeypatch.setattr(module, "evans", one_point_off)
+    monkeypatch.setattr(module, "_evans_each", one_point_off)
     assert x_independence_check(g, bc, 20.0, pts) > 1e-3
+
+
+def test_evaluation_point_check_makes_one_kernel_call(monkeypatch, rng):
+    # every trial point is one problem of a single _evans_each call, and
+    # the spread is the one that an evans call per point gives
+    module = importlib.import_module("qgraph.evans")
+    for g, bc, _ in (barrier_end(), two_wire(), wide_star(8, 1)):
+        pts = [np.zeros(g.n)] + [rng.uniform(0, 1, g.n) * g.lengths for _ in range(2)]
+        for lam in (4.7, 20.0 + 1.5j, np.array([7.3, 55.0])):
+            vals = np.array([evans(g, bc, lam, eval_point=xs).value for xs in pts])
+            want = float(abs(vals[1:] - vals[0]).max() / abs(vals).max())
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(module, "edge_transfers",
+                          lambda legs, lams, inner=module.edge_transfers:
+                          calls.append(legs) or inner(legs, lams))
+                got = x_independence_check(g, bc, lam, pts)
+            assert len(calls) == 1 and got == want
 
 
 def test_conjugate_symmetry_real_coefficients(rng):

@@ -82,18 +82,21 @@ class RefBundle:
 
 
 class EdgeSolutionBundle(FrameBundle):
-    """A FrameBundle whose families are sums of RefBundle's EdgeSolutions."""
+    """A FrameBundle whose families are sums of RefBundle's EdgeSolutions,
+    one RefBundle per λ of the bundle; weights and results keep the
+    bundle's λ axis, as FrameBundle.families does."""
 
     @cached_property
-    def ref(self):
-        return RefBundle(self.graph, self.bc, self.lam)
+    def refs(self):
+        return [RefBundle(self.graph, self.bc, lam) for lam in np.atleast_1d(self.lam)]
 
     def families(self, items):
-        out = []
         for j, xs, weights in items:
-            ys = np.array([self.ref.ys[j][k].on(xs) for k in range(self.n)])
-            out.append((np.einsum("kcp,km->cmp", ys, weights), np.array(self.ref.zs[j].on(xs))))
-        return out
+            per_lam = np.broadcast_to(weights, (len(self.refs),) + np.shape(weights)[-2:])
+            fams = [(np.einsum("kcp,km->cmp", np.array([r.ys[j][k].on(xs) for k in range(self.n)]),
+                               w), np.array(r.zs[j].on(xs))) for r, w in zip(self.refs, per_lam)]
+            y, z = (np.array(f) for f in zip(*fams))
+            yield (y[0], z[0]) if np.ndim(self.lam) == 0 else (y, z)
 
 
 def ref_outer(problem, lam):

@@ -297,6 +297,22 @@ def test_inner_product_identity():
                                np.array([0.3, -1.2, 0.7, 2.0]), v2) < 1e-10
 
 
+def test_inner_product_check_is_scale_free(monkeypatch):
+    # a 1% error in the pairing shows whatever the size of the source; a
+    # discrepancy measured against 1 + |direct| read 1e-14 for this one
+    g, bc, _ = barrier_end()
+    v, f = [1e-12, 0.0], np.array([1.0, 0.0, 0.0, 0.0])
+    assert inner_product_check(g, bc, 7.0, f, v) < 1e-10
+    real = resolvent.adjustment_vectors
+
+    def off_by_one_percent(ps):
+        av = real(ps)
+        return resolvent.AdjustmentVectors(L=1.01 * av.L, M=1.01 * av.M, N=1.01 * av.N)
+
+    monkeypatch.setattr(resolvent, "adjustment_vectors", off_by_one_percent)
+    assert inner_product_check(g, bc, 7.0, f, v) > 1e-10
+
+
 def test_u_gamma_dual_paths():
     g, bc, _ = barrier_end()
     for i in range(4):
