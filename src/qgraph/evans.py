@@ -4,9 +4,16 @@ The frame stacks two solution families: Y columns launched from the origin
 with data (-alpha2*, alpha1*), and the diagonal Z family launched from the
 outer endpoints with data (-conj h_i, conj g_i); _launch alone states that
 rule, and real conditions give real data.  The Evans function is the
-determinant of the 2n x 2n frame matrix; it does not depend on where the
-frame is evaluated, so the default evaluation point is the origin, where
-the Y blocks are exact initial data and only Z propagates.
+determinant of the 2n x 2n frame matrix [[Y, Z], [Y', Z']].  Z and Z' are
+diagonal, so they commute, and the Schur complement reduces it to the
+n x n secular determinant det(Z' Y - Z Y'), whose entry (j, i) is the
+Wronskian W(y_i, z_j) on edge j (wronskian_matrix); for Kirchhoff data it
+is the star secular function sum_j z_j' prod_{k != j} z_k.  Wronskians
+are constant along an edge, so it does not depend on where the frame is
+evaluated, and the default evaluation point is the origin, where Y and Y'
+are the constant launch data and only the n values z_j propagate.
+fundamental_frame and frame_matrix keep the 2n x 2n route, which the
+minors check compares with.
 
 Every block, and every value FrameBundle.families returns, comes from
 propagate.edge_transfers: a bundle makes one call for its blocks and one
@@ -137,14 +144,6 @@ def _frame(g, bc, lams, xs, ts):
     return FundamentalFrame(Y=Y, Z=Z, Yp=Yp, Zp=Zp, lam=lams, eval_point=xs)
 
 
-def _frames(problems, lams, points):
-    """The frame of every (graph, bc) problem at its evaluation point (None:
-    the origin), stacked along the lambda axis, from one edge_transfers call."""
-    planned = [_frame_legs(g, bc, point) for (g, bc), point in zip(problems, points)]
-    return [_frame(g, bc, lams, xs, ts) for (g, bc), (xs, _), ts in
-            zip(problems, planned, _leg_transfers([legs for _, legs in planned], lams))]
-
-
 def _at(frame, lam, scalar):
     """frame labelled lam, its lambda axis dropped for a scalar lam."""
     blocks = [b[0] if scalar else b for b in (frame.Y, frame.Z, frame.Yp, frame.Zp)]
@@ -156,8 +155,9 @@ def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
     """Frame blocks at eval_point (default: the origin).  For an array of
     lambda every block gains a leading lambda axis."""
     lams, scalar = lambdas(lam)
-    [f] = _frames([(g, bc)], lams, [eval_point])
-    return _at(f, lam, scalar)
+    xs, legs = _frame_legs(g, bc, eval_point)
+    [ts] = _leg_transfers([legs], lams)
+    return _at(_frame(g, bc, lams, xs, ts), lam, scalar)
 
 
 def frame_matrix(frame: FundamentalFrame) -> np.ndarray:
@@ -166,13 +166,28 @@ def frame_matrix(frame: FundamentalFrame) -> np.ndarray:
                            np.concatenate([frame.Yp, frame.Zp], axis=-1)], axis=-2)
 
 
+def wronskian_matrix(z, zp, Y, Yp):
+    """diag(z') Y - diag(z) Y', entry (j, i) the Wronskian W(y_i, z_j); its
+    determinant is det [[Y, diag z], [Y', diag z']], as the diagonal blocks
+    commute.  z, z' (..., n) and Y, Y' (..., n, n) broadcast."""
+    return zp[..., None] * Y - z[..., None] * Yp
+
+
 def _evans_each(problems, lams, points=None):
     """Evans values of every (graph, bc) problem on one array of lambda as
-    lambdas() gives it, frames at points (default: the origins)."""
-    points = points or [None] * len(problems)
-    return chunked(lambda ls: [np.linalg.det(frame_matrix(f))
-                               for f in _frames(problems, ls, points)],
-                   lams, sum(g.n ** 2 for g, _ in problems))
+    lambdas() gives it, evaluated at points (default: the origins), from one
+    edge_transfers call per batch; at the origin Y and Y' are the launch data."""
+    planned = [_frame_legs(g, bc, point)
+               for (g, bc), point in zip(problems, points or [None] * len(problems))]
+
+    def batch(ls):
+        out = []
+        for (g, bc), (xs, _), ts in zip(problems, planned,
+                                        _leg_transfers([legs for _, legs in planned], ls)):
+            y = y_blocks(bc, ls, xs, ts[g.n:]) if len(ts) > g.n else _launch(bc)[:2]
+            out.append(np.linalg.det(wronskian_matrix(*z_values(bc, ts[:g.n]), *y)))
+        return out
+    return chunked(batch, lams, sum(g.n ** 2 for g, _ in problems))
 
 
 def evans(g: StarGraph, bc: BoundaryConditions, lam,
@@ -263,8 +278,14 @@ class FrameBundle:
     def c_block(self):
         return c_matrix(self.frame0, self.bc)
 
+    def wronskians(self):
+        """The wronskian_matrix of frame0, after the bundle's lambda axis."""
+        f = self.frame0
+        return wronskian_matrix(*(np.diagonal(m, axis1=-2, axis2=-1) for m in (f.Z, f.Zp)),
+                                f.Y, f.Yp)
+
     def evans_value(self):
-        return np.linalg.det(frame_matrix(self.frame0))
+        return np.linalg.det(self.wronskians())
 
     def solve_trace(self, rhs):
         """Coefficients d of a combination whose gamma-trace equals rhs."""

@@ -58,7 +58,10 @@ class OneSidedMap:
 
     @property
     def route_residual(self):
-        return abs(self.value - self.quotient_value) / (1.0 + abs(self.value))
+        """|value - quotient_value| over |value| + |quotient_value|, 0 where
+        both are 0: relative, so it still reads a wrong route near a zero."""
+        size = abs(self.value) + abs(self.quotient_value)
+        return abs(self.value - self.quotient_value) / np.maximum(size, np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)

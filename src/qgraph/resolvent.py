@@ -119,8 +119,7 @@ def _taus(bundle: FrameBundle):
     """select_tau's partner indices and Wronskians, (n,) each after the
     bundle's lambda axis; raises if any lambda has no independent partner."""
     f = bundle.frame0
-    z, zp = (np.diagonal(m, axis1=-2, axis2=-1)[..., None] for m in (f.Z, f.Zp))
-    wr = f.Y * zp - f.Yp * z  # [..., j, i]
+    wr = bundle.wronskians()  # [..., j, i] = W(y_i, z_j)
     scale = 1.0 + np.max([np.abs(m).max(axis=(-2, -1)) for m in (f.Y, f.Yp, f.Z, f.Zp)], axis=0)
     tau = np.argmax(np.abs(wr), axis=-1)
     ds = np.take_along_axis(wr, tau[..., None], axis=-1)[..., 0]
@@ -197,21 +196,22 @@ class ResolventApplication:
     tau: TauSelection
 
 
-def _off_spectrum_det(bundle: FrameBundle):
-    """Raises OnSpectrum unless the C block of every lambda of the bundle
-    (made by FrameBundle.over) is numerically nonsingular."""
-    c = bundle.c_block()
-    det = np.linalg.det(c)
-    on = np.abs(det) <= SPECTRUM_TOL * (1.0 + np.abs(c).max(axis=(-2, -1))) ** bundle.n
+def _off_spectrum(bundle: FrameBundle):
+    """cond(C) of every lambda of the bundle (made by FrameBundle.over);
+    raises OnSpectrum unless each has cond(C) SPECTRUM_TOL < 1.  The
+    condition number, unlike det C, does not change when C is scaled."""
+    cond = np.linalg.cond(bundle.c_block())
+    on = ~(cond * SPECTRUM_TOL < 1.0)  # a NaN cond(C) is on the spectrum too
     if on.any():
         raise OnSpectrum(f"lambda={bundle.lam[np.argmax(on)]} is numerically on the spectrum")
+    return cond
 
 
 def _applications(bundle: FrameBundle, v, labels):
     """The resolvent applied to v at every lambda of the bundle (made by
     FrameBundle.over), each labelled from labels; every family of every
     lambda comes from one kernel call.  Raises if any lambda fails a check."""
-    _off_spectrum_det(bundle)
+    cond = _off_spectrum(bundle)
     tau, ds = _taus(bundle)
     n, bc = bundle.n, bundle.bc
     if len(v) != n:
@@ -220,12 +220,11 @@ def _applications(bundle: FrameBundle, v, labels):
     grids = tuple(np.linspace(0.0, e.length, GRID_POINTS) for e in bundle.graph.edges)
     parts = _particular(bundle, tau, ds, [(j, v[j], grids[j]) for j in range(n)])
     rhs = _partners(bundle, tau)[2] @ np.stack([p[2] for p in parts], axis=-1)[..., None]
-    c_mat = bundle.c_block()
-    loss = np.linalg.cond(c_mat) * np.finfo(float).eps
+    loss = cond * np.finfo(float).eps
     if loss.max() > 1e-9:
         raise ArithmeticError(f"coefficient system loses {loss.max():.2e} to conditioning; "
                               "lambda is too close to the spectrum")
-    cz = np.linalg.solve(c_mat, rhs)[..., 0]
+    cz = np.linalg.solve(bundle.c_block(), rhs)[..., 0]
     coeff = np.concatenate([np.zeros(cz.shape, dtype=cz.dtype), cz], axis=-1)
     out = [u + cz[:, j, None, None] * z for j, (u, z, _) in enumerate(parts)]  # values, derivatives
 
@@ -497,7 +496,7 @@ def _u_gamma(g, bc, lam, slots):
     lams, scalar = lambdas(lam)
     slots = list(slots)
     bundle = FrameBundle.over(g, bc, lams)
-    _off_spectrum_det(bundle)
+    _off_spectrum(bundle)
     n = bundle.n
     rhs = np.eye(2 * n)[:, slots]
     d = bundle.solve_trace(rhs)  # [lambda, coefficient, slot]

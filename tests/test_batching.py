@@ -54,7 +54,8 @@ def test_batched_evans_is_each_problem_alone(seed, sizes, size, complex_lam, mov
     batched = evans_module._evans_each(problems, lams, points)
     for (g, bc), xs, vals in zip(problems, points, batched):
         assert np.array_equal(vals, evans(g, bc, lams, eval_point=xs).value)
-        assert np.array_equal(vals, np.linalg.det(frame_matrix(fundamental_frame(g, bc, lams, xs))))
+        dets = np.linalg.det(frame_matrix(fundamental_frame(g, bc, lams, xs)))
+        assert np.abs(vals - dets).max() <= 1e-12 * np.abs(dets).max()
 
 
 def _count_kernel_calls(monkeypatch, sizes):

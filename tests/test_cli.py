@@ -434,6 +434,21 @@ def test_verify_double_table_on_a_wide_star(tmp_path, capsys, n, seed):
     assert all(r.startswith("double_split,") and r.endswith(",PASS") for r in rows)
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("which", ["resolvent", "ugamma"])
+def test_verify_resolvent_tables_on_a_16_wire_star(tmp_path, capsys, which, seed):
+    # det C is ~1e-14 at every lambda of the 16-wire star, so an absolute
+    # on-spectrum test would refuse every draw; cond(C) does not scale with C
+    g, bc, spec = wide_star(16, seed)
+    sc = cli.Scenario(graph=g, bc=bc, splits=spec, sweep=None, count_intervals=(),
+                      count_grid=None, boundary_block={"preset": "kirchhoff"})
+    path = tmp_path / "wide.scenario.json"
+    path.write_text(cli.scenario_json(sc), encoding="utf-8")
+    code = cli.main(["verify", "--scenario", str(path), "--which", which, "--grid", "4"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0 and rows and all(r.endswith(",PASS") for r in rows)
+
+
 def test_verify_gives_up_when_every_lambda_is_a_pole(tmp_path, monkeypatch, capsys):
     def pole(g, bc, cut, lam):
         raise maps.PoleAtLambda(lam, 0.0)

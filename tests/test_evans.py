@@ -4,12 +4,15 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (barrier_end, barrier_interior, rand_bc_cayley,
                       rand_bc_real, rand_graph, two_wire, wide_star)
 from qgraph import (BoundaryConditions, FrameBundle, StarGraph, build_preset,
-                    c_matrix, evans, frame_matrix, free_edge,
+                    c_matrix, cli, evans, frame_matrix, free_edge,
                     fundamental_frame, split_graph, x_independence_check)
+from test_batching import _star
 
 
 def test_frame_initial_data():
@@ -53,6 +56,43 @@ def test_determinant_ignores_evaluation_point(rng):
         lens = np.array([e.length for e in g.edges])
         pts = [np.zeros(n)] + [rng.uniform(0, 1, n) * lens for _ in range(4)]
         assert x_independence_check(g, bc, rng.uniform(3, 40), pts) < 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), cayley=st.booleans(),
+       sampled=st.booleans(), moved=st.booleans(), complex_lam=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_secular_determinant_is_the_frame_determinant(seed, n, cayley, sampled, moved,
+                                                      complex_lam):
+    # Z and Z' are diagonal, so they commute and det [[Y, Z], [Y', Z']] is
+    # det(Z' Y - Z Y'), at the origin and at any other evaluation point
+    rng = np.random.default_rng(seed)
+    g = _star(rng, n, sampled)
+    bc = rand_bc_cayley(n, rng) if cayley else rand_bc_real(n, rng)
+    xs = rng.uniform(0.0, 1.0, n) * g.lengths if moved else None
+    lams = rng.uniform(-5.0, 60.0, 40)
+    if complex_lam:
+        lams = lams + 1j * rng.uniform(-3.0, 3.0, 40)
+    vals = evans(g, bc, lams, eval_point=xs).value
+    dets = np.linalg.det(frame_matrix(fundamental_frame(g, bc, lams, xs)))
+    assert np.abs(vals - dets).max() <= 1e-12 * np.abs(dets).max()
+    assert vals.dtype == dets.dtype
+
+
+def test_evans_paths_build_no_frame_matrix(monkeypatch):
+    # an evans sweep and a count report take every Evans value as an n x n
+    # determinant: no 2n x 2n frame matrix, and no frame, is built
+    module = importlib.import_module("qgraph.evans")
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+
+    def refuse(*args):
+        raise AssertionError("a 2n x 2n frame was built")
+    shapes, det = [], np.linalg.det
+    monkeypatch.setattr(module, "frame_matrix", refuse)
+    monkeypatch.setattr(module, "_frame", refuse)
+    monkeypatch.setattr(np.linalg, "det", lambda a: shapes.append(np.shape(a)) or det(a))
+    cli.evans_csv(sc, with_map=True)
+    cli.count_report(sc)
+    assert shapes and max(s[-1] for s in shapes) == sc.graph.n
 
 
 def test_evaluation_point_check_sees_one_wrong_point_on_a_wide_star(monkeypatch):

@@ -1,5 +1,7 @@
 """Cut maps: spot values at lambda=20, dual-route agreement, factorization
 residuals, pole detection, monotonicity, and the complementary-minor identity."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,17 @@ def test_quotient_legs_are_the_piece_determinants():
         -m1.numerator_evans / m1.denominator_evans)
     assert m2.quotient_value == pytest.approx(
         m2.numerator_evans / m2.denominator_evans)
+
+
+def test_route_residual_is_relative_near_a_map_zero():
+    # M1 = w cot(2w/3), w = sqrt(lambda + 10), vanishes at w = 9 pi / 4;
+    # 1e-6 above it |value| ~ 3e-7, and a residual over 1 + |value| read a
+    # quotient 1% off as ~3e-9
+    g, bc, spec = barrier_end()
+    m1 = map_M1(split_graph(g, bc, spec)["omega1:D"], (9 * np.pi / 4) ** 2 - 10 + 1e-6)
+    assert abs(m1.value) < 1e-6 and m1.route_residual < 1e-12
+    assert dataclasses.replace(m1, numerator_evans=1.01 * m1.numerator_evans).route_residual > 1e-3
+    assert dataclasses.replace(m1, value=0.0, numerator_evans=0.0).route_residual == 0.0
 
 
 def test_same_wire_matrices_at_20():

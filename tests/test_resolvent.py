@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real,
-                      two_wire)
+                      two_wire, wide_star)
 from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec, FrameBundle,
                     NoIndependentPartner, OnSpectrum, QuadratureFailure,
                     Sampled, SingularDeltaCombination, StarGraph, adjustment_vectors,
-                    build_preset, build_projections, free_edge,
+                    build_preset, build_projections, evans, free_edge,
                     inner_product_check, map_M2, particular_solution,
                     projection_equations, resolvent_apply, segment_residual,
                     select_tau, split_graph, u_gamma)
@@ -95,9 +96,20 @@ def test_on_spectrum_raises():
         resolvent_apply(g, bc, np.pi ** 2, [1.0])
 
 
+@pytest.mark.parametrize("rel", [1e-12, -1e-12])
+def test_on_spectrum_does_not_depend_on_the_scale_of_c(rel):
+    # det C is ~1e-14 everywhere on the 16-wire star, and cond(C) is not:
+    # 1e-12 (relative) from an eigenvalue is on the spectrum at n = 2 and 16
+    g, bc, _ = wide_star(16, 1)
+    eig = brentq(lambda t: evans(g, bc, t).value, 4.0, 4.4, xtol=1e-15, rtol=1e-15)
+    for g, bc, eig in (two_wire()[:2] + (4.247691628724768,), (g, bc, eig)):
+        with pytest.raises(OnSpectrum):
+            resolvent_apply(g, bc, eig * (1 + rel), np.ones(g.n))
+
+
 @pytest.mark.parametrize("eig", [4.247691628724768, 18.37233741736003, 34.940992929497476])
 def test_ill_conditioned_coefficient_solve_raises(eig):
-    # two_wire eigenvalues: 1e-8 away the determinant test still passes,
+    # two_wire eigenvalues: 1e-8 away the on-spectrum test still passes,
     # but the coefficient system has lost too many digits to trust
     g, bc, _ = two_wire()
     with pytest.raises(ArithmeticError, match="too close to the spectrum") as e:
