@@ -8,8 +8,10 @@ the counting identity
 
 holds with delta_N = (zeros - poles) of the two-sided map on the interval.
 Zeros where the function dips without changing sign are probed and counted
-with multiplicity two; the paper-scale examples produce at most order-two
-coincidences.
+with multiplicity two.  A higher one is miscounted silently: an odd one
+(3, 5, ...) is one sign change and counts once, an even one a dip that
+counts twice, as on a Kirchhoff star of n equal wires (multiplicity n - 1).
+verify_counting may then FAIL, or hold on a wrong count (ROADMAP item 1).
 
 The scans evaluate a whole grid in one call of a function of an array of
 lambda, then refine all its sign-change brackets with one call per step;
@@ -157,8 +159,7 @@ def _scan_zeros(fs, grids):
     ends = [(fxs[i], fxs[i + 1], fvs[i], fvs[i + 1]) for (_, fxs, fvs), i in zip(scans, cells)]
     a, b, fa, fb = (np.concatenate(col) for col in zip(*ends))
     rows = np.repeat([row for row, _, _ in scans], [i.size for i in cells])
-    kw = {"rows": rows} if len(vs) > 1 else {}  # one function: the plain call
-    roots = np.split(_refine(fs, a, b, fa, fb, **kw), np.cumsum([i.size for i in cells])[:-1])
+    roots = np.split(_refine(fs, a, b, fa, fb, rows), np.cumsum([i.size for i in cells])[:-1])
     found = []
     for (row, fxs, fvs), refined in zip(scans, roots):
         if fxs.size < 2:

@@ -12,13 +12,13 @@ is the star secular function sum_j z_j' prod_{k != j} z_k.  Wronskians
 are constant along an edge, so it does not depend on where the frame is
 evaluated, and the default evaluation point is the origin, where Y and Y'
 are the constant launch data and only the n values z_j propagate.
-fundamental_frame and frame_matrix keep the 2n x 2n route, which the
-minors check compares with.
+fundamental_frame, frame_matrix and c_matrix keep the 2n x 2n route as
+the minors check's reference; nothing else in the package builds it.
 
-Every block, and every value FrameBundle.families returns, comes from
-propagate.edge_transfers: a bundle makes one call for its blocks and one
-for each families() call, which covers both families on every edge asked
-for; FrameBundle.over holds the families of a whole array of lambda.
+Every value here comes from propagate.edge_transfers: a bundle makes one
+call for z, z' and Yl, Yl' and one for each families() call, which covers
+both families on every edge asked for; FrameBundle.over holds the families
+of a whole array of lambda.
 evans and fundamental_frame accept an array of lambda and return stacked
 results.  _evans_each evaluates several problems, all their legs in
 one edge_transfers call per batch of max(1, CHUNK // sum of n^2) lambdas,
@@ -134,20 +134,14 @@ def _frame_legs(g, bc, point):
 
 
 def _frame(g, bc, lams, xs, ts):
-    """The frame at xs from the transfers ts of its _frame_legs."""
+    """Y, Z, Y', Z' of the frame at xs from the transfers ts of its _frame_legs."""
     z, zp = z_values(bc, ts[:g.n])
     Y, Yp = y_blocks(bc, lams, xs, ts[g.n:])
     diag = np.arange(g.n)
     Z = np.zeros(Y.shape, dtype=z.dtype)
     Zp = np.zeros(Y.shape, dtype=zp.dtype)
     Z[:, diag, diag], Zp[:, diag, diag] = z, zp
-    return FundamentalFrame(Y=Y, Z=Z, Yp=Yp, Zp=Zp, lam=lams, eval_point=xs)
-
-
-def _at(frame, lam, scalar):
-    """frame labelled lam, its lambda axis dropped for a scalar lam."""
-    blocks = [b[0] if scalar else b for b in (frame.Y, frame.Z, frame.Yp, frame.Zp)]
-    return FundamentalFrame(*blocks, lam=lam, eval_point=frame.eval_point)
+    return Y, Z, Yp, Zp
 
 
 def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
@@ -157,7 +151,8 @@ def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
     lams, scalar = lambdas(lam)
     xs, legs = _frame_legs(g, bc, eval_point)
     [ts] = _leg_transfers([legs], lams)
-    return _at(_frame(g, bc, lams, xs, ts), lam, scalar)
+    blocks = _frame(g, bc, lams, xs, ts)
+    return FundamentalFrame(*(b[0] if scalar else b for b in blocks), lam=lam, eval_point=xs)
 
 
 def frame_matrix(frame: FundamentalFrame) -> np.ndarray:
@@ -221,12 +216,13 @@ class FrameBundle:
     boundary-value solves, where the families act as a basis and their
     gamma-trace matrix is block diagonal: Y columns satisfy the origin
     conditions exactly and Z columns the outer ones, so only the beta-trace
-    of Y and the alpha-trace of Z (the C block) survive.  The blocks come
-    from one kernel call: the z legs of the origin frame and the Y legs to
-    the outer ends.  families() evaluates both families anywhere on an
-    edge through the same kernel.  FrameBundle.over builds the bundle of
-    an array of lambda, whose blocks, C block, trace solves, families and
-    weights gain a leading lambda axis; one lambda is its L = 1 case.
+    of Y and the alpha-trace of Z (the C block) survive.  One kernel call
+    gives z, z' at the origin, where Y, Y' are the launch data, and Yl, Yl'
+    at the outer ends: no 2n x 2n frame.  families() evaluates both families
+    anywhere on an edge through the same kernel.  FrameBundle.over builds
+    the bundle of an array of lambda, whose values, C block, trace solves,
+    families and weights gain a leading lambda axis; one lambda is its
+    L = 1 case.
     """
 
     def __init__(self, g: StarGraph, bc: BoundaryConditions, lam):
@@ -241,9 +237,9 @@ class FrameBundle:
 
     def _build(self, g, bc, lam, lams, scalar):
         self.graph, self.bc, self.lam, self._lams, self._scalar = g, bc, lam, lams, scalar
-        xs, legs = _frame_legs(g, bc, None)
+        legs = _frame_legs(g, bc, None)[1]
         ts, tl = _leg_transfers([legs, [(e, 0.0, e.length) for e in g.edges]], lams)
-        self.frame0 = _at(_frame(g, bc, lams, xs, ts), lam, scalar)
+        self.z, self.zp = (v[0] if scalar else v for v in z_values(bc, ts))
         self.Yl, self.Ylp = (b[0] if scalar else b for b in y_blocks(bc, lams, g.lengths, tl))
 
     def families(self, items):
@@ -276,13 +272,12 @@ class FrameBundle:
         return self.graph.n
 
     def c_block(self):
-        return c_matrix(self.frame0, self.bc)
+        """C = alpha1 Z(0) + alpha2 Z'(0), after the bundle's lambda axis."""
+        return self.bc.alpha1 * self.z[..., None, :] + self.bc.alpha2 * self.zp[..., None, :]
 
     def wronskians(self):
-        """The wronskian_matrix of frame0, after the bundle's lambda axis."""
-        f = self.frame0
-        return wronskian_matrix(*(np.diagonal(m, axis1=-2, axis2=-1) for m in (f.Z, f.Zp)),
-                                f.Y, f.Yp)
+        """The wronskian_matrix at the origin, after the bundle's lambda axis."""
+        return wronskian_matrix(self.z, self.zp, *_launch(self.bc)[:2])
 
     def evans_value(self):
         return np.linalg.det(self.wronskians())

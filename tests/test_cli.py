@@ -197,6 +197,22 @@ def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
             assert res == cli._fmt(fresh)
 
 
+def test_verify_ugamma_resamples_a_draw_near_the_spectrum(monkeypatch):
+    # 1e-8 above two_wire's first eigenvalue C has lost too many digits: the
+    # ugamma table resamples that draw as the resolvent table does, where
+    # it used to keep it and fail 3 of its rows
+    sc = cli.parse_scenario(cli._EXAMPLES["two_wire"])
+    near, real = 4.247691628724768 + 1e-8, cli._sample_lambdas
+    monkeypatch.setattr(cli, "_sample_lambdas",
+                        lambda rng, sweep, rounds: np.r_[near, real(rng, sweep, rounds)[1:]])
+    for which in ("resolvent", "ugamma"):
+        text, ok = cli.verify_table(sc, which, seed=2, rounds=3)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        lams = list(dict.fromkeys(float(r[1]) for r in rows))
+        assert ok and all(r[-1] == "PASS" for r in rows)
+        assert len(lams) == 3 and lams[0] != near and abs(lams[0] - near) <= 0.5
+
+
 class _CountedBundle(resolvent.FrameBundle):
     """Records the lambdas of every bundle the resolvent core builds."""
     built = []

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import barrier_end, barrier_interior, rand_bc_real, rand_graph, two_wire
 from qgraph import (EndpointNudged, GridTooCoarse, PoleOnBoundary, SplitSpec,
-                    count_eigenvalues, count_zeros, lambda_grid, map_delta,
-                    verify_counting)
+                    StarGraph, build_preset, count_eigenvalues, count_zeros,
+                    free_edge, lambda_grid, map_delta, verify_counting)
 from qgraph.graphs import SINGLE
 
 
@@ -68,7 +68,7 @@ def test_scan_masks_match_the_cell_loop(seed, monkeypatch):
     vs[rng.choice(200, 4, replace=False)] = 0.0     # grid points on a zero
     calls = []
 
-    def refine(fs, a, b, fa, fb):
+    def refine(fs, a, b, fa, fb, rows=None):
         # seeded with the grid values, never re-evaluated at the bracket ends
         assert np.array_equal(fa, vs[np.searchsorted(xs, a)])
         assert np.array_equal(fb, vs[np.searchsorted(xs, b)])
@@ -278,3 +278,25 @@ def test_counting_identity_random_single_cuts(rng):
             warnings.simplefilter("ignore", EndpointNudged)
             rep = verify_counting(g, bc, spec, (4.0, 30.0))
         assert rep.holds, rep.summary()
+
+
+def _equal_wires(n):
+    """Kirchhoff star of n free wires of length 1 with Dirichlet ends: (m pi)^2
+    is an eigenvalue of multiplicity n - 1, and 22.2066 a simple one."""
+    return StarGraph(tuple(free_edge(1.0) for _ in range(n))), build_preset("kirchhoff", n)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: sign changes and dips "
+                   "cannot count a multiplicity above two")
+@pytest.mark.parametrize("n, count", [(4, 7), (5, 9)])
+def test_equal_wire_stars_count_every_multiplicity(n, count):
+    # pi^2 and 4 pi^2 have multiplicity 3 at n = 4 (counted once today) and
+    # 4 at n = 5 (counted twice): the scan gives 3 and 5
+    assert count_eigenvalues(*_equal_wires(n), (5.0, 60.0)).count == count
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_equal_wire_stars_fail_the_identity_on_a_midpoint_cut(n):
+    # the miscount shows in verify_counting, which cannot say which term is wrong
+    g, bc = _equal_wires(n)
+    assert not verify_counting(g, bc, SplitSpec(((0, 0.5),), SINGLE), (5.0, 60.0)).holds

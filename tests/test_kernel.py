@@ -184,8 +184,8 @@ def test_evans_and_bundle_blocks_match_reference(seed, n, complex_lam, complex_b
     bundles = [FrameBundle(g, bc, lam) for lam in lams]
     for block in ("Yl", "Ylp"):
         assert_close([getattr(b, block) for b in bundles], [getattr(r, block) for r in refs])
-    assert_close([b.frame0.Z for b in bundles], [r.Z for r in refs])
-    assert_close([b.frame0.Zp for b in bundles], [r.Zp for r in refs])
+    assert_close([b.z for b in bundles], [np.diagonal(r.Z) for r in refs])
+    assert_close([b.zp for b in bundles], [np.diagonal(r.Zp) for r in refs])
     # both families anywhere on each edge, ends included
     for b, r in zip(bundles[::4], refs[::4]):
         d = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)

@@ -109,13 +109,40 @@ def test_on_spectrum_does_not_depend_on_the_scale_of_c(rel):
 
 @pytest.mark.parametrize("eig", [4.247691628724768, 18.37233741736003, 34.940992929497476])
 def test_ill_conditioned_coefficient_solve_raises(eig):
-    # two_wire eigenvalues: 1e-8 away the on-spectrum test still passes,
-    # but the coefficient system has lost too many digits to trust
+    # two_wire eigenvalues: 1e-8 away the coefficient system has lost too
+    # many digits to trust, which is the on-spectrum test
     g, bc, _ = two_wire()
     with pytest.raises(ArithmeticError, match="too close to the spectrum") as e:
         resolvent_apply(g, bc, eig + 1e-8, [1.0, 0.5])
-    assert not isinstance(e.value, OnSpectrum)
+    assert isinstance(e.value, OnSpectrum)
     assert resolvent_apply(g, bc, eig + 1e-3, [1.0, 0.5]).gamma_residual < 1e-10
+
+
+@pytest.mark.parametrize("eig", [4.247691628724768, 18.37233741736003, 34.940992929497476])
+def test_u_gamma_refuses_what_the_resolvent_refuses(eig):
+    # one on-spectrum rule: u_gamma solves against the same C, and 1e-8 from
+    # a two_wire eigenvalue its paths disagreed by 1 to 8
+    g, bc, _ = two_wire()
+    for i in range(2 * g.n):
+        with pytest.raises(OnSpectrum, match="too close to the spectrum"):
+            u_gamma(g, bc, eig + 1e-8, i)
+
+
+def test_resolvent_paths_build_no_frame(monkeypatch):
+    # the resolvent, ugamma and projections tables and the inner-product
+    # check read the bundle's secular data: no 2n x 2n frame is built
+    from qgraph import cli
+    evans_module = sys.modules["qgraph.evans"]  # qgraph.evans is also the function
+
+    def refuse(*args):
+        raise AssertionError("a 2n x 2n frame was built")
+    monkeypatch.setattr(evans_module, "frame_matrix", refuse)
+    monkeypatch.setattr(evans_module, "_frame", refuse)
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+    for which in ("resolvent", "ugamma", "projections"):
+        assert cli.verify_table(sc, which, seed=1, rounds=2)[1]
+    g, bc, _ = barrier_end()
+    assert inner_product_check(g, bc, 7.0, np.array([1.0, 0, 0, 0]), [1.0, 0.0]) < 1e-10
 
 
 def test_select_tau_at_eigenvalue():
