@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .counting import EndpointOnSpectrum, PoleOnBoundary, verify_counting
+from .counting import EndpointOnSpectrum, PoleOnBoundary, _Terms, verify_counting
 from .evans import _evans_each
 from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, BoundaryData, EdgeSpec, GraphError,
@@ -279,8 +279,9 @@ def count_report(sc: Scenario, grid=None):
     machine = {"intervals": []}
     all_hold = True
     deltas = []
+    terms = _Terms(sc.graph, sc.bc, sc.splits)  # one split and one plan for every interval
     for lo, hi in intervals:
-        rep = verify_counting(sc.graph, sc.bc, sc.splits, (lo, hi), grid=grid)
+        rep = verify_counting(sc.graph, sc.bc, sc.splits, (lo, hi), grid=grid, terms=terms)
         all_hold = all_hold and rep.holds
         deltas.append((lo, hi, rep.delta_N))
         pieces = "  ".join(f"{k}={r.count}" for k, r in rep.pieces.items())

@@ -16,9 +16,13 @@ verify_counting may then FAIL, or hold on a wrong count (ROADMAP item 1).
 The scans evaluate a whole grid in one call of a function of an array of
 lambda, then refine all its sign-change brackets with one call per step;
 dip probes call it with one-element arrays.  verify_counting scans the full
-graph and every piece as one such function, one kernel call a step for all,
-each bracket carrying its function's row; a single count is the one-function
-case.  count_zeros and map_delta take functions of one lambda and lift them.
+graph and every piece as one such function, one kernel evaluation a step
+for all, each bracket carrying its function's row; a single count is the
+one-function case.  Its terms (_Terms) split the graph and plan the legs of
+every Evans problem and of the two-sided map once; the endpoint probe, the
+grids and every refinement step evaluate those plans, and count_report
+keeps one _Terms for all the intervals of a scenario.  count_zeros and
+map_delta take functions of one lambda and lift them.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar  # brentq unused: perfbench/tracing.py wraps it
 
 from . import maps
-from .evans import _evans_each, evans
+from .evans import _evans_values, evans, lambdas
 from .graphs import split_graph
 
 REFINE_TOL = 1e-10
@@ -319,21 +323,38 @@ class CountingIdentityReport:
         return f"{self.full.count} = {terms} + {self.delta_N} {verdict}"
 
 
-def verify_counting(g, bc, spec, interval, grid=None) -> CountingIdentityReport:
+class _Terms:
+    """The terms of a counting identity as functions of an array of lambda:
+    values gives one row of Evans values per problem, the full graph and
+    then each piece's Dirichlet key (keys), and map_values the two-sided
+    map.  The split and the legs of both are planned once, here."""
+
+    def __init__(self, g, bc, spec):
+        if not bc.is_real():
+            raise ValueError("sign-change counting needs real boundary data")
+        parts = split_graph(g, bc, spec)
+        self.keys = [p.factor_key for p in spec.pieces]
+        self._evans = _evans_values([(g, bc)] + [parts[k] for k in self.keys])
+        self._map = maps._two_sided(parts, spec)
+
+    def values(self, xs):
+        return np.array(self._evans(xs))
+
+    def map_values(self, ts):
+        with np.errstate(all="ignore"):
+            return self._map(lambdas(ts)[0])
+
+
+def verify_counting(g, bc, spec, interval, grid=None, terms=None) -> CountingIdentityReport:
     """Check N_full = sum of piece counts + delta_N, all terms independent.
 
     Endpoints sitting on any involved spectrum are nudged inward by
     10 * REFINE_TOL (with a warning); if that does not clear them the
-    interval is rejected.
+    interval is rejected.  Pass terms=_Terms(g, bc, spec) to reuse one
+    split and its planned legs over several intervals.
     """
-    if not bc.is_real():
-        raise ValueError("sign-change counting needs real boundary data")
-    parts = split_graph(g, bc, spec)
-    keys = [p.factor_key for p in spec.pieces]
-    problems = [(g, bc)] + [parts[k] for k in keys]
-
-    def values(xs):  # one row per problem, all from one kernel call a batch
-        return np.array(_evans_each(problems, xs))
+    terms = _Terms(g, bc, spec) if terms is None else terms
+    keys, values = terms.keys, terms.values
 
     def on_spectrum(xs):
         # per x: does any problem change sign between x - REFINE_TOL and x + REFINE_TOL
@@ -354,11 +375,7 @@ def verify_counting(g, bc, spec, interval, grid=None) -> CountingIdentityReport:
     full, *reports = _count(values, nudged, grid)
     piece_reports = dict(zip(keys, reports))
 
-    def map_values(ts):
-        with np.errstate(all="ignore"):
-            return maps.two_sided_value(g, bc, spec, ts, parts=parts)
-
-    map_report = _map_delta(map_values, [piece_reports[k] for k in keys], nudged, grid)
+    map_report = _map_delta(terms.map_values, [piece_reports[k] for k in keys], nudged, grid)
     holds = full.count == sum(r.count for r in piece_reports.values()) + map_report.delta_N
     return CountingIdentityReport(interval=nudged, full=full, pieces=piece_reports,
                                   map_report=map_report, holds=holds)

@@ -15,25 +15,31 @@ are the constant launch data and only the n values z_j propagate.
 fundamental_frame, frame_matrix and c_matrix keep the 2n x 2n route as
 the minors check's reference; nothing else in the package builds it.
 
-Every value here comes from propagate.edge_transfers: a bundle makes one
-call for z, z' and Yl, Yl' and one for each families() call, which covers
-both families on every edge asked for; FrameBundle.over holds the families
-of a whole array of lambda.
-evans and fundamental_frame accept an array of lambda and return stacked
-results.  _evans_each evaluates several problems, all their legs in
-one edge_transfers call per batch of max(1, CHUNK // sum of n^2) lambdas,
-which bounds a batch's memory; evans is its one-problem case.
+Every value here comes from the transfer kernel, propagate.LegPlan:
+legs are planned once, lambda-free, and the plan is evaluated on an array
+of lambda, one stack of transfers that each problem reads as slices.  A
+bundle evaluates one plan for z, z' and Yl, Yl' and one for each
+families() call, which covers both families on every edge asked for;
+FrameBundle.over holds the families of a whole array of lambda.  evans and
+fundamental_frame accept an array of lambda and return stacked results.
+_evans_values plans the legs of several problems once and evaluates them
+once per batch of max(1, CHUNK // sum of n^2) lambdas, which bounds a
+batch's memory; a command keeps it for as long as its problems live, and
+_evans_each and evans are its one-shot cases.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import BoundaryConditions, StarGraph, require_valid_bc
-from .propagate import edge_transfers
+from .propagate import LegPlan, edge_transfers
 
-CHUNK = 64 * 16 ** 2  # lambdas times n^2 per batch: the frames of a batch take O(CHUNK)
+# lambdas times n^2 per batch: a batch holds the n x n Wronskian matrices of
+# every problem, O(CHUNK), and the 2 x 2 transfers of every leg
+CHUNK = 64 * 16 ** 2
 
 
 @dataclass(frozen=True)
@@ -72,13 +78,6 @@ def chunked(fn, lams, size=1):
     return batches[0] if len(batches) == 1 else [np.concatenate(c) for c in zip(*batches)]
 
 
-def _leg_transfers(groups, lams):
-    """edge_transfers of every leg list in groups through one call, split
-    back into one list of transfers per group."""
-    ts = iter(edge_transfers([leg for legs in groups for leg in legs], lams))
-    return [[next(ts) for _ in legs] for legs in groups]
-
-
 def _launch(bc):
     """(Y, Y') at the origin, column i member i, and (z, z') at each outer
     end; cached on the immutable condition set, as every frame reads it."""
@@ -89,27 +88,26 @@ def _launch(bc):
     return data
 
 
-def y_blocks(bc: BoundaryConditions, lams, xs, ts):
+def y_blocks(bc: BoundaryConditions, lams, xs, t):
     """Y family at xs[j] on edge j: (Y, Y'), each (L, n, n), from the
-    transfers ts of the legs (edge j, 0, xs[j]) with xs[j] != 0."""
+    transfers t, (L, k, 2, 2), of the k legs (edge j, 0, xs[j]) with
+    xs[j] != 0."""
     y0, yp0 = _launch(bc)[:2]
     Y = np.empty((lams.size,) + y0.shape, dtype=np.result_type(lams, y0))
     Yp = np.empty_like(Y)
     Y[:], Yp[:] = y0, yp0
-    if ts:
+    if t.shape[1]:
         moved = np.flatnonzero(xs)
-        t = np.stack(ts, axis=1)
         a, ap = y0[moved], yp0[moved]
         Y[:, moved] = t[..., 0, 0, None] * a + t[..., 0, 1, None] * ap
         Yp[:, moved] = t[..., 1, 0, None] * a + t[..., 1, 1, None] * ap
     return Y, Yp
 
 
-def z_values(bc: BoundaryConditions, ts):
+def z_values(bc: BoundaryConditions, t):
     """z_j at the end of its leg: (z, z'), each (L, n), from the transfers
-    ts of one leg per edge j, from its outer end."""
+    t, (L, n, 2, 2), of one leg per edge j, from its outer end."""
     z0, zp0 = _launch(bc)[2:]
-    t = np.stack(ts, axis=1)
     return (t[..., 0, 0] * z0 + t[..., 0, 1] * zp0,
             t[..., 1, 0] * z0 + t[..., 1, 1] * zp0)
 
@@ -133,10 +131,10 @@ def _frame_legs(g, bc, point):
                 + [(g.edges[j], 0.0, xs[j]) for j in np.flatnonzero(xs)])
 
 
-def _frame(g, bc, lams, xs, ts):
-    """Y, Z, Y', Z' of the frame at xs from the transfers ts of its _frame_legs."""
-    z, zp = z_values(bc, ts[:g.n])
-    Y, Yp = y_blocks(bc, lams, xs, ts[g.n:])
+def _frame(g, bc, lams, xs, t):
+    """Y, Z, Y', Z' of the frame at xs from the stacked transfers t of its _frame_legs."""
+    z, zp = z_values(bc, t[:, :g.n])
+    Y, Yp = y_blocks(bc, lams, xs, t[:, g.n:])
     diag = np.arange(g.n)
     Z = np.zeros(Y.shape, dtype=z.dtype)
     Zp = np.zeros(Y.shape, dtype=zp.dtype)
@@ -150,8 +148,7 @@ def fundamental_frame(g: StarGraph, bc: BoundaryConditions, lam,
     lambda every block gains a leading lambda axis."""
     lams, scalar = lambdas(lam)
     xs, legs = _frame_legs(g, bc, eval_point)
-    [ts] = _leg_transfers([legs], lams)
-    blocks = _frame(g, bc, lams, xs, ts)
+    blocks = _frame(g, bc, lams, xs, LegPlan(legs).stack(lams))
     return FundamentalFrame(*(b[0] if scalar else b for b in blocks), lam=lam, eval_point=xs)
 
 
@@ -168,21 +165,32 @@ def wronskian_matrix(z, zp, Y, Yp):
     return zp[..., None] * Y - z[..., None] * Yp
 
 
-def _evans_each(problems, lams, points=None):
-    """Evans values of every (graph, bc) problem on one array of lambda as
-    lambdas() gives it, evaluated at points (default: the origins), from one
-    edge_transfers call per batch; at the origin Y and Y' are the launch data."""
-    planned = [_frame_legs(g, bc, point)
-               for (g, bc), point in zip(problems, points or [None] * len(problems))]
+def _evans_values(problems, points=None):
+    """The Evans values of every (graph, bc) problem, evaluated at points
+    (default: the origins), as one function of an array of lambda as
+    lambdas() gives it, which returns a list of value arrays.  The legs of
+    every problem are planned here, once; each batch evaluates the plan
+    once, and each problem reads its z and Y legs as slices of that stack.
+    At the origin Y and Y' are the launch data."""
+    frames = [_frame_legs(g, bc, point)
+              for (g, bc), point in zip(problems, points or [None] * len(problems))]
+    plan = LegPlan([leg for _, legs in frames for leg in legs])
+    firsts = [0, *itertools.accumulate(len(legs) for _, legs in frames)]
 
     def batch(ls):
-        out = []
-        for (g, bc), (xs, _), ts in zip(problems, planned,
-                                        _leg_transfers([legs for _, legs in planned], ls)):
-            y = y_blocks(bc, ls, xs, ts[g.n:]) if len(ts) > g.n else _launch(bc)[:2]
-            out.append(np.linalg.det(wronskian_matrix(*z_values(bc, ts[:g.n]), *y)))
+        t, out = plan.stack(ls), []
+        for (g, bc), (xs, legs), a in zip(problems, frames, firsts):
+            y = (y_blocks(bc, ls, xs, t[:, a + g.n:a + len(legs)]) if len(legs) > g.n
+                 else _launch(bc)[:2])
+            out.append(np.linalg.det(wronskian_matrix(*z_values(bc, t[:, a:a + g.n]), *y)))
         return out
-    return chunked(batch, lams, sum(g.n ** 2 for g, _ in problems))
+    size = sum(g.n ** 2 for g, _ in problems)
+    return lambda lams: chunked(batch, lams, size)
+
+
+def _evans_each(problems, lams, points=None):
+    """_evans_values of the problems at one array of lambda."""
+    return _evans_values(problems, points)(lams)
 
 
 def evans(g: StarGraph, bc: BoundaryConditions, lam,
@@ -237,10 +245,11 @@ class FrameBundle:
 
     def _build(self, g, bc, lam, lams, scalar):
         self.graph, self.bc, self.lam, self._lams, self._scalar = g, bc, lam, lams, scalar
-        legs = _frame_legs(g, bc, None)[1]
-        ts, tl = _leg_transfers([legs, [(e, 0.0, e.length) for e in g.edges]], lams)
-        self.z, self.zp = (v[0] if scalar else v for v in z_values(bc, ts))
-        self.Yl, self.Ylp = (b[0] if scalar else b for b in y_blocks(bc, lams, g.lengths, tl))
+        legs = _frame_legs(g, bc, None)[1] + [(e, 0.0, e.length) for e in g.edges]
+        t = LegPlan(legs).stack(lams)
+        self.z, self.zp = (v[0] if scalar else v for v in z_values(bc, t[:, :g.n]))
+        self.Yl, self.Ylp = (b[0] if scalar else b
+                             for b in y_blocks(bc, lams, g.lengths, t[:, g.n:]))
 
     def families(self, items):
         """Both families at the positions xs (1-d) on edge j, propagated from

@@ -13,19 +13,23 @@ The factorizations these maps enter are
     E = E1 Et1 Et2 det(MM1 + MM2)             (two cuts, either geometry)
 with every Evans factor taken with Dirichlet conditions at the cuts.  One
 assembly of (MM1, MM2) over an array of lambda serves the sweep value, the
-2 x 2 builders and the split residuals, all pieces' legs propagated in one
-edge_transfers call; the one-sided maps are its one-piece case.
+2 x 2 builders and the split residuals: the legs of all pieces are planned
+once (propagate.LegPlan) and evaluated in one stack per batch, so a count
+that keeps the assembly evaluates it at every grid and refinement step
+without planning again.  The one-sided maps are its one-piece case.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphs
 from .graphs import (BoundaryConditions, SplitSpec, StarGraph, split_graph)
-from .evans import (_leg_transfers, beta_trace, chunked, evans, frame_matrix,
-                    fundamental_frame, lambdas, y_blocks, z_values)
+from .evans import (beta_trace, chunked, evans, frame_matrix, fundamental_frame, lambdas,
+                    y_blocks, z_values)
+from .propagate import LegPlan
 
 POLE_RTOL = 1e-6  # a denominator zero within POLE_RTOL (1 + |lambda|) of lambda is a pole
 
@@ -115,9 +119,11 @@ def _solve_each(a, b):
         return out
 
 
-def _dtn_blocks(pieces, lams):
+def _dtn_blocks(pieces):
     """Dirichlet-to-Neumann block, (L, m, m), of each (kind, (graph, bc),
-    cut edges) piece, all legs through one edge_transfers call.
+    cut edges) piece, as one function of an array of lambda: the legs of
+    every piece are planned here, once, and each call evaluates them in
+    one stack, each piece reading its legs as a slice.
 
     OUTER, one edge cut at the origin: -z'(0)/z(0), z fixed by the outer
     condition.  INTERVAL, [0, d] cut at both ends (slot 0 at d): columns are
@@ -127,23 +133,28 @@ def _dtn_blocks(pieces, lams):
     r its derivative at cut r; the origin block of that trace system sees
     zero data, so these are Y combinations solved from Y's beta-trace.
     """
-    legs = [[(e, e.length, 0.0) if kind == OUTER else (e, 0.0, e.length) for e in g.edges]
-            for kind, (g, _), _ in pieces]
-    blocks = []
-    for (kind, (g, bc), cuts), ts in zip(pieces, _leg_transfers(legs, lams)):
-        if kind == OUTER:
-            z, zp = z_values(bc, ts)
-            blocks.append((-zp / z)[:, :, None])
-        elif kind == INTERVAL:
-            t = ts[0]
-            s = t[:, 0, 1]
-            blocks.append(np.stack([np.stack([t[:, 1, 1] / s, -1.0 / s], axis=-1),
-                                    np.stack([-1.0 / s, t[:, 0, 0] / s], axis=-1)], axis=-2))
-        else:
-            yl, ylp = y_blocks(bc, lams, g.lengths, ts)
-            unit = np.zeros((g.n, len(cuts)))
-            unit[cuts, range(len(cuts))] = 1.0
-            blocks.append(ylp[:, cuts, :] @ _solve_each(beta_trace(bc, yl, ylp), unit))
+    plan = LegPlan([(e, e.length, 0.0) if kind == OUTER else (e, 0.0, e.length)
+                    for kind, (g, _), _ in pieces for e in g.edges])
+    firsts = [0, *itertools.accumulate(g.n for _, (g, _), _ in pieces)]
+
+    def blocks(lams):
+        stack, out = plan.stack(lams), []
+        for (kind, (g, bc), cuts), a in zip(pieces, firsts):
+            ts = stack[:, a:a + g.n]
+            if kind == OUTER:
+                z, zp = z_values(bc, ts)
+                out.append((-zp / z)[:, :, None])
+            elif kind == INTERVAL:
+                t = ts[:, 0]
+                s = t[:, 0, 1]
+                out.append(np.stack([np.stack([t[:, 1, 1] / s, -1.0 / s], axis=-1),
+                                     np.stack([-1.0 / s, t[:, 0, 0] / s], axis=-1)], axis=-2))
+            else:
+                yl, ylp = y_blocks(bc, lams, g.lengths, ts)
+                unit = np.zeros((g.n, len(cuts)))
+                unit[cuts, range(len(cuts))] = 1.0
+                out.append(ylp[:, cuts, :] @ _solve_each(beta_trace(bc, yl, ylp), unit))
+        return out
     return blocks
 
 
@@ -159,7 +170,7 @@ def map_M1(problem, lam) -> OneSidedMap:
     if g.n != 1:
         raise ValueError("expected a one-edge problem")
     lams, scalar = lambdas(lam)
-    value = _dtn_blocks([(OUTER, problem, [])], lams)[0][:, 0, 0]
+    value = _dtn_blocks([(OUTER, problem, [])])(lams)[0][:, 0, 0]
     e_d = _check_pole(lam, evans(g, _with_cut_condition(bc, "D"), _pole_probe(lam)).value, "E1")
     e_n = evans(g, _with_cut_condition(bc, "N"), lam).value
     return OneSidedMap(side=OUTER, value=value[0] if scalar else value, lam=lam,
@@ -174,7 +185,7 @@ def map_M2(problem, lam, cut_edge=0) -> OneSidedMap:
     g, bc = problem
     e_d = _check_pole(lam, evans(g, bc, _pole_probe(lam)).value, "E2")
     lams, scalar = lambdas(lam)
-    value = _dtn_blocks([(STAR, problem, [cut_edge])], lams)[0][:, 0, 0]
+    value = _dtn_blocks([(STAR, problem, [cut_edge])])(lams)[0][:, 0, 0]
     e_n = evans(g, graphs._replace_outer(bc, {cut_edge: graphs.NEUMANN_PAIR}), lam).value
     return OneSidedMap(side=STAR, value=value[0] if scalar else value, lam=lam,
                        numerator_evans=e_n, denominator_evans=e_d)
@@ -214,7 +225,7 @@ def _checked_map(g, bc, spec, lam):
     factors = {key: _check_pole(lam, value, key) for key, value in
                split_evans_factors(g, bc, spec, _pole_probe(lam), parts).items()}
     lams, scalar = lambdas(lam)
-    m1, m2 = (m[0] if scalar else m for m in _blocks(parts, spec, lams))
+    m1, m2 = (m[0] if scalar else m for m in _blocks(parts, spec)(lams))
     return factors, TwoSidedMap2x2(m1=m1, m2=m2, geometry=spec.mode, lam=lam)
 
 
@@ -232,28 +243,38 @@ def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
     if parts is None:
         parts = split_graph(g, bc, spec)
     lams, scalar = lambdas(lam)
-    [vals] = chunked(lambda ls: [_two_sided(parts, spec, ls)], lams,
-                     sum(parts[p.factor_key][0].n ** 2 for p in spec.pieces))
+    vals = _two_sided(parts, spec)(lams)
     return vals[0] if scalar else vals
 
 
-def _two_sided(parts, spec, lams):
-    a = np.add(*_blocks(parts, spec, lams))
-    # a single cut keeps the plain sum: det of a 1 x 1 stack is not bitwise its entry
-    return a[:, 0, 0] if len(spec.cuts) == 1 else np.linalg.det(a)
+def _two_sided(parts, spec):
+    """two_sided_value of the split parts as one function of an array of
+    lambda as lambdas() gives it, its legs planned once."""
+    blocks = _blocks(parts, spec)
+
+    def value(lams):
+        a = np.add(*blocks(lams))
+        # a single cut keeps the plain sum: det of a 1 x 1 stack is not bitwise its entry
+        return [a[:, 0, 0] if len(spec.cuts) == 1 else np.linalg.det(a)]
+    size = sum(parts[p.factor_key][0].n ** 2 for p in spec.pieces)
+    return lambda lams: chunked(value, lams, size)[0]
 
 
-def _blocks(parts, spec, lams):
-    """(MM1, MM2) for each lambda, (L, k, k) each for k cuts, slot order the
-    order of spec.cuts: each piece's Dirichlet-to-Neumann block, placed on
-    its ports on its side (graphs.Piece)."""
+def _blocks(parts, spec):
+    """(MM1, MM2) as one function of an array of lambda, (L, k, k) each for
+    k cuts, slot order the order of spec.cuts: each piece's
+    Dirichlet-to-Neumann block, placed on its ports on its side
+    (graphs.Piece)."""
     kinds = [STAR if p.origin is None else INTERVAL if p.outer else OUTER for p in spec.pieces]
-    blocks = _dtn_blocks([(kind, parts[p.factor_key], [spec.cuts[k][0] for k in p.outer])
-                          for kind, p in zip(kinds, spec.pieces)], lams)
-    sides = ([], [])
-    for piece, block in zip(spec.pieces, blocks):
-        sides[piece.side].append((piece.ports, block))
-    return tuple(_side_map(blocks, len(spec.cuts)) for blocks in sides)
+    dtn = _dtn_blocks([(kind, parts[p.factor_key], [spec.cuts[k][0] for k in p.outer])
+                       for kind, p in zip(kinds, spec.pieces)])
+
+    def sides(lams):
+        out = ([], [])
+        for piece, block in zip(spec.pieces, dtn(lams)):
+            out[piece.side].append((piece.ports, block))
+        return tuple(_side_map(blocks, len(spec.cuts)) for blocks in out)
+    return sides
 
 
 def _side_map(blocks, k):

@@ -9,17 +9,22 @@ exponentially scaled Airy functions; where the slope is so small that the
 Airy argument is large (its phase loses digits), a constant step at the
 mean potential with the first-order linear-perturbation correction (CPM/LPM:
 Ixaru 1984; Ledoux et al., Comput. Phys. Commun. 175 (2006) 424) is the more
-accurate of the two.  edge_transfers, the one kernel behind every solution
-the package evaluates, carries (u, u') to one position or an array of them
-for a whole array of lambda: one segment_transfer call steps the chains of
-all its legs, and one more the positions of each array leg.  EdgeSolution
-builds one solution per (edge, lam, initial data) from the same segment
-steps: the per-lambda public API and the kernel's test reference.
+accurate of the two.  LegPlan, the one kernel behind every solution the
+package evaluates, carries (u, u') to one position or an array of them for
+a whole array of lambda.  It works in two steps: the lambda-free plan of
+its legs' segment steps, made once for as long as a command keeps the
+legs, and its evaluation, once per batch or refinement step: one
+segment_transfer call steps the chains of all its legs, and one more the
+positions of each array leg.  edge_transfers is the one-shot plan and
+evaluation.  EdgeSolution builds one solution per (edge, lam, initial
+data) from the same segment steps: the per-lambda public API and the
+kernel's test reference.
 adaptive_reference integrates the equation with an adaptive Runge-Kutta
 method instead, as an independent oracle.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -294,39 +299,88 @@ class _AdaptiveEngine:
         return u, up
 
 
+class LegPlan:
+    """The lambda-free half of edge_transfers: the segment steps of legs
+    (edge, x0, x), planned and checked once, in one (S, 3) table of (d, V
+    at start, slope).
+
+    A scalar leg's chain runs from x0 through its end step at x; an array
+    leg's stops at the last breakpoint short of its farthest position, and
+    its partial steps to the positions are kept apart.  The table is laid
+    out by depth, longest chains first: layer d holds step d of every chain
+    longer than d, so a layer's products are one matmul over a slice.  An
+    evaluation on L lambdas makes one segment_transfer call for the table,
+    then the products m @ a outward from x0, so every transfer has the bits
+    of its leg alone, however many lambdas or legs share the call.
+    """
+
+    def __init__(self, legs):
+        chains = []
+        for edge, x0, x in legs:
+            chain, end, ci = _segment_steps(edge.potential, _domain_x(edge, x0), _domain_x(edge, x))
+            chains.append(([*chain, end] if ci is None else chain, end, ci))
+        lengths = [len(c) for c, _, _ in chains]
+        order = sorted(range(len(chains)), key=lengths.__getitem__, reverse=True)
+        self.rank = sorted(range(len(chains)), key=order.__getitem__)  # leg k's row in its layers
+        self.legs = [(len(c), end, ci) for c, end, ci in chains]
+        self.order = np.array(order, dtype=int)  # the leg of each rank
+        self.layers, self.ends, rows = [], [], []  # (first row, legs); (layer, ranks ending)
+        longer = [-lengths[k] for k in order]  # ascending
+        for d, layer in enumerate(itertools.zip_longest(*(chains[k][0] for k in order))):
+            k = bisect.bisect_left(longer, -d)  # the chains longer than d
+            self.layers.append((len(rows), k))
+            rows += layer[:k]
+            done = bisect.bisect_left(longer, -d - 1)
+            if done < k:
+                self.ends.append((d, done, k))
+        self.steps = np.array(rows, dtype=float).reshape(-1, 3)
+
+    def _products(self, lams):
+        """The chain products of each layer on an array of lambda: row r of
+        layer d is the product of the first d + 1 steps of the leg of rank r."""
+        s = self.steps
+        mats = segment_transfer(s[:, :1], lams, s[:, 1:2], s[:, 2:])
+        prods = [mats[:self.layers[0][1]]] if self.layers else []
+        for first, k in self.layers[1:]:
+            prods.append(mats[first:first + k] @ prods[-1][:k])
+        return prods
+
+    def stack(self, lams):
+        """Transfers of legs that each end at one position: (L, N, 2, 2)
+        for N legs, leg k at [:, k]."""
+        lams = np.asarray(lams)
+        if any(ci is not None for *_, ci in self.legs):
+            raise ValueError("a stack needs legs that end at one position")
+        prods = self._products(lams)
+        out = np.empty((lams.size, len(self.legs), 2, 2), dtype=prods[0].dtype)
+        for d, done, k in self.ends:
+            out[:, self.order[done:k]] = prods[d][done:].swapaxes(0, 1)
+        return out
+
+    def each(self, lams):
+        """Transfers of each leg in leg order, (L, 2, 2) for a scalar leg
+        and (L, P, 2, 2) for P positions.  An iterator: an array leg's
+        positions take one segment_transfer call when the leg is reached,
+        so a caller that reduces each leg first holds one leg at a time."""
+        lams = np.asarray(lams)
+        prods = self._products(lams)
+        for (count, end, ci), rank in zip(self.legs, self.rank):
+            cum = [p[rank] for p in prods[:count]]
+            # a call, so that none of its arrays outlives the leg
+            yield cum[-1] if ci is None else _positions(cum, end, ci, lams)
+
+
 def edge_transfers(legs, lams):
-    """Transfer matrices carrying (u, u') along edges for an array of L
-    lambdas, one per leg (edge, x0, x) in leg order: from x0 to x, (L, 2, 2)
-    for a scalar x and (L, P, 2, 2) for P positions on one side of x0.
+    """Transfers carrying (u, u') along edges for an array of L lambdas,
+    one per leg (edge, x0, x) in leg order: from x0 to x, (L, 2, 2) for a
+    scalar x and (L, P, 2, 2) for P positions on one side of x0.
 
     Each leg chains the exact segment steps from x0 to the breakpoints,
     then steps to each position from the last breakpoint before it, so
-    every step runs away from x0.  Every leg is planned, and checked, at
-    the call; the chains and scalar ends of all legs share one
-    segment_transfer call.  Returns an iterator that makes each array leg,
-    with one segment_transfer call for its positions, when it is reached,
-    so a caller that reduces each leg first holds one leg at a time.
+    every step runs away from x0.  A caller that evaluates the same legs
+    again keeps their LegPlan instead.
     """
-    lams = np.asarray(lams)
-    plans, rows = [], []  # rows: chain steps and scalar ends (d, V at start, slope)
-    for edge, x0, x in legs:
-        chain, end, ci = _segment_steps(edge.potential, _domain_x(edge, x0), _domain_x(edge, x))
-        plans.append((len(rows), len(chain), end, ci))
-        rows += [*chain, end] if ci is None else chain
-    steps = np.array(rows, dtype=float).reshape(-1, 3)
-    mats = segment_transfer(steps[:, :1], lams, steps[:, 1:2], steps[:, 2:]) if plans else None
-    return _leg_results(plans, mats, lams)
-
-
-def _leg_results(plans, mats, lams):
-    """edge_transfers' legs from their chains in mats, an array leg's
-    partial steps each after its chain product."""
-    for start, nc, end, ci in plans:
-        cum = [*itertools.accumulate(mats[start:start + nc], lambda a, m: m @ a)] if nc else []
-        if ci is None:
-            yield mats[start + nc] @ cum[-1] if nc else mats[start + nc]
-        else:  # a call, so that none of its arrays outlives the leg
-            yield _positions(cum, end, ci, lams)
+    return LegPlan(legs).each(lams)
 
 
 def _positions(cum, end, ci, lams):

@@ -285,18 +285,34 @@ def _segment_residuals(g, lams, apps, v):
         m = segment_transfer(h, lams[:, None], vx, slope)
         # node-to-end transfers, once per run of equal (V, slope): a flat
         # segment's intervals share theirs
-        new = np.r_[True, (np.diff(vx) != 0) | (np.diff(slope) != 0)]
-        r, run = np.flatnonzero(new), np.cumsum(new) - 1
+        r = np.flatnonzero(np.r_[True, (np.diff(vx) != 0) | (np.diff(slope) != 0)])
         kern = segment_transfer(h * (1.0 - tau), lams[:, None, None],
                                 vx[r, None] + slope[r, None] * h * tau,
                                 slope[r, None])[..., 1]  # (L, runs, nodes, 2)
         src = np.asarray(_v_evaluator(v[j], edge.length)(a[i][:, None] + h * tau)) * (h * wts)
-        part = np.stack([np.einsum("in,ink->ik", src, k[run]) for k in kern])
-        pred_u = u[:, i] * m[..., 0, 0] + up[:, i] * m[..., 0, 1] - part[..., 0]
-        pred_up = u[:, i] * m[..., 1, 0] + up[:, i] * m[..., 1, 1] - part[..., 1]
-        scale = 1.0 + np.abs(u[:, i + 1]) + np.abs(up[:, i + 1])
-        worst = np.maximum.reduce([worst, np.max(np.abs(pred_u - u[:, i + 1]) / scale, axis=-1),
-                                   np.max(np.abs(pred_up - up[:, i + 1]) / scale, axis=-1)])
+        # each run's source rows times its kernels, summed in node order so
+        # that every residual keeps its bits: a one-interval run (a sloped
+        # stretch has only those) in one product a lambda, a longer run in
+        # one product for every lambda, with contiguous operands and the
+        # intervals innermost
+        size = np.diff(np.r_[r, i.size])
+        one = r[size == 1]
+        part = np.empty((lams.size, i.size, 2), dtype=np.result_type(src, kern))
+        if one.size:
+            for p, k in zip(part, kern):
+                p[one] = np.einsum("in,ink->ik", src[one], k[size == 1])
+        if one.size < r.size:
+            kt = np.ascontiguousarray(np.swapaxes(kern, 2, 3))  # (L, runs, 2, nodes)
+            for k in np.flatnonzero(size > 1).tolist():
+                rows = slice(r[k], r[k] + size[k])
+                part[:, rows] = np.einsum("ni,lcn->lci", np.ascontiguousarray(src[rows].T),
+                                          kt[:, k]).swapaxes(1, 2)
+        u0, u1, up0, up1 = u[:, i], u[:, i + 1], up[:, i], up[:, i + 1]
+        pred_u = u0 * m[..., 0, 0] + up0 * m[..., 0, 1] - part[..., 0]
+        pred_up = u0 * m[..., 1, 0] + up0 * m[..., 1, 1] - part[..., 1]
+        scale = 1.0 + np.abs(u1) + np.abs(up1)
+        worst = np.maximum.reduce([worst, np.max(np.abs(pred_u - u1) / scale, axis=-1),
+                                   np.max(np.abs(pred_up - up1) / scale, axis=-1)])
     return worst
 
 

@@ -1,5 +1,6 @@
 """One kernel call per step for several problems: the batched Evans path
 against each problem alone, the kernel-call budget of a counting identity,
+the plan budget of a command (every leg planned once),
 the memory rule for lambda batches, the lazily built split, and the verify
 suites: the map checks and one-sided maps on an array of lambda against
 their scalar calls, the kernel calls of a verify table and of a resolvent
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real, two_wire
+from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real,
+                      two_wire, wide_star)
 from qgraph import (EdgeSpec, Sampled, SplitSpec, StarGraph, build_preset, cli,
                     count_eigenvalues, evans, frame_matrix, free_edge, fundamental_frame,
                     resolvent, resolvent_apply, split_graph, verify_counting)
@@ -22,6 +24,7 @@ from test_cli import _sampled_star
 evans_module = importlib.import_module("qgraph.evans")
 maps_module = importlib.import_module("qgraph.maps")
 graphs_module = importlib.import_module("qgraph.graphs")
+propagate_module = importlib.import_module("qgraph.propagate")
 
 
 def _star(rng, n, sampled):
@@ -59,16 +62,16 @@ def test_batched_evans_is_each_problem_alone(seed, sizes, size, complex_lam, mov
 
 
 def _count_kernel_calls(monkeypatch, sizes):
-    """Record the lambda count of every edge_transfers call, wherever a
-    qgraph module binds the kernel."""
-    for module in (evans_module, maps_module):
-        if hasattr(module, "edge_transfers"):
-            inner = module.edge_transfers
+    """Record the lambda count of every kernel call: every evaluation of a
+    leg plan, whichever module made the plan (edge_transfers evaluates one
+    too)."""
+    for name in ("stack", "each"):
+        inner = getattr(propagate_module.LegPlan, name)
 
-            def counted(legs, lams, inner=inner):
-                sizes.append(np.size(lams))
-                return inner(legs, lams)
-            monkeypatch.setattr(module, "edge_transfers", counted)
+        def counted(plan, lams, inner=inner):
+            sizes.append(np.size(lams))
+            return inner(plan, lams)
+        monkeypatch.setattr(propagate_module.LegPlan, name, counted)
 
 
 def test_counting_identity_kernel_call_budget(monkeypatch):
@@ -322,3 +325,30 @@ def test_resolvent_tables_make_one_pass_per_chunk(monkeypatch, which):
     chunks = -(-40 // per_chunk)
     assert len(sizes) == 2 * chunks and sum(sizes) == 2 * 40 and max(sizes) == per_chunk
     assert text == table(40, loop=True)[0]
+
+
+def test_each_leg_is_planned_once_per_command(monkeypatch):
+    # a command plans its legs once, however many batches or refinement
+    # steps evaluate them: an evans sweep of the 16-wire star plans its 34
+    # legs (16 z legs of the graph, 1 of each detached wire piece, 16 of
+    # the residual star) at every batch size, and a count of barrier_end
+    # its 8 (5 z legs of the graph and its pieces, 3 legs of the map)
+    # whatever its grid
+    planned = []
+    inner = propagate_module._segment_steps
+    monkeypatch.setattr(propagate_module, "_segment_steps",
+                        lambda *args: planned.append(args) or inner(*args))
+    g, bc, spec = wide_star(16, 1)
+    sc = cli.Scenario(graph=g, bc=bc, splits=spec, sweep=(1.0, 60.0, 256), count_intervals=(),
+                      count_grid=None, boundary_block={"preset": "kirchhoff"})
+    for chunk in (1, 7, evans_module.CHUNK):
+        planned.clear()
+        with monkeypatch.context() as m:
+            m.setattr(evans_module, "CHUNK", chunk)
+            cli.evans_csv(sc)
+        assert len(planned) == 34, (chunk, len(planned))
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+    for grid in (64, 256, 1024):
+        planned.clear()
+        assert cli.count_report(sc, grid=grid)[2]
+        assert len(planned) == 8, (grid, len(planned))

@@ -1,5 +1,6 @@
 """Command line front end: scenario round-trips, output formats, exit codes,
-and determinism of the seeded/threaded paths."""
+and determinism of the seeded and lambda-batched paths."""
+import importlib
 import json
 import os
 import shutil
@@ -301,13 +302,24 @@ def test_verify_projections_and_exit_zero(tmp_path, capsys):
     assert "FAIL" not in text
 
 
-def test_threads_env_does_not_change_bytes(tmp_path, monkeypatch):
-    sc = cli.load_scenario(_scenario_file(tmp_path))
-    monkeypatch.setenv("QGRAPH_THREADS", "1")
-    a = cli.evans_csv(sc, samples=64)
-    monkeypatch.setenv("QGRAPH_THREADS", "4")
-    b = cli.evans_csv(sc, samples=64)
-    assert a == b
+def test_lambda_batch_size_does_not_change_bytes(monkeypatch):
+    # a sweep (with the map column) and a count give the same bytes whether
+    # the lambdas go one a batch, seven a batch or in the default batches
+    g, bc, spec = wide_star(16, 1)
+    scenarios = [cli.parse_scenario(cli._EXAMPLES[name]) for name in sorted(cli._EXAMPLES)]
+    scenarios.append(cli.Scenario(graph=g, bc=bc, splits=spec, sweep=(1.0, 20.0, 64),
+                                  count_intervals=((1.0, 20.0),), count_grid=None,
+                                  boundary_block={"preset": "kirchhoff"}))
+    evans_module = importlib.import_module("qgraph.evans")
+
+    def outputs(sc, chunk):
+        with monkeypatch.context() as m:
+            m.setattr(evans_module, "CHUNK", chunk)
+            text, machine, _ = cli.count_report(sc, grid=256)
+            return cli.evans_csv(sc, samples=64, with_map=True), text, json.dumps(machine)
+    for sc in scenarios:
+        default = outputs(sc, evans_module.CHUNK)
+        assert outputs(sc, 1) == default and outputs(sc, 7) == default
 
 
 def test_exit_2_on_bad_input(tmp_path, capsys):

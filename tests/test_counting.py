@@ -1,6 +1,7 @@
 """Sign-change counting: the three reference runs with frozen locations,
 grid behavior, tangency handling, pole bookkeeping, and the counting
 identity on random problems."""
+import importlib
 import warnings
 
 import math
@@ -149,24 +150,30 @@ def test_refined_zeros_match_a_tight_brentq(case, interval):
 
 
 def test_verify_counting_work_guard(monkeypatch):
-    # kernel calls of one identity check: each term refines all its brackets
-    # in lock-step from the grid values, and the endpoint probes are batched
-    from qgraph import counting, maps
-    calls = {"evans": 0, "two_sided_value": 0}
+    # evaluations of one identity check's terms: each term refines all its
+    # brackets in lock-step from the grid values, and the endpoint probes
+    # are batched.  The terms are planned once; every evaluation is counted
+    counting = importlib.import_module("qgraph.counting")
+    maps = importlib.import_module("qgraph.maps")
+    calls = {"_evans_values": 0, "_two_sided": 0}
 
     def count(module, name):
-        inner = getattr(module, name)
+        plan = getattr(module, name)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
+        def planned(*args, **kwargs):
+            evaluate = plan(*args, **kwargs)
 
-    count(counting, "evans")
-    count(maps, "two_sided_value")
+            def counted(lams):
+                calls[name] += 1
+                return evaluate(lams)
+            return counted
+        monkeypatch.setattr(module, name, planned)
+
+    count(counting, "_evans_values")
+    count(maps, "_two_sided")
     g, bc, spec = barrier_end()
     assert verify_counting(g, bc, spec, (5.0, 60.0)).holds
-    assert calls["two_sided_value"] <= 8 and sum(calls.values()) <= 30, calls
+    assert 0 < calls["_two_sided"] <= 8 and sum(calls.values()) <= 30, calls
 
 
 def test_barrier_end_reference_run():

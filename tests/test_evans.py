@@ -125,9 +125,9 @@ def test_evaluation_point_check_makes_one_kernel_call(monkeypatch, rng):
             want = float(abs(vals[1:] - vals[0]).max() / abs(vals).max())
             calls = []
             with monkeypatch.context() as m:
-                m.setattr(module, "edge_transfers",
-                          lambda legs, lams, inner=module.edge_transfers:
-                          calls.append(legs) or inner(legs, lams))
+                m.setattr(module.LegPlan, "stack",
+                          lambda plan, lams, inner=module.LegPlan.stack:
+                          calls.append(plan) or inner(plan, lams))
                 got = x_independence_check(g, bc, lam, pts)
             assert len(calls) == 1 and got == want
 

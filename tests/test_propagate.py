@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -143,6 +144,90 @@ def test_flat_potentials_never_reach_airy(monkeypatch):
                         lambda *a: calls.append(a) or real(*a))
     evans(g, build_preset("kirchhoff", 2), np.linspace(1.0, 40.0, 9))
     assert len(calls) == 1
+
+
+# ------------------------------------------------------------- leg plans
+
+def _wire(rng, kind):
+    """A wire with flat pieces, a few sloped segments, or a smooth sampled well."""
+    length = rng.uniform(0.5, 2.0)
+    if kind == "flat":
+        nodes = [0.0, *np.sort(rng.uniform(0.1, 0.9, int(rng.integers(0, 4)))) * length, length]
+        return EdgeSpec(length, pc(*[(a, b, rng.uniform(-15.0, 15.0))
+                                     for a, b in zip(nodes[:-1], nodes[1:])]))
+    if kind == "sloped":
+        xs = np.linspace(0.0, length, int(rng.integers(2, 5)))
+        return EdgeSpec(length, Sampled(tuple(xs), tuple(rng.uniform(-15.0, 15.0, xs.size))))
+    xs = np.linspace(0.0, length, 41)
+    return EdgeSpec(length, Sampled(tuple(xs), tuple(-rng.uniform(5.0, 15.0)
+                                                     * np.sin(np.pi * xs / length) ** 2)))
+
+
+def _leg(rng, edge, array):
+    """(edge, x0, x): x0 at either end or inside, x one position or an
+    array of positions on one side of x0 (x0 itself included at times)."""
+    x0 = float(rng.choice([0.0, edge.length, rng.uniform(0.0, edge.length)]))
+    if not array:
+        return edge, x0, float(rng.choice([x0, rng.uniform(0.0, edge.length)]))
+    far = float(rng.choice([0.0, edge.length]))
+    xs = np.sort(rng.uniform(min(x0, far), max(x0, far), int(rng.integers(1, 12))))
+    return edge, x0, np.r_[x0, xs] if rng.integers(2) else xs
+
+
+def _one_by_one(m, a):
+    """m @ a a lambda at a time: one 2 x 2 product each, whose bits no batch
+    shape changes."""
+    return np.stack([ml @ al for ml, al in zip(m, a)])
+
+
+def _entrywise(m, b):
+    out = np.empty(m.shape, dtype=np.result_type(m, b))
+    for r, q in itertools.product(range(2), range(2)):
+        out[..., r, q] = m[..., r, 0] * b[..., 0, q] + m[..., r, 1] * b[..., 1, q]
+    return out
+
+
+def _reference_leg(edge, x0, x, lams):
+    """The transfers of one leg from its own segment steps: the chain
+    accumulated outward from x0, then each position's partial step after
+    the chain product of the breakpoints before it."""
+    chain, end, ci = propagate_module._segment_steps(edge.potential, x0, x)
+    cum = [*itertools.accumulate((segment_transfer(d, lams, v, s) for d, v, s in chain),
+                                 lambda a, m: _one_by_one(m, a))]
+    if ci is None:
+        last = segment_transfer(end[0], lams, end[1], end[2])
+        return _one_by_one(last, cum[-1]) if cum else last
+    base = [np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum]
+    return np.stack([_entrywise(segment_transfer(d, lams, v, s), base[c])
+                     for (d, v, s), c in zip(end, ci)], axis=1)
+
+
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(("flat", "sloped", "sampled")),
+                                                       min_size=1, max_size=4),
+       arrays=st.booleans(), size=st.integers(1, 5), complex_lam=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_planned_legs_are_each_leg_alone_bitwise(seed, kinds, arrays, size, complex_lam):
+    # a plan evaluates all its legs at once, chains stacked by depth; every
+    # transfer is, bit for bit, its leg's own steps multiplied one lambda at
+    # a time, for the whole lambda array and for each lambda alone
+    rng = np.random.default_rng(seed)
+    legs = [_leg(rng, _wire(rng, kind), arrays and bool(rng.integers(2))) for kind in kinds]
+    lams = rng.uniform(-20.0, 80.0, size)
+    if complex_lam:
+        lams = lams + 1j * rng.uniform(0.5, 3.0, size) * rng.choice([-1, 1], size)
+    plan = propagate_module.LegPlan(legs)
+    scalar = all(np.ndim(x) == 0 for _, _, x in legs)
+    for ls in [lams] + [lams[k:k + 1] for k in range(size)]:
+        got = list(plan.each(ls))
+        if scalar:
+            stack = plan.stack(ls)
+            assert stack.shape == (ls.size, len(legs), 2, 2)
+            got_stack = [stack[:, k] for k in range(len(legs))]
+        for k, (edge, x0, x) in enumerate(legs):
+            want = _reference_leg(edge, x0, x, ls)
+            assert got[k].dtype == want.dtype and got[k].tobytes() == want.tobytes()
+            if scalar:
+                assert np.ascontiguousarray(got_stack[k]).tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- propagation
