@@ -18,14 +18,14 @@ the minors check's reference; nothing else in the package builds it.
 Every value here comes from the transfer kernel, propagate.LegPlan:
 legs are planned once, lambda-free, and the plan is evaluated on an array
 of lambda, one stack of transfers that each problem reads as slices.  A
-bundle evaluates one plan for z, z' and Yl, Yl' and one for each
-families() call, which covers both families on every edge asked for;
-FrameBundle.over holds the families of a whole array of lambda.  evans and
-fundamental_frame accept an array of lambda and return stacked results.
-_evans_values plans the legs of several problems once and evaluates them
-once per batch of max(1, CHUNK // sum of n^2) lambdas, which bounds a
-batch's memory; a command keeps it for as long as its problems live, and
-_evans_each and evans are its one-shot cases.
+bundle stacks one plan for z, z' and Yl, Yl'; each families() call plans
+both families on every edge asked for and evaluates them from their launch
+data in one LegPlan.solutions pass.  FrameBundle.over holds the families
+of an array of lambda.  evans and fundamental_frame accept an array of
+lambda and return stacked results.  _evans_values plans the legs of
+several problems once and evaluates them once per batch of max(1, CHUNK //
+sum of n^2) lambdas, which bounds a batch's memory; a command keeps it for
+as long as its problems live, and _evans_each and evans are its one-shot cases.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import BoundaryConditions, StarGraph, require_valid_bc
-from .propagate import LegPlan, edge_transfers
+from .propagate import LegPlan
 
 # lambdas times n^2 per batch: a batch holds the n x n Wronskian matrices of
 # every problem, O(CHUNK), and the 2 x 2 transfers of every leg
@@ -254,27 +254,22 @@ class FrameBundle:
     def families(self, items):
         """Both families at the positions xs (1-d) on edge j, propagated from
         0 and from l_j, for each (j, xs, weights) of items, all through one
-        kernel call.  Column k of weights (n x m) combines the origin
+        kernel evaluation.  Column k of weights (n x m) combines the origin
         family, whose data combine first as the equation is linear.  Yields
         one pair y (2, m, P), z (2, P) per item, after the bundle's lambda
         axis, which weights may share: values, then derivatives.  Each pair
-        is made when it is reached, so a caller that reduces each item
-        first holds one item's transfers and families at a time."""
+        is made when it is reached, one item's families alive at a time."""
         y0, yp0, z0, zp0 = _launch(self.bc)
         edges = self.graph.edges
-        ts = edge_transfers([leg for j, xs, _ in items for leg in
-                             ((edges[j], 0.0, xs), (edges[j], edges[j].length, xs))], self._lams)
-
-        def leg(data):  # contracted as the kernel makes it: one leg's transfers alive at a time
-            t = next(ts)
-            t = t[0] if self._scalar else t
-            out = t[..., :1] * data[0]  # t @ data, faster entrywise, summed in place
-            out += t[..., 1:] * data[1]
-            return out
-        for j, _, weights in items:  # the y leg, then the z leg; no family outlives its item
-            data = np.stack([y0[j] @ weights, yp0[j] @ weights])[..., None, None, :]
-            yield (np.moveaxis(leg(data), -3, -1),
-                   np.swapaxes(leg(np.array([[z0[j]], [zp0[j]]]))[..., 0], -1, -2))
+        data = [d for j, _, weights in items
+                for d in (np.stack([y0[j] @ weights, yp0[j] @ weights], axis=-2),
+                          np.array([[z0[j]], [zp0[j]]]))]
+        sols = LegPlan([leg for j, xs, _ in items for leg in
+                        ((edges[j], 0.0, xs), (edges[j], edges[j].length, xs))]
+                       ).solutions(self._lams, data)
+        for _ in items:  # the y leg, then the z leg; no family outlives its item
+            y, z = next(sols), next(sols)[:, :, 0]
+            yield (y[0], z[0]) if self._scalar else (y, z)
 
     @property
     def n(self):

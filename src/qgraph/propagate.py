@@ -14,9 +14,10 @@ package evaluates, carries (u, u') to one position or an array of them for
 a whole array of lambda.  It works in two steps: the lambda-free plan of
 its legs' segment steps, made once for as long as a command keeps the
 legs, and its evaluation, once per batch or refinement step: one
-segment_transfer call steps the chains of all its legs, and one more the
-positions of each array leg.  edge_transfers is the one-shot plan and
-evaluation.  EdgeSolution builds one solution per (edge, lam, initial
+segment_transfer call steps the chains of all its legs.  stack gives the
+2 x 2 transfers of legs that end at one position each; solutions carries
+launch data to arrays of positions entry by entry, with no 2 x 2 matrix
+per position.  EdgeSolution builds one solution per (edge, lam, initial
 data) from the same segment steps: the per-lambda public API and the
 kernel's test reference.
 adaptive_reference integrates the equation with an adaptive Runge-Kutta
@@ -61,6 +62,14 @@ def transfer_matrix(d, lam, nu=0.0):
     inputs (hyperbolic regime included), complex otherwise.  Array
     arguments broadcast: the result has shape broadcast(d, lam, nu) + (2, 2).
     """
+    c, s, ws = _flat_step(d, lam, nu)
+    m = np.empty(c.shape + (2, 2), dtype=np.result_type(c, s, ws))
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = c, s, ws, c
+    return m
+
+
+def _flat_step(d, lam, nu):
+    """The entries of transfer_matrix [[c, s], [-w s, c]], w = lam - nu: (c, s, -w s)."""
     d = np.asarray(d, dtype=float)
     w = np.asarray(lam) - np.asarray(nu, dtype=float)
     if np.iscomplexobj(w) and not w.imag.any():
@@ -89,12 +98,7 @@ def transfer_matrix(d, lam, nu=0.0):
         zs, ds = z[small], np.broadcast_to(d, z.shape)[small]
         c[small] = 1.0 - zs / 2.0 + zs * zs / 24.0
         s[small] = ds * (1.0 - zs / 6.0 + zs * zs / 120.0)
-    m = np.empty(z.shape + (2, 2), dtype=np.result_type(c, s, w))
-    m[..., 0, 0] = c
-    m[..., 0, 1] = s
-    m[..., 1, 0] = -w * s
-    m[..., 1, 1] = c
-    return m
+    return c, s, -w * s
 
 
 _EPS = np.finfo(float).eps
@@ -300,11 +304,12 @@ class _AdaptiveEngine:
 
 
 class LegPlan:
-    """The lambda-free half of edge_transfers: the segment steps of legs
-    (edge, x0, x), planned and checked once, in one (S, 3) table of (d, V
-    at start, slope).
+    """The lambda-free half of the transfer kernel: the segment steps of
+    legs (edge, x0, x), planned and checked once, in one (S, 3) table of
+    (d, V at start, slope).
 
-    A scalar leg's chain runs from x0 through its end step at x; an array
+    A plan's legs end each at one position or each at an array of them.  A
+    scalar leg's chain runs from x0 through its end step at x; an array
     leg's stops at the last breakpoint short of its farthest position, and
     its partial steps to the positions are kept apart.  The table is laid
     out by depth, longest chains first: layer d holds step d of every chain
@@ -317,12 +322,16 @@ class LegPlan:
     def __init__(self, legs):
         chains = []
         for edge, x0, x in legs:
-            chain, end, ci = _segment_steps(edge.potential, _domain_x(edge, x0), _domain_x(edge, x))
-            chains.append(([*chain, end] if ci is None else chain, end, ci))
-        lengths = [len(c) for c, _, _ in chains]
+            x = _domain_x(edge, x)
+            chain, end = _segment_steps(edge.potential, _domain_x(edge, x0), x)
+            chains.append((chain, end) if isinstance(x, np.ndarray) else ([*chain, end], None))
+        if len({end is None for _, end in chains}) > 1:
+            raise ValueError("a plan's legs end each at one position or each at an array")
+        self.points = all(end is None for _, end in chains)  # else each at an array
+        lengths = [len(c) for c, _ in chains]
         order = sorted(range(len(chains)), key=lengths.__getitem__, reverse=True)
         self.rank = sorted(range(len(chains)), key=order.__getitem__)  # leg k's row in its layers
-        self.legs = [(len(c), end, ci) for c, end, ci in chains]
+        self.legs = [(len(c), end) for c, end in chains]
         self.order = np.array(order, dtype=int)  # the leg of each rank
         self.layers, self.ends, rows = [], [], []  # (first row, legs); (layer, ranks ending)
         longer = [-lengths[k] for k in order]  # ascending
@@ -348,58 +357,49 @@ class LegPlan:
     def stack(self, lams):
         """Transfers of legs that each end at one position: (L, N, 2, 2)
         for N legs, leg k at [:, k]."""
-        lams = np.asarray(lams)
-        if any(ci is not None for *_, ci in self.legs):
+        if not self.points:
             raise ValueError("a stack needs legs that end at one position")
+        lams = np.asarray(lams)
         prods = self._products(lams)
         out = np.empty((lams.size, len(self.legs), 2, 2), dtype=prods[0].dtype)
         for d, done, k in self.ends:
             out[:, self.order[done:k]] = prods[d][done:].swapaxes(0, 1)
         return out
 
-    def each(self, lams):
-        """Transfers of each leg in leg order, (L, 2, 2) for a scalar leg
-        and (L, P, 2, 2) for P positions.  An iterator: an array leg's
-        positions take one segment_transfer call when the leg is reached,
-        so a caller that reduces each leg first holds one leg at a time."""
-        lams = np.asarray(lams)
+    def solutions(self, lams, data):
+        """Solutions along legs that each end at P positions, (L, 2, m, P)
+        per leg, values then derivatives, from data[k], (..., 2, m): m
+        columns of (u, u') at x0 of leg k, with an optional lambda axis.
+        Entrywise, T_rq = m_r0 b_0q + m_r1 b_1q for the partial step m after
+        the chain product b (flat steps as (L, P) planes of _flat_step),
+        then T_r0 u + T_r1 u'.  Lazy: each leg is made when it is reached."""
+        if self.points:
+            raise ValueError("solutions need legs that end at arrays of positions")
         prods = self._products(lams)
-        for (count, end, ci), rank in zip(self.legs, self.rank):
-            cum = [p[rank] for p in prods[:count]]
-            # a call, so that none of its arrays outlives the leg
-            yield cum[-1] if ci is None else _positions(cum, end, ci, lams)
-
-
-def edge_transfers(legs, lams):
-    """Transfers carrying (u, u') along edges for an array of L lambdas,
-    one per leg (edge, x0, x) in leg order: from x0 to x, (L, 2, 2) for a
-    scalar x and (L, P, 2, 2) for P positions on one side of x0.
-
-    Each leg chains the exact segment steps from x0 to the breakpoints,
-    then steps to each position from the last breakpoint before it, so
-    every step runs away from x0.  A caller that evaluates the same legs
-    again keeps their LegPlan instead.
-    """
-    return LegPlan(legs).each(lams)
-
-
-def _positions(cum, end, ci, lams):
-    """An array leg's transfers: each position's partial step end after the
-    chain product cum[ci - 1] (the identity at ci = 0)."""
-    b = np.stack([np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum], axis=1)[:, ci]
-    m = np.swapaxes(segment_transfer(end[:, :1], lams, end[:, 1:2], end[:, 2:]), 0, 1)
-    out = np.empty(m.shape, dtype=np.result_type(lams, 1.0))
-    for r, q in itertools.product(range(2), range(2)):  # m @ b, faster entrywise
-        out[..., r, q] = m[..., r, 0] * b[..., 0, q] + m[..., r, 1] * b[..., 1, q]
-    return out
+        for (count, ((d, v, slope), runs)), rank, a in zip(self.legs, self.rank, data):
+            cum = [np.eye(2)[None], *(p[rank] for p in prods[:count])]
+            if slope is None:  # (m_r0, m_r1) for each row r
+                c, s, ws = _flat_step(d, lams[:, None], v)
+                m = (c, s), (ws, c)
+            else:
+                m = np.moveaxis(segment_transfer(d, lams[:, None], v, slope), (0, 1), (2, 3))
+            t = np.empty((lams.size, 2, 2, d.size), dtype=np.result_type(lams, 1.0))
+            for first, stop, ci in runs:
+                b = cum[ci][..., None]  # row r of b, (L, 2, 1), at b[:, r]
+                for r, (m0, m1) in enumerate(m):
+                    np.multiply(m0[:, None, first:stop], b[:, 0], out=t[:, r, :, first:stop])
+                    t[:, r, :, first:stop] += m1[:, None, first:stop] * b[:, 1]
+            out = t[:, :, :1] * a[..., None, 0, :, None]
+            out += t[:, :, 1:] * a[..., None, 1, :, None]
+            yield out
 
 
 def _segment_steps(pot, x0, x):
     """Steps (d, V at start, slope) of one leg: the chain of segments from
-    x0 to each breakpoint short of the farthest position, and the partial
-    steps to the positions.  For an array of positions also returns how
-    many chain steps precede each partial step; a scalar follows the whole
-    chain."""
+    x0 to each breakpoint short of the farthest position, and the end step
+    to a scalar x.  An array ends in (P,) arrays of the partial steps from
+    the last node at or before each position (slope None if all are flat)
+    and the runs (first, stop, chain steps before) of positions after one node."""
     scalar = not isinstance(x, np.ndarray)
     lo, hi = (x, x) if scalar else (x.min(), x.max())
     if lo < x0 < hi:
@@ -418,11 +418,15 @@ def _segment_steps(pot, x0, x):
             ends.append(b if sign > 0 else a)
     steps = steps or [(0.0, 0.0, 0.0)]  # x = x0: a zero step is the identity
     if scalar:
-        return steps[:-1], steps[-1], None
+        return steps[:-1], steps[-1]
     nodes = np.array([x0] + ends[:-1])
     ci = np.searchsorted(sign * nodes, sign * x, side="right") - 1
-    table = np.array(steps)[ci]
-    return steps[:-1], np.stack([x - nodes[ci], table[:, 1], table[:, 2]], axis=-1), ci
+    bounds = [0, *(np.flatnonzero(np.diff(ci)) + 1).tolist(), x.size]
+    at, size = ci[bounds[:-1]], np.diff(bounds)
+    table = np.array(steps)[at]
+    slope = np.repeat(table[:, 2], size) if table[:, 2].any() else None
+    runs = list(zip(bounds, bounds[1:], at.tolist()))
+    return steps[:-1], ((x - np.repeat(nodes[at], size), np.repeat(table[:, 1], size), slope), runs)
 
 
 class EdgeSolution:

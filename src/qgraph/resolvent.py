@@ -16,7 +16,8 @@ right side, which the formula path solves against C once per lambda.
 
 The work is batched over lambda: _applications, _segment_residuals and
 _u_gamma take an array of lambda, and one FrameBundle.over serves every
-slot and every lambda, its families of every edge from one kernel call;
+slot and every lambda, its families of every edge from one kernel
+evaluation (LegPlan.solutions, with no 2 x 2 transfer per position);
 the lambda-free work (panels, sources at the nodes, adjustment vectors) is
 done once.  The one-lambda public functions are its L = 1 case, and the
 verify tables hand it every draw, max(1, CHUNK // (n GRID_POINTS)) lambdas
@@ -209,7 +210,7 @@ def _off_spectrum(bundle: FrameBundle):
 def _applications(bundle: FrameBundle, v, labels):
     """The resolvent applied to v at every lambda of the bundle (made by
     FrameBundle.over), each labelled from labels; every family of every
-    lambda comes from one kernel call.  Raises if any lambda fails a check."""
+    lambda comes from one kernel evaluation.  Raises if any lambda fails a check."""
     _off_spectrum(bundle)
     tau, ds = _taus(bundle)
     n, bc = bundle.n, bundle.bc

@@ -63,14 +63,13 @@ def test_batched_evans_is_each_problem_alone(seed, sizes, size, complex_lam, mov
 
 def _count_kernel_calls(monkeypatch, sizes):
     """Record the lambda count of every kernel call: every evaluation of a
-    leg plan, whichever module made the plan (edge_transfers evaluates one
-    too)."""
-    for name in ("stack", "each"):
+    leg plan, whichever module made the plan."""
+    for name in ("stack", "solutions"):
         inner = getattr(propagate_module.LegPlan, name)
 
-        def counted(plan, lams, inner=inner):
+        def counted(plan, lams, *data, inner=inner):
             sizes.append(np.size(lams))
-            return inner(plan, lams)
+            return inner(plan, lams, *data)
         monkeypatch.setattr(propagate_module.LegPlan, name, counted)
 
 

@@ -12,9 +12,11 @@ from qgraph import (EdgeSpec, EdgeSolution, Sampled, StarGraph, adaptive_referen
                     segment_transfer, transfer_matrix, wronskian)
 from qgraph.propagate import (MismatchedEvaluationPoint, OutOfDomain,
                               StateVector)
-from conftest import pc
+from qgraph.evans import FrameBundle
+from conftest import pc, rand_bc_cayley, rand_bc_real
 
 propagate_module = importlib.import_module("qgraph.propagate")  # the name propagate is the function
+evans_module = importlib.import_module("qgraph.evans")  # so is the name evans
 
 
 # ---------------------------------------------------------------- transfer
@@ -191,15 +193,26 @@ def _reference_leg(edge, x0, x, lams):
     """The transfers of one leg from its own segment steps: the chain
     accumulated outward from x0, then each position's partial step after
     the chain product of the breakpoints before it."""
-    chain, end, ci = propagate_module._segment_steps(edge.potential, x0, x)
+    chain, end = propagate_module._segment_steps(edge.potential, x0, x)
     cum = [*itertools.accumulate((segment_transfer(d, lams, v, s) for d, v, s in chain),
                                  lambda a, m: _one_by_one(m, a))]
-    if ci is None:
+    if np.ndim(x) == 0:
         last = segment_transfer(end[0], lams, end[1], end[2])
         return _one_by_one(last, cum[-1]) if cum else last
+    (d, v, s), runs = end
+    s = np.zeros_like(d) if s is None else s
+    ci = np.concatenate([[c] * (stop - first) for first, stop, c in runs])
     base = [np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum]
-    return np.stack([_entrywise(segment_transfer(d, lams, v, s), base[c])
-                     for (d, v, s), c in zip(end, ci)], axis=1)
+    return np.stack([_entrywise(segment_transfer(dk, lams, vk, sk), base[c])
+                     for dk, vk, sk, c in zip(d, v, s, ci)], axis=1)
+
+
+def _contracted(t, a):
+    """Transfers t, (L, P, 2, 2), applied to launch data a, (..., 2, m),
+    entrywise in the kernel's order: (L, 2, m, P), values then derivatives."""
+    a0, a1 = a[..., 0, :, None], a[..., 1, :, None]
+    return np.stack([t[:, None, :, r, 0] * a0 + t[:, None, :, r, 1] * a1 for r in range(2)],
+                    axis=1)
 
 
 @given(seed=st.integers(0, 2**32 - 1), kinds=st.lists(st.sampled_from(("flat", "sloped", "sampled")),
@@ -209,25 +222,126 @@ def _reference_leg(edge, x0, x, lams):
 def test_planned_legs_are_each_leg_alone_bitwise(seed, kinds, arrays, size, complex_lam):
     # a plan evaluates all its legs at once, chains stacked by depth; every
     # transfer is, bit for bit, its leg's own steps multiplied one lambda at
-    # a time, for the whole lambda array and for each lambda alone
+    # a time, for the whole lambda array and for each lambda alone: a stack
+    # for legs that end at one position, and for legs that end at arrays
+    # the solutions of launch data, those transfers contracted entrywise
     rng = np.random.default_rng(seed)
     legs = [_leg(rng, _wire(rng, kind), arrays and bool(rng.integers(2))) for kind in kinds]
     lams = rng.uniform(-20.0, 80.0, size)
     if complex_lam:
         lams = lams + 1j * rng.uniform(0.5, 3.0, size) * rng.choice([-1, 1], size)
-    plan = propagate_module.LegPlan(legs)
-    scalar = all(np.ndim(x) == 0 for _, _, x in legs)
-    for ls in [lams] + [lams[k:k + 1] for k in range(size)]:
-        got = list(plan.each(ls))
-        if scalar:
-            stack = plan.stack(ls)
-            assert stack.shape == (ls.size, len(legs), 2, 2)
-            got_stack = [stack[:, k] for k in range(len(legs))]
-        for k, (edge, x0, x) in enumerate(legs):
-            want = _reference_leg(edge, x0, x, ls)
-            assert got[k].dtype == want.dtype and got[k].tobytes() == want.tobytes()
-            if scalar:
-                assert np.ascontiguousarray(got_stack[k]).tobytes() == want.tobytes()
+    points = [leg for leg in legs if np.ndim(leg[2]) == 0]
+    spans = [leg for leg in legs if np.ndim(leg[2])]
+    data = []
+    for _ in spans:
+        a = rng.standard_normal((size,) * int(rng.integers(2)) + (2, int(rng.integers(1, 4))))
+        data.append(a + 1j * rng.standard_normal(a.shape) if rng.integers(2) else a)
+    for k, ls in enumerate([lams] + [lams[k:k + 1] for k in range(size)]):
+        if points:
+            stack = propagate_module.LegPlan(points).stack(ls)
+            assert stack.shape == (ls.size, len(points), 2, 2)
+            for i, (edge, x0, x) in enumerate(points):
+                want = _reference_leg(edge, x0, x, ls)
+                got = np.ascontiguousarray(stack[:, i])
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if spans:
+            launch = [a if a.ndim == 2 or k == 0 else a[k - 1:k] for a in data]
+            got = list(propagate_module.LegPlan(spans).solutions(ls, launch))
+            for (edge, x0, x), a, sol in zip(spans, launch, got):
+                want = _contracted(_reference_leg(edge, x0, x, ls), a)
+                assert sol.shape == want.shape and sol.dtype == want.dtype
+                assert sol.tobytes() == want.tobytes()
+
+
+def test_a_plan_is_of_one_kind():
+    edge = free_edge(1.0)
+    with pytest.raises(ValueError, match="each at one position or each at an array"):
+        propagate_module.LegPlan([(edge, 0.0, 0.5), (edge, 0.0, np.array([0.5]))])
+    with pytest.raises(ValueError, match="stack needs"):
+        propagate_module.LegPlan([(edge, 0.0, np.array([0.5]))]).stack(np.array([1.0]))
+    with pytest.raises(ValueError, match="solutions need"):
+        next(propagate_module.LegPlan([(edge, 0.0, 0.5)]).solutions(np.array([1.0]), []))
+
+
+def _position_steps(pot, x0, xs):
+    """A leg's whole-segment steps (d, V at start, slope) in the order of
+    travel from x0, and each position's partial step after the first k of
+    them, as (k, step), written out here: a position crosses the
+    breakpoints strictly between x0 and the leg's farthest position that it
+    reaches, and steps on from the last of them (from x0 if none)."""
+    far = xs[np.argmax(np.abs(xs - x0))]
+    sign, lo, hi = (1.0 if far > x0 else -1.0), min(x0, far), max(x0, far)
+    segs = []  # (node where the step starts, step)
+    for a, b, va, vb in (pot.segments if sign > 0 else pot.segments[::-1]):
+        if min(b, hi) - max(a, lo) > 0:
+            start = max(a, lo) if sign > 0 else min(b, hi)
+            slope = 0.0 if va == vb else (vb - va) / (b - a)
+            v = va if va == vb else (vb if start == b else va + slope * (start - a))
+            segs.append((start, (sign * (min(b, hi) - max(a, lo)), v, slope)))
+    segs = segs or [(x0, (0.0, 0.0, 0.0))]
+    partial = []
+    for x in xs:
+        k = max(i for i, (node, _) in enumerate(segs) if i == 0 or sign * (x - node) >= 0)
+        node, (_, v, slope) = segs[k]
+        partial.append((k, (x - node, v, slope)))
+    return [step for _, step in segs], partial
+
+
+def _reference_families(g, bc, lams, items):
+    """FrameBundle.families one position at a time: one segment_transfer
+    for its partial step, the product with the whole steps before it
+    (multiplied one lambda at a time) taken entrywise, then the launch
+    data contracted entrywise."""
+    y0, yp0, z0, zp0 = evans_module._launch(bc)
+    out = []
+    for j, xs, w in items:
+        edge, pair = g.edges[j], []
+        for x0, a in ((0.0, np.stack([y0[j] @ w, yp0[j] @ w], axis=-2)),
+                      (edge.length, np.array([[z0[j]], [zp0[j]]]))):
+            chain, partial = _position_steps(edge.potential, x0, xs)
+            cum = [np.broadcast_to(np.eye(2), lams.shape + (2, 2))]
+            for d, v, s in chain:
+                cum.append(_one_by_one(segment_transfer(d, lams, v, s), cum[-1]))
+            ts = [_entrywise(segment_transfer(d, lams, v, s), cum[k]) for k, (d, v, s) in partial]
+            pair.append(_contracted(np.stack(ts, axis=1), a))
+        out.append((pair[0], pair[1][:, :, 0]))
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), size=st.integers(1, 5),
+       complex_lam=st.booleans(), shared=st.booleans())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_families_are_each_position_alone_bitwise(seed, n, size, complex_lam, shared):
+    # both families of a bundle, bit for bit the per-position reference:
+    # for the whole lambda array, for each lambda alone, and for the
+    # one-lambda bundle; weights with a lambda axis or one shared by all
+    rng = np.random.default_rng(seed)
+    g = StarGraph(tuple(_wire(rng, kind) for kind in rng.choice(["flat", "sloped", "sampled"], n)))
+    bc = rand_bc_cayley(n, rng) if rng.integers(2) else rand_bc_real(n, rng)
+    lams = rng.uniform(-20.0, 80.0, size)
+    if complex_lam:
+        lams = lams + 1j * rng.uniform(0.5, 3.0, size) * rng.choice([-1, 1], size)
+    items = []
+    for j, edge in enumerate(g.edges):
+        nodes = np.array([a for a, *_ in edge.potential.segments] + [edge.length])
+        xs = np.r_[np.linspace(0.0, edge.length, 5), rng.uniform(0.0, edge.length, 3),
+                   nodes[rng.integers(nodes.size, size=3)]]
+        w = rng.standard_normal(((size,) if not shared else ()) + (n, int(rng.integers(1, 4))))
+        items.append((j, xs, w + 1j * rng.standard_normal(w.shape) if rng.integers(2) else w))
+
+    def check(got, want):
+        for (y, z), (wy, wz) in zip(got, want):
+            assert y.shape == wy.shape and y.dtype == wy.dtype and z.dtype == wz.dtype
+            assert np.ascontiguousarray(y).tobytes() == wy.tobytes()
+            assert np.ascontiguousarray(z).tobytes() == np.ascontiguousarray(wz).tobytes()
+    check(FrameBundle.over(g, bc, lams).families(items), _reference_families(g, bc, lams, items))
+    for k in range(size):
+        alone = [(j, xs, w if shared else w[k:k + 1]) for j, xs, w in items]
+        check(FrameBundle.over(g, bc, lams[k:k + 1]).families(alone),
+              _reference_families(g, bc, lams[k:k + 1], alone))
+        if shared:
+            check(FrameBundle(g, bc, lams[k]).families(items),
+                  [(y[0], z[0]) for y, z in _reference_families(g, bc, lams[k:k + 1], items)])
 
 
 # -------------------------------------------------------------- propagation

@@ -216,14 +216,16 @@ def test_resolvent_evaluates_each_leg_on_grid_panels_only(monkeypatch):
     # about 17 000 positions a leg
     evans = sys.modules["qgraph.evans"]  # qgraph.evans is also the function
     g, bc, _ = barrier_end()
-    real, legs = evans.edge_transfers, []
+    legs = []
 
-    def counted(legs_, lams):
-        legs.extend(legs_)
-        return real(legs_, lams)
+    class Recorded(evans.LegPlan):  # the legs of every plan the bundle makes
+        def __init__(self, legs_):
+            legs.extend(legs_)
+            super().__init__(legs_)
 
-    monkeypatch.setattr(evans, "edge_transfers", counted)
+    monkeypatch.setattr(evans, "LegPlan", Recorded)
     resolvent_apply(g, bc, 7.3, [1.0, lambda x: np.sin(np.pi * x)])
+    legs = [leg for leg in legs if np.ndim(leg[2])]  # those families plans
     assert max(np.size(x) for _, _, x in legs) > resolvent.GRID_POINTS
     for edge, _, x in legs:
         bound = 5 * (resolvent.GRID_POINTS + len(edge.potential.segments))
