@@ -9,9 +9,15 @@ document built in another process can have a different counting interval.
 Each tree runs in its own subprocess, which imports qgraph from the given
 src directory, and evaluates, for every distinct document: the count
 report (text and JSON), evans_csv with the map column, and every verify
-suite that applies, at rounds 4 and at the default.  An output that raises
-is compared as its error.  Prints each output that differs, with its first
-differing line, and exits 1 if any does.
+suite that applies, at rounds 4 and at the default.  A second pass makes
+the verify tables take their failure path, which the benchmark's draws
+never reach: on each `qgraph example` reference, with seeds 1 to 3 and 6
+draws, the first and third draws are set onto eigenvalues of the first
+split piece (map poles) for the single or double and minors tables, and
+onto eigenvalues of the graph (on the spectrum) for the resolvent and
+ugamma tables.  An output that raises is compared as its error.  Prints
+each output that differs, with its first differing line, and exits 1 if
+any does.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 VERIFY_ROUNDS = (4, None)  # None: the suite's default
+FORCED_SEEDS, FORCED_ROUNDS = (1, 2, 3), 6
 
 
 def documents(seeds):
@@ -54,33 +61,62 @@ def _tasks(docs):
                 yield f"{key}/verify-{which}-{rounds or 'default'}", doc, ("verify", which, seed, rounds)
 
 
+def _forced_tasks(qgraph, cli):
+    """(key, scenario, suite, seed, the two lambdas for the first and third
+    draws) of the failure-path pass, on the three reference scenarios."""
+    for name in sorted(cli._EXAMPLES):
+        sc = cli.parse_scenario(cli._EXAMPLES[name])
+        span = sc.sweep[:2]
+        piece = qgraph.split_graph(sc.graph, sc.bc, sc.splits)[sc.splits.pieces[0].factor_key]
+        poles = [z for z, _ in qgraph.count_eigenvalues(*piece, span).zeros]
+        eigs = [z for z, _ in qgraph.count_eigenvalues(sc.graph, sc.bc, span).zeros]
+        split = "single" if sc.splits.mode == "single" else "double"
+        for which, onto in ((split, poles), ("minors", poles), ("resolvent", eigs),
+                            ("ugamma", eigs)):
+            for seed in FORCED_SEEDS:
+                yield (f"forced/{name}/verify-{which}-seed{seed}", sc, which, seed,
+                       (onto[0], onto[1 % len(onto)]))
+
+
 def worker(src, path):
-    """Every task of the documents in path, on the tree at src: prints one
-    JSON object of output text by key."""
+    """Every task of the documents in path and of the failure-path pass, on
+    the tree at src: prints one JSON object of output text by key."""
     sys.path[:] = [src] + [p for p in sys.path if os.path.abspath(p or ".") != HERE]
     import numpy as np
+    import qgraph
     from qgraph import cli
 
     with open(path, encoding="utf-8") as fh:
         docs = json.load(fh)
     out = {}
-    for key, doc, task in _tasks(docs):
-        sc = cli.parse_scenario(doc)
+
+    def run(key, sc, task):
         try:
             with np.errstate(all="ignore"):
                 if task[0] == "count":
                     text, machine, ok = cli.count_report(sc)
                     out[key + ".txt"] = f"{text}holds: {ok}\n"
                     out[key + ".json"] = json.dumps(machine, sort_keys=True)
-                    continue
-                if task[0] == "evans":
+                elif task[0] == "evans":
                     out[key] = cli.evans_csv(sc, with_map=True)
-                    continue
-                _, which, seed, rounds = task
-                text, ok = cli.verify_table(sc, which, seed=seed, rounds=rounds)
-                out[key] = f"{text}passed: {ok}\n"
+                else:
+                    _, which, seed, rounds = task
+                    text, ok = cli.verify_table(sc, which, seed=seed, rounds=rounds)
+                    out[key] = f"{text}passed: {ok}\n"
         except Exception as exc:  # compared as output
             out[key] = f"raised {type(exc).__name__}: {exc}\n"
+
+    for key, doc, task in _tasks(docs):
+        run(key, cli.parse_scenario(doc), task)
+    sample = cli._sample_lambdas
+    for key, sc, which, seed, (first, third) in _forced_tasks(qgraph, cli):
+        def forced(rng, sweep, rounds, first=first, third=third):
+            lams = sample(rng, sweep, rounds)
+            lams[[0, 2]] = first, third
+            return lams
+        cli._sample_lambdas = forced
+        run(key, sc, ("verify", which, seed, FORCED_ROUNDS))
+    cli._sample_lambdas = sample
     json.dump(out, sys.stdout)
 
 
@@ -120,8 +156,10 @@ def main(argv=None):
         else:
             print(f"DIFFERS {key}: only in one tree")
     keys = set(parent) | set(change)
+    forced = sum(1 for k in keys if k.startswith("forced/"))
     print(f"{len(keys) - len(differ)} of {len(keys)} outputs identical "
-          f"({len(docs)} documents, seeds {' '.join(map(str, args.seeds))})")
+          f"({len(docs)} documents, seeds {' '.join(map(str, args.seeds))}; "
+          f"{forced} of them failure-path tables)")
     return 1 if differ else 0
 
 

@@ -39,13 +39,13 @@ import numpy as np
 
 from . import maps
 from .counting import EndpointOnSpectrum, PoleOnBoundary, _Terms, verify_counting
-from .evans import _evans_each
+from .evans import FrameBundle, _evans_each
 from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, BoundaryData, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
                      build_preset, free_edge, split_graph)
-from .resolvent import (QuadratureFailure, _resolvent_residuals, _u_gamma_residuals,
-                        build_projections, projection_equations, resolvent_apply)
+from .resolvent import (QuadratureFailure, _applications, _resolvent_residuals,
+                        _u_gamma_residuals, build_projections, projection_equations)
 
 
 class ScenarioError(ValueError):
@@ -310,32 +310,29 @@ def _sample_lambdas(rng, sweep, rounds):
     return rng.uniform(lo, hi, rounds)
 
 
-def _residual_rows(checks, fn, lams, batched=False):
-    """Rows for each (name, tol) of checks at each lambda, name-major; fn(x)
-    gives one residual per check.  A lambda that lands on a pole is
-    resampled, up to 60 times, once for all the checks.  batched: first one
-    call fn(lams), an array or a broadcast scalar per check; if it raises or
-    gives a non-finite value, the loop runs as if that call never had."""
-    if batched:
-        try:
-            res = np.broadcast_to(np.array(fn(lams), dtype=float), (len(checks), len(lams)))
-            if np.isfinite(res).all():
-                return [(name, x, r, tol) for (name, tol), row in zip(checks, res.tolist())
-                        for x, r in zip(lams, row)]
-        except (ArithmeticError, np.linalg.LinAlgError):  # the loop's errors, poles included
-            pass
-    found = []
+def _residual_rows(checks, fn, lams):
+    """Rows for each (name, tol) of checks at each lambda, name-major; fn(ls)
+    gives one residual per check and lambda of the array ls (an array or a
+    broadcast scalar per check).  All draws go to one call; a call that
+    raises is halved until each failing lambda stands alone, and that one is
+    redrawn near itself, once for all the checks, up to 60 tries, in lambda
+    order.  A batch gives each lambda its one-lambda residuals and raises
+    exactly when one of them does, so the rows are those of a per-draw loop."""
     rng = np.random.default_rng(zlib.crc32(checks[0][0].encode()))
-    for lam in lams:
-        x = lam
-        for _ in range(60):
-            try:
-                found.append((x, [float(r) for r in fn(x)]))
-                break
-            except (ArithmeticError, np.linalg.LinAlgError):  # poles included
-                x = lam + rng.uniform(-0.5, 0.5)
-        else:
+
+    def rows(ls, lam=None, tries=60):  # [(x, residuals)] for ls; lam: the draw ls resamples
+        try:
+            res = np.broadcast_to(np.array(fn(ls), dtype=float), (len(checks), ls.size))
+            return list(zip(ls, res.T.tolist()))
+        except (ArithmeticError, np.linalg.LinAlgError):  # poles included
+            if ls.size > 1:
+                return rows(ls[:ls.size // 2]) + rows(ls[ls.size // 2:])
+        lam = ls[0] if lam is None else lam
+        if tries == 1:
             raise QuadratureFailure(f"{checks[0][0]}: no pole-free lambda near {lam}")
+        return rows(np.array([lam + rng.uniform(-0.5, 0.5)]), lam, tries - 1)
+
+    found = rows(np.asarray(lams, dtype=float))
     return [(name, x, res[k], tol) for k, (name, tol) in enumerate(checks)
             for x, res in found]
 
@@ -346,32 +343,34 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
         raise ScenarioError(f"need at least one lambda sample per check, got {rounds}")
     rng = np.random.default_rng(seed)
     g, bc = sc.graph, sc.bc
+    if which != "projections":  # the draws come first, then a resolvent table's sources
+        lams = _sample_lambdas(rng, sc.sweep,
+                               rounds or {"resolvent": 10, "ugamma": 5}.get(which, 20))
     rows = []
     if which == "single":
         if sc.splits is None or sc.splits.mode != SINGLE:
             raise ScenarioError("verify single needs a single-cut splits block")
-        check = (("single_split", 1e-7),
-                 lambda t: maps.verify_single_split(g, bc, sc.splits.cuts[0], t))
+        checks = (("single_split", 1e-7),)
+        fn = lambda t: maps.verify_single_split(g, bc, sc.splits.cuts[0], t)
     elif which == "double":
         if sc.splits is None or sc.splits.mode not in (SAME_WIRE, TWO_WIRES):
             raise ScenarioError("verify double needs a two-cut splits block")
-        check = ("double_split", 1e-7), lambda t: maps.verify_double_split(g, bc, sc.splits, t)
+        checks = (("double_split", 1e-7),)
+        fn = lambda t: maps.verify_double_split(g, bc, sc.splits, t)
     elif which == "minors":
         if g.n < 2:
             raise ScenarioError("minor identity needs at least two wires")
-        check = ("minor_identity", 1e-8), lambda t: maps.minor_identity_check(g, bc, t)
+        checks = (("minor_identity", 1e-8),)
+        fn = lambda t: maps.minor_identity_check(g, bc, t)
     elif which == "resolvent":
-        lams = _sample_lambdas(rng, sc.sweep, rounds or 10)
-        amps = rng.uniform(-2.0, 2.0, g.n)
-        v = [float(a) for a in amps]
-        # both rows of a lambda from one application, every draw in one pass
-        rows = _residual_rows((("gamma_trace", 1e-8), ("ode_defect", 1e-7)),
-                              lambda t: _resolvent_residuals(g, bc, t, v), lams, batched=True)
+        v = [float(a) for a in rng.uniform(-2.0, 2.0, g.n)]
+        # both rows of a lambda from one application
+        checks = (("gamma_trace", 1e-8), ("ode_defect", 1e-7))
+        fn = lambda t: _resolvent_residuals(g, bc, t, v)
     elif which == "projections":
         ps = build_projections(bc)
-        dim = 2 * g.n
-        eye = np.eye(dim)
-        checks = [
+        eye = np.eye(2 * g.n)
+        static = [
             ("U_unitary", np.abs(ps.U @ ps.U.conj().T - eye).max()),
             ("partition", np.abs(ps.P_D + ps.P_N + ps.P_R - eye).max()),
             ("annihilate_D", np.abs((ps.U + eye) @ ps.P_D).max()),
@@ -379,30 +378,27 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
             ("Lambda_selfadjoint",
              np.abs(ps.Lambda - ps.Lambda.conj().T).max() if ps.rank_R else 0.0),
         ]
-        rows = [(name, np.nan, float(val), 1e-10) for name, val in checks]
+        rows = [(name, np.nan, float(val), 1e-10) for name, val in static]
         lam0 = 0.5 * (sc.sweep[0] + sc.sweep[1]) if sc.sweep else 11.312
         v = [1.0] * g.n
 
-        def trace_res(t):
-            app = resolvent_apply(g, bc, t, v)
-            bd = BoundaryData([u[-1] for u in app.output],
-                              [u[-1] for u in app.output_deriv],
-                              [u[0] for u in app.output],
-                              [u[0] for u in app.output_deriv])
-            return (max(projection_equations(ps, bd)),)
+        def fn(t):
+            res = []
+            for app in _applications(FrameBundle.over(g, bc, t), v, t):
+                bd = BoundaryData([u[-1] for u in app.output], [u[-1] for u in app.output_deriv],
+                                  [u[0] for u in app.output], [u[0] for u in app.output_deriv])
+                res.append(max(projection_equations(ps, bd)))
+            return res
 
-        rows += _residual_rows((("trace_relations", 1e-8),), trace_res, [lam0 + 0.05])
+        checks, lams = (("trace_relations", 1e-8),), [lam0 + 0.05]
     elif which == "ugamma":
-        lams = _sample_lambdas(rng, sc.sweep, rounds or 5)
         checks = [(f"ugamma_{kind}_e{i}", tol) for i in range(2 * g.n)
                   for kind, tol in (("sup", 1e-7), ("trace", 1e-8))]
-        # every row of a lambda from one bundle, every draw in one pass
-        rows = _residual_rows(checks, lambda t: _u_gamma_residuals(g, bc, t), lams, batched=True)
+        # every row of a lambda from one bundle
+        fn = lambda t: _u_gamma_residuals(g, bc, t)
     else:
         raise ScenarioError(f"unknown verification {which!r}")
-    if which in ("single", "double", "minors"):
-        rows = _residual_rows((check[0],), lambda t: (check[1](t),),
-                              _sample_lambdas(rng, sc.sweep, rounds or 20), batched=True)
+    rows += _residual_rows(checks, fn, lams)
 
     lines = ["check,lambda,residual,tolerance,status"]
     ok = True

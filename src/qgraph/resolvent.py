@@ -21,8 +21,9 @@ evaluation (LegPlan.solutions, with no 2 x 2 transfer per position);
 the lambda-free work (panels, sources at the nodes, adjustment vectors) is
 done once.  The one-lambda public functions are its L = 1 case, and the
 verify tables hand it every draw, max(1, CHUNK // (n GRID_POINTS)) lambdas
-at a time.  Every check still applies to each lambda: a batch fails when
-one of its lambdas does.  Launch data come from evans._launch.
+at a time.  Every check still applies to each lambda: a batch fails
+exactly when one of its lambdas does, and a verify table halves it down
+to that lambda.  Launch data come from evans._launch.
 """
 from __future__ import annotations
 
@@ -317,13 +318,13 @@ def _segment_residuals(g, lams, apps, v):
     return worst
 
 
-def _resolvent_residuals(g, bc, lam, v):
+def _resolvent_residuals(g, bc, lams, v):
     """The gamma_trace and ode_defect residuals of the resolvent applied to v."""
     def rows(ls):
         apps = _applications(FrameBundle.over(g, bc, ls), v, ls)
         return np.column_stack([[a.gamma_residual for a in apps],
                                 _segment_residuals(g, ls, apps, v)])
-    return _by_chunks(g, lam, rows)
+    return _by_chunks(g, lams, rows)
 
 
 # -------------------------------------------------------------- projections
@@ -556,17 +557,16 @@ def _u_gamma(g, bc, lam, slots):
     return out[0] if scalar else out
 
 
-def _u_gamma_residuals(g, bc, lam):
+def _u_gamma_residuals(g, bc, lams):
     """The sup and trace residuals of u_gamma at every slot, slot-major."""
-    return _by_chunks(g, lam, lambda ls: np.array(
+    return _by_chunks(g, lams, lambda ls: np.array(
         [[r for p in paths for r in (p.sup_discrepancy, p.trace_residual)]
          for paths in _u_gamma(g, bc, ls, range(2 * g.n))]))
 
 
-def _by_chunks(g, lam, rows):
-    """rows(lams), an (L, K) array, at lam: K floats, or for an array of lam
-    K rows over it, evaluated max(1, CHUNK // (n GRID_POINTS)) lambdas at a
-    time, so a chunk holds a bounded number of edge grids."""
-    lams, scalar = lambdas(lam)
-    [res] = chunked(lambda ls: [rows(ls)], lams, g.n * GRID_POINTS)
-    return res[0].tolist() if scalar else res.T
+def _by_chunks(g, lams, rows):
+    """rows(ls), an (L, K) array, over an array of lambda as K rows,
+    evaluated max(1, CHUNK // (n GRID_POINTS)) lambdas at a time, so a
+    chunk holds a bounded number of edge grids."""
+    [res] = chunked(lambda ls: [rows(ls)], lambdas(lams)[0], g.n * GRID_POINTS)
+    return res.T

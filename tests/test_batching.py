@@ -19,7 +19,7 @@ from qgraph import (EdgeSpec, Sampled, SplitSpec, StarGraph, build_preset, cli,
                     count_eigenvalues, evans, frame_matrix, free_edge, fundamental_frame,
                     resolvent, resolvent_apply, split_graph, verify_counting)
 from qgraph.graphs import SINGLE, TWO_WIRES
-from test_cli import _sampled_star
+from test_cli import _loop_rows, _sampled_star
 
 evans_module = importlib.import_module("qgraph.evans")
 maps_module = importlib.import_module("qgraph.maps")
@@ -196,11 +196,12 @@ def test_resolvent_and_u_gamma_take_two_kernel_calls_a_lambda(monkeypatch):
 
 
 def test_single_table_with_a_draw_on_a_pole_gives_the_loop_rows(monkeypatch):
-    # the array call raises, and the table is the per-draw loop's, retry included
+    # the array call raises and is halved down to the pole, and the table is
+    # the per-draw loop's, retry included
     sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
     piece = split_graph(sc.graph, sc.bc, sc.splits)["omega1:D"]
     pole = count_eigenvalues(*piece, (5.0, 60.0)).zeros[0][0]
-    real_sample, real_rows = cli._sample_lambdas, cli._residual_rows
+    real_sample = cli._sample_lambdas
 
     def first_on_pole(rng, sweep, rounds):
         lams = real_sample(rng, sweep, rounds)
@@ -212,8 +213,7 @@ def test_single_table_with_a_draw_on_a_pole_gives_the_loop_rows(monkeypatch):
     drawn = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
     assert ok and drawn[0] != pole and abs(drawn[0] - pole) <= 0.5
     assert drawn[1:] == list(real_sample(np.random.default_rng(2), sc.sweep, 4)[1:])
-    monkeypatch.setattr(cli, "_residual_rows",
-                        lambda checks, fn, lams, batched=False: real_rows(checks, fn, lams))
+    monkeypatch.setattr(cli, "_residual_rows", _loop_rows)
     assert cli.verify_table(sc, "single", seed=2, rounds=4)[0] == text
 
 
@@ -303,7 +303,6 @@ def test_resolvent_tables_make_one_pass_per_chunk(monkeypatch, which):
     sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
     per_chunk = evans_module.CHUNK // (sc.graph.n * resolvent.GRID_POINTS)
     assert 4 < per_chunk < 40
-    real_rows = cli._residual_rows
 
     def table(rounds, chunk=evans_module.CHUNK, loop=False):
         sizes = []
@@ -311,8 +310,7 @@ def test_resolvent_tables_make_one_pass_per_chunk(monkeypatch, which):
             _count_kernel_calls(m, sizes)
             m.setattr(evans_module, "CHUNK", chunk)
             if loop:
-                m.setattr(cli, "_residual_rows",
-                          lambda checks, fn, lams, batched=False: real_rows(checks, fn, lams))
+                m.setattr(cli, "_residual_rows", _loop_rows)
             text, ok = cli.verify_table(sc, which, seed=3, rounds=rounds)
         assert ok
         return text, sizes

@@ -2,15 +2,19 @@
 and determinism of the seeded and lambda-batched paths."""
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qgraph
 from conftest import wide_star
@@ -159,11 +163,82 @@ def _draws(seed, sc, rounds):
     return list(cli._sample_lambdas(np.random.default_rng(seed), sc.sweep, rounds))
 
 
+def _loop_rows(checks, fn, lams):
+    """The rows of a per-draw loop: each draw alone, a one-lambda array, and
+    a failing one resampled near itself from the seeded stream, up to 60
+    tries; the reference that cli._residual_rows must reproduce."""
+    found = []
+    rng = np.random.default_rng(zlib.crc32(checks[0][0].encode()))
+    for lam in lams:
+        x = lam
+        for _ in range(60):
+            try:
+                res = np.broadcast_to(np.array(fn(np.array([x])), dtype=float), (len(checks), 1))
+                found.append((x, res[:, 0].tolist()))
+                break
+            except (ArithmeticError, np.linalg.LinAlgError):
+                x = lam + rng.uniform(-0.5, 0.5)
+        else:
+            raise resolvent.QuadratureFailure(f"{checks[0][0]}: no pole-free lambda near {lam}")
+    return [(name, x, res[k], tol) for k, (name, tol) in enumerate(checks) for x, res in found]
+
+
+def _rows_or_failure(checks, fn, lams, rows):
+    try:
+        return repr(rows(checks, fn, lams))  # repr: a NaN residual equals itself
+    except resolvent.QuadratureFailure as e:
+        return f"QuadratureFailure: {e}"
+
+
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40),
+       share=st.sampled_from([0.0, 0.1, 0.3, 1.0]), adjacent=st.booleans(),
+       again=st.sampled_from([0, 50, 90, 100]), width=st.integers(1, 3))
+@example(seed=0, size=40, share=1.0, adjacent=False, again=50, width=2)  # every draw fails
+@example(seed=1, size=7, share=0.3, adjacent=True, again=100, width=1)  # 60 tries, give up
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_residual_rows_halve_a_failing_batch_to_the_loop_rows(seed, size, share, adjacent,
+                                                              again, width):
+    # fn raises a map pole or an on-spectrum error at a drawn set of draws
+    # (adjacent ones, or all of them) and at `again` percent of the redraws.
+    # One call serves a table whose draws all pass; a failing call is halved
+    # until each failing draw stands alone, in at most 1 + 2 ceil(log2 L)
+    # calls per failing draw, and the rows, the redraws and the give-up are
+    # the per-draw loop's
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(1.0, 80.0, size)
+    bad = rng.random(size) < share
+    if adjacent and size > 1:
+        i = int(rng.integers(size - 1))
+        bad[i:i + 2] = True
+    first = dict(zip(lams.tolist(), bad.tolist()))
+    checks = [(f"check_{k}", 0.5) for k in range(width)]
+    calls = []
+
+    def fn(ls):
+        calls.append(ls.tolist())
+        for x in ls.tolist():
+            if first[x] if x in first else zlib.crc32(np.float64(x).tobytes()) % 100 < again:
+                raise maps.PoleAtLambda(x, 0.0) if int(x) % 2 else resolvent.OnSpectrum(str(x))
+        res = np.where(ls > 75.0, np.nan, np.sin(ls))  # a non-finite residual is kept
+        return res if width == 1 else [res * (k + 1) for k in range(width)]
+
+    want = _rows_or_failure(checks, fn, lams, _loop_rows)
+    loop_calls, calls[:] = calls[:], []
+    assert _rows_or_failure(checks, fn, lams, cli._residual_rows) == want
+    redraws = [c for c in calls if c[0] not in first]
+    assert all(len(c) == 1 for c in redraws)
+    assert redraws == [c for c in loop_calls if c[0] not in first]
+    failing = int(bad.sum())
+    if not failing:
+        assert calls == [lams.tolist()]
+    assert len(calls) - len(redraws) <= max(1, failing * (1 + 2 * math.ceil(math.log2(size))))
+
+
 def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
     # gamma_trace and ode_defect rows share one application per evaluated
     # lambda; every draw goes to the core in one batched call; a lambda on
-    # a pole fails that call, and the per-draw loop resamples it once for
-    # both rows; the rows match fresh per-lambda work
+    # a pole fails that call, which is halved down to that draw, and it is
+    # resampled once for both rows; the rows match fresh per-lambda work
     sc = cli.load_scenario(_scenario_file(tmp_path))
     draws = _draws(2, sc, 4)
     real, calls, sources = cli._resolvent_residuals, [], []
@@ -184,8 +259,8 @@ def test_verify_resolvent_applies_once_per_lambda(tmp_path, monkeypatch):
         ode = [float(r[1]) for r in rows if r[0] == "ode_defect"]
         assert ok and len(gamma) == len(ode) == 4
         assert gamma == ode  # both rows of a lambda take the one application
-        if fail:  # the batch, the failing draw, its one retry, then the other draws
-            assert calls == [draws, [draws[0]], [gamma[0]], *([x] for x in draws[1:])]
+        if fail:  # the batch, its failing halves down to the draw, its one retry, the rest
+            assert calls == [draws, draws[:2], [draws[0]], [gamma[0]], [draws[1]], draws[2:]]
             assert gamma[0] != draws[0] and abs(gamma[0] - draws[0]) <= 0.5
             assert gamma[1:] == draws[1:]
         else:
@@ -226,9 +301,9 @@ class _CountedBundle(resolvent.FrameBundle):
 
 def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
     # every row of every draw comes from one batched call and one bundle; a
-    # lambda on a pole fails that call, and the per-draw loop builds one
-    # bundle per lambda, resampling the failing one once for every row; the
-    # rows match fresh per-lambda work
+    # lambda on a pole fails that call, which is halved: the failing draw
+    # alone, resampled once for every row in a bundle of its own, and one
+    # bundle for the other draws; the rows match fresh per-lambda work
     sc = cli.load_scenario(_scenario_file(tmp_path))
     draws = _draws(2, sc, 3)
     real, calls, bundles = cli._u_gamma_residuals, [], _CountedBundle.built
@@ -251,9 +326,9 @@ def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
         lams = list(dict.fromkeys(float(r[1]) for r in rows))
         assert len(lams) == 3  # every row of the first lambda takes one retry
         if fail:
-            assert calls == [draws, [draws[0]], [lams[0]], *([x] for x in draws[1:])]
+            assert calls == [draws, [draws[0]], [lams[0]], draws[1:]]
             assert lams[0] != draws[0] and lams[1:] == draws[1:]
-            assert bundles == [[x] for x in lams]
+            assert bundles == [[lams[0]], draws[1:]]
         else:
             assert calls == [draws] and bundles == [draws] and lams == draws
         fresh = {lam: resolvent._u_gamma(sc.graph, sc.bc, lam, range(2 * n)) for lam in lams}
@@ -264,8 +339,9 @@ def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
 
 def test_verify_ugamma_resamples_a_pole_once_for_every_row(monkeypatch):
     # the first lambda sits on an eigenvalue: the batched bundle fails, then
-    # one failing bundle and one retry serve all 4n rows of that lambda, and
-    # the other draws' rows are the ones the batch gives without the pole
+    # one failing bundle and one retry serve all 4n rows of that lambda, one
+    # bundle serves the other draws, and their rows are the ones the batch
+    # gives without the pole
     sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
     eig = qgraph.count_eigenvalues(sc.graph, sc.bc, (5.0, 60.0)).zeros[0][0]
     real, bundles = cli._sample_lambdas, _CountedBundle.built
@@ -285,9 +361,9 @@ def test_verify_ugamma_resamples_a_pole_once_for_every_row(monkeypatch):
     rows = [line.split(",") for line in text.splitlines()[1:]]
     assert ok and len(rows) == 2 * 2 * sc.graph.n * 3
     draws = [eig] + _draws(2, sc, 3)[1:]
-    assert bundles[:2] == [draws, [eig]] and len(bundles) == 2 + 3
-    assert all(len(b) == 1 for b in bundles[1:])
-    assert list(dict.fromkeys(float(r[1]) for r in rows)) == [b[0] for b in bundles[2:]]
+    assert bundles[:2] == [draws, [eig]] and len(bundles) == 2 + 2
+    assert len(bundles[2]) == 1 and bundles[3] == draws[1:]
+    assert list(dict.fromkeys(float(r[1]) for r in rows)) == bundles[2] + bundles[3]
     def kept(table):
         return [line for line in table.splitlines()[1:] if float(line.split(",")[1]) in draws[1:]]
     assert kept(text) == kept(batched)
