@@ -15,9 +15,14 @@ never reach: on each `qgraph example` reference, with seeds 1 to 3 and 6
 draws, the first and third draws are set onto eigenvalues of the first
 split piece (map poles) for the single or double and minors tables, and
 onto eigenvalues of the graph (on the spectrum) for the resolvent and
-ugamma tables.  An output that raises is compared as its error.  Prints
-each output that differs, with its first differing line, and exits 1 if
-any does.
+ugamma tables.  A third pass calls library functions that no command
+reaches, on the same references: count_eigenvalues of the graph and of
+each Dirichlet piece over the sweep span, u_gamma at every slot at the
+projections suite's lambda, and the z, z', Yl and Yl' of a FrameBundle of
+that lambda and of one of 9 lambdas across the sweep, every float at repr
+precision.  An output that raises is compared as its error.  Prints each
+output that differs, with its first differing line, and exits 1 if any
+does.
 """
 from __future__ import annotations
 
@@ -78,6 +83,40 @@ def _forced_tasks(qgraph, cli):
                        (onto[0], onto[1 % len(onto)]))
 
 
+def _text(*values):
+    """Every entry of each value at repr precision, one value a line."""
+    import numpy as np
+    return "".join(" ".join(map(repr, np.ravel(v).tolist())) + "\n" for v in values)
+
+
+def _library_tasks(qgraph, cli):
+    """(key, function giving the output text) of the library pass."""
+    import numpy as np
+    bundle = qgraph.FrameBundle
+    array_bundle = getattr(bundle, "over", bundle)  # a tree whose constructor took one lambda
+    for name in sorted(cli._EXAMPLES):
+        sc = cli.parse_scenario(cli._EXAMPLES[name])
+        g, bc, span = sc.graph, sc.bc, sc.sweep[:2]
+        parts = qgraph.split_graph(g, bc, sc.splits)
+        problems = [("graph", (g, bc))] + [(p.factor_key, parts[p.factor_key])
+                                           for p in sc.splits.pieces]
+        for key, problem in problems:
+            yield (f"library/{name}/count-{key}",
+                   lambda problem=problem: repr(qgraph.count_eigenvalues(*problem, span)) + "\n")
+        lam = 0.5 * (sc.sweep[0] + sc.sweep[1]) + 0.05  # the projections suite's lambda
+        for i in range(2 * g.n):
+            def paths(g=g, bc=bc, lam=lam, i=i):
+                ug = qgraph.u_gamma(g, bc, lam, i)
+                return _text(ug.lam, ug.index, ug.sup_discrepancy, ug.trace_residual,
+                             ug.coefficients, *ug.direct, *ug.formula)
+            yield f"library/{name}/u_gamma-e{i}", paths
+        for key, make, lams in (("one", bundle, lam), ("array", array_bundle, np.linspace(*span, 9))):
+            def frames(make=make, g=g, bc=bc, lams=lams):
+                b = make(g, bc, lams)
+                return _text(b.z, b.zp, b.Yl, b.Ylp)
+            yield f"library/{name}/bundle-{key}", frames
+
+
 def worker(src, path):
     """Every task of the documents in path and of the failure-path pass, on
     the tree at src: prints one JSON object of output text by key."""
@@ -99,6 +138,8 @@ def worker(src, path):
                     out[key + ".json"] = json.dumps(machine, sort_keys=True)
                 elif task[0] == "evans":
                     out[key] = cli.evans_csv(sc, with_map=True)
+                elif task[0] == "call":
+                    out[key] = task[1]()
                 else:
                     _, which, seed, rounds = task
                     text, ok = cli.verify_table(sc, which, seed=seed, rounds=rounds)
@@ -117,6 +158,8 @@ def worker(src, path):
         cli._sample_lambdas = forced
         run(key, sc, ("verify", which, seed, FORCED_ROUNDS))
     cli._sample_lambdas = sample
+    for key, fn in _library_tasks(qgraph, cli):
+        run(key, None, ("call", fn))
     json.dump(out, sys.stdout)
 
 
@@ -156,10 +199,10 @@ def main(argv=None):
         else:
             print(f"DIFFERS {key}: only in one tree")
     keys = set(parent) | set(change)
-    forced = sum(1 for k in keys if k.startswith("forced/"))
+    forced, library = (sum(1 for k in keys if k.startswith(p)) for p in ("forced/", "library/"))
     print(f"{len(keys) - len(differ)} of {len(keys)} outputs identical "
           f"({len(docs)} documents, seeds {' '.join(map(str, args.seeds))}; "
-          f"{forced} of them failure-path tables)")
+          f"{forced} of them failure-path tables, {library} library outputs)")
     return 1 if differ else 0
 
 

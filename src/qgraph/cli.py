@@ -39,7 +39,7 @@ import numpy as np
 
 from . import maps
 from .counting import EndpointOnSpectrum, PoleOnBoundary, _Terms, verify_counting
-from .evans import FrameBundle, _evans_each
+from .evans import FrameBundle, _evans_values
 from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, BoundaryData, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
@@ -235,7 +235,7 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
     if with_map:
         header += ["Re(map)", "Im(map)"]
     lams = np.linspace(lo, hi, m)
-    columns = _evans_each([(sc.graph, sc.bc)] + [parts[k] for k in keys], lams)
+    columns = _evans_values([(sc.graph, sc.bc)] + [parts[k] for k in keys])(lams)
     if with_map:
         with np.errstate(all="ignore"):
             columns.append(maps.two_sided_value(sc.graph, sc.bc, sc.splits, lams,
@@ -384,7 +384,7 @@ def verify_table(sc: Scenario, which, seed=0, rounds=None):
 
         def fn(t):
             res = []
-            for app in _applications(FrameBundle.over(g, bc, t), v, t):
+            for app in _applications(FrameBundle(g, bc, t), v, t):
                 bd = BoundaryData([u[-1] for u in app.output], [u[-1] for u in app.output_deriv],
                                   [u[0] for u in app.output], [u[0] for u in app.output_deriv])
                 res.append(max(projection_equations(ps, bd)))

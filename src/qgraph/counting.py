@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar  # brentq unused: perfbench/tracing.py wraps it
 
 from . import maps
-from .evans import _evans_values, evans, lambdas
+from .evans import _evans_values, lambdas
 from .graphs import split_graph
 
 REFINE_TOL = 1e-10
@@ -233,7 +233,12 @@ def count_eigenvalues(g, bc, interval, grid=None) -> CountReport:
     """Eigenvalue count as zeros of the canonical Evans function."""
     if not bc.is_real():
         raise ValueError("sign-change counting needs real boundary data")
-    return _count(lambda ts: evans(g, bc, ts).value, interval, grid)[0]
+    return _count(_evans_values([(g, bc)]), interval, grid)[0]
+
+
+def _probe_step(x):
+    """max(REFINE_TOL, 4 eps |x|), a step that moves x at any magnitude."""
+    return max(REFINE_TOL, 4 * float(np.finfo(float).eps) * abs(x))
 
 
 def _merge_poles(reports):
@@ -273,7 +278,7 @@ def _map_delta(fs, denominator_reports, interval, grid) -> CountReport:
     lo, hi = float(interval[0]), float(interval[1])
     poles = _merge_poles(denominator_reports)
     for p, _ in poles:
-        if min(abs(p - lo), abs(p - hi)) <= REFINE_TOL:
+        if abs(p - lo) <= _probe_step(lo) or abs(p - hi) <= _probe_step(hi):
             raise PoleOnBoundary(f"map pole at lambda={p} sits on the interval boundary")
 
     total = lambda_grid(interval, grid).size - 1
@@ -348,24 +353,24 @@ class _Terms:
 def verify_counting(g, bc, spec, interval, grid=None, terms=None) -> CountingIdentityReport:
     """Check N_full = sum of piece counts + delta_N, all terms independent.
 
-    Endpoints sitting on any involved spectrum are nudged inward by
-    10 * REFINE_TOL (with a warning); if that does not clear them the
-    interval is rejected.  Pass terms=_Terms(g, bc, spec) to reuse one
-    split and its planned legs over several intervals.
+    Endpoints sitting on any involved spectrum (a sign change between
+    x - h and x + h, h = max(REFINE_TOL, 4 eps |x|)) are nudged inward by
+    10 h, with a warning; if that does not clear them the interval is
+    rejected.  Pass terms=_Terms(g, bc, spec) to reuse one split and its
+    planned legs over several intervals.
     """
     terms = _Terms(g, bc, spec) if terms is None else terms
     keys, values = terms.keys, terms.values
 
     def on_spectrum(xs):
-        # per x: does any problem change sign between x - REFINE_TOL and x + REFINE_TOL
-        pairs = np.add.outer(xs, [-REFINE_TOL, REFINE_TOL])
+        pairs = np.array([(x - _probe_step(x), x + _probe_step(x)) for x in xs])
         vs = values(pairs.ravel()).reshape(-1, *pairs.shape)
         return np.any(vs[..., 0] * vs[..., 1] <= 0, axis=0)
 
     ends = lambda_grid(interval, grid)[[0, -1]].tolist()  # a bad interval fails before the probe
     for end in np.flatnonzero(on_spectrum(ends)):
         x = ends[end]
-        moved = x + (10 * REFINE_TOL if end == 0 else -10 * REFINE_TOL)
+        moved = x + 10 * _probe_step(x) if end == 0 else x - 10 * _probe_step(x)
         warnings.warn(f"interval endpoint {x} sits on a spectrum; nudged to {moved}",
                       EndpointNudged)
         if on_spectrum([moved])[0]:

@@ -20,12 +20,12 @@ legs are planned once, lambda-free, and the plan is evaluated on an array
 of lambda, one stack of transfers that each problem reads as slices.  A
 bundle stacks one plan for z, z' and Yl, Yl'; each families() call plans
 both families on every edge asked for and evaluates them from their launch
-data in one LegPlan.solutions pass.  FrameBundle.over holds the families
-of an array of lambda.  evans and fundamental_frame accept an array of
-lambda and return stacked results.  _evans_values plans the legs of
-several problems once and evaluates them once per batch of max(1, CHUNK //
-sum of n^2) lambdas, which bounds a batch's memory; a command keeps it for
-as long as its problems live, and _evans_each and evans are its one-shot cases.
+data in one LegPlan.solutions pass.  evans, fundamental_frame and
+FrameBundle accept an array of lambda and return stacked results.
+_evans_values plans the legs of several problems once and evaluates them
+once per batch of max(1, CHUNK // sum of n^2) lambdas, which bounds a
+batch's memory; a command keeps it for as long as its problems live, and
+evans is its one-shot case.
 """
 from __future__ import annotations
 
@@ -188,16 +188,11 @@ def _evans_values(problems, points=None):
     return lambda lams: chunked(batch, lams, size)
 
 
-def _evans_each(problems, lams, points=None):
-    """_evans_values of the problems at one array of lambda."""
-    return _evans_values(problems, points)(lams)
-
-
 def evans(g: StarGraph, bc: BoundaryConditions, lam,
           eval_point=None) -> EvansValue:
     """Evans function at lam; value is an array for an array of lambda."""
     lams, scalar = lambdas(lam)
-    [vals] = _evans_each([(g, bc)], lams, [eval_point])
+    [vals] = _evans_values([(g, bc)], [eval_point])(lams)
     return EvansValue(value=vals[0] if scalar else vals, lam=lam)
 
 
@@ -218,7 +213,7 @@ def _one_lambda(lam, what):
 
 
 class FrameBundle:
-    """Both solution families of one (graph, bc, lambda), kept evaluatable.
+    """Both solution families of one (graph, bc) at lam, kept evaluatable.
 
     Callers that only need determinants use evans(); this object serves the
     boundary-value solves, where the families act as a basis and their
@@ -227,29 +222,20 @@ class FrameBundle:
     of Y and the alpha-trace of Z (the C block) survive.  One kernel call
     gives z, z' at the origin, where Y, Y' are the launch data, and Yl, Yl'
     at the outer ends: no 2n x 2n frame.  families() evaluates both families
-    anywhere on an edge through the same kernel.  FrameBundle.over builds
-    the bundle of an array of lambda, whose values, C block, trace solves,
-    families and weights gain a leading lambda axis; one lambda is its
-    L = 1 case.
+    anywhere on an edge through the same kernel.  lam is one lambda or a
+    1-d array of them; for an array the values, C block, trace solves,
+    families and weights gain a leading lambda axis, and component (like
+    resolvent.particular_solution) refuses it.
     """
 
     def __init__(self, g: StarGraph, bc: BoundaryConditions, lam):
-        self._build(g, bc, lam, _one_lambda(lam, "a frame bundle"), True)
-
-    @classmethod
-    def over(cls, g: StarGraph, bc: BoundaryConditions, lams):
-        """The bundle of every lambda of lams, a 1-d array as lambdas() gives it."""
-        bundle = cls.__new__(cls)
-        bundle._build(g, bc, lams, lams, False)
-        return bundle
-
-    def _build(self, g, bc, lam, lams, scalar):
-        self.graph, self.bc, self.lam, self._lams, self._scalar = g, bc, lam, lams, scalar
+        self.graph, self.bc, self.lam = g, bc, lam
+        self._lams, self._scalar = lambdas(lam)
         legs = _frame_legs(g, bc, None)[1] + [(e, 0.0, e.length) for e in g.edges]
-        t = LegPlan(legs).stack(lams)
-        self.z, self.zp = (v[0] if scalar else v for v in z_values(bc, t[:, :g.n]))
-        self.Yl, self.Ylp = (b[0] if scalar else b
-                             for b in y_blocks(bc, lams, g.lengths, t[:, g.n:]))
+        t = LegPlan(legs).stack(self._lams)
+        self.z, self.zp = (v[0] if self._scalar else v for v in z_values(bc, t[:, :g.n]))
+        self.Yl, self.Ylp = (b[0] if self._scalar else b
+                             for b in y_blocks(bc, self._lams, g.lengths, t[:, g.n:]))
 
     def families(self, items):
         """Both families at the positions xs (1-d) on edge j, propagated from
@@ -295,6 +281,7 @@ class FrameBundle:
 
     def component(self, d, j, xs):
         """(values, derivs) on edge j of the combination with coefficients d."""
+        _one_lambda(self.lam, "component")
         d = np.asarray(d)
         [(y, z)] = self.families([(j, np.asarray(xs, dtype=float), d[:self.n, None])])
         return y[0, 0] + d[self.n + j] * z[0], y[1, 0] + d[self.n + j] * z[1]
@@ -310,5 +297,5 @@ def x_independence_check(g: StarGraph, bc: BoundaryConditions, lam,
     trial_points = list(trial_points)
     if len(trial_points) < 2:
         raise ValueError("need at least two trial points")
-    vals = np.array(_evans_each([(g, bc)] * len(trial_points), lambdas(lam)[0], trial_points))
+    vals = np.array(_evans_values([(g, bc)] * len(trial_points), trial_points)(lambdas(lam)[0]))
     return float(abs(vals[1:] - vals[0]).max() / abs(vals).max())

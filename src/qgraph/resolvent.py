@@ -15,8 +15,8 @@ constructions read one partner-trace table per lambda: the resolvent's
 right side, which the formula path solves against C once per lambda.
 
 The work is batched over lambda: _applications, _segment_residuals and
-_u_gamma take an array of lambda, and one FrameBundle.over serves every
-slot and every lambda, its families of every edge from one kernel
+_u_gamma take an array of lambda, and one FrameBundle of that array serves
+every slot and every lambda, its families of every edge from one kernel
 evaluation (LegPlan.solutions, with no 2 x 2 transfer per position);
 the lambda-free work (panels, sources at the nodes, adjustment vectors) is
 done once.  The one-lambda public functions are its L = 1 case, and the
@@ -175,6 +175,7 @@ def _particular(bundle: FrameBundle, tau, ds, items):
 
 def particular_solution(bundle: FrameBundle, tau: TauSelection, v_j, j, x):
     """Variation-of-parameters solution of (H - lambda)u = v on edge j."""
+    _one_lambda(bundle.lam, "particular_solution")
     [(u, _, _)] = _particular(bundle, np.array(tau.tau), np.array(tau.wronskians),
                               [(j, v_j, np.atleast_1d(np.asarray(x, dtype=float)))])
     return u[0] if np.ndim(x) else u[0, 0]
@@ -198,8 +199,8 @@ class ResolventApplication:
 
 
 def _off_spectrum(bundle: FrameBundle):
-    """Raises OnSpectrum unless every lambda of the bundle (made by
-    FrameBundle.over) has cond(C) eps <= SPECTRUM_TOL, the relative digits
+    """Raises OnSpectrum unless every lambda of the bundle (a bundle of an
+    array of lambda) has cond(C) eps <= SPECTRUM_TOL, the relative digits
     a solve against C may lose; cond(C), unlike det C, is scale-free."""
     loss = np.linalg.cond(bundle.c_block()) * np.finfo(float).eps
     on = ~(loss <= SPECTRUM_TOL)  # a NaN cond(C) is on the spectrum too
@@ -209,8 +210,8 @@ def _off_spectrum(bundle: FrameBundle):
 
 
 def _applications(bundle: FrameBundle, v, labels):
-    """The resolvent applied to v at every lambda of the bundle (made by
-    FrameBundle.over), each labelled from labels; every family of every
+    """The resolvent applied to v at every lambda of the bundle (a bundle of
+    an array of lambda), each labelled from labels; every family of every
     lambda comes from one kernel evaluation.  Raises if any lambda fails a check."""
     _off_spectrum(bundle)
     tau, ds = _taus(bundle)
@@ -248,7 +249,7 @@ def resolvent_apply(g, bc, lam, v) -> ResolventApplication:
     boundary traces come from exact endpoint evaluation, so the zero
     gamma-trace property is checked, not assumed.
     """
-    [app] = _applications(FrameBundle.over(g, bc, _one_lambda(lam, "resolvent_apply")), v, [lam])
+    [app] = _applications(FrameBundle(g, bc, _one_lambda(lam, "resolvent_apply")), v, [lam])
     return app
 
 
@@ -321,7 +322,7 @@ def _segment_residuals(g, lams, apps, v):
 def _resolvent_residuals(g, bc, lams, v):
     """The gamma_trace and ode_defect residuals of the resolvent applied to v."""
     def rows(ls):
-        apps = _applications(FrameBundle.over(g, bc, ls), v, ls)
+        apps = _applications(FrameBundle(g, bc, ls), v, ls)
         return np.column_stack([[a.gamma_residual for a in apps],
                                 _segment_residuals(g, ls, apps, v)])
     return _by_chunks(g, lams, rows)
@@ -465,7 +466,7 @@ def inner_product_check(g, bc, lam, f, v) -> float:
     with gamma-trace f against v, and the adjustment-vector pairing with
     the resolvent's boundary traces, both from one bundle.  Returns their
     discrepancy relative to the sum of their sizes, 0 when both vanish."""
-    bundle = FrameBundle.over(g, bc, _one_lambda(lam, "inner_product_check"))
+    bundle = FrameBundle(g, bc, _one_lambda(lam, "inner_product_check"))
     [rv] = _applications(bundle, v, [lam])
     f_arr = np.asarray(f, dtype=complex)
     direct = _l2_inner(bundle, bundle.solve_trace(f_arr), v)
@@ -497,18 +498,16 @@ def u_gamma(g, bc, lam, i) -> UGammaPaths:
     a z_j + b y_tau, two profiles whose weights depend on the slot only
     through e_i and its adjustment-vector columns.
     """
-    _one_lambda(lam, "u_gamma")
-    return _u_gamma(g, bc, lam, (i,))[0]
+    [[paths]] = _u_gamma(FrameBundle(g, bc, _one_lambda(lam, "u_gamma")), (i,), [lam])
+    return paths
 
 
-def _u_gamma(g, bc, lam, slots):
-    """u_gamma for each slot in slots, from one bundle: only the right
-    sides and the adjustment-vector columns depend on the slot.  For an
-    array of lam, one such list per lambda, every lambda from one bundle
-    and one families call."""
-    lams, scalar = lambdas(lam)
-    slots = list(slots)
-    bundle = FrameBundle.over(g, bc, lams)
+def _u_gamma(bundle: FrameBundle, slots, labels):
+    """u_gamma for each slot in slots at every lambda of the bundle (a
+    bundle of an array of lambda), one list per lambda labelled from
+    labels, every lambda from one families call: only the right sides and
+    the adjustment-vector columns depend on the slot."""
+    g, bc, slots = bundle.graph, bundle.bc, list(slots)
     _off_spectrum(bundle)
     n = bundle.n
     rhs = np.eye(2 * n)[:, slots]
@@ -542,7 +541,7 @@ def _u_gamma(g, bc, lam, slots):
         del y, z  # before the next edge's families are made
 
     out = []
-    for k, lam_k in enumerate([lam] if scalar else lams):
+    for k, lam_k in enumerate(labels):
         paths = []
         for s, i in enumerate(slots):
             bd = BoundaryData(*np.array([e[k, :, s].T.ravel() for e in ends]).T)
@@ -554,14 +553,14 @@ def _u_gamma(g, bc, lam, slots):
                 trace_residual=float(np.abs(gamma_trace(bc, bd) - rhs[:, s]).max()),
                 coefficients=d[k, :, s]))
         out.append(paths)
-    return out[0] if scalar else out
+    return out
 
 
 def _u_gamma_residuals(g, bc, lams):
     """The sup and trace residuals of u_gamma at every slot, slot-major."""
     return _by_chunks(g, lams, lambda ls: np.array(
         [[r for p in paths for r in (p.sup_discrepancy, p.trace_residual)]
-         for paths in _u_gamma(g, bc, ls, range(2 * g.n))]))
+         for paths in _u_gamma(FrameBundle(g, bc, ls), range(2 * g.n), ls)]))
 
 
 def _by_chunks(g, lams, rows):

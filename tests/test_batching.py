@@ -54,7 +54,7 @@ def test_batched_evans_is_each_problem_alone(seed, sizes, size, complex_lam, mov
     lams = np.sort(rng.uniform(-5.0, 60.0, size))
     if complex_lam:
         lams = lams + 1j * rng.uniform(-3.0, 3.0, size)
-    batched = evans_module._evans_each(problems, lams, points)
+    batched = evans_module._evans_values(problems, points)(lams)
     for (g, bc), xs, vals in zip(problems, points, batched):
         assert np.array_equal(vals, evans(g, bc, lams, eval_point=xs).value)
         dets = np.linalg.det(frame_matrix(fundamental_frame(g, bc, lams, xs)))
@@ -191,7 +191,7 @@ def test_resolvent_and_u_gamma_take_two_kernel_calls_a_lambda(monkeypatch):
     resolvent_apply(g, bc, 17.3, [1.0, 0.5, lambda x: np.sin(x), 2.0])
     assert len(sizes) <= 2, len(sizes)
     sizes.clear()
-    resolvent._u_gamma(g, bc, 17.3, range(2 * g.n))
+    resolvent._u_gamma(resolvent.FrameBundle(g, bc, np.array([17.3])), range(2 * g.n), [17.3])
     assert len(sizes) <= 2, len(sizes)
 
 
@@ -267,9 +267,10 @@ def test_batched_resolvent_core_is_each_lambda_alone(seed, n, size, complex_lam,
     v = [rng.uniform(-2.0, 2.0) for _ in range(n - 1)] + [lambda x: np.sin(3.0 * x)]
 
     apps = _each_or_none(lambda t: resolvent_apply(g, bc, t, v), lams)
-    paths = _each_or_none(lambda t: resolvent._u_gamma(g, bc, t, range(2 * n)), lams)
+    paths = _each_or_none(lambda t: resolvent._u_gamma(resolvent.FrameBundle(g, bc, np.array([t])),
+                                                       range(2 * n), [t])[0], lams)
     try:
-        batch = resolvent._applications(resolvent.FrameBundle.over(g, bc, lams), v, lams)
+        batch = resolvent._applications(resolvent.FrameBundle(g, bc, lams), v, lams)
     except ArithmeticError as e:
         assert apps is type(e)
     else:
@@ -282,7 +283,7 @@ def test_batched_resolvent_core_is_each_lambda_alone(seed, n, size, complex_lam,
                 assert same(getattr(got, field), getattr(one, field)), field
             assert same(defect, resolvent.segment_residual(g, lam, one, v))
     try:
-        batch = resolvent._u_gamma(g, bc, lams, range(2 * n))
+        batch = resolvent._u_gamma(resolvent.FrameBundle(g, bc, lams), range(2 * n), lams)
     except ArithmeticError as e:
         assert paths is type(e)
     else:
@@ -328,9 +329,9 @@ def test_each_leg_is_planned_once_per_command(monkeypatch):
     # a command plans its legs once, however many batches or refinement
     # steps evaluate them: an evans sweep of the 16-wire star plans its 34
     # legs (16 z legs of the graph, 1 of each detached wire piece, 16 of
-    # the residual star) at every batch size, and a count of barrier_end
-    # its 8 (5 z legs of the graph and its pieces, 3 legs of the map)
-    # whatever its grid
+    # the residual star) at every batch size, a count of barrier_end its 8
+    # (5 z legs of the graph and its pieces, 3 legs of the map) and an
+    # eigenvalue count of barrier_end its 2 z legs, whatever the grid
     planned = []
     inner = propagate_module._segment_steps
     monkeypatch.setattr(propagate_module, "_segment_steps",
@@ -349,3 +350,6 @@ def test_each_leg_is_planned_once_per_command(monkeypatch):
         planned.clear()
         assert cli.count_report(sc, grid=grid)[2]
         assert len(planned) == 8, (grid, len(planned))
+        planned.clear()
+        assert count_eigenvalues(sc.graph, sc.bc, sc.sweep[:2], grid=grid).count
+        assert len(planned) == 2, (grid, len(planned))

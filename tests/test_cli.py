@@ -293,10 +293,9 @@ class _CountedBundle(resolvent.FrameBundle):
     """Records the lambdas of every bundle the resolvent core builds."""
     built = []
 
-    @classmethod
-    def over(cls, g, bc, lams):
-        cls.built.append(np.asarray(lams).tolist())
-        return super().over(g, bc, lams)
+    def __init__(self, g, bc, lams):
+        self.built.append(np.asarray(lams).tolist())
+        super().__init__(g, bc, lams)
 
 
 def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
@@ -331,7 +330,8 @@ def test_verify_ugamma_builds_one_bundle_per_lambda(tmp_path, monkeypatch):
             assert bundles == [[lams[0]], draws[1:]]
         else:
             assert calls == [draws] and bundles == [draws] and lams == draws
-        fresh = {lam: resolvent._u_gamma(sc.graph, sc.bc, lam, range(2 * n)) for lam in lams}
+        fresh = {lam: resolvent._u_gamma(resolvent.FrameBundle(sc.graph, sc.bc, np.array([lam])),
+                                         range(2 * n), [lam])[0] for lam in lams}
         for name, lam, res, _, _ in rows:
             ug = fresh[float(lam)][int(name.rsplit("_e", 1)[1])]
             assert res == cli._fmt(ug.sup_discrepancy if "_sup_" in name else ug.trace_residual)

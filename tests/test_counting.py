@@ -261,11 +261,13 @@ def test_endpoint_on_eigenvalue_is_nudged():
     from scipy.optimize import brentq
     from qgraph import evans
     g, bc, spec = barrier_end()
-    e0 = brentq(lambda t: float(evans(g, bc, t).value), 6.4, 6.8, xtol=1e-13)
-    with pytest.warns(EndpointNudged):
-        rep = verify_counting(g, bc, spec, (e0, 60.0))
-    assert rep.holds
-    assert rep.interval[0] > e0
+    # the second eigenvalue sits where x +- 1e-10 == x (above |x| ~ 2.1e6)
+    for bracket, hi in (((6.4, 6.8), 60.0), ((3001859.04, 3001859.06), 3001899.0)):
+        e0 = brentq(lambda t: float(evans(g, bc, t).value), *bracket, xtol=1e-13)
+        with pytest.warns(EndpointNudged):
+            rep = verify_counting(g, bc, spec, (e0, hi))
+        assert rep.holds
+        assert rep.interval[0] > e0
 
 
 def test_complex_boundary_data_rejected(rng):

@@ -104,18 +104,19 @@ def test_evaluation_point_check_sees_one_wrong_point_on_a_wide_star(monkeypatch)
     assert abs(evans(g, bc, 20.0).value) < 1e-11
     assert x_independence_check(g, bc, 20.0, pts) < 1e-11
     module = importlib.import_module("qgraph.evans")  # qgraph.evans is also the function
-    true_each = module._evans_each
+    true_values = module._evans_values
 
-    def one_point_off(problems, lams, points=None):
-        vals = true_each(problems, lams, points)
-        return [v * 1.01 if xs is pts[2] else v for v, xs in zip(vals, points)]
+    def one_point_off(problems, points=None):
+        values = true_values(problems, points)
+        return lambda lams: [v * 1.01 if xs is pts[2] else v
+                             for v, xs in zip(values(lams), points)]
 
-    monkeypatch.setattr(module, "_evans_each", one_point_off)
+    monkeypatch.setattr(module, "_evans_values", one_point_off)
     assert x_independence_check(g, bc, 20.0, pts) > 1e-3
 
 
 def test_evaluation_point_check_makes_one_kernel_call(monkeypatch, rng):
-    # every trial point is one problem of a single _evans_each call, and
+    # every trial point is one problem of a single _evans_values call, and
     # the spread is the one that an evans call per point gives
     module = importlib.import_module("qgraph.evans")
     for g, bc, _ in (barrier_end(), two_wire(), wide_star(8, 1)):

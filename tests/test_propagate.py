@@ -334,10 +334,10 @@ def test_families_are_each_position_alone_bitwise(seed, n, size, complex_lam, sh
             assert y.shape == wy.shape and y.dtype == wy.dtype and z.dtype == wz.dtype
             assert np.ascontiguousarray(y).tobytes() == wy.tobytes()
             assert np.ascontiguousarray(z).tobytes() == np.ascontiguousarray(wz).tobytes()
-    check(FrameBundle.over(g, bc, lams).families(items), _reference_families(g, bc, lams, items))
+    check(FrameBundle(g, bc, lams).families(items), _reference_families(g, bc, lams, items))
     for k in range(size):
         alone = [(j, xs, w if shared else w[k:k + 1]) for j, xs, w in items]
-        check(FrameBundle.over(g, bc, lams[k:k + 1]).families(alone),
+        check(FrameBundle(g, bc, lams[k:k + 1]).families(alone),
               _reference_families(g, bc, lams[k:k + 1], alone))
         if shared:
             check(FrameBundle(g, bc, lams[k]).families(items),

@@ -393,7 +393,7 @@ def test_all_slots_match_per_slot(seed, n, complex_bc, complex_lam, sampled):
     bc = rand_bc_cayley(n, rng) if complex_bc else rand_bc_real(n, rng)
     lam = rng.uniform(-5.0, 60.0) + (1j * rng.uniform(-3.0, 3.0) if complex_lam else 0.0)
     try:
-        every = resolvent._u_gamma(g, bc, lam, range(2 * n))
+        every = resolvent._u_gamma(FrameBundle(g, bc, np.array([lam])), range(2 * n), [lam])[0]
     except (OnSpectrum, NoIndependentPartner):
         assume(False)
 
@@ -412,14 +412,27 @@ def test_all_slots_match_per_slot(seed, n, complex_bc, complex_lam, sampled):
 
 
 def test_one_lambda_per_bundle():
-    # an array of lambda is refused, not cut to its first entry
+    # a one-lambda function refuses an array of lambda, not cutting it to its
+    # first entry; a bundle of an array is, bit for bit, the one-lambda
+    # bundles of its entries stacked, and the readers of one lambda refuse it
     g, bc, _ = barrier_end()
-    with pytest.raises(ValueError, match="one lambda"):
-        FrameBundle(g, bc, [17.3, 30.1])
     with pytest.raises(ValueError, match="one lambda"):
         resolvent_apply(g, bc, np.array([17.3, 30.1]), [1.0, 1.0])
     with pytest.raises(ValueError, match="one lambda"):
         u_gamma(g, bc, [17.3, 30.1], 0)
+    rhs = np.eye(2 * g.n)[:, 1:3]
+    for lams in (np.array([17.3, 30.1, 44.7]), np.array([17.3 + 1.0j, 30.1 - 2.0j])):
+        every = FrameBundle(g, bc, lams)
+        for k, lam in enumerate(lams):
+            one = FrameBundle(g, bc, lam)
+            for got, want in ((every.z[k], one.z), (every.zp[k], one.zp), (every.Yl[k], one.Yl),
+                              (every.Ylp[k], one.Ylp), (every.c_block()[k], one.c_block()),
+                              (every.solve_trace(rhs)[k], one.solve_trace(rhs))):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="one lambda"):
+            particular_solution(every, select_tau(one), 1.0, 0, 0.5)
+        with pytest.raises(ValueError, match="one lambda"):
+            every.component(np.ones(2 * g.n), 0, [0.5])
 
 
 def test_sampled_and_array_sources_are_their_interpolants():
