@@ -19,7 +19,11 @@ ugamma tables.  A third pass calls library functions that no command
 reaches, on the same references: count_eigenvalues of the graph and of
 each Dirichlet piece over the sweep span, u_gamma at every slot at the
 projections suite's lambda, and the z, z', Yl and Yl' of a FrameBundle of
-that lambda and of one of 9 lambdas across the sweep, every float at repr
+that lambda and of one of 9 lambdas across the sweep; and, at that real
+lambda, at it plus 0.5i and at 5 lambdas inside the sweep, the public
+split functions: split_evans_factors, two_sided_value, m1 and m2 of the
+2 x 2 builder of a two-cut split, verify_single_split or
+verify_double_split, and minor_identity_check; every float at repr
 precision.  An output that raises is compared as its error.  Prints each
 output that differs, with its first differing line, and exits 1 if any
 does.
@@ -115,6 +119,37 @@ def _library_tasks(qgraph, cli):
                 b = make(g, bc, lams)
                 return _text(b.z, b.zp, b.Yl, b.Ylp)
             yield f"library/{name}/bundle-{key}", frames
+        yield from _split_tasks(qgraph, name, sc, lam)
+
+
+def _split_tasks(qgraph, name, sc, lam):
+    """(key, function giving the output text) of the public split functions
+    of one reference at lam, at lam + 0.5i and at 5 lambdas inside the sweep."""
+    import numpy as np
+    g, bc, spec = sc.graph, sc.bc, sc.splits
+    if spec.mode == "single":
+        check = lambda at: qgraph.verify_single_split(g, bc, spec.cuts[0], at)
+        build = None
+    else:
+        check = lambda at: qgraph.verify_double_split(g, bc, spec, at)
+        build = (qgraph.two_sided_2x2_same_wire if spec.mode == "same_wire"
+                 else qgraph.two_sided_2x2_two_wires)
+    for where, at in (("real", lam), ("complex", lam + 0.5j),
+                      ("array", np.linspace(*sc.sweep[:2], 7)[1:-1])):
+        def factors(at=at):
+            fs = qgraph.split_evans_factors(g, bc, spec, at)
+            return " ".join(fs) + "\n" + _text(*fs.values())
+        tasks = [("factors", factors),
+                 ("two_sided", lambda at=at: _text(qgraph.two_sided_value(g, bc, spec, at))),
+                 ("split_check", lambda at=at: _text(check(at))),
+                 ("minors", lambda at=at: _text(qgraph.minor_identity_check(g, bc, at)))]
+        if build is not None:
+            def builder(at=at):
+                two = build(g, bc, spec, at)
+                return _text(two.m1, two.m2)
+            tasks.append(("builder", builder))
+        for key, fn in tasks:
+            yield f"library/{name}/{key}-{where}", fn
 
 
 def worker(src, path):

@@ -38,12 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .counting import EndpointOnSpectrum, PoleOnBoundary, _Terms, verify_counting
+from .counting import EndpointOnSpectrum, PoleOnBoundary, verify_counting
 from .evans import FrameBundle, _evans_values
 from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, BoundaryData, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
-                     build_preset, free_edge, split_graph)
+                     build_preset, free_edge)
 from .resolvent import (QuadratureFailure, _applications, _resolvent_residuals,
                         _u_gamma_residuals, build_projections, projection_equations)
 
@@ -224,22 +224,22 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
         m = int(samples)
         if m < 0:
             raise ScenarioError(f"sweep samples must be >= 0, got {m}")
-    keys = ()
-    parts = None
-    if sc.splits is not None:
-        parts = split_graph(sc.graph, sc.bc, sc.splits)
-        keys = [p.factor_key for p in sc.splits.pieces]
+    if with_map and sc.splits is None:
+        raise ScenarioError("the map column needs a splits block")
+    lams = np.linspace(lo, hi, m)
+    if sc.splits is None:
+        keys, columns = (), _evans_values([(sc.graph, sc.bc)])(lams)
+    else:
+        terms = maps.SplitTerms(sc.graph, sc.bc, sc.splits)
+        keys, columns = terms.keys, terms.evans(lams)
+        if with_map:
+            with np.errstate(all="ignore"):
+                columns.append(terms.value(lams))
     header = ["lambda", "Re(E)", "Im(E)"]
     for k in keys:
         header += [f"Re(E[{k}])", f"Im(E[{k}])"]
     if with_map:
         header += ["Re(map)", "Im(map)"]
-    lams = np.linspace(lo, hi, m)
-    columns = _evans_values([(sc.graph, sc.bc)] + [parts[k] for k in keys])(lams)
-    if with_map:
-        with np.errstate(all="ignore"):
-            columns.append(maps.two_sided_value(sc.graph, sc.bc, sc.splits, lams,
-                                                parts=parts))
     table = np.column_stack([lams] + [p for col in columns for p in (np.real(col), np.imag(col))])
     lines = [",".join(map("{:.17g}".format, row)) for row in table.tolist()]
     return "\n".join([",".join(header)] + lines) + "\n"
@@ -279,7 +279,7 @@ def count_report(sc: Scenario, grid=None):
     machine = {"intervals": []}
     all_hold = True
     deltas = []
-    terms = _Terms(sc.graph, sc.bc, sc.splits)  # one split and one plan for every interval
+    terms = maps.SplitTerms(sc.graph, sc.bc, sc.splits)  # one split and one plan for every interval
     for lo, hi in intervals:
         rep = verify_counting(sc.graph, sc.bc, sc.splits, (lo, hi), grid=grid, terms=terms)
         all_hold = all_hold and rep.holds

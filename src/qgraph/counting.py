@@ -18,11 +18,11 @@ lambda, then refine all its sign-change brackets with one call per step;
 dip probes call it with one-element arrays.  verify_counting scans the full
 graph and every piece as one such function, one kernel evaluation a step
 for all, each bracket carrying its function's row; a single count is the
-one-function case.  Its terms (_Terms) split the graph and plan the legs of
-every Evans problem and of the two-sided map once; the endpoint probe, the
-grids and every refinement step evaluate those plans, and count_report
-keeps one _Terms for all the intervals of a scenario.  count_zeros and
-map_delta take functions of one lambda and lift them.
+one-function case.  Its terms (maps.SplitTerms) split the graph and plan
+the legs of every Evans problem and of the two-sided map once; the
+endpoint probe, the grids and every refinement step evaluate those plans,
+and count_report keeps one SplitTerms for all the intervals of a scenario.
+count_zeros and map_delta take functions of one lambda and lift them.
 """
 from __future__ import annotations
 
@@ -34,8 +34,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar  # brentq unused: perfbench/tracing.py wraps it
 
 from . import maps
-from .evans import _evans_values, lambdas
-from .graphs import split_graph
+from .evans import _evans_values
 
 REFINE_TOL = 1e-10
 GRID_PER_UNIT = 512       # grid points per unit of sqrt(lambda) span
@@ -328,43 +327,22 @@ class CountingIdentityReport:
         return f"{self.full.count} = {terms} + {self.delta_N} {verdict}"
 
 
-class _Terms:
-    """The terms of a counting identity as functions of an array of lambda:
-    values gives one row of Evans values per problem, the full graph and
-    then each piece's Dirichlet key (keys), and map_values the two-sided
-    map.  The split and the legs of both are planned once, here."""
-
-    def __init__(self, g, bc, spec):
-        if not bc.is_real():
-            raise ValueError("sign-change counting needs real boundary data")
-        parts = split_graph(g, bc, spec)
-        self.keys = [p.factor_key for p in spec.pieces]
-        self._evans = _evans_values([(g, bc)] + [parts[k] for k in self.keys])
-        self._map = maps._two_sided(parts, spec)
-
-    def values(self, xs):
-        return np.array(self._evans(xs))
-
-    def map_values(self, ts):
-        with np.errstate(all="ignore"):
-            return self._map(lambdas(ts)[0])
-
-
 def verify_counting(g, bc, spec, interval, grid=None, terms=None) -> CountingIdentityReport:
     """Check N_full = sum of piece counts + delta_N, all terms independent.
 
     Endpoints sitting on any involved spectrum (a sign change between
     x - h and x + h, h = max(REFINE_TOL, 4 eps |x|)) are nudged inward by
     10 h, with a warning; if that does not clear them the interval is
-    rejected.  Pass terms=_Terms(g, bc, spec) to reuse one split and its
-    planned legs over several intervals.
+    rejected.  Pass terms=maps.SplitTerms(g, bc, spec) to reuse one split
+    and its planned legs over several intervals.
     """
-    terms = _Terms(g, bc, spec) if terms is None else terms
-    keys, values = terms.keys, terms.values
+    if not bc.is_real():
+        raise ValueError("sign-change counting needs real boundary data")
+    terms = maps.SplitTerms(g, bc, spec) if terms is None else terms
 
     def on_spectrum(xs):
         pairs = np.array([(x - _probe_step(x), x + _probe_step(x)) for x in xs])
-        vs = values(pairs.ravel()).reshape(-1, *pairs.shape)
+        vs = np.array(terms.evans(pairs.ravel())).reshape(-1, *pairs.shape)
         return np.any(vs[..., 0] * vs[..., 1] <= 0, axis=0)
 
     ends = lambda_grid(interval, grid)[[0, -1]].tolist()  # a bad interval fails before the probe
@@ -377,10 +355,10 @@ def verify_counting(g, bc, spec, interval, grid=None, terms=None) -> CountingIde
             raise EndpointOnSpectrum(f"endpoint {x} still on a spectrum after nudging")
         ends[end] = moved
     nudged = tuple(ends)
-    full, *reports = _count(values, nudged, grid)
-    piece_reports = dict(zip(keys, reports))
-
-    map_report = _map_delta(terms.map_values, [piece_reports[k] for k in keys], nudged, grid)
+    full, *reports = _count(terms.evans, nudged, grid)
+    piece_reports = dict(zip(terms.keys, reports))
+    with np.errstate(all="ignore"):
+        map_report = _map_delta(terms.value, list(piece_reports.values()), nudged, grid)
     holds = full.count == sum(r.count for r in piece_reports.values()) + map_report.delta_N
     return CountingIdentityReport(interval=nudged, full=full, pieces=piece_reports,
                                   map_report=map_report, holds=holds)

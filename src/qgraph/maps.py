@@ -12,14 +12,19 @@ The factorizations these maps enter are
     E = E1 E2 (M1 + M2)                       (one cut)
     E = E1 Et1 Et2 det(MM1 + MM2)             (two cuts, either geometry)
 with every Evans factor taken with Dirichlet conditions at the cuts.  One
-assembly of (MM1, MM2) over an array of lambda serves the sweep value, the
-2 x 2 builders and the split residuals: the legs of all pieces are planned
-once (propagate.LegPlan) and evaluated in one stack per batch, so a count
-that keeps the assembly evaluates it at every grid and refinement step
-without planning again.  The one-sided maps are its one-piece case.
+SplitTerms per split holds every term of both identities and of the count
+N_full = sum of N_piece + delta_N: the Evans functions of the graph and of
+its Dirichlet pieces, and the assembly of (MM1, MM2) over an array of
+lambda.  The legs of each are planned once (propagate.LegPlan) and
+evaluated in one stack per batch, so a count that keeps the terms
+evaluates them at every grid and refinement step without planning again,
+and a split check evaluates each once.  The sweep value, the 2 x 2
+builders, the piece factors and the split residuals all read it.  The
+one-sided maps are the assembly's one-piece case.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -27,8 +32,8 @@ import numpy as np
 
 from . import graphs
 from .graphs import (BoundaryConditions, SplitSpec, StarGraph, split_graph)
-from .evans import (beta_trace, chunked, evans, frame_matrix, fundamental_frame, lambdas,
-                    y_blocks, z_values)
+from .evans import (_evans_values, beta_trace, chunked, evans, frame_matrix,
+                    fundamental_frame, lambdas, y_blocks, z_values)
 from .propagate import LegPlan
 
 POLE_RTOL = 1e-6  # a denominator zero within POLE_RTOL (1 + |lambda|) of lambda is a pole
@@ -197,6 +202,45 @@ def two_sided_sum(m1: OneSidedMap, m2: OneSidedMap):
     return m1.value + m2.value
 
 
+class SplitTerms:
+    """The split terms of (g, bc, spec) as functions of an array of lambda
+    as lambdas() gives it: evans gives one value array per problem, the full
+    graph and then each piece's Dirichlet key (keys), blocks (MM1, MM2) and
+    value the two-sided map.  The graph is split once, here, and the legs of
+    each term are planned once, the map's on its first use."""
+
+    def __init__(self, g: StarGraph, bc: BoundaryConditions, spec: SplitSpec):
+        self.spec = spec
+        self.parts = split_graph(g, bc, spec)
+        self.keys = [p.factor_key for p in spec.pieces]
+        self.evans = _evans_values([(g, bc)] + [self.parts[k] for k in self.keys])
+
+    @functools.cached_property
+    def blocks(self):
+        """(MM1, MM2), (L, k, k) each for k cuts, slot order the order of
+        spec.cuts: each piece's Dirichlet-to-Neumann block, placed on its
+        ports on its side (graphs.Piece)."""
+        spec = self.spec
+        kinds = [STAR if p.origin is None else INTERVAL if p.outer else OUTER for p in spec.pieces]
+        dtn = _dtn_blocks([(kind, self.parts[p.factor_key], [spec.cuts[k][0] for k in p.outer])
+                           for kind, p in zip(kinds, spec.pieces)])
+
+        def sides(lams):
+            out = ([], [])
+            for piece, block in zip(spec.pieces, dtn(lams)):
+                out[piece.side].append((piece.ports, block))
+            return tuple(_side_map(blocks, len(spec.cuts)) for blocks in out)
+        return sides
+
+    def value(self, lams):
+        """M1 + M2 for a single cut, det(MM1 + MM2) for a double cut."""
+        def batch(ls):
+            a = np.add(*self.blocks(ls))
+            # a single cut keeps the plain sum: det of a 1 x 1 stack is not bitwise its entry
+            return [a[:, 0, 0] if len(self.spec.cuts) == 1 else np.linalg.det(a)]
+        return chunked(batch, lams, sum(self.parts[k][0].n ** 2 for k in self.keys))[0]
+
+
 def two_sided_2x2_same_wire(g: StarGraph, bc: BoundaryConditions,
                             spec: SplitSpec, lam) -> TwoSidedMap2x2:
     """Cuts at s2 < s1 on one edge.  m1 is the both-slot map of the middle
@@ -205,7 +249,7 @@ def two_sided_2x2_same_wire(g: StarGraph, bc: BoundaryConditions,
     """
     if spec.mode != graphs.SAME_WIRE:
         raise ValueError("expected a same-wire split")
-    return _checked_map(g, bc, spec, lam)[1]
+    return _checked_map(g, bc, spec, lam)[2]
 
 
 def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
@@ -216,65 +260,34 @@ def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
     """
     if spec.mode != graphs.TWO_WIRES:
         raise ValueError("expected a two-wire split")
-    return _checked_map(g, bc, spec, lam)[1]
+    return _checked_map(g, bc, spec, lam)[2]
 
 
 def _checked_map(g, bc, spec, lam):
-    """Piece Evans factors and the two-sided map at lam (stacked for an array), or PoleAtLambda."""
-    parts = split_graph(g, bc, spec)
-    factors = {key: _check_pole(lam, value, key) for key, value in
-               split_evans_factors(g, bc, spec, _pole_probe(lam), parts).items()}
+    """The full graph's Evans value, the piece Evans factors and the
+    two-sided map at lam (stacked for an array), or PoleAtLambda: one
+    evaluation of the split's Evans terms at _pole_probe(lam), one of its map."""
+    terms = SplitTerms(g, bc, spec)
     lams, scalar = lambdas(lam)
-    m1, m2 = (m[0] if scalar else m for m in _blocks(parts, spec)(lams))
-    return factors, TwoSidedMap2x2(m1=m1, m2=m2, geometry=spec.mode, lam=lam)
+    full, *rows = terms.evans(_pole_probe(lam))
+    factors = {key: _check_pole(lam, row, key) for key, row in zip(terms.keys, rows)}
+    m1, m2 = (m[0] if scalar else m for m in terms.blocks(lams))
+    return (full[0] if scalar else full[:lams.size], factors,
+            TwoSidedMap2x2(m1=m1, m2=m2, geometry=spec.mode, lam=lam))
 
 
-def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
-                    parts=None):
+def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam):
     """Sweep-friendly two-sided map value: M1 + M2 for a single cut,
     det(MM1 + MM2) for a double cut.
 
     lam may be an array of lambda, which gives an array of values.  Skips
     the quotient legs and the pole bookkeeping of the full builders: at a
     pole the value is a division blowup, or NaN where a trace block is
-    exactly singular, at that lambda only.  Pass parts=split_graph(...) to
-    reuse a split.
+    exactly singular, at that lambda only.
     """
-    if parts is None:
-        parts = split_graph(g, bc, spec)
     lams, scalar = lambdas(lam)
-    vals = _two_sided(parts, spec)(lams)
+    vals = SplitTerms(g, bc, spec).value(lams)
     return vals[0] if scalar else vals
-
-
-def _two_sided(parts, spec):
-    """two_sided_value of the split parts as one function of an array of
-    lambda as lambdas() gives it, its legs planned once."""
-    blocks = _blocks(parts, spec)
-
-    def value(lams):
-        a = np.add(*blocks(lams))
-        # a single cut keeps the plain sum: det of a 1 x 1 stack is not bitwise its entry
-        return [a[:, 0, 0] if len(spec.cuts) == 1 else np.linalg.det(a)]
-    size = sum(parts[p.factor_key][0].n ** 2 for p in spec.pieces)
-    return lambda lams: chunked(value, lams, size)[0]
-
-
-def _blocks(parts, spec):
-    """(MM1, MM2) as one function of an array of lambda, (L, k, k) each for
-    k cuts, slot order the order of spec.cuts: each piece's
-    Dirichlet-to-Neumann block, placed on its ports on its side
-    (graphs.Piece)."""
-    kinds = [STAR if p.origin is None else INTERVAL if p.outer else OUTER for p in spec.pieces]
-    dtn = _dtn_blocks([(kind, parts[p.factor_key], [spec.cuts[k][0] for k in p.outer])
-                       for kind, p in zip(kinds, spec.pieces)])
-
-    def sides(lams):
-        out = ([], [])
-        for piece, block in zip(spec.pieces, dtn(lams)):
-            out[piece.side].append((piece.ports, block))
-        return tuple(_side_map(blocks, len(spec.cuts)) for blocks in out)
-    return sides
 
 
 def _side_map(blocks, k):
@@ -291,12 +304,11 @@ def _side_map(blocks, k):
     return out
 
 
-def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam,
-                        parts=None):
-    """Evans values of the split pieces, Dirichlet conditions at every cut;
-    pass parts=split_graph(...) to reuse a split."""
-    parts = split_graph(g, bc, spec) if parts is None else parts
-    return {p.factor_key: evans(*parts[p.factor_key], lam).value for p in spec.pieces}
+def split_evans_factors(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam):
+    """Evans values of the split pieces, Dirichlet conditions at every cut."""
+    lams, scalar = lambdas(lam)
+    terms = SplitTerms(g, bc, spec)
+    return {k: v[0] if scalar else v for k, v in zip(terms.keys, terms.evans(lams)[1:])}
 
 
 def verify_single_split(g: StarGraph, bc: BoundaryConditions, cut, lam) -> float:
@@ -314,9 +326,8 @@ def verify_double_split(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, l
 
 
 def _split_residual(g, bc, spec, lam):
-    factors, two = _checked_map(g, bc, spec, lam)
+    e_full, factors, two = _checked_map(g, bc, spec, lam)
     prod = np.prod(list(factors.values()), axis=0)
-    e_full = evans(g, bc, lam).value
     a = two.m1 + two.m2
     if len(spec.cuts) == 1:
         term, size = a[..., 0, 0], abs(two.m1[..., 0, 0]) + abs(two.m2[..., 0, 0])
@@ -336,14 +347,14 @@ def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
     """
     j1, j2 = cut_edges
     n = g.n
-    if n < 2 or j1 == j2:
-        raise ValueError("need two distinct cut wires")
-
-    def ev(pair1, pair2):
-        return evans(g, graphs._replace_outer(bc, {j1: pair1, j2: pair2}), lam).value
-
+    if j1 == j2 or not (0 <= j1 < n and 0 <= j2 < n):
+        raise ValueError(f"need two distinct cut wires in 0..{n - 1}, got {j1}, {j2}")
+    lams, scalar = lambdas(lam)
     D, N = graphs.DIRICHLET_PAIR, graphs.NEUMANN_PAIR
-    t1, t2 = ev(D, D) * ev(N, N), ev(N, D) * ev(D, N)
+    dd, nn, nd, dn = (v[0] if scalar else v for v in _evans_values(
+        [(g, graphs._replace_outer(bc, {j1: p1, j2: p2}))
+         for p1, p2 in ((D, D), (N, N), (N, D), (D, N))])(lams))
+    t1, t2 = dd * nn, nd * dn
     fr = frame_matrix(fundamental_frame(g, bc, lam))
     order = [r for j in range(n) for r in (j, n + j)]
     fr = fr[..., order, :]

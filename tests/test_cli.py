@@ -133,6 +133,19 @@ def test_two_cut_examples_keep_the_piece_order(name, keys):
     assert all(list(block["pieces"]) == keys for block in machine["intervals"])
 
 
+def test_map_column_without_a_split_is_refused(monkeypatch):
+    # refused before any leg is planned; the Evans columns alone still run
+    data = {k: v for k, v in cli._EXAMPLES["barrier_end"].items() if k != "splits"}
+    sc = cli.parse_scenario(data)
+    with monkeypatch.context() as m:
+        m.setattr(importlib.import_module("qgraph.propagate").LegPlan, "__init__",
+                  lambda *a: pytest.fail("planned before the check"))
+        with pytest.raises(cli.ScenarioError, match="the map column needs a splits block"):
+            cli.evans_csv(sc, samples=4, with_map=True)
+    csv = cli.evans_csv(sc, samples=4).splitlines()
+    assert csv[0] == "lambda,Re(E),Im(E)" and len(csv) == 5
+
+
 def test_count_notes_interval_dependence(tmp_path, capsys):
     code = cli.main(["count", "--scenario", _scenario_file(tmp_path, "two_wire")])
     assert code == 0

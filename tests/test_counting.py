@@ -140,7 +140,7 @@ def test_refined_zeros_match_a_tight_brentq(case, interval):
     rep = verify_counting(g, bc, spec, interval)
     parts = split_graph(g, bc, spec)
     terms = [(rep.full, lambda t: evans(g, bc, t).value),
-             (rep.map_report, lambda t: two_sided_value(g, bc, spec, t, parts=parts))]
+             (rep.map_report, lambda t: two_sided_value(g, bc, spec, t))]
     terms += [(r, lambda t, p=parts[k]: evans(*p, t).value) for k, r in rep.pieces.items()]
     for r, f in terms:
         for z, m in r.zeros:
@@ -153,27 +153,27 @@ def test_verify_counting_work_guard(monkeypatch):
     # evaluations of one identity check's terms: each term refines all its
     # brackets in lock-step from the grid values, and the endpoint probes
     # are batched.  The terms are planned once; every evaluation is counted
-    counting = importlib.import_module("qgraph.counting")
     maps = importlib.import_module("qgraph.maps")
-    calls = {"_evans_values": 0, "_two_sided": 0}
+    calls = {"_evans_values": 0, "value": 0}
+    plan, value = maps._evans_values, maps.SplitTerms.value
 
-    def count(module, name):
-        plan = getattr(module, name)
+    def planned(*args, **kwargs):
+        evaluate = plan(*args, **kwargs)
 
-        def planned(*args, **kwargs):
-            evaluate = plan(*args, **kwargs)
+        def counted(lams):
+            calls["_evans_values"] += 1
+            return evaluate(lams)
+        return counted
 
-            def counted(lams):
-                calls[name] += 1
-                return evaluate(lams)
-            return counted
-        monkeypatch.setattr(module, name, planned)
+    def counted_value(terms, lams):
+        calls["value"] += 1
+        return value(terms, lams)
 
-    count(counting, "_evans_values")
-    count(maps, "_two_sided")
+    monkeypatch.setattr(maps, "_evans_values", planned)
+    monkeypatch.setattr(maps.SplitTerms, "value", counted_value)
     g, bc, spec = barrier_end()
     assert verify_counting(g, bc, spec, (5.0, 60.0)).holds
-    assert 0 < calls["_two_sided"] <= 8 and sum(calls.values()) <= 30, calls
+    assert 0 < calls["value"] <= 8 and sum(calls.values()) <= 30, calls
 
 
 def test_barrier_end_reference_run():

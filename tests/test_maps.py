@@ -264,6 +264,10 @@ def test_minor_identity_random(rng):
     assert minor_identity_check(g, rand_bc_real(4, rng), 12.0, (1, 3)) < 1e-10
     with pytest.raises(ValueError):
         minor_identity_check(g, rand_bc_real(4, rng), 12.0, (2, 2))
+    g, bc, _ = two_wire()
+    for cuts in ((0, -1), (1, -2), (0, 5)):  # wires off the star
+        with pytest.raises(ValueError, match="two distinct cut wires"):
+            minor_identity_check(g, bc, 12.0, cuts)
 
 
 def test_double_split_residual_exposes_a_wrong_factor_on_a_wide_star(monkeypatch):
@@ -285,37 +289,43 @@ def test_double_split_residual_exposes_a_wrong_factor_on_a_wide_star(monkeypatch
     spec = SplitSpec(((0, breaks[0]), (1, breaks[1])), TWO_WIRES)
     assert abs(evans(g, bc, 20.0).value) < 1e-5
     assert verify_double_split(g, bc, spec, 20.0) < 1e-13
-    true_factors = maps.split_evans_factors
+    true_values = maps._evans_values
 
-    def one_factor_off(*args):
-        factors = true_factors(*args)
-        key = next(iter(factors))
-        factors[key] *= 1.01
-        return factors
+    def one_factor_off(problems):
+        evaluate = true_values(problems)
 
-    monkeypatch.setattr(maps, "split_evans_factors", one_factor_off)
+        def values(lams):
+            rows = evaluate(lams)
+            rows[1] = rows[1] * 1.01  # row 0 is the whole graph, row 1 the first piece
+            return rows
+        return values
+
+    monkeypatch.setattr(maps, "_evans_values", one_factor_off)
     assert verify_double_split(g, bc, spec, 20.0) > 1e-7
 
 
 @pytest.mark.parametrize("case", [barrier_interior, two_wire])
 def test_double_split_row_evaluates_each_evans_function_once(case, monkeypatch):
-    # the three pieces and the whole graph, and no one-sided map with its
-    # Neumann numerator
+    # the three pieces and the whole graph, planned together in one call,
+    # and no one-shot Evans call or one-sided map with its Neumann numerator
     from qgraph import maps
     g, bc, spec = case()
-    real, graphs_seen = maps.evans, []
+    real, calls = maps._evans_values, []
 
-    def counted(g_, bc_, lam):
-        graphs_seen.append(g_)
-        return real(g_, bc_, lam)
+    def counted(problems):
+        calls.append(problems)
+        return real(problems)
 
     def unused(*args, **kwargs):
-        raise AssertionError("one-sided map called")
+        raise AssertionError("called outside the split terms")
 
-    monkeypatch.setattr(maps, "evans", counted)
+    monkeypatch.setattr(maps, "_evans_values", counted)
+    monkeypatch.setattr(maps, "evans", unused)
     monkeypatch.setattr(maps, "map_M1", unused)
     monkeypatch.setattr(maps, "map_M2", unused)
     assert verify_double_split(g, bc, spec, 20.0) < 1e-13
+    assert len(calls) == 1
+    graphs_seen = [g_ for g_, _ in calls[0]]
     assert len(graphs_seen) == 4 and sum(x is g for x in graphs_seen) == 1
 
 
