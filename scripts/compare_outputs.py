@@ -23,10 +23,12 @@ that lambda and of one of 9 lambdas across the sweep; and, at that real
 lambda, at it plus 0.5i and at 5 lambdas inside the sweep, the public
 split functions: split_evans_factors, two_sided_value, m1 and m2 of the
 2 x 2 builder of a two-cut split, verify_single_split or
-verify_double_split, and minor_identity_check; every float at repr
-precision.  An output that raises is compared as its error.  Prints each
-output that differs, with its first differing line, and exits 1 if any
-does.
+verify_double_split, and minor_identity_check; and the summary and every
+zero and pole of verify_counting on three splits whose pieces have
+eigenfunctions with no flux at the cut, which map_delta counts as map
+poles (ROADMAP item 1a); every float at repr precision.  An output that
+raises is compared as its error.  Prints each output that differs, with
+its first differing line, and exits 1 if any does.
 """
 from __future__ import annotations
 
@@ -93,6 +95,11 @@ def _text(*values):
     return "".join(" ".join(map(repr, np.ravel(v).tolist())) + "\n" for v in values)
 
 
+def _located(pairs):
+    """(location, multiplicity) pairs as location:multiplicity, locations at repr precision."""
+    return " ".join(f"{float(z)!r}:{m}" for z, m in pairs)
+
+
 def _library_tasks(qgraph, cli):
     """(key, function giving the output text) of the library pass."""
     import numpy as np
@@ -120,6 +127,7 @@ def _library_tasks(qgraph, cli):
                 return _text(b.z, b.zp, b.Yl, b.Ylp)
             yield f"library/{name}/bundle-{key}", frames
         yield from _split_tasks(qgraph, name, sc, lam)
+    yield from _removable_pole_tasks(qgraph)
 
 
 def _split_tasks(qgraph, name, sc, lam):
@@ -150,6 +158,28 @@ def _split_tasks(qgraph, name, sc, lam):
             tasks.append(("builder", builder))
         for key, fn in tasks:
             yield f"library/{name}/{key}-{where}", fn
+
+
+def _removable_pole_tasks(qgraph):
+    """(key, function giving the output text) of verify_counting on the
+    Kirchhoff star of wires 1, 1.3, 1.3 with Dirichlet ends, cut once and
+    twice on wire 0, and on the decoupled robin star of wires 1, 1.5: the
+    identity's summary, the zeros of every term and the map's poles."""
+    free = qgraph.free_edge
+    kirchhoff = (qgraph.StarGraph((free(1.0), free(1.3), free(1.3))),
+                 qgraph.build_preset("kirchhoff", 3))
+    robin = (qgraph.StarGraph((free(1.0), free(1.5))),
+             qgraph.build_preset("robin", 2, theta=[-3.0, 0.0, 0.0]))
+    for name, problem, cuts, mode, interval in (
+            ("kirchhoff-single", kirchhoff, ((0, 0.5),), qgraph.SINGLE, (1.0, 60.0)),
+            ("kirchhoff-same-wire", kirchhoff, ((0, 0.7), (0, 0.3)), qgraph.SAME_WIRE, (1.0, 60.0)),
+            ("robin-single", robin, ((0, 0.4),), qgraph.SINGLE, (-20.0, 30.0))):
+        def identity(problem=problem, spec=qgraph.SplitSpec(cuts, mode), interval=interval):
+            rep = qgraph.verify_counting(*problem, spec, interval)
+            terms = [("full", rep.full), *rep.pieces.items(), ("map", rep.map_report)]
+            lines = [rep.summary()] + [f"{key} zeros: {_located(r.zeros)}" for key, r in terms]
+            return "\n".join(lines + [f"map poles: {_located(rep.map_report.poles)}"]) + "\n"
+        yield f"library/removable-poles/{name}", identity
 
 
 def worker(src, path):

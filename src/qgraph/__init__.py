@@ -31,23 +31,16 @@ from .graphs import (
     validate_bc,
 )
 from .propagate import (
-    BasisPair,
     EdgeSolution,
-    MismatchedEvaluationPoint,
     OutOfDomain,
     StateVector,
-    adaptive_reference,
-    basis_pair,
-    propagate,
     segment_transfer,
     transfer_matrix,
-    wronskian,
 )
 from .evans import (
     EvansValue,
     FrameBundle,
     FundamentalFrame,
-    c_matrix,
     evans,
     frame_matrix,
     fundamental_frame,

@@ -257,6 +257,8 @@ def map_delta(map_fn, denominators, interval, grid=None) -> CountReport:
 
     Poles are not probed on the map itself: they are the zeros of the
     denominator Evans functions, merged when coincident with orders summed.
+    A zero whose piece eigenfunction has no flux at the cut is a removable
+    pole, an eigenvalue of the full graph too, and is counted all the same.
     The map's own zeros are then counted by sign change on the pole-free
     subintervals, skipping samples where evaluation blew up.  map_fn and
     the denominators are functions of one lambda.

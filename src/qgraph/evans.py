@@ -12,8 +12,8 @@ is the star secular function sum_j z_j' prod_{k != j} z_k.  Wronskians
 are constant along an edge, so it does not depend on where the frame is
 evaluated, and the default evaluation point is the origin, where Y and Y'
 are the constant launch data and only the n values z_j propagate.
-fundamental_frame, frame_matrix and c_matrix keep the 2n x 2n route as
-the minors check's reference; nothing else in the package builds it.
+fundamental_frame and frame_matrix keep the 2n x 2n route as the minors
+check's reference; nothing else in the package builds it.
 
 Every value here comes from the transfer kernel, propagate.LegPlan:
 legs are planned once, lambda-free, and the plan is evaluated on an array
@@ -194,13 +194,6 @@ def evans(g: StarGraph, bc: BoundaryConditions, lam,
     lams, scalar = lambdas(lam)
     [vals] = _evans_values([(g, bc)], [eval_point])(lams)
     return EvansValue(value=vals[0] if scalar else vals, lam=lam)
-
-
-def c_matrix(frame: FundamentalFrame, bc: BoundaryConditions) -> np.ndarray:
-    """alpha1 Z(0) + alpha2 Z'(0); only defined on origin-evaluated frames."""
-    if np.any(frame.eval_point != 0.0):
-        raise ValueError("c_matrix needs a frame evaluated at the origin")
-    return bc.alpha1 @ frame.Z + bc.alpha2 @ frame.Zp
 
 
 def _one_lambda(lam, what):

@@ -18,10 +18,9 @@ segment_transfer call steps the chains of all its legs.  stack gives the
 2 x 2 transfers of legs that end at one position each; solutions carries
 launch data to arrays of positions entry by entry, with no 2 x 2 matrix
 per position.  EdgeSolution builds one solution per (edge, lam, initial
-data) from the same segment steps: the per-lambda public API and the
-kernel's test reference.
-adaptive_reference integrates the equation with an adaptive Runge-Kutta
-method instead, as an independent oracle.
+data) from the same segment steps, node by node: the kernel's per-lambda
+test reference.  The independent adaptive Runge-Kutta oracle lives with
+the tests (tests/oracle.py); nothing here integrates an ODE.
 """
 from __future__ import annotations
 
@@ -32,14 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import airy, airye
 
-from .graphs import EdgeSpec, PiecewiseConstant, Sampled
+from .graphs import EdgeSpec
 
 
 class OutOfDomain(ValueError):
-    pass
-
-
-class MismatchedEvaluationPoint(ValueError):
     pass
 
 
@@ -253,56 +248,6 @@ class _PiecewiseEngine:
         return m[..., 0, 0] * u0 + m[..., 0, 1] * up0, m[..., 1, 0] * u0 + m[..., 1, 1] * up0
 
 
-class _AdaptiveEngine:
-    """Dense-output fundamental matrix from 0, integrated as 8 real ODEs.
-
-    It backs only adaptive_reference, the test oracle, so its tolerances
-    favour accuracy over speed.
-    """
-
-    def __init__(self, edge, lam, value=1.0, deriv=0.0, anchor=0.0):
-        from scipy.integrate import solve_ivp  # only this oracle integrates
-
-        xs = np.asarray(edge.potential.xs)
-        vs = np.asarray(edge.potential.vs)
-        lam = complex(lam)
-
-        def rhs(x, y):
-            m = (y[:4] + 1j * y[4:]).reshape(2, 2)
-            dm = np.array([[0.0, 1.0], [np.interp(x, xs, vs) - lam, 0.0]]) @ m
-            return np.concatenate([dm.real.ravel(), dm.imag.ravel()])
-
-        y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        for rtol, atol in ((1e-12, 1e-14), (1e-13, 1e-15)):  # one retry, tighter
-            sol = solve_ivp(rhs, (0.0, edge.length), y0, method="DOP853",
-                            dense_output=True, rtol=rtol, atol=atol)
-            if not sol.success:
-                raise RuntimeError(f"edge integration failed: {sol.message}")
-            drift = abs(np.linalg.det(self._unpack(sol.sol(edge.length))) - 1.0)
-            if drift <= 1e-9:
-                break
-        else:
-            raise RuntimeError(f"Wronskian drift {drift:.2e} after tightening tolerances")
-        self._sol = sol
-        init = np.array([value, deriv])
-        self._coef = np.linalg.solve(self.matrix(anchor), init) \
-            if anchor != 0.0 else init
-
-    @staticmethod
-    def _unpack(y):
-        return (y[:4] + 1j * y[4:]).reshape((2, 2) + np.shape(y)[1:])
-
-    def matrix(self, x):
-        """Fundamental matrix at x (2 x 2), or at each of an array of x (2 x 2 x P)."""
-        return self._unpack(self._sol.sol(x))
-
-    def on(self, xs):
-        m = self.matrix(np.asarray(xs, dtype=float))
-        u = m[0, 0] * self._coef[0] + m[0, 1] * self._coef[1]
-        up = m[1, 0] * self._coef[0] + m[1, 1] * self._coef[1]
-        return u, up
-
-
 class LegPlan:
     """The lambda-free half of the transfer kernel: the segment steps of
     legs (edge, x0, x), planned and checked once, in one (S, 3) table of
@@ -446,49 +391,3 @@ class EdgeSolution:
     def on(self, xs):
         """Vectorized (values, derivatives) over an array of positions."""
         return self._engine.on(_domain_x(self.edge, np.asarray(xs, dtype=float)))
-
-
-def propagate(edge: EdgeSpec, lam, state: StateVector, to_x) -> StateVector:
-    """Advance the given state along the edge to to_x."""
-    sol = EdgeSolution(edge, lam, state.value, state.deriv, anchor=state.x)
-    return sol.at(to_x)
-
-
-@dataclass(frozen=True)
-class BasisPair:
-    phi: EdgeSolution    # phi(anchor) = 0, phi'(anchor) = 1
-    theta: EdgeSolution  # theta(anchor) = 1, theta'(anchor) = 0
-    anchor: float
-
-
-def basis_pair(edge: EdgeSpec, lam, anchor=0.0) -> BasisPair:
-    anchor = _domain_x(edge, anchor)
-    return BasisPair(phi=EdgeSolution(edge, lam, 0.0, 1.0, anchor),
-                     theta=EdgeSolution(edge, lam, 1.0, 0.0, anchor),
-                     anchor=anchor)
-
-
-def wronskian(a: StateVector, b: StateVector):
-    """a.value b.deriv - a.deriv b.value; both states must sit at one point."""
-    if abs(a.x - b.x) > 1e-12 * (1.0 + abs(a.x)) or a.lam != b.lam:
-        raise MismatchedEvaluationPoint(
-            f"states at (x={a.x}, lam={a.lam}) and (x={b.x}, lam={b.lam})")
-    return a.value * b.deriv - a.deriv * b.value
-
-
-def adaptive_reference(edge: EdgeSpec, lam, value, deriv, anchor=0.0):
-    """Run the adaptive integrator on any profile: the independent
-    cross-check of the exact segment propagation, and the only user of
-    _AdaptiveEngine."""
-    pot = edge.potential
-    if isinstance(pot, PiecewiseConstant):
-        # sample just inside each piece so the step function survives interp
-        xs, vs = [], []
-        for a, b, v in pot.pieces:
-            eps = 1e-13 * (1.0 + b - a)
-            xs.extend([a + eps, b - eps])
-            vs.extend([v, v])
-        xs[0], xs[-1] = pot.pieces[0][0], pot.pieces[-1][1]
-        pot = Sampled(tuple(xs), tuple(vs))
-        edge = EdgeSpec(edge.length, pot)
-    return _AdaptiveEngine(edge, lam, value, deriv, anchor)

@@ -37,10 +37,11 @@ from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley,
 from qgraph import (EndpointNudged, OnSpectrum, NoIndependentPartner,
                     PoleAtLambda, SplitSpec, StarGraph, build_projections,
                     count_zeros, evans, fundamental_frame, frame_matrix,
-                    c_matrix, map_M1, map_M2, minor_identity_check,
+                    map_M1, map_M2, minor_identity_check,
                     projection_equations, resolvent_apply, segment_residual,
                     split_graph, u_gamma, verify_double_split,
                     verify_single_split, x_independence_check)
+from oracle import c_matrix
 from qgraph.cli import count_report, parse_scenario, _EXAMPLES
 from qgraph.graphs import SAME_WIRE, SINGLE, TWO_WIRES, BoundaryData
 from scipy.linalg import eigh_tridiagonal

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import qgraph
 from conftest import wide_star
+from oracle import adaptive_reference
 from qgraph import cli, maps, resolvent
 from qgraph.counting import PoleOnBoundary
 
@@ -35,10 +36,13 @@ def test_fmt_round_trips_floats(rng):
 
 
 def test_scenario_round_trip_is_byte_identical():
-    for name in sorted(cli._EXAMPLES):
-        text1 = cli.scenario_json(cli.parse_scenario(cli._EXAMPLES[name]))
+    with_grid = dict(cli._EXAMPLES["barrier_end"])
+    with_grid["count"] = dict(with_grid["count"], grid=300)
+    for data in [cli._EXAMPLES[name] for name in sorted(cli._EXAMPLES)] + [with_grid]:
+        text1 = cli.scenario_json(cli.parse_scenario(data))
         text2 = cli.scenario_json(cli.parse_scenario(json.loads(text1)))
         assert text1 == text2
+    assert cli.parse_scenario(json.loads(text1)).count_grid == 300
 
 
 def test_explicit_matrix_round_trip():
@@ -480,6 +484,54 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
         assert cli.main(["count", "--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid scenario:") and f"got {grid}" in err, err
+    # each missing block, unsupported request or malformed entry is named
+    one_wire = {"graph": {"edges": [{"length": 1.0}]}, "boundary": {"preset": "kirchhoff"},
+                "sweep": {"lambda_min": 5.0, "lambda_max": 60.0, "samples": 8}}
+
+    def spoil_boundary(**block):
+        return lambda d: d.update(boundary=block)
+
+    def drop(*keys):
+        return lambda d: [d.pop(k) for k in keys]
+
+    matrix = {"alpha2": [[[0.0, 0.0]] * 2] * 2, "beta1": [[1.0, 0.0]] * 2,
+              "beta2": [[0.0, 0.0]] * 2}
+    for argv, name, spoil, message in (
+            (["count"], "barrier_end", drop("splits"), "count needs a splits block"),
+            (["count"], "barrier_end", drop("count", "sweep"),
+             "count needs intervals or a sweep block"),
+            (["evans"], "barrier_end", drop("sweep"), "scenario has no sweep block"),
+            (["verify", "--which", "single"], "two_wire", None,
+             "verify single needs a single-cut splits block"),
+            (["verify", "--which", "minors"], None, None,
+             "minor identity needs at least two wires"),
+            (["count"], "barrier_end", spoil_boundary(
+                alpha1=[[[1.0, 0.0, 3.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], **matrix),
+             "matrix entries must be [re, im] pairs, got [1.0, 0.0, 3.0]"),
+            (["count"], "barrier_end",
+             lambda d: d["graph"]["edges"][0].update(potential={"v": 3.0}),
+             "potential needs either 'pieces' or 'xs'/'vs'"),
+            (["count"], "barrier_end", lambda d: d["boundary"].update(ends="robin"),
+             "unknown end condition 'robin'"),
+            (["count"], "barrier_end", spoil_boundary(preset="robin", theta=[1.0, 2.0]),
+             "robin theta must be scalar or length n+1"),
+            (["evans"], "barrier_end", lambda d: d["sweep"].update(samples=-3),
+             "samples must be >= 0")):
+        doc = one_wire if name is None else cli.parse_scenario(cli._EXAMPLES[name]).to_dict()
+        if spoil is not None:
+            spoil(doc)
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(argv + ["--scenario", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario:") and message in err, err
+
+
+def test_count_without_a_count_block_uses_the_sweep_span():
+    doc = cli.parse_scenario(cli._EXAMPLES["barrier_end"]).to_dict()
+    assert doc.pop("count") == {"intervals": [[5.0, 60.0]]}
+    text, machine, ok = cli.count_report(cli.parse_scenario(doc))
+    assert [i["interval"] for i in machine["intervals"]] == [[5.0, 60.0]]
+    assert (text, machine, ok) == cli.count_report(cli.parse_scenario(cli._EXAMPLES["barrier_end"]))
 
 
 def test_infinite_count_interval_is_rejected_before_any_evaluation(tmp_path, capsys):
@@ -667,7 +719,7 @@ def test_sampled_star_never_integrates(monkeypatch):
     data["count"] = {"intervals": [[5.0, 30.0]], "grid": 200}
     cli.count_report(cli.parse_scenario(data))
     with pytest.raises(AssertionError):
-        qgraph.adaptive_reference(sc.graph.edges[1], 5.0, 1.0, 0.0)
+        adaptive_reference(sc.graph.edges[1], 5.0, 1.0, 0.0)
 
 
 def test_pole_retry_is_reproducible_across_hash_seeds():

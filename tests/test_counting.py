@@ -15,7 +15,7 @@ from conftest import barrier_end, barrier_interior, rand_bc_real, rand_graph, tw
 from qgraph import (EndpointNudged, GridTooCoarse, PoleOnBoundary, SplitSpec,
                     StarGraph, build_preset, count_eigenvalues, count_zeros,
                     free_edge, lambda_grid, map_delta, verify_counting)
-from qgraph.graphs import SINGLE
+from qgraph.graphs import SAME_WIRE, SINGLE
 
 
 def test_lambda_grid_properties():
@@ -309,3 +309,40 @@ def test_equal_wire_stars_fail_the_identity_on_a_midpoint_cut(n):
     # the miscount shows in verify_counting, which cannot say which term is wrong
     g, bc = _equal_wires(n)
     assert not verify_counting(g, bc, SplitSpec(((0, 0.5),), SINGLE), (5.0, 60.0)).holds
+
+
+def _removable_pole_cases():
+    """Splits whose pieces have eigenfunctions with no flux at the cut.
+    Such an eigenfunction extends by zero to one of the full star, so its
+    eigenvalue is no pole of the two-sided map.  The counts are those of a
+    lumped FE inertia count (1000 and 4000 cells per unit length) for the
+    Kirchhoff star of wires 1, 1.3, 1.3 with Dirichlet ends, whose
+    (k pi / 1.3)^2 modes are odd across the equal wires and vanish on wire
+    0, and of the closed forms k tan(k L) = 3 and tan(0.4 k) = -k / 3 for
+    the decoupled robin star of wires 1, 1.5."""
+    g = StarGraph((free_edge(1.0), free_edge(1.3), free_edge(1.3)))
+    bc = build_preset("kirchhoff", 3)
+    robin = (StarGraph((free_edge(1.0), free_edge(1.5))),
+             build_preset("robin", 2, theta=[-3.0, 0.0, 0.0]))
+    return {"kirchhoff-single": (g, bc, SplitSpec(((0, 0.5),), SINGLE), (1.0, 60.0), 8, [1, 7]),
+            "kirchhoff-same-wire": (g, bc, SplitSpec(((0, 0.7), (0, 0.3)), SAME_WIRE),
+                                    (1.0, 60.0), 8, [0, 0, 6]),
+            "robin-single": (*robin, SplitSpec(((0, 0.4),), SINGLE), (-20.0, 30.0), 5, [1, 4])}
+
+
+def test_removable_pole_cases_count_every_term():
+    for g, bc, spec, interval, full, pieces in _removable_pole_cases().values():
+        rep = verify_counting(g, bc, spec, interval)
+        assert rep.full.count == full
+        assert [r.count for r in rep.pieces.values()] == pieces
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1a: map_delta takes every piece eigenvalue as a "
+                   "map pole, also one whose eigenfunction has no flux at the cut")
+@pytest.mark.parametrize("case", sorted(_removable_pole_cases()))
+def test_removable_map_poles_are_not_counted(case):
+    g, bc, spec, interval, _, _ = _removable_pole_cases()[case]
+    rep = verify_counting(g, bc, spec, interval)
+    assert rep.holds, rep.summary()
+    assert rep.delta_N == rep.full.count - rep.pieces_total

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qgraph import (EdgeSpec, EdgeSolution, Sampled, StarGraph, adaptive_reference,
-                    basis_pair, build_preset, evans, free_edge, propagate,
-                    segment_transfer, transfer_matrix, wronskian)
-from qgraph.propagate import (MismatchedEvaluationPoint, OutOfDomain,
-                              StateVector)
+from qgraph import (EdgeSpec, EdgeSolution, Sampled, StarGraph, build_preset, evans,
+                    free_edge, segment_transfer, transfer_matrix)
+from qgraph.propagate import OutOfDomain
 from qgraph.evans import FrameBundle
 from conftest import pc, rand_bc_cayley, rand_bc_real
+from oracle import adaptive_reference
 
-propagate_module = importlib.import_module("qgraph.propagate")  # the name propagate is the function
-evans_module = importlib.import_module("qgraph.evans")  # so is the name evans
+propagate_module = importlib.import_module("qgraph.propagate")
+evans_module = importlib.import_module("qgraph.evans")  # the name evans is the function
 
 
 # ---------------------------------------------------------------- transfer
@@ -346,6 +345,11 @@ def test_families_are_each_position_alone_bitwise(seed, n, size, complex_lam, sh
 
 # -------------------------------------------------------------- propagation
 
+def _wronskian(a, b):
+    """u v' - u' v of two states at one point."""
+    return a.value * b.deriv - a.deriv * b.value
+
+
 def test_piecewise_closed_form():
     # well of depth 15 on the outer two thirds, solution seeded at the cut
     edge = EdgeSpec(1.0, pc((0.0, 1 / 3, 0.0), (1 / 3, 1.0, -15.0)))
@@ -358,8 +362,7 @@ def test_piecewise_closed_form():
 
 
 def test_propagate_advances_states():
-    state = StateVector(value=1.0, deriv=0.0, x=0.0, lam=4.0)
-    out = propagate(free_edge(1.0), 4.0, state, 0.5)
+    out = EdgeSolution(free_edge(1.0), 4.0, 1.0, 0.0, anchor=0.0).at(0.5)
     assert np.isclose(out.value, np.cos(1.0), atol=1e-13)
     assert out.x == 0.5
 
@@ -396,8 +399,8 @@ def test_sampled_potential_uses_adaptive():
     sol = EdgeSolution(edge, 5.0, 0.0, 1.0, anchor=0.0)
     end = sol.at(1.0)
     assert np.isfinite(end.value) and np.isfinite(end.deriv)
-    pair = basis_pair(edge, 5.0, anchor=0.0)
-    w = wronskian(pair.phi.at(0.9), pair.theta.at(0.9))
+    phi, theta = EdgeSolution(edge, 5.0, 0.0, 1.0), EdgeSolution(edge, 5.0, 1.0, 0.0)
+    w = _wronskian(phi.at(0.9), theta.at(0.9))
     assert abs(w + 1.0) < 1e-8 or abs(w - 1.0) < 1e-8
 
 
@@ -418,30 +421,19 @@ def test_complex_lambda_state():
 def test_basis_pair_unit_wronskian():
     edge = EdgeSpec(1.0, pc((0.0, 0.4, -3.0), (0.4, 1.0, 12.0)))
     for lam in (-4.0, 0.0, 17.5, 60.0):
-        pair = basis_pair(edge, lam, anchor=0.0)
+        phi, theta = EdgeSolution(edge, lam, 0.0, 1.0), EdgeSolution(edge, lam, 1.0, 0.0)
         for x in (0.0, 0.3, 0.7, 1.0):
-            w = wronskian(pair.phi.at(x), pair.theta.at(x))
+            w = _wronskian(phi.at(x), theta.at(x))
             assert abs(abs(w) - 1.0) < 1e-11
-
-
-def test_wronskian_rejects_mismatched_states():
-    edge = free_edge(1.0)
-    a = EdgeSolution(edge, 1.0, 1.0, 0.0, anchor=0.0).at(0.5)
-    b = EdgeSolution(edge, 2.0, 1.0, 0.0, anchor=0.0).at(0.5)
-    with pytest.raises(MismatchedEvaluationPoint):
-        wronskian(a, b)
-    c = EdgeSolution(edge, 1.0, 1.0, 0.0, anchor=0.0).at(0.7)
-    with pytest.raises(MismatchedEvaluationPoint):
-        wronskian(a, c)
 
 
 def test_wronskian_constant_along_edge():
     edge = EdgeSpec(1.0, pc((0.0, 0.6, -7.0), (0.6, 1.0, 2.0)))
     u = EdgeSolution(edge, 13.0, 0.3, -1.1, anchor=0.0)
     v = EdgeSolution(edge, 13.0, 1.2, 0.4, anchor=0.0)
-    w0 = wronskian(u.at(0.0), v.at(0.0))
+    w0 = _wronskian(u.at(0.0), v.at(0.0))
     for x in (0.2, 0.6, 0.95):
-        assert np.isclose(wronskian(u.at(x), v.at(x)), w0, atol=1e-12)
+        assert np.isclose(_wronskian(u.at(x), v.at(x)), w0, atol=1e-12)
 
 
 def test_solution_smooth_in_lambda():
