@@ -25,10 +25,12 @@ split functions: split_evans_factors, two_sided_value, m1 and m2 of the
 2 x 2 builder of a two-cut split, verify_single_split or
 verify_double_split, and minor_identity_check; and the summary and every
 zero and pole of verify_counting on three splits whose pieces have
-eigenfunctions with no flux at the cut, which map_delta counts as map
-poles (ROADMAP item 1a); every float at repr precision.  An output that
-raises is compared as its error.  Prints each output that differs, with
-its first differing line, and exits 1 if any does.
+eigenfunctions with no flux at the cut, which its map term counts as map
+poles (ROADMAP item 1a), and on three two-wire splits whose map poles lie
+closer than POLE_MERGE_TOL (1 + lambda) or near it; every float at repr
+precision.  An output that raises is compared as its error.  Prints each
+output that differs, with its first differing line, and exits 1 if any
+does.
 """
 from __future__ import annotations
 
@@ -104,7 +106,6 @@ def _library_tasks(qgraph, cli):
     """(key, function giving the output text) of the library pass."""
     import numpy as np
     bundle = qgraph.FrameBundle
-    array_bundle = getattr(bundle, "over", bundle)  # a tree whose constructor took one lambda
     for name in sorted(cli._EXAMPLES):
         sc = cli.parse_scenario(cli._EXAMPLES[name])
         g, bc, span = sc.graph, sc.bc, sc.sweep[:2]
@@ -121,13 +122,13 @@ def _library_tasks(qgraph, cli):
                 return _text(ug.lam, ug.index, ug.sup_discrepancy, ug.trace_residual,
                              ug.coefficients, *ug.direct, *ug.formula)
             yield f"library/{name}/u_gamma-e{i}", paths
-        for key, make, lams in (("one", bundle, lam), ("array", array_bundle, np.linspace(*span, 9))):
+        for key, make, lams in (("one", bundle, lam), ("array", bundle, np.linspace(*span, 9))):
             def frames(make=make, g=g, bc=bc, lams=lams):
                 b = make(g, bc, lams)
                 return _text(b.z, b.zp, b.Yl, b.Ylp)
             yield f"library/{name}/bundle-{key}", frames
         yield from _split_tasks(qgraph, name, sc, lam)
-    yield from _removable_pole_tasks(qgraph)
+    yield from _identity_tasks(qgraph)
 
 
 def _split_tasks(qgraph, name, sc, lam):
@@ -160,26 +161,35 @@ def _split_tasks(qgraph, name, sc, lam):
             yield f"library/{name}/{key}-{where}", fn
 
 
-def _removable_pole_tasks(qgraph):
+def _identity_tasks(qgraph):
     """(key, function giving the output text) of verify_counting on the
     Kirchhoff star of wires 1, 1.3, 1.3 with Dirichlet ends, cut once and
-    twice on wire 0, and on the decoupled robin star of wires 1, 1.5: the
-    identity's summary, the zeros of every term and the map's poles."""
+    twice on wire 0, on the decoupled robin star of wires 1, 1.5, and on
+    the Kirchhoff stars of wires 1, 1 + eps cut at the middle of both
+    wires, whose map poles lie about 4 eps lambda apart: the identity's
+    summary, the zeros of every term and the map's poles."""
     free = qgraph.free_edge
     kirchhoff = (qgraph.StarGraph((free(1.0), free(1.3), free(1.3))),
                  qgraph.build_preset("kirchhoff", 3))
     robin = (qgraph.StarGraph((free(1.0), free(1.5))),
              qgraph.build_preset("robin", 2, theta=[-3.0, 0.0, 0.0]))
-    for name, problem, cuts, mode, interval in (
-            ("kirchhoff-single", kirchhoff, ((0, 0.5),), qgraph.SINGLE, (1.0, 60.0)),
-            ("kirchhoff-same-wire", kirchhoff, ((0, 0.7), (0, 0.3)), qgraph.SAME_WIRE, (1.0, 60.0)),
-            ("robin-single", robin, ((0, 0.4),), qgraph.SINGLE, (-20.0, 30.0))):
+    cases = [("removable-poles/kirchhoff-single", kirchhoff, ((0, 0.5),), qgraph.SINGLE,
+              (1.0, 60.0)),
+             ("removable-poles/kirchhoff-same-wire", kirchhoff, ((0, 0.7), (0, 0.3)),
+              qgraph.SAME_WIRE, (1.0, 60.0)),
+             ("removable-poles/robin-single", robin, ((0, 0.4),), qgraph.SINGLE, (-20.0, 30.0))]
+    for eps, interval in ((2e-10, (10000.0, 10300.0)), (2e-9, (10000.0, 10300.0)),
+                          (2e-8, (5.0, 60.0))):
+        near = (qgraph.StarGraph((free(1.0), free(1.0 + eps))), qgraph.build_preset("kirchhoff", 2))
+        cases.append((f"near-coincident-poles/eps-{eps!r}", near, ((0, 0.5), (1, 0.5)),
+                      qgraph.TWO_WIRES, interval))
+    for name, problem, cuts, mode, interval in cases:
         def identity(problem=problem, spec=qgraph.SplitSpec(cuts, mode), interval=interval):
             rep = qgraph.verify_counting(*problem, spec, interval)
             terms = [("full", rep.full), *rep.pieces.items(), ("map", rep.map_report)]
             lines = [rep.summary()] + [f"{key} zeros: {_located(r.zeros)}" for key, r in terms]
             return "\n".join(lines + [f"map poles: {_located(rep.map_report.poles)}"]) + "\n"
-        yield f"library/removable-poles/{name}", identity
+        yield f"library/{name}", identity
 
 
 def worker(src, path):

@@ -67,11 +67,9 @@ from .counting import (
     EndpointNudged,
     EndpointOnSpectrum,
     GridTooCoarse,
-    PoleOnBoundary,
     count_eigenvalues,
     count_zeros,
     lambda_grid,
-    map_delta,
     verify_counting,
 )
 from .resolvent import (

@@ -38,12 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .counting import EndpointOnSpectrum, PoleOnBoundary, verify_counting
+from .counting import EndpointOnSpectrum, verify_counting
 from .evans import FrameBundle, _evans_values
 from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, BoundaryData, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
-                     build_preset, free_edge)
+                     as_index, build_preset, free_edge)
 from .resolvent import (QuadratureFailure, _applications, _resolvent_residuals,
                         _u_gamma_residuals, build_projections, projection_equations)
 
@@ -182,12 +182,13 @@ def parse_scenario(data: dict) -> Scenario:
         with _reading("splits"):
             mode, cuts = data["splits"]["mode"], data["splits"]["cuts"]
         with _reading("splits.cuts"):
-            splits = SplitSpec(tuple((int(j), float(s)) for j, s in cuts), mode)
+            splits = SplitSpec(tuple((j, float(s)) for j, s in cuts), mode)
     sweep = None
     if "sweep" in data:
         with _reading("sweep"):
             blk = data["sweep"]
-            sweep = (float(blk["lambda_min"]), float(blk["lambda_max"]), int(blk["samples"]))
+            sweep = (float(blk["lambda_min"]), float(blk["lambda_max"]),
+                     as_index(blk["samples"], "sweep.samples"))
         if sweep[2] < 0:
             raise ScenarioError("samples must be >= 0")
         if not np.isfinite(sweep[:2]).all():
@@ -195,8 +196,8 @@ def parse_scenario(data: dict) -> Scenario:
     with _reading("count"):
         blk = data.get("count", {})
         intervals = tuple((float(lo), float(hi)) for lo, hi in blk.get("intervals", []))
-        grid = blk.get("grid")
-        if grid is not None and int(grid) < 1:
+        grid = None if blk.get("grid") is None else as_index(blk["grid"], "count.grid")
+        if grid is not None and grid < 1:
             raise ScenarioError(f"count grid must be at least 1, got {grid}")
     return Scenario(graph=graph, bc=bc, splits=splits, sweep=sweep,
                     count_intervals=intervals, count_grid=grid,
@@ -551,7 +552,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (PoleOnBoundary, EndpointOnSpectrum) as e:
+    except EndpointOnSpectrum as e:
         print(f"endpoint error: {e}", file=sys.stderr)
         return 4
     except (ArithmeticError, np.linalg.LinAlgError) as e:

@@ -22,7 +22,9 @@ one-function case.  Its terms (maps.SplitTerms) split the graph and plan
 the legs of every Evans problem and of the two-sided map once; the
 endpoint probe, the grids and every refinement step evaluate those plans,
 and count_report keeps one SplitTerms for all the intervals of a scenario.
-count_zeros and map_delta take functions of one lambda and lift them.
+verify_counting alone scans the map, with the pieces' zeros as its poles;
+two closer than POLE_MERGE_TOL (1 + lambda) merge, losing any map zero
+between them (ROADMAP 1a, 2).  count_zeros scans any real function of lambda.
 """
 from __future__ import annotations
 
@@ -49,10 +51,6 @@ class GridTooCoarse(UserWarning):
 
 
 class EndpointNudged(UserWarning):
-    pass
-
-
-class PoleOnBoundary(ValueError):
     pass
 
 
@@ -99,11 +97,6 @@ def _refine_dip(f, a, b):
     res = minimize_scalar(lambda x: abs(f(x)), bounds=(a, b), method="bounded",
                           options={"xatol": REFINE_TOL})
     return float(res.x), float(res.fun)
-
-
-def _pointwise(f):
-    """f of one lambda, lifted to an array of lambda."""
-    return lambda xs: np.array([f(x) for x in xs], dtype=float)
 
 
 def _refine(fs, a, b, fa, fb, rows=None):
@@ -225,7 +218,7 @@ def _count(fs, interval, grid):
 
 def count_zeros(f, interval, grid=None) -> CountReport:
     """Zeros of a real-valued function of one lambda on [lo, hi], endpoints excluded."""
-    return _count(_pointwise(f), interval, grid)[0]
+    return _count(lambda xs: np.array([f(x) for x in xs], dtype=float), interval, grid)[0]
 
 
 def count_eigenvalues(g, bc, interval, grid=None) -> CountReport:
@@ -252,35 +245,22 @@ def _merge_poles(reports):
     return merged
 
 
-def map_delta(map_fn, denominators, interval, grid=None) -> CountReport:
-    """Zeros minus poles of a meromorphic map on an interval.
+def _map_delta(fs, denominator_reports, interval, grid) -> CountReport:
+    """Zeros minus poles of the two-sided map on an interval.
 
     Poles are not probed on the map itself: they are the zeros of the
-    denominator Evans functions, merged when coincident with orders summed.
-    A zero whose piece eigenfunction has no flux at the cut is a removable
-    pole, an eigenvalue of the full graph too, and is counted all the same.
-    The map's own zeros are then counted by sign change on the pole-free
-    subintervals, skipping samples where evaluation blew up.  map_fn and
-    the denominators are functions of one lambda.
+    denominator Evans functions (the pieces' count reports), merged when
+    coincident with orders summed.  A zero whose piece eigenfunction has no
+    flux at the cut is a removable pole, an eigenvalue of the full graph
+    too, and is counted all the same.  The map's own zeros are then counted
+    by sign change on the pole-free subintervals, skipping samples where
+    evaluation blew up.  fs maps an array of lambda to map values.
     """
-    denominator_reports = [count_zeros(d, interval, grid) for d in denominators]
-
-    def safe(x):
-        try:
-            with np.errstate(all="ignore"):
-                return float(map_fn(x))
-        except (maps.PoleAtLambda, ZeroDivisionError, np.linalg.LinAlgError):
-            return math.nan
-
-    return _map_delta(_pointwise(safe), denominator_reports, interval, grid)
-
-
-def _map_delta(fs, denominator_reports, interval, grid) -> CountReport:
     lo, hi = float(interval[0]), float(interval[1])
     poles = _merge_poles(denominator_reports)
     for p, _ in poles:
         if abs(p - lo) <= _probe_step(lo) or abs(p - hi) <= _probe_step(hi):
-            raise PoleOnBoundary(f"map pole at lambda={p} sits on the interval boundary")
+            raise EndpointOnSpectrum(f"map pole at lambda={p} sits on the interval boundary")
 
     total = lambda_grid(interval, grid).size - 1
     span = (math.sqrt(hi) - math.sqrt(lo)) if lo >= 0 else (hi - lo)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BoundaryConditions, StarGraph, require_valid_bc
+from .graphs import BoundaryConditions, StarGraph, as_index, require_valid_bc
 from .propagate import LegPlan
 
 # lambdas times n^2 per batch: a batch holds the n x n Wronskian matrices of
@@ -64,6 +64,8 @@ def lambdas(lam):
     arr = np.asarray(lam)
     if arr.ndim > 1:
         raise ValueError("lambda must be a scalar or a 1-d array")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"lambda must be finite, got {arr[~np.isfinite(arr)][0]}")
     if np.iscomplexobj(arr) and not np.any(arr.imag):
         arr = arr.real
     return np.atleast_1d(arr).astype(complex if np.iscomplexobj(arr) else float), arr.ndim == 0
@@ -275,7 +277,7 @@ class FrameBundle:
     def component(self, d, j, xs):
         """(values, derivs) on edge j of the combination with coefficients d."""
         _one_lambda(self.lam, "component")
-        d = np.asarray(d)
+        d, j = np.asarray(d), as_index(j, "edge", self.n)
         [(y, z)] = self.families([(j, np.asarray(xs, dtype=float), d[:self.n, None])])
         return y[0, 0] + d[self.n + j] * z[0], y[1, 0] + d[self.n + j] * z[1]
 

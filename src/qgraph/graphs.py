@@ -51,6 +51,16 @@ class CutsOutOfOrder(GraphError):
     pass
 
 
+def as_index(v, what, size=None):
+    """v, an integer (not a bool) or integral float, as an int; in 0..size-1 if size."""
+    if isinstance(v, bool) or not (isinstance(v, (int, np.integer))
+                                   or isinstance(v, float) and v.is_integer()):
+        raise TypeError(f"{what} must be an integer, got {v!r}")
+    if size is not None and not 0 <= v < size:
+        raise ValueError(f"{what} {v} is out of range 0..{size - 1}")
+    return int(v)
+
+
 RANK_TOL = 1e-10          # sigma_min/sigma_max threshold on the n x 2n blocks
 SELFADJ_TOL = 1e-10       # scaled by (1 + max |entry|^2)
 
@@ -277,7 +287,7 @@ class SplitSpec:
     mode: str
 
     def __post_init__(self):
-        cuts = tuple((int(j), float(s)) for j, s in self.cuts)
+        cuts = tuple((as_index(j, "cut wire"), float(s)) for j, s in self.cuts)
         object.__setattr__(self, "cuts", cuts)
         if self.mode not in (SINGLE, SAME_WIRE, TWO_WIRES):
             raise ValueError(f"unknown split mode {self.mode!r}")

@@ -188,6 +188,7 @@ def map_M2(problem, lam, cut_edge=0) -> OneSidedMap:
     solution with unit value there and homogeneous conditions elsewhere.
     """
     g, bc = problem
+    cut_edge = graphs.as_index(cut_edge, "cut_edge", g.n)
     e_d = _check_pole(lam, evans(g, bc, _pole_probe(lam)).value, "E2")
     lams, scalar = lambdas(lam)
     value = _dtn_blocks([(STAR, problem, [cut_edge])])(lams)[0][:, 0, 0]

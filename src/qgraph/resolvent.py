@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .evans import FrameBundle, _launch, _one_lambda, chunked, lambdas
-from .graphs import BoundaryData, Sampled, gamma_trace, neumann_trace
+from .graphs import BoundaryData, Sampled, as_index, gamma_trace, neumann_trace
 from .propagate import segment_transfer
 
 GL_NODES = 4         # Gauss-Legendre nodes per grid panel
@@ -176,6 +176,7 @@ def _particular(bundle: FrameBundle, tau, ds, items):
 def particular_solution(bundle: FrameBundle, tau: TauSelection, v_j, j, x):
     """Variation-of-parameters solution of (H - lambda)u = v on edge j."""
     _one_lambda(bundle.lam, "particular_solution")
+    j = as_index(j, "edge", bundle.n)
     [(u, _, _)] = _particular(bundle, np.array(tau.tau), np.array(tau.wronskians),
                               [(j, v_j, np.atleast_1d(np.asarray(x, dtype=float)))])
     return u[0] if np.ndim(x) else u[0, 0]
@@ -466,9 +467,11 @@ def inner_product_check(g, bc, lam, f, v) -> float:
     with gamma-trace f against v, and the adjustment-vector pairing with
     the resolvent's boundary traces, both from one bundle.  Returns their
     discrepancy relative to the sum of their sizes, 0 when both vanish."""
+    f_arr = np.asarray(f, dtype=complex)
+    if f_arr.shape != (2 * g.n,):
+        raise ValueError(f"need 2n = {2 * g.n} trace entries, got shape {f_arr.shape}")
     bundle = FrameBundle(g, bc, _one_lambda(lam, "inner_product_check"))
     [rv] = _applications(bundle, v, [lam])
-    f_arr = np.asarray(f, dtype=complex)
     direct = _l2_inner(bundle, bundle.solve_trace(f_arr), v)
     av = adjustment_vectors(build_projections(bc))
     paired = (av.L @ f_arr + av.M @ f_arr) @ rv.dirichlet_trace + av.N @ f_arr @ rv.neumann_trace
@@ -498,6 +501,7 @@ def u_gamma(g, bc, lam, i) -> UGammaPaths:
     a z_j + b y_tau, two profiles whose weights depend on the slot only
     through e_i and its adjustment-vector columns.
     """
+    i = as_index(i, "slot", 2 * g.n)
     [[paths]] = _u_gamma(FrameBundle(g, bc, _one_lambda(lam, "u_gamma")), (i,), [lam])
     return paths
 

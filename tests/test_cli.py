@@ -20,7 +20,7 @@ import qgraph
 from conftest import wide_star
 from oracle import adaptive_reference
 from qgraph import cli, maps, resolvent
-from qgraph.counting import PoleOnBoundary
+from qgraph.counting import EndpointOnSpectrum
 
 
 def _scenario_file(tmp_path, name="barrier_end"):
@@ -516,7 +516,14 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
             (["count"], "barrier_end", spoil_boundary(preset="robin", theta=[1.0, 2.0]),
              "robin theta must be scalar or length n+1"),
             (["evans"], "barrier_end", lambda d: d["sweep"].update(samples=-3),
-             "samples must be >= 0")):
+             "samples must be >= 0"),
+            # an integer field takes an integer or an integral float, nothing else
+            *((["count"], "barrier_end", lambda d, j=j: d["splits"]["cuts"][0].__setitem__(0, j),
+               f"cut wire must be an integer, got {j!r}") for j in (0.9, True, "1")),
+            *((["evans"], "barrier_end", lambda d, m=m: d["sweep"].update(samples=m),
+               f"sweep.samples must be an integer, got {m!r}") for m in ("12", 2.7, True)),
+            *((["count"], "barrier_end", lambda d, m=m: d["count"].update(grid=m),
+               f"count.grid must be an integer, got {m!r}") for m in (2.5, "300"))):
         doc = one_wire if name is None else cli.parse_scenario(cli._EXAMPLES[name]).to_dict()
         if spoil is not None:
             spoil(doc)
@@ -524,6 +531,19 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
         assert cli.main(argv + ["--scenario", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid scenario:") and message in err, err
+
+
+def test_integral_floats_read_as_integers():
+    doc = cli.parse_scenario(cli._EXAMPLES["two_wire"]).to_dict()
+    doc["count"]["grid"] = 256
+    exact = cli.parse_scenario(doc)
+    doc["splits"]["cuts"] = [[float(j), s] for j, s in doc["splits"]["cuts"]]
+    doc["sweep"]["samples"] = float(doc["sweep"]["samples"])
+    doc["count"]["grid"] = 256.0
+    sc = cli.parse_scenario(doc)
+    assert (sc.splits, sc.sweep, sc.count_grid) == (exact.splits, exact.sweep, exact.count_grid)
+    assert cli.scenario_json(sc) == cli.scenario_json(exact)
+    assert type(sc.count_grid) is type(sc.sweep[2]) is type(sc.splits.cuts[1][0]) is int
 
 
 def test_count_without_a_count_block_uses_the_sweep_span():
@@ -547,7 +567,7 @@ def test_infinite_count_interval_is_rejected_before_any_evaluation(tmp_path, cap
 
 def test_exit_4_on_boundary_pole(tmp_path, monkeypatch, capsys):
     def boom(*a, **k):
-        raise PoleOnBoundary("map pole at lambda=5 sits on the interval boundary")
+        raise EndpointOnSpectrum("map pole at lambda=5 sits on the interval boundary")
     monkeypatch.setattr(cli, "verify_counting", boom)
     code = cli.main(["count", "--scenario", _scenario_file(tmp_path)])
     assert code == 4
@@ -742,3 +762,22 @@ def test_pole_retry_is_reproducible_across_hash_seeds():
         outs.append(run.stdout)
     assert outs[0] == outs[1]
     assert "10.0," not in outs[0]  # the retry moved off the pole
+
+
+@pytest.mark.parametrize("call, error, word", [
+    (lambda: cli.verify_table(cli.parse_scenario(cli._EXAMPLES["barrier_end"]), "triple"),
+     cli.ScenarioError, "unknown verification"),
+    (lambda: cli.example_bundle("three_wire"), cli.ScenarioError, "unknown example"),
+])
+def test_bad_input_is_rejected(call, error, word):
+    with pytest.raises(error, match=word):
+        call()
+
+
+def test_count_prints_none_for_a_term_without_zeros():
+    doc = cli.parse_scenario(cli._EXAMPLES["barrier_end"]).to_dict()
+    doc["count"]["intervals"] = [[5.0, 6.0]]
+    text, machine, ok = cli.count_report(cli.parse_scenario(doc))
+    assert ok and "  eigenvalues: none\n  map zeros: none\n  map poles: 5.55165248" in text
+    [interval] = machine["intervals"]
+    assert interval["full"]["zeros"] == interval["map"]["zeros"] == []

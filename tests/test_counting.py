@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import barrier_end, barrier_interior, rand_bc_real, rand_graph, two_wire
-from qgraph import (EndpointNudged, GridTooCoarse, PoleOnBoundary, SplitSpec,
+from conftest import (barrier_end, barrier_interior, rand_bc_cayley, rand_bc_real, rand_graph,
+                      two_wire)
+from qgraph import (EndpointNudged, EndpointOnSpectrum, GridTooCoarse, SplitSpec,
                     StarGraph, build_preset, count_eigenvalues, count_zeros,
-                    free_edge, lambda_grid, map_delta, verify_counting)
-from qgraph.graphs import SAME_WIRE, SINGLE
+                    free_edge, lambda_grid, verify_counting)
+from qgraph.graphs import SAME_WIRE, SINGLE, TWO_WIRES
 
 
 def test_lambda_grid_properties():
@@ -234,24 +235,28 @@ def test_interval_additivity():
 
 
 def test_pole_on_boundary_rejected():
-    with pytest.raises(PoleOnBoundary):
-        map_delta(lambda t: 1.0 / (t - 10.0), [lambda t: t - 10.0],
-                  (10.0 - 5e-11, 20.0))
+    from qgraph import counting
+    interval = (10.0 - 5e-11, 20.0)
+    with pytest.raises(EndpointOnSpectrum):
+        counting._map_delta(lambda ts: 1.0 / (ts - 10.0),
+                            [count_zeros(lambda t: t - 10.0, interval)], interval, None)
 
 
 def test_map_delta_skips_samples_that_raise():
-    # the one-lambda path: a sample that raises counts as a blowup, not a sign
-    from qgraph.maps import PoleAtLambda
-    raised = []
+    # a sample where the map blew up (NaN) counts as a blowup, not a sign
+    from qgraph import counting
+    blown = []
 
-    def m(t):
-        if abs(t - 7.0) <= 1e-3:
-            raised.append(t)
-            raise PoleAtLambda(t, 0.0)
-        return (t - 5.0) * (t - 12.0) / (t - 10.0)
+    def m(ts):
+        gap = np.abs(ts - 7.0) <= 1e-3
+        blown.extend(ts[gap])
+        return np.where(gap, np.nan, (ts - 5.0) * (ts - 12.0) / (ts - 10.0))
 
-    rep = map_delta(m, [lambda t: t - 10.0], (1.0, 20.0), grid=288)
-    assert raised  # this grid puts a sample 9.4e-5 from 7
+    interval = (1.0, 20.0)
+    with np.errstate(all="ignore"):
+        rep = counting._map_delta(m, [count_zeros(lambda t: t - 10.0, interval, grid=288)],
+                                  interval, 288)
+    assert blown  # this grid puts a sample 9.4e-5 from 7
     assert [round(z, 9) for z, _ in rep.zeros] == [5.0, 12.0]
     assert [round(p, 9) for p, _ in rep.poles] == [10.0]
     assert rep.delta_N == 1
@@ -271,7 +276,6 @@ def test_endpoint_on_eigenvalue_is_nudged():
 
 
 def test_complex_boundary_data_rejected(rng):
-    from conftest import rand_bc_cayley
     g = rand_graph(2, rng)
     with pytest.raises(ValueError):
         count_eigenvalues(g, rand_bc_cayley(2, rng), (5.0, 20.0))
@@ -338,7 +342,7 @@ def test_removable_pole_cases_count_every_term():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1a: map_delta takes every piece eigenvalue as a "
+                   reason="ROADMAP item 1a: the map term takes every piece eigenvalue as a "
                    "map pole, also one whose eigenfunction has no flux at the cut")
 @pytest.mark.parametrize("case", sorted(_removable_pole_cases()))
 def test_removable_map_poles_are_not_counted(case):
@@ -346,3 +350,75 @@ def test_removable_map_poles_are_not_counted(case):
     rep = verify_counting(g, bc, spec, interval)
     assert rep.holds, rep.summary()
     assert rep.delta_N == rep.full.count - rep.pieces_total
+
+
+def _near_coincident_case(eps):
+    """Kirchhoff star of free wires 1 and 1 + eps with Dirichlet ends, cut
+    at the middle of both wires: the pieces put map poles at (k pi / 0.5)^2
+    and (k pi / (0.5 + eps))^2, a relative distance of about 4 eps."""
+    g = StarGraph((free_edge(1.0), free_edge(1.0 + eps)))
+    return g, build_preset("kirchhoff", 2), SplitSpec(((0, 0.5), (1, 0.5)), TWO_WIRES)
+
+
+_NEAR_COINCIDENT = {2e-10: (10000.0, 10300.0), 2e-9: (10000.0, 10300.0), 2e-8: (5.0, 60.0)}
+
+
+def test_near_coincident_poles_count_every_term():
+    from qgraph.maps import SplitTerms
+    for eps, interval in _NEAR_COINCIDENT.items():
+        g, bc, spec = _near_coincident_case(eps)
+        rep = verify_counting(g, bc, spec, interval)
+        # the inertia of A = MM1 + MM2 at the ends is a second route to delta_N
+        a = np.add(*SplitTerms(g, bc, spec).blocks(np.array(rep.interval)))
+        lo, hi = (int((np.linalg.eigvalsh(m) < 0).sum()) for m in a)
+        assert hi - lo == rep.full.count - rep.pieces_total
+        if eps == 2e-10:
+            assert rep.full.count == 1
+            assert [r.count for r in rep.pieces.values()] == [1, 1, 1]
+        if eps == 2e-8:
+            assert rep.holds, rep.summary()
+            assert rep.delta_N == rep.full.count - rep.pieces_total
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1a: map poles closer than POLE_MERGE_TOL (1 + lambda) "
+                   "merge, and the trim swallows the map zero between them")
+def test_near_coincident_poles_keep_the_zero_between_them():
+    g, bc, spec = _near_coincident_case(2e-10)
+    rep = verify_counting(g, bc, spec, _NEAR_COINCIDENT[2e-10])
+    assert rep.holds, rep.summary()
+    assert rep.delta_N == rep.full.count - rep.pieces_total
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: map poles closer than POLE_MERGE_TOL (1 + lambda) "
+                   "merge into one at the lower location")
+def test_near_coincident_poles_keep_their_locations():
+    g, bc, spec = _near_coincident_case(2e-9)
+    rep = verify_counting(g, bc, spec, _NEAR_COINCIDENT[2e-9])
+    poles = [p for p, order in rep.map_report.poles for _ in range(order)]
+    zeros = sorted(z for r in rep.pieces.values() for z, m in r.zeros for _ in range(m))
+    assert poles == pytest.approx(zeros, abs=1e-9)
+
+
+def _endpoint_stays_on_a_spectrum():
+    # tilde1:D has a zero at (pi / (0.5 + eps))^2 and the other pieces at
+    # (2 pi)^2, 1.0e-9 higher: the nudge by 10 h = 1e-9 lands on it
+    eps = 6.33e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EndpointNudged)
+        verify_counting(*_near_coincident_case(eps), ((np.pi / (0.5 + eps)) ** 2, 60.0))
+
+
+def _complex_boundary_data():
+    g, _, spec = barrier_end()
+    verify_counting(g, rand_bc_cayley(2, np.random.default_rng(0)), spec, (5.0, 60.0))
+
+
+@pytest.mark.parametrize("call, error, word", [
+    (_complex_boundary_data, ValueError, "real boundary data"),
+    (_endpoint_stays_on_a_spectrum, EndpointOnSpectrum, "after nudging"),
+])
+def test_bad_input_is_rejected(call, error, word):
+    with pytest.raises(error, match=word):
+        call()

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from conftest import (barrier_end, barrier_interior, rand_bc_cayley,
                       rand_bc_real, rand_graph, two_wire, wide_star)
 from qgraph import (BoundaryConditions, FrameBundle, StarGraph, build_preset,
-                    cli, evans, frame_matrix, free_edge,
-                    fundamental_frame, split_graph, x_independence_check)
+                    cli, evans, frame_matrix, free_edge, fundamental_frame,
+                    resolvent_apply, split_graph, two_sided_value, u_gamma,
+                    x_independence_check)
 from oracle import c_matrix
 from test_batching import _star
 
@@ -276,3 +277,36 @@ def test_bundle_rejects_mismatched_sizes():
     g, _, _ = barrier_end()
     with pytest.raises(ValueError):
         FrameBundle(g, build_preset("kirchhoff", 3), 10.0)
+
+
+def _bundle():
+    g, bc, _ = barrier_end()
+    return FrameBundle(g, bc, 20.0)
+
+
+@pytest.mark.parametrize("call, error, word", [
+    (lambda: evans(*barrier_end()[:2], np.ones((2, 2))), ValueError, "1-d array"),
+    (lambda: x_independence_check(*barrier_end()[:2], 20.0, [[0.1, 0.2]]),
+     ValueError, "two trial points"),
+    # unchecked, wire -1 reads wire 1's families with the Y weight d[1] as its Z weight
+    (lambda: _bundle().component(np.ones(4), -1, [0.5]), ValueError, "out of range 0..1"),
+    (lambda: _bundle().component(np.ones(4), 2, [0.5]), ValueError, "out of range 0..1"),
+    (lambda: _bundle().component_at(np.ones(4), -1, 0.5), ValueError, "out of range 0..1"),
+    (lambda: _bundle().component(np.ones(4), 0.5, [0.5]), TypeError, "integer"),
+])
+def test_bad_input_is_rejected(call, error, word):
+    with pytest.raises(error, match=word):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, bc, spec: evans(g, bc, np.nan),
+    lambda g, bc, spec: evans(g, bc, np.inf),
+    lambda g, bc, spec: two_sided_value(g, bc, spec, np.nan),
+    lambda g, bc, spec: resolvent_apply(g, bc, np.nan, [1.0] * g.n),
+    lambda g, bc, spec: u_gamma(g, bc, np.nan, 0),
+], ids=["evans-nan", "evans-inf", "two_sided_value", "resolvent_apply", "u_gamma"])
+def test_non_finite_lambda_is_refused(call):
+    # unchecked, these give nan, or an SVD that does not converge
+    with pytest.raises(ValueError, match="lambda must be finite, got (nan|inf)"):
+        call(*barrier_interior())

@@ -6,7 +6,7 @@ from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec,
                     build_preset, free_edge, gamma_trace, neumann_trace,
                     split_graph, validate_bc)
 from qgraph.graphs import (CutOnVertex, CutsOutOfOrder, DimensionMismatch,
-                           NotSelfAdjoint, RankDeficient, SAME_WIRE, SINGLE,
+                           NotSelfAdjoint, RankDeficient, SAME_WIRE, SINGLE, TWO_WIRES,
                            require_valid_bc)
 from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real,
                       two_wire)
@@ -232,3 +232,38 @@ def test_split_rejects_mismatched_cut():
         split_graph(g, bc, SplitSpec(((5, 0.5),), SINGLE))
     with pytest.raises(DimensionMismatch):
         split_graph(g, build_preset("dirichlet", 3), SplitSpec(((0, 0.5),), SINGLE))
+
+
+@pytest.mark.parametrize("call, error, word", [
+    (lambda: PiecewiseConstant(()), ValueError, "empty"),
+    (lambda: pc((0.0, 1.0, 2.0)).value_at(1.5), ValueError, "outside"),
+    (lambda: pc((0.0, 1.0, 2.0)).restrict(2.0, 3.0), ValueError, "misses"),
+    (lambda: Sampled((0.0, 0.5, 0.5, 1.0), (0.0, 1.0, 2.0, 3.0)), ValueError, "increasing"),
+    (lambda: EdgeSpec(1.0, 3.0), TypeError, "unsupported"),
+    (lambda: StarGraph(()), ValueError, "at least one edge"),
+    (lambda: BoundaryConditions(np.eye(2), np.eye(2), np.ones(3), np.zeros(3)),
+     DimensionMismatch, "n x n"),
+    (lambda: BoundaryData(np.ones(2), np.ones(3), np.ones(2), np.ones(2)),
+     DimensionMismatch, "share length"),
+    (lambda: SplitSpec(((0, 0.5),), "triple"), ValueError, "unknown split mode"),
+    (lambda: SplitSpec(((0, 0.5),), TWO_WIRES), CutsOutOfOrder, "needs 2 cut"),
+    (lambda: SplitSpec(((0, 0.5), (1, 0.3)), SAME_WIRE), CutsOutOfOrder, "share an edge"),
+    (lambda: SplitSpec(((0, 0.5), (0, 0.3)), TWO_WIRES), CutsOutOfOrder, "distinct edges"),
+    (lambda: gamma_trace(build_preset("kirchhoff", 2), BoundaryData(*[np.ones(3)] * 4)),
+     DimensionMismatch, "data has"),
+    (lambda: build_preset("kirchhoff", 0), ValueError, "n must be"),
+    (lambda: build_preset("mixed", 2), ValueError, "unknown preset"),
+    # a cut wire is an integer or an integral float, never truncated
+    (lambda: SplitSpec(((0.9, 0.5),), SINGLE), TypeError, "integer"),
+    (lambda: SplitSpec(((True, 0.5),), SINGLE), TypeError, "integer"),
+    (lambda: SplitSpec((("1", 0.5),), SINGLE), TypeError, "integer"),
+])
+def test_bad_input_is_rejected(call, error, word):
+    with pytest.raises(error, match=word):
+        call()
+
+
+def test_integral_cut_wires_read_as_integers():
+    spec = SplitSpec(((1.0, 0.5), (np.int64(0), 0.5)), TWO_WIRES)
+    assert spec.cuts == ((1, 0.5), (0, 0.5))
+    assert all(type(j) is int for j, _ in spec.cuts)

@@ -9,9 +9,10 @@ from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley,
                       rand_bc_real, rand_graph, two_wire, wide_star)
 from qgraph import (BoundaryConditions, EdgeSpec, PoleAtLambda, Sampled, SplitSpec,
                     StarGraph, build_preset, count_eigenvalues, evans, free_edge, map_M1,
-                    map_M2, minor_identity_check, split_graph, two_sided_2x2_same_wire,
-                    two_sided_2x2_two_wires, two_sided_sum, two_sided_value,
-                    verify_counting, verify_double_split, verify_single_split)
+                    map_M2, minor_identity_check, split_evans_factors, split_graph,
+                    two_sided_2x2_same_wire, two_sided_2x2_two_wires, two_sided_sum,
+                    two_sided_value, verify_counting, verify_double_split,
+                    verify_single_split)
 from qgraph.graphs import SAME_WIRE, SINGLE, TWO_WIRES
 
 
@@ -358,3 +359,35 @@ def test_splits_through_a_sampled_wire(spec):
     res = (verify_single_split(g, bc, spec.cuts[0], lams) if spec.mode == SINGLE
            else verify_double_split(g, bc, spec, lams))
     assert res.shape == lams.shape and res.max() <= 1e-12
+
+
+def _tilde2():
+    return split_graph(*two_wire())["tilde2:DD"]
+
+
+@pytest.mark.parametrize("call, error, word", [
+    (lambda: map_M1(two_wire()[:2], 20.0), ValueError, "one-edge"),
+    (lambda: two_sided_2x2_same_wire(*two_wire(), 20.0), ValueError, "same-wire"),
+    (lambda: two_sided_2x2_two_wires(*barrier_interior(), 20.0), ValueError, "two-wire"),
+    (lambda: verify_double_split(*barrier_end(), 20.0), ValueError, "two-cut"),
+    # unchecked, cut_edge -1 reads wire 1's slot and 5 raises a bare IndexError
+    (lambda: map_M2(_tilde2(), 20.0, cut_edge=-1), ValueError, "out of range 0..1"),
+    (lambda: map_M2(_tilde2(), 20.0, cut_edge=5), ValueError, "out of range 0..1"),
+    (lambda: map_M2(_tilde2(), 20.0, cut_edge=1.5), TypeError, "integer"),
+])
+def test_bad_input_is_rejected(call, error, word):
+    with pytest.raises(error, match=word):
+        call()
+
+
+def test_split_evans_factors_are_the_pieces_evans_values():
+    for case in (barrier_end, barrier_interior, two_wire):
+        g, bc, spec = case()
+        parts = split_graph(g, bc, spec)
+        lams = np.array([7.5, 20.3, 41.0])
+        for lam in (20.3, 20.3 + 0.5j, lams):
+            factors = split_evans_factors(g, bc, spec, lam)
+            assert list(factors) == [p.factor_key for p in spec.pieces]
+            for key, value in factors.items():
+                assert np.shape(value) == np.shape(lam)
+                assert value == pytest.approx(evans(*parts[key], lam).value, rel=1e-12)

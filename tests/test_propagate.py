@@ -447,3 +447,15 @@ def test_solution_smooth_in_lambda():
     h = 1e-6
     fd = (end_value(1.0 + h) - end_value(1.0 - h)) / (2 * h)
     assert np.isclose(fd, -np.sin(1.0) / 2.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("call, error, word", [
+    (lambda: EdgeSolution(free_edge(1.0), 4.0, 1, 0).at(np.array([0.5, 1.5])),
+     OutOfDomain, "outside the edge"),
+    (lambda: propagate_module.LegPlan([(free_edge(1.0), 0.5, np.array([0.2, 0.8]))]
+                                      ).stack(np.array([3.0])),
+     ValueError, "both sides"),
+])
+def test_bad_input_is_rejected(call, error, word):
+    with pytest.raises(error, match=word):
+        call()

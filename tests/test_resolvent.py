@@ -446,3 +446,34 @@ def test_sampled_and_array_sources_are_their_interpolants():
                                          lambda x: np.interp(x, grid, arr)]).output
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+def _barrier_end_bundle():
+    g, bc, _ = barrier_end()
+    return FrameBundle(g, bc, 20.0)
+
+
+def _particular_at(j):
+    bundle = _barrier_end_bundle()
+    return particular_solution(bundle, select_tau(bundle), 1.0, j, 0.3)
+
+
+@pytest.mark.parametrize("call, error, word", [
+    (lambda: resolvent_apply(*barrier_end()[:2], 20.0, [1.0]), ValueError, "one source per edge"),
+    # a Robin origin condition u' = -1e13 u: U + I is 2e-13 on its Robin block
+    (lambda: build_projections(BoundaryConditions(np.array([[1e4]]), np.array([[1e-9]]),
+                                                  np.array([0.0]), np.array([1.0]))),
+     SingularDeltaCombination, "Robin block"),
+    # unchecked, slot -1 gives slot 3's solution labelled -1, and 4 a bare IndexError
+    (lambda: u_gamma(*barrier_end()[:2], 20.0, -1), ValueError, "out of range 0..3"),
+    (lambda: u_gamma(*barrier_end()[:2], 20.0, 4), ValueError, "out of range 0..3"),
+    # unchecked, wire -1 gives wire 1's solution
+    (lambda: _particular_at(-1), ValueError, "out of range 0..1"),
+    (lambda: _particular_at(2), ValueError, "out of range 0..1"),
+    # unchecked, a 2-entry trace on a 2-wire star fails inside numpy's solve
+    (lambda: inner_product_check(*barrier_end()[:2], 20.0, [1.0, 0.0], [1.0, 1.0]),
+     ValueError, "2n = 4 trace entries"),
+])
+def test_bad_input_is_rejected(call, error, word):
+    with pytest.raises(error, match=word):
+        call()
