@@ -29,14 +29,17 @@ eigenfunctions with no flux at the cut, which its map term counts as map
 poles (ROADMAP item 1a), and on three two-wire splits whose map poles lie
 closer than POLE_MERGE_TOL (1 + lambda) or near it; every float at repr
 precision.  An output that raises is compared as its error.  Prints each
-output that differs, with its first differing line, and exits 1 if any
-does.
+output that differs, with its first differing line, the largest relative
+difference between its numeric tokens (paired in order) and whether its
+PASS/FAIL words match, and exits 1 if any does.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -246,6 +249,29 @@ def _first_difference(a, b):
     return f"line counts {len(la)} and {len(lb)}"
 
 
+_NUMBER = re.compile(r"[-+]?(?:\bnan\b|\binf\b|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+_VERDICT = re.compile(r"\b(?:PASS|FAIL)\b")
+
+
+def _relative(x, y):
+    if x == y or math.isnan(x) and math.isnan(y):
+        return 0.0
+    gap = abs(x - y) / max(abs(x), abs(y))
+    return gap if math.isfinite(gap) else math.inf
+
+
+def _numeric_difference(a, b):
+    """The largest relative difference between the numeric tokens of a and
+    b, paired in order, and whether their PASS/FAIL words match."""
+    x, y = ([float(t) for t in _NUMBER.findall(text)] for text in (a, b))
+    if len(x) == len(y):
+        gap = f"largest relative difference {max(map(_relative, x, y), default=0.0):.2g}"
+    else:
+        gap = f"{len(x)} and {len(y)} numeric tokens"
+    same = _VERDICT.findall(a) == _VERDICT.findall(b)
+    return f"{gap}; PASS/FAIL words {'match' if same else 'differ'}"
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent_src")
@@ -270,7 +296,8 @@ def main(argv=None):
     differ = [k for k in parent if parent[k] != change.get(k)] + [k for k in change if k not in parent]
     for key in differ:
         if key in parent and key in change:
-            print(f"DIFFERS {key}: {_first_difference(parent[key], change[key])}")
+            print(f"DIFFERS {key}: {_first_difference(parent[key], change[key])}\n"
+                  f"    {_numeric_difference(parent[key], change[key])}")
         else:
             print(f"DIFFERS {key}: only in one tree")
     keys = set(parent) | set(change)

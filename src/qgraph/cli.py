@@ -222,7 +222,7 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
         raise ScenarioError("scenario has no sweep block")
     lo, hi, m = sc.sweep
     if samples is not None:
-        m = int(samples)
+        m = as_index(samples, "sweep samples")
         if m < 0:
             raise ScenarioError(f"sweep samples must be >= 0, got {m}")
     if with_map and sc.splits is None:
@@ -242,7 +242,8 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
     if with_map:
         header += ["Re(map)", "Im(map)"]
     table = np.column_stack([lams] + [p for col in columns for p in (np.real(col), np.imag(col))])
-    lines = [",".join(map("{:.17g}".format, row)) for row in table.tolist()]
+    row = ",".join(["%.17g"] * table.shape[1])
+    lines = [row % tuple(values) for values in table.tolist()]
     return "\n".join([",".join(header)] + lines) + "\n"
 
 

@@ -11,7 +11,13 @@ Wronskian W(y_i, z_j) on edge j (wronskian_matrix); for Kirchhoff data it
 is the star secular function sum_j z_j' prod_{k != j} z_k.  Wronskians
 are constant along an edge, so it does not depend on where the frame is
 evaluated, and the default evaluation point is the origin, where Y and Y'
-are the constant launch data and only the n values z_j propagate.
+are the constant launch data and only the n values z_j propagate.  There
+Y = -alpha2^H, so where alpha2 has at most one nonzero row (Kirchhoff and
+delta vertices, a Dirichlet vertex, every one-wire problem) Y has one
+nonzero column, no term of the determinant takes z' from two rows, and
+E = c0 prod_k z_k + sum_j c_j z_j' prod_{k != j} z_k: one pass over the
+wires (_star_pass) with lambda-free constants (_star_constants) in place
+of the n x n determinant, which stays for every other problem.
 fundamental_frame and frame_matrix keep the 2n x 2n route as the minors
 check's reference; nothing else in the package builds it.
 
@@ -23,9 +29,10 @@ both families on every edge asked for and evaluates them from their launch
 data in one LegPlan.solutions pass.  evans, fundamental_frame and
 FrameBundle accept an array of lambda and return stacked results.
 _evans_values plans the legs of several problems once and evaluates them
-once per batch of max(1, CHUNK // sum of n^2) lambdas, which bounds a
-batch's memory; a command keeps it for as long as its problems live, and
-evans is its one-shot case.
+once per batch of max(1, CHUNK // size) lambdas, size summing n over the
+problems of the star pass and n^2 over the others, which bounds a batch's
+memory; a command keeps it for as long as its problems live, and evans is
+its one-shot case.
 """
 from __future__ import annotations
 
@@ -37,8 +44,10 @@ import numpy as np
 from .graphs import BoundaryConditions, StarGraph, as_index, require_valid_bc
 from .propagate import LegPlan
 
-# lambdas times n^2 per batch: a batch holds the n x n Wronskian matrices of
-# every problem, O(CHUNK), and the 2 x 2 transfers of every leg
+# lambdas times problem size per batch: a batch holds the n x n Wronskian
+# matrices of every determinant problem (size n^2) and the n values z, z'
+# of every star-pass problem (size n), O(CHUNK), and the 2 x 2 transfers
+# of every leg
 CHUNK = 64 * 16 ** 2
 
 
@@ -73,7 +82,7 @@ def lambdas(lam):
 
 def chunked(fn, lams, size=1):
     """fn over an array of lambda, max(1, CHUNK // size) lambdas a call, size
-    summing n^2 over the problems fn evaluates; fn returns a list of arrays,
+    the memory of one lambda in CHUNK's units; fn returns a list of arrays,
     each concatenated over the calls."""
     step = max(1, CHUNK // size)
     batches = [fn(lams[i:i + step]) for i in range(0, max(lams.size, 1), step)]
@@ -167,32 +176,78 @@ def wronskian_matrix(z, zp, Y, Yp):
     return zp[..., None] * Y - z[..., None] * Yp
 
 
+def _star_constants(problems, frames):
+    """Per problem, the lambda-free constants (c0, c) of _star_pass, or None
+    where its Evans value stays a determinant: off the origin, or where
+    alpha2 has two or more nonzero rows, decided exactly.  Row j of the
+    secular matrix at the origin is z_j' Y[j] - z_j Y'[j], and Y = -alpha2^H
+    then has one nonzero column, so E is c0 prod_k z_k + sum_j c_j z_j'
+    prod_{k != j} z_k with c0 = E(z = 1, z' = 0) and c_j = E(z = 1 - e_j,
+    z' = e_j): one det of an (n + 1, n, n) stack, which problems with equal
+    alpha1 and alpha2, as a graph and its residual star, share.  A one-wire
+    problem's are its launch data, -Y' and Y, with no det."""
+    out, made = [], {}
+    for (g, bc), (_, legs) in zip(problems, frames):
+        y0, yp0 = _launch(bc)[:2]
+        if len(legs) > g.n or np.count_nonzero(bc.alpha2.any(axis=1)) > 1:
+            out.append(None)
+        elif g.n == 1:
+            out.append((-yp0[0, 0], y0[0]))
+        else:
+            key = (bc.alpha1.dtype, bc.alpha1.tobytes(), bc.alpha2.tobytes())
+            if key not in made:
+                unit = np.eye(g.n + 1, g.n, -1)  # row 0 zero, row j + 1 e_j
+                e = np.linalg.det(wronskian_matrix(1.0 - unit, unit, y0, yp0))
+                made[key] = e[0], e[1:]
+            out.append(made[key])
+    return out
+
+
+def _star_pass(c0, c, z, zp):
+    """c0 prod_k z_k + sum_j c_j z_j' prod_{k != j} z_k for z, z' (L, n),
+    by one elementwise pass over the wires, (P, S) <- (P z_j, S z_j +
+    c_j z_j' P), then S + c0 P.  Nothing is reduced along the wire axis, so
+    each lambda keeps its bits in any batch."""
+    p, s = z[:, 0], c[0] * zp[:, 0]
+    for j in range(1, z.shape[1]):
+        p, s = p * z[:, j], s * z[:, j] + c[j] * zp[:, j] * p
+    return s + c0 * p
+
+
 def _evans_values(problems, points=None):
     """The Evans values of every (graph, bc) problem, evaluated at points
     (default: the origins), as one function of an array of lambda as
     lambdas() gives it, which returns a list of value arrays.  The legs of
     every problem are planned here, once; each batch evaluates the plan
     once, and each problem reads its z and Y legs as slices of that stack.
-    At the origin Y and Y' are the launch data."""
+    At the origin Y and Y' are the launch data, and a problem that
+    _star_constants admits takes the star pass in place of the determinant."""
     frames = [_frame_legs(g, bc, point)
               for (g, bc), point in zip(problems, points or [None] * len(problems))]
     plan = LegPlan([leg for _, legs in frames for leg in legs])
     firsts = [0, *itertools.accumulate(len(legs) for _, legs in frames)]
+    consts = _star_constants(problems, frames)
 
     def batch(ls):
         t, out = plan.stack(ls), []
-        for (g, bc), (xs, legs), a in zip(problems, frames, firsts):
+        for (g, bc), (xs, legs), a, c in zip(problems, frames, firsts, consts):
+            z = z_values(bc, t[:, a:a + g.n])
+            if c is not None:
+                out.append(_star_pass(*c, *z))
+                continue
             y = (y_blocks(bc, ls, xs, t[:, a + g.n:a + len(legs)]) if len(legs) > g.n
                  else _launch(bc)[:2])
-            out.append(np.linalg.det(wronskian_matrix(*z_values(bc, t[:, a:a + g.n]), *y)))
+            out.append(np.linalg.det(wronskian_matrix(*z, *y)))
         return out
-    size = sum(g.n ** 2 for g, _ in problems)
+    size = sum(g.n if c is not None else g.n ** 2 for (g, _), c in zip(problems, consts))
     return lambda lams: chunked(batch, lams, size)
 
 
 def evans(g: StarGraph, bc: BoundaryConditions, lam,
           eval_point=None) -> EvansValue:
-    """Evans function at lam; value is an array for an array of lambda."""
+    """Evans function at lam; value is an array for an array of lambda.  At
+    the origin a problem whose alpha2 has at most one nonzero row takes the
+    star pass, any other the n x n secular determinant (_evans_values)."""
     lams, scalar = lambdas(lam)
     [vals] = _evans_values([(g, bc)], [eval_point])(lams)
     return EvansValue(value=vals[0] if scalar else vals, lam=lam)

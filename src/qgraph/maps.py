@@ -346,7 +346,7 @@ def minor_identity_check(g: StarGraph, bc: BoundaryConditions, lam,
     the row-interleaved fundamental matrix (cut wires' Z columns dropped).
     The residual, one per lambda of an array, is relative to |E^DD E^NN| + |E^ND E^DN|.
     """
-    j1, j2 = cut_edges
+    j1, j2 = (graphs.as_index(j, "cut edge") for j in cut_edges)
     n = g.n
     if j1 == j2 or not (0 <= j1 < n and 0 <= j2 < n):
         raise ValueError(f"need two distinct cut wires in 0..{n - 1}, got {j1}, {j2}")

@@ -256,7 +256,8 @@ class LegPlan:
     A plan's legs end each at one position or each at an array of them.  A
     scalar leg's chain runs from x0 through its end step at x; an array
     leg's stops at the last breakpoint short of its farthest position, and
-    its partial steps to the positions are kept apart.  The table is laid
+    its partial steps to the positions are kept apart.  Legs whose chains
+    have equal steps share one chain.  The table is laid
     out by depth, longest chains first: layer d holds step d of every chain
     longer than d, so a layer's products are one matmul over a slice.  An
     evaluation on L lambdas makes one segment_transfer call for the table,
@@ -265,22 +266,28 @@ class LegPlan:
     """
 
     def __init__(self, legs):
-        chains = []
+        chains, self.legs, index = {}, [], []  # distinct chains by their steps; (steps, end)
         for edge, x0, x in legs:
             x = _domain_x(edge, x)
             chain, end = _segment_steps(edge.potential, _domain_x(edge, x0), x)
-            chains.append((chain, end) if isinstance(x, np.ndarray) else ([*chain, end], None))
-        if len({end is None for _, end in chains}) > 1:
+            if not isinstance(x, np.ndarray):
+                chain, end = [*chain, end], None
+            self.legs.append((len(chain), end))
+            index.append(chains.setdefault(tuple(chain), (len(chains), chain))[0])
+        if len({end is None for _, end in self.legs}) > 1:
             raise ValueError("a plan's legs end each at one position or each at an array")
-        self.points = all(end is None for _, end in chains)  # else each at an array
-        lengths = [len(c) for c, _ in chains]
+        self.points = all(end is None for _, end in self.legs)  # else each at an array
+        chains = [c for _, c in chains.values()]
+        # the chain of each leg, where a chain repeats; stack gathers by it
+        self.index = None if len(chains) == len(index) else np.array(index, dtype=int)
+        lengths = [len(c) for c in chains]
         order = sorted(range(len(chains)), key=lengths.__getitem__, reverse=True)
-        self.rank = sorted(range(len(chains)), key=order.__getitem__)  # leg k's row in its layers
-        self.legs = [(len(c), end) for c, end in chains]
-        self.order = np.array(order, dtype=int)  # the leg of each rank
-        self.layers, self.ends, rows = [], [], []  # (first row, legs); (layer, ranks ending)
+        rank = sorted(range(len(chains)), key=order.__getitem__)
+        self.rank = [rank[i] for i in index]  # leg k's row in its layers
+        self.order = np.array(order, dtype=int)  # the chain of each rank
+        self.layers, self.ends, rows = [], [], []  # (first row, chains); (layer, ranks ending)
         longer = [-lengths[k] for k in order]  # ascending
-        for d, layer in enumerate(itertools.zip_longest(*(chains[k][0] for k in order))):
+        for d, layer in enumerate(itertools.zip_longest(*(chains[k] for k in order))):
             k = bisect.bisect_left(longer, -d)  # the chains longer than d
             self.layers.append((len(rows), k))
             rows += layer[:k]
@@ -306,10 +313,10 @@ class LegPlan:
             raise ValueError("a stack needs legs that end at one position")
         lams = np.asarray(lams)
         prods = self._products(lams)
-        out = np.empty((lams.size, len(self.legs), 2, 2), dtype=prods[0].dtype)
+        out = np.empty((lams.size, self.order.size, 2, 2), dtype=prods[0].dtype)
         for d, done, k in self.ends:
             out[:, self.order[done:k]] = prods[d][done:].swapaxes(0, 1)
-        return out
+        return out if self.index is None else out[:, self.index]
 
     def solutions(self, lams, data):
         """Solutions along legs that each end at P positions, (L, 2, m, P)

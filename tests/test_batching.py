@@ -84,14 +84,15 @@ def test_counting_identity_kernel_call_budget(monkeypatch):
 
 
 def test_lambda_batches_follow_the_memory_rule(monkeypatch):
+    # a determinant problem counts n^2 a lambda, a star-pass problem n
     lams = np.linspace(1.0, 60.0, 1000)
-    for n, most in ((16, 64), (2, 1000)):
+    for preset, n, most in (("robin", 16, 64), ("kirchhoff", 16, 1000), ("kirchhoff", 2, 1000)):
         sizes = []
         with monkeypatch.context() as m:
             _count_kernel_calls(m, sizes)
-            vals = evans(StarGraph((free_edge(1.0),) * n), build_preset("kirchhoff", n), lams).value
+            vals = evans(StarGraph((free_edge(1.0),) * n), build_preset(preset, n), lams).value
         assert vals.shape == lams.shape and sum(sizes) == lams.size
-        assert max(sizes) == most, (n, sizes)
+        assert max(sizes) == most, (preset, n, sizes)
 
 
 def test_coincident_pieces_count_alone():

@@ -105,6 +105,16 @@ def test_evans_sample_override_and_header_only(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 17
 
 
+def test_evans_samples_must_be_an_integer():
+    # an integral float is its integer; a fraction or a bool is refused, not cut
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+    assert cli.evans_csv(sc, samples=256.0) == cli.evans_csv(sc, samples=256)
+    assert len(cli.evans_csv(sc, samples=256.0).splitlines()) == 257
+    for bad in (2.7, True):
+        with pytest.raises(TypeError, match="sweep samples must be an integer"):
+            cli.evans_csv(sc, samples=bad)
+
+
 def test_count_report_text_and_machine_blob(tmp_path, capsys):
     out = tmp_path / "count.json"
     code = cli.main(["count", "--scenario", _scenario_file(tmp_path),

@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import (barrier_end, barrier_interior, rand_bc_cayley,
                       rand_bc_real, rand_graph, two_wire, wide_star)
-from qgraph import (BoundaryConditions, FrameBundle, StarGraph, build_preset,
-                    cli, evans, frame_matrix, free_edge, fundamental_frame,
-                    resolvent_apply, split_graph, two_sided_value, u_gamma,
-                    x_independence_check)
+from qgraph import (BoundaryConditions, FrameBundle, GridTooCoarse, SplitSpec, StarGraph,
+                    build_preset, cli, count_eigenvalues, evans, frame_matrix, free_edge,
+                    fundamental_frame, resolvent_apply, split_graph, two_sided_value,
+                    u_gamma, x_independence_check)
+from qgraph.graphs import SAME_WIRE, SINGLE, TWO_WIRES
 from oracle import c_matrix
 from test_batching import _star
+
+evans_module = importlib.import_module("qgraph.evans")  # qgraph.evans is also the function
+maps_module = importlib.import_module("qgraph.maps")
 
 
 def test_frame_initial_data():
@@ -78,6 +82,87 @@ def test_secular_determinant_is_the_frame_determinant(seed, n, cayley, sampled, 
     dets = np.linalg.det(frame_matrix(fundamental_frame(g, bc, lams, xs)))
     assert np.abs(vals - dets).max() <= 1e-12 * np.abs(dets).max()
     assert vals.dtype == dets.dtype
+
+
+def _star_vertex(rng, n, vertex):
+    """Origin data whose alpha2 has at most one nonzero row, with random
+    outer ends: Kirchhoff; a weighted delta vertex, u_j(0) / sqrt(w_j) all
+    equal and sum_j sqrt(w_j) u_j'(0) = gamma u_0(0) / sqrt(w_0), with
+    random weights and strength and its continuity rows mixed by a random
+    real or complex matrix; a Dirichlet vertex; or random real or Cayley
+    one-wire data."""
+    t = rng.uniform(0.0, np.pi, n)
+    if vertex == "one-wire":
+        return (rand_bc_cayley if rng.integers(2) else rand_bc_real)(1, rng)
+    if vertex == "dirichlet":
+        return BoundaryConditions(np.eye(n), np.zeros((n, n)), np.cos(t), np.sin(t))
+    a1, a2 = build_preset("kirchhoff", n).alpha1.copy(), np.zeros((n, n))
+    a2[n - 1] = 1.0
+    if vertex == "delta":
+        root = np.sqrt(rng.uniform(0.2, 5.0, n))
+        a1, a2[n - 1] = a1 / root, root
+        a1[n - 1, 0] = -rng.uniform(-10.0, 10.0) / root[0]
+        mix = np.eye(n - 1) + 0.3 * rng.standard_normal((n - 1, n - 1))
+        if rng.integers(2):
+            mix = mix + 0.3j * rng.standard_normal((n - 1, n - 1))
+        a1 = np.vstack([mix @ a1[:n - 1], a1[n - 1:]])
+    return BoundaryConditions(a1, a2, np.cos(t), np.sin(t))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+       vertex=st.sampled_from(["kirchhoff", "delta", "dirichlet", "one-wire"]),
+       mode=st.sampled_from([SINGLE, SAME_WIRE, TWO_WIRES]), complex_lam=st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_star_pass_is_the_frame_determinant(seed, n, vertex, mode, complex_lam):
+    # the graph, every D/N variant of every piece of its split and another
+    # vertex on the same wires take the star pass, and its values are the
+    # 2n x 2n frame determinants
+    rng = np.random.default_rng(seed)
+    n = 1 if vertex == "one-wire" else n
+    g = _star(rng, n, sampled=bool(rng.integers(2)))
+    bc = _star_vertex(rng, n, vertex)
+    mode = SINGLE if mode == TWO_WIRES and n == 1 else mode
+    s = rng.uniform(0.2, 0.8, 2) * g.lengths[:2]
+    cuts = {SINGLE: ((0, s[0]),), SAME_WIRE: ((0, s[0]), (0, 0.5 * s[0])),
+            TWO_WIRES: ((0, s[0]), (1, s[-1]))}[mode]
+    problems = [(g, bc), *split_graph(g, bc, SplitSpec(cuts, mode)).values(),
+                (g, _star_vertex(rng, n, "one-wire" if n == 1 else "delta"))]
+    lams = rng.uniform(-5.0, 60.0, 40)
+    if complex_lam:
+        lams = lams + 1j * rng.uniform(-3.0, 3.0, 40)
+    values = evans_module._evans_values(problems)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "det", lambda a: pytest.fail("an Evans value took a det"))
+        got = values(lams)
+    for (gp, bcp), vals in zip(problems, got):
+        dets = np.linalg.det(frame_matrix(fundamental_frame(gp, bcp, lams)))
+        assert np.abs(vals - dets).max() <= 1e-12 * np.abs(dets).max()
+        assert vals.dtype == dets.dtype
+
+
+def test_star_values_take_no_determinant(monkeypatch):
+    # the Kirchhoff star and its pieces take one det of launch data, which
+    # the graph and its residual star share, and none over lambda; a robin
+    # star's Evans values are still n x n determinants
+    g, bc, spec = wide_star(16, 1)
+    lams = np.linspace(1.0, 40.0, 50)
+    shapes, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: shapes.append(np.shape(a)) or det(a))
+    evans(g, bc, lams)
+    assert shapes == [(17, 16, 16)]
+    shapes.clear()
+    maps_module.SplitTerms(g, bc, spec).evans(lams)
+    assert shapes == [(17, 16, 16)]
+    shapes.clear()
+    evans(g, build_preset("robin", 16, theta=2.0), lams)
+    assert shapes == [(50, 16, 16)]
+
+
+def test_wide_star_count_keeps_its_value():
+    # 128 Kirchhoff wires: the star pass counts what the determinant counted
+    g, bc, _ = wide_star(128, 1)
+    with pytest.warns(GridTooCoarse):
+        assert count_eigenvalues(g, bc, (1.0, 40.0)).count == 186
 
 
 def test_evans_paths_build_no_frame_matrix(monkeypatch):

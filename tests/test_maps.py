@@ -269,6 +269,10 @@ def test_minor_identity_random(rng):
     for cuts in ((0, -1), (1, -2), (0, 5)):  # wires off the star
         with pytest.raises(ValueError, match="two distinct cut wires"):
             minor_identity_check(g, bc, 12.0, cuts)
+    # an integral float names its wire; a bool is no wire index
+    assert minor_identity_check(g, bc, 12.0, (0, 1.0)) == minor_identity_check(g, bc, 12.0, (0, 1))
+    with pytest.raises(TypeError, match="cut edge must be an integer"):
+        minor_identity_check(g, bc, 12.0, (True, 0))
 
 
 def test_double_split_residual_exposes_a_wrong_factor_on_a_wide_star(monkeypatch):

@@ -252,6 +252,19 @@ def test_planned_legs_are_each_leg_alone_bitwise(seed, kinds, arrays, size, comp
                 assert sol.tobytes() == want.tobytes()
 
 
+def test_a_repeated_leg_is_planned_once():
+    # a leg that repeats shares its chain: the step table is that of the
+    # distinct legs, and the stack is theirs gathered, byte for byte
+    rng = np.random.default_rng(4)
+    flat, sloped = _wire(rng, "flat"), _wire(rng, "sloped")
+    a, b = (flat, flat.length, 0.3 * flat.length), (sloped, 0.0, sloped.length)
+    once, twice = propagate_module.LegPlan([a, b]), propagate_module.LegPlan([a, b, a])
+    assert twice.steps.tobytes() == once.steps.tobytes()
+    for lams in (rng.uniform(-20.0, 80.0, 9), rng.uniform(-20.0, 80.0, 9) + 1.5j):
+        want = np.ascontiguousarray(once.stack(lams)[:, [0, 1, 0]])
+        assert twice.stack(lams).tobytes() == want.tobytes()
+
+
 def test_a_plan_is_of_one_kind():
     edge = free_edge(1.0)
     with pytest.raises(ValueError, match="each at one position or each at an array"):
