@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar  # brentq unused: perfbench/tracing.py wraps it
 
 from . import maps
 from .evans import _evans_values
@@ -91,6 +90,21 @@ def lambda_grid(interval, grid=None):
         xs[0], xs[-1] = lo, hi  # squaring may round the ends off the interval
         return xs
     return np.linspace(lo, hi, grid + 1)
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar, imported at the first dip probe: a
+    count whose scan sees no dip never loads scipy.optimize."""
+    from scipy.optimize import minimize_scalar
+    return minimize_scalar(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, imported on first call.  Nothing here calls it
+    (_refine refines every bracket in lock step); it stays a name of this
+    module only because perfbench's tracer wraps it."""
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
 
 
 def _refine_dip(f, a, b):

@@ -20,7 +20,9 @@ launch data to arrays of positions entry by entry, with no 2 x 2 matrix
 per position.  EdgeSolution builds one solution per (edge, lam, initial
 data) from the same segment steps, node by node: the kernel's per-lambda
 test reference.  The independent adaptive Runge-Kutta oracle lives with
-the tests (tests/oracle.py); nothing here integrates an ODE.
+the tests (tests/oracle.py); nothing here integrates an ODE.  scipy.special
+is imported at the first Airy step, so piecewise-constant potentials never
+load scipy.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import airy, airye
 
 from .graphs import EdgeSpec
 
@@ -162,6 +163,8 @@ def _airy_basis(xi):
     axis Ai and Bi can grow alike, and a step through them would cancel
     digits; the pair (A, B) keeps one decaying solution on that half-plane.
     """
+    from scipy.special import airy, airye
+
     if np.iscomplexobj(xi):
         up = xi.imag >= 0
         rot = np.where(up, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))

@@ -23,20 +23,23 @@ done once.  The one-lambda public functions are its L = 1 case, and the
 verify tables hand it every draw, max(1, CHUNK // (n GRID_POINTS)) lambdas
 at a time.  Every check still applies to each lambda: a batch fails
 exactly when one of its lambdas does, and a verify table halves it down
-to that lambda.  Launch data come from evans._launch.
+to that lambda.  Launch data come from evans._launch.  The Gauss-Legendre
+rules are built on first use, so only the commands that integrate load
+scipy.special for them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .evans import FrameBundle, _launch, _one_lambda, chunked, lambdas
 from .graphs import BoundaryData, Sampled, as_index, gamma_trace, neumann_trace
 from .propagate import segment_transfer
 
-GL_NODES = 4         # Gauss-Legendre nodes per grid panel
+GL_NODES = 4         # Gauss-Legendre nodes per grid panel (the rule is built on first use)
+CHECK_NODES = 32     # segment_residual's own rule: the resolvent's would reproduce its panel sums
 GRID_POINTS = 513    # per-edge output grid
 KERNEL_TOL = 1e-10   # relative singular-value threshold for kernels
 SPECTRUM_TOL = 1e-9  # relative digits cond(C) may cost: cond(C) eps at most this
@@ -60,9 +63,11 @@ class SingularDeltaCombination(ValueError):
 
 # ---------------------------------------------------------------- quadrature
 
-_GL_X, _GL_W = roots_legendre(GL_NODES)
-# segment_residual's own rule: the resolvent's would reproduce its panel sums exactly
-_CHECK_X, _CHECK_W = roots_legendre(32)
+@functools.cache
+def _gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on [-1, 1]."""
+    from scipy.special import roots_legendre
+    return roots_legendre(n)
 
 
 def _edge_breakpoints(edge):
@@ -91,8 +96,9 @@ def _panels(edge, xs):
     ends = np.unique(np.r_[_edge_breakpoints(edge),
                            np.linspace(0.0, edge.length, GRID_POINTS), xs])
     h = np.diff(ends)
-    return ends[:-1, None] + np.multiply.outer(h, 0.5 * (_GL_X + 1.0)), \
-        np.multiply.outer(0.5 * h, _GL_W), np.searchsorted(ends, xs)
+    x, w = _gauss_legendre(GL_NODES)
+    return ends[:-1, None] + np.multiply.outer(h, 0.5 * (x + 1.0)), \
+        np.multiply.outer(0.5 * h, w), np.searchsorted(ends, xs)
 
 
 def _cumulative_integral(v_eval, nodes, weights, at, vals):
@@ -271,7 +277,8 @@ def _segment_residuals(g, lams, apps, v):
     the grid, the source at the check nodes and the runs of equal (V,
     slope) are shared, and the transfers of every lambda come together."""
     worst = np.zeros(lams.size)
-    tau, wts = 0.5 * (_CHECK_X + 1.0), 0.5 * _CHECK_W
+    x, w = _gauss_legendre(CHECK_NODES)
+    tau, wts = 0.5 * (x + 1.0), 0.5 * w
     for j, edge in enumerate(g.edges):
         xs = apps[0].grids[j]
         u, up = (np.stack([getattr(a, f)[j] for a in apps]) for f in ("output", "output_deriv"))

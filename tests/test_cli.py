@@ -752,6 +752,45 @@ def test_sampled_star_never_integrates(monkeypatch):
         adaptive_reference(sc.graph.edges[1], 5.0, 1.0, 0.0)
 
 
+_SCIPY_PROBE = """import contextlib, io, json, sys
+import qgraph, qgraph.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qgraph.cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", [
+    ([], (), ("scipy",)),
+    (["count"], (), ("scipy",)),
+    (["evans"], (), ("scipy",)),
+    (["verify", "--which", "single"], (), ("scipy",)),
+    (["verify", "--which", "minors"], (), ("scipy",)),
+    (["verify", "--which", "ugamma"], (), ("scipy",)),
+    (["verify", "--which", "resolvent"], ("scipy.special",), ("scipy.optimize",)),
+    (["evans", "sampled"], ("scipy.special",), ("scipy.optimize",)),
+], ids=["import", "count", "evans", "single", "minors", "ugamma", "resolvent", "sampled"])
+def test_commands_load_scipy_only_where_used(tmp_path, argv, loaded, unloaded):
+    # each scipy module is imported where it is first used: the Airy steps
+    # of sloped segments and the resolvent's quadrature rules load
+    # scipy.special, a dip probe scipy.optimize.  Module sets, not times.
+    if argv[1:] == ["sampled"]:
+        path = tmp_path / "sampled.scenario.json"
+        path.write_text(cli.scenario_json(_sampled_star()), encoding="utf-8")
+        argv = ["evans", "--scenario", str(path)]
+    elif argv:
+        argv = argv[:1] + ["--scenario", _scenario_file(tmp_path)] + argv[1:]
+    env = dict(os.environ, PYTHONPATH=str(Path(qgraph.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    modules = set(json.loads(run.stdout))
+    assert modules >= set(loaded)
+    assert not modules & set(unloaded), sorted(modules)
+
+
 def test_pole_retry_is_reproducible_across_hash_seeds():
     # the retry draws must not depend on the per-process string hash salt
     script = ("from qgraph import cli, maps\n"

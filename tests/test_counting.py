@@ -52,6 +52,24 @@ def test_tangency_counted_twice():
     assert rep.count == 2
 
 
+def test_dip_probe_calls_the_module_name(monkeypatch):
+    # counting imports scipy.optimize on first use, behind module-level
+    # names that perfbench's tracer rebinds: a rebound minimize_scalar must
+    # see the dip probe of a double zero, and change nothing
+    from qgraph import counting
+    assert counting.brentq(lambda t: t - 1.5, 0.0, 2.0) == pytest.approx(1.5)
+    f = lambda t: (t - 20.0) ** 2 * (1 + 0.1 * t)
+    expected = count_zeros(f, (5.0, 60.0))
+    calls, probe = [], counting.minimize_scalar
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["bounds"])
+        return probe(*args, **kwargs)
+    monkeypatch.setattr(counting, "minimize_scalar", recording)
+    assert count_zeros(f, (5.0, 60.0)) == expected
+    assert calls
+
+
 def test_close_zeros_warn():
     with pytest.warns(GridTooCoarse):
         rep = count_zeros(lambda t: (t - 30.0) * (t - 30.5), (5.0, 60.0), grid=200)

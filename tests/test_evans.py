@@ -165,6 +165,17 @@ def test_wide_star_count_keeps_its_value():
         assert count_eigenvalues(g, bc, (1.0, 40.0)).count == 186
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the star pass's running product of 256 factors "
+                   "underflows, and sign changes go missing without a warning")
+def test_wide_star_count_survives_underflow():
+    # perfbench/fe.py's lumped-FE inertia count (count_below) gives 373 on
+    # [1, 40] at both 1000 and 4000 cells per unit length; at n = 64 and 128
+    # it gives 87 and 186, which the program matches.  The program gives 57.
+    g, bc, _ = wide_star(256, 1)
+    assert count_eigenvalues(g, bc, (1.0, 40.0)).count == 373
+
+
 def test_evans_paths_build_no_frame_matrix(monkeypatch):
     # an evans sweep and a count report take every Evans value as an n x n
     # determinant: no 2n x 2n frame matrix, and no frame, is built

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real,
                       two_wire, wide_star)
@@ -168,9 +167,7 @@ def test_sampled_wire_quadrature_converges(monkeypatch):
     v = [1.0, lambda x: np.sin(np.pi * x)]
     lams = (7.3, 13.1 + 2.0j, 41.7)
     coarse = [resolvent_apply(sc.graph, sc.bc, lam, v).output for lam in lams]
-    x, w = roots_legendre(96)
-    monkeypatch.setattr(resolvent, "_GL_X", x)
-    monkeypatch.setattr(resolvent, "_GL_W", w)
+    monkeypatch.setattr(resolvent, "GL_NODES", 96)
     for lam, out in zip(lams, coarse):
         fine = resolvent_apply(sc.graph, sc.bc, lam, v).output
         scale = max(np.abs(u).max() for u in fine)
@@ -187,9 +184,7 @@ def test_ode_defect_sees_a_resolvent_quadrature_error(monkeypatch):
     for lam in lams:
         app = resolvent_apply(g, bc, lam, v)
         assert segment_residual(g, lam, app, v) < 1e-13
-    x, w = roots_legendre(1)
-    monkeypatch.setattr(resolvent, "_GL_X", x)
-    monkeypatch.setattr(resolvent, "_GL_W", w)
+    monkeypatch.setattr(resolvent, "GL_NODES", 1)
     for lam in lams:
         app = resolvent_apply(g, bc, lam, v)
         assert segment_residual(g, lam, app, v) > 1e-10
