@@ -762,26 +762,26 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-@pytest.mark.parametrize("argv, loaded, unloaded", [
-    ([], (), ("scipy",)),
-    (["count"], (), ("scipy",)),
-    (["evans"], (), ("scipy",)),
-    (["verify", "--which", "single"], (), ("scipy",)),
-    (["verify", "--which", "minors"], (), ("scipy",)),
-    (["verify", "--which", "ugamma"], (), ("scipy",)),
-    (["verify", "--which", "resolvent"], ("scipy.special",), ("scipy.optimize",)),
-    (["evans", "sampled"], ("scipy.special",), ("scipy.optimize",)),
+@pytest.mark.parametrize("argv, scenario, loaded, unloaded", [
+    ([], None, (), ("scipy",)),
+    (["count"], "barrier_end", (), ("scipy",)),
+    (["evans"], "barrier_end", (), ("scipy",)),
+    (["verify", "--which", "single"], "barrier_end", (), ("scipy",)),
+    (["verify", "--which", "minors"], "barrier_end", (), ("scipy",)),
+    (["verify", "--which", "ugamma"], "barrier_end", (), ("scipy",)),
+    (["verify", "--which", "resolvent"], "barrier_end", ("scipy.special",), ("scipy.optimize",)),
+    (["evans"], "sampled", ("scipy.special",), ("scipy.optimize",)),
 ], ids=["import", "count", "evans", "single", "minors", "ugamma", "resolvent", "sampled"])
-def test_commands_load_scipy_only_where_used(tmp_path, argv, loaded, unloaded):
+def test_commands_load_scipy_only_where_used(tmp_path, argv, scenario, loaded, unloaded):
     # each scipy module is imported where it is first used: the Airy steps
     # of sloped segments and the resolvent's quadrature rules load
     # scipy.special, a dip probe scipy.optimize.  Module sets, not times.
-    if argv[1:] == ["sampled"]:
+    if scenario == "sampled":
         path = tmp_path / "sampled.scenario.json"
         path.write_text(cli.scenario_json(_sampled_star()), encoding="utf-8")
-        argv = ["evans", "--scenario", str(path)]
-    elif argv:
-        argv = argv[:1] + ["--scenario", _scenario_file(tmp_path)] + argv[1:]
+        argv = argv[:1] + ["--scenario", str(path)] + argv[1:]
+    elif scenario:
+        argv = argv[:1] + ["--scenario", _scenario_file(tmp_path, scenario)] + argv[1:]
     env = dict(os.environ, PYTHONPATH=str(Path(qgraph.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
                          capture_output=True, text=True, env=env, timeout=120)
