@@ -29,9 +29,11 @@ eigenfunctions with no flux at the cut, which its map term counts as map
 poles (ROADMAP item 1a), and on three two-wire splits whose map poles lie
 closer than POLE_MERGE_TOL (1 + lambda) or near it; every float at repr
 precision.  An output that raises is compared as its error.  Prints each
-output that differs, with its first differing line, the largest relative
-difference between its numeric tokens (paired in order) and whether its
-PASS/FAIL words match, and exits 1 if any does.
+output that differs, with its first differing line; the largest relative
+and the largest absolute difference between its numeric tokens (paired in
+order) and how many of them moved, since a residual that moves from 0 to
+1e-18 has relative difference 1; and whether its PASS/FAIL words match.
+Exits 1 if any output differs.
 """
 from __future__ import annotations
 
@@ -253,19 +255,25 @@ _NUMBER = re.compile(r"[-+]?(?:\bnan\b|\binf\b|(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d
 _VERDICT = re.compile(r"\b(?:PASS|FAIL)\b")
 
 
-def _relative(x, y):
+def _gap(x, y, relative):
+    """|x - y|, relative to the larger of |x| and |y| if relative; 0 for
+    equal numbers and for two NaNs, inf where it is not finite."""
     if x == y or math.isnan(x) and math.isnan(y):
         return 0.0
-    gap = abs(x - y) / max(abs(x), abs(y))
+    gap = abs(x - y) / (max(abs(x), abs(y)) if relative else 1.0)
     return gap if math.isfinite(gap) else math.inf
 
 
 def _numeric_difference(a, b):
-    """The largest relative difference between the numeric tokens of a and
-    b, paired in order, and whether their PASS/FAIL words match."""
+    """The largest relative and absolute differences between the numeric
+    tokens of a and b, paired in order, how many moved, and whether their
+    PASS/FAIL words match."""
     x, y = ([float(t) for t in _NUMBER.findall(text)] for text in (a, b))
     if len(x) == len(y):
-        gap = f"largest relative difference {max(map(_relative, x, y), default=0.0):.2g}"
+        rel, diff = ([_gap(p, q, relative) for p, q in zip(x, y)] for relative in (True, False))
+        gap = (f"largest relative difference {max(rel, default=0.0):.2g}, largest absolute "
+               f"{max(diff, default=0.0):.2g}, {sum(d > 0 for d in diff)} of {len(x)} "
+               "numeric tokens moved")
     else:
         gap = f"{len(x)} and {len(y)} numeric tokens"
     same = _VERDICT.findall(a) == _VERDICT.findall(b)

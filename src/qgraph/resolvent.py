@@ -23,9 +23,13 @@ done once.  The one-lambda public functions are its L = 1 case, and the
 verify tables hand it every draw, max(1, CHUNK // (n GRID_POINTS)) lambdas
 at a time.  Every check still applies to each lambda: a batch fails
 exactly when one of its lambdas does, and a verify table halves it down
-to that lambda.  Launch data come from evans._launch.  The Gauss-Legendre
-rules are built on first use, so only the commands that integrate load
-scipy.special for them.
+to that lambda.  Launch data come from evans._launch.
+
+The quadrature evaluates the families only at its panels' ends (output
+grid, breakpoints, any requested x).  A solution f at a Gauss-Legendre
+node of the panel from a is c f(a) + s f'(a), (c, s) the first row of the
+exact transfer from a, which equal panels share, so the panel's integral of
+v f is f(a) sum w v c + f'(a) sum w v s.  numpy's leggauss gives the rules.
 """
 from __future__ import annotations
 
@@ -66,8 +70,8 @@ class SingularDeltaCombination(ValueError):
 @functools.cache
 def _gauss_legendre(n):
     """The n-node Gauss-Legendre rule on [-1, 1]."""
-    from scipy.special import roots_legendre
-    return roots_legendre(n)
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(n)
 
 
 def _edge_breakpoints(edge):
@@ -89,30 +93,46 @@ def _v_evaluator(v_j, length):
     return lambda x: np.interp(x, grid, arr)
 
 
-def _panels(edge, xs):
-    """Gauss-Legendre nodes and weights, (P, GL_NODES) each, on the P grid
-    panels between neighbouring breakpoints, output grid points and xs,
-    so none crosses a breakpoint; also each x's index among their ends."""
-    ends = np.unique(np.r_[_edge_breakpoints(edge),
-                           np.linspace(0.0, edge.length, GRID_POINTS), xs])
-    h = np.diff(ends)
+def _panel_sums(bundle: FrameBundle, items, conj=False):
+    """For each (j, v_j, xs) of items, the ends of the grid panels on edge j
+    (breakpoints, output grid and xs), each x's index among them, and each
+    panel's sums of w v c and w v s (conj v if conj) over its nodes in node
+    order, (P, 2) after the bundle's lambda axis: one (c, s) row a node for
+    each distinct (width, V, slope) of every item's panels."""
     x, w = _gauss_legendre(GL_NODES)
-    return ends[:-1, None] + np.multiply.outer(h, 0.5 * (x + 1.0)), \
-        np.multiply.outer(0.5 * h, w), np.searchsorted(ends, xs)
+    ends, wv, key = [], [], []
+    for j, v_j, xs in items:
+        edge = bundle.graph.edges[j]
+        bks = _edge_breakpoints(edge)
+        ends.append(np.unique(np.concatenate([bks, np.linspace(0.0, edge.length, GRID_POINTS),
+                                              xs])))
+        a, h = ends[-1][:-1], np.diff(ends[-1])
+        vv = np.asarray(_v_evaluator(v_j, edge.length)(
+            (a[:, None] + np.multiply.outer(h, 0.5 * (x + 1.0))).ravel()))
+        if not np.all(np.isfinite(vv.astype(complex))):
+            raise QuadratureFailure("source term produced non-finite values")
+        wv.append((np.conj(vv) if conj else vv).reshape(h.size, -1) * np.multiply.outer(0.5 * h, w))
+        seg = np.clip(np.searchsorted(bks, a, side="right") - 1, 0, bks.size - 2)
+        s0, s1, v0, v1 = np.array(edge.potential.segments)[seg].T
+        slope = (v1 - v0) / (s1 - s0)
+        key.append([h, v0 + slope * (a - s0), slope])
+    key, wv = np.concatenate(key, axis=1), np.concatenate(wv)
+    order = np.lexsort(key)
+    new = np.concatenate([[True], np.diff(key[:, order]).any(axis=0)])
+    kind = (np.cumsum(new) - 1)[np.argsort(order)]  # each panel's row
+    h, v0, slope = key[:, order[new], None]
+    m = segment_transfer(h * (0.5 * (x + 1.0)), np.asarray(bundle.lam)[..., None, None], v0, slope)
+    sums = np.stack([functools.reduce(np.add, (wv[:, i] * m[..., kind, i, 0, k]
+                                               for i in range(GL_NODES))) for k in (0, 1)], -1)
+    parts = np.split(sums, np.cumsum([e.size - 1 for e in ends])[:-1], axis=-2)
+    return [(e, np.searchsorted(e, xs), part) for e, (_, _, xs), part in zip(ends, items, parts)]
 
 
-def _cumulative_integral(v_eval, nodes, weights, at, vals):
-    """I(x) = integral from 0 to x of v * f for each row f of vals (the
-    functions at the nodes of _panels, flattened) and each x, plus I(L):
-    the running sum of the panel sums, read at each x's panel end."""
-    vv = np.asarray(v_eval(nodes.ravel()))
-    if not np.all(np.isfinite(vv.astype(complex))):
-        raise QuadratureFailure("source term produced non-finite values")
-    panel = (vals.reshape(vals.shape[:-1] + nodes.shape) * vv.reshape(nodes.shape)
-             * weights).sum(axis=-1)
-    total = np.concatenate([np.zeros(vals.shape[:-1] + (1,)),
-                            np.cumsum(panel, axis=-1)], axis=-1)
-    return total[..., at], total[..., -1]
+def _running(f, sums):
+    """The integral of v f from the first panel end to each, (..., P + 1),
+    from f and f' at the ends, (..., 2, P + 1), and _panel_sums' sums."""
+    panel = f[..., 0, :-1] * sums[..., 0] + f[..., 1, :-1] * sums[..., 1]
+    return np.concatenate([np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)], axis=-1)
 
 
 # ------------------------------------------------------------- tau selection
@@ -157,24 +177,21 @@ def _particular(bundle: FrameBundle, tau, ds, items):
     """Variation-of-parameters solution of (H - lambda)u = v on edge j at
     xs, values and derivatives, z_j there and I_z(L) / D_j, for each
     (j, v_j, xs) of items, after the bundle's lambda axis, from one
-    evaluation of the families; tau and ds as _taus gives them.  The y_tau
-    weight collects the source beyond x, the z weight the source before it."""
-    edges = bundle.graph.edges
-    panels = [_panels(edges[j], xs) for j, _, xs in items]
-    fams = bundle.families([(j, np.concatenate([xs, nodes.ravel()]),
-                             np.eye(bundle.n)[tau[..., j], :, None])
-                            for (j, _, xs), (nodes, _, _) in zip(items, panels)])
+    evaluation of the families at the panel ends; tau and ds as _taus
+    gives them.  The y_tau weight collects the source beyond x, the z
+    weight the source before it."""
+    quads = _panel_sums(bundle, items)
+    fams = bundle.families([(j, ends, np.eye(bundle.n)[tau[..., j], :, None])
+                            for (j, _, _), (ends, _, _) in zip(items, quads)])
     out = []
-    for (j, v_j, xs), (nodes, weights, at) in zip(items, panels):
+    for (j, _, _), (_, at, sums) in zip(items, quads):
         y, z = next(fams)
-        p = xs.size
-        (iy, iz), (_, iz_tot) = _cumulative_integral(
-            _v_evaluator(v_j, edges[j].length), nodes, weights, at,
-            np.stack([y[..., 0, 0, p:], z[..., 0, p:]]))
+        y = y[..., 0, :]
+        iy, iz = _running(y, sums), _running(z, sums)
         d = ds[..., j]
-        out.append((-(y[..., 0, :p] * (iz_tot[..., None] - iz)[..., None, :]
-                      + z[..., :p] * iy[..., None, :]) / d[..., None, None],
-                    z[..., :p].copy(), iz_tot / d))
+        out.append((-(y[..., at] * (iz[..., -1:] - iz[..., at])[..., None, :]
+                      + z[..., at] * iy[..., None, at]) / d[..., None, None],
+                    z[..., at], iz[..., -1] / d))
         del y, z  # before the next item's families are made
     return out
 
@@ -456,16 +473,13 @@ def adjustment_vectors(ps: ProjectionSet) -> AdjustmentVectors:
 
 def _l2_inner(bundle: FrameBundle, d, v) -> complex:
     """Integral over the graph of (combination with coefficients d) * conj(v),
-    every wire through one families call."""
-    n, edges = bundle.n, bundle.graph.edges
-    panels = [_panels(e, np.empty(0))[:2] for e in edges]
-    fams = bundle.families([(j, nodes.ravel(), d[..., :n, None])
-                            for j, (nodes, _) in enumerate(panels)])
+    every wire through one families call at its panel ends."""
+    n = bundle.n
+    quads = _panel_sums(bundle, [(j, v[j], np.empty(0)) for j in range(n)], conj=True)
+    fams = bundle.families([(j, ends, d[..., :n, None]) for j, (ends, _, _) in enumerate(quads)])
     total = 0.0
-    for j, ((nodes, weights), (y, z)) in enumerate(zip(panels, fams)):
-        uu = y[..., 0, 0, :] + d[..., n + j, None] * z[..., 0, :]
-        vv = _v_evaluator(v[j], edges[j].length)(nodes.ravel())
-        total += np.sum(weights.ravel() * uu * np.conj(vv))
+    for j, ((_, _, sums), (y, z)) in enumerate(zip(quads, fams)):
+        total += _running(y[..., 0, :] + d[..., n + j, None, None] * z, sums)[..., -1].sum()
     return total
 
 

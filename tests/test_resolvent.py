@@ -206,25 +206,156 @@ def test_particular_solution_does_not_depend_on_the_x_set():
 
 
 def test_resolvent_evaluates_each_leg_on_grid_panels_only(monkeypatch):
-    # four nodes a panel between grid points and breakpoints, plus the grid
-    # itself; one 32-node panel per segment and per output point evaluated
-    # about 17 000 positions a leg
+    # the families only at the panel ends (output grid, breakpoints, any x);
+    # four nodes a panel were 2048 more positions a leg, now reached from
+    # each panel's start by one transfer row a node, which equal panels share
     evans = sys.modules["qgraph.evans"]  # qgraph.evans is also the function
     g, bc, _ = barrier_end()
-    legs = []
+    legs, rows = [], []
 
     class Recorded(evans.LegPlan):  # the legs of every plan the bundle makes
         def __init__(self, legs_):
             legs.extend(legs_)
             super().__init__(legs_)
 
+    def counted(d, lam, v0, slope=0.0):
+        rows.append(np.broadcast(d, v0, slope).size)
+        return transfer(d, lam, v0, slope)
+
+    transfer = resolvent.segment_transfer
     monkeypatch.setattr(evans, "LegPlan", Recorded)
-    resolvent_apply(g, bc, 7.3, [1.0, lambda x: np.sin(np.pi * x)])
+    monkeypatch.setattr(resolvent, "segment_transfer", counted)
+    v = [1.0, lambda x: np.sin(np.pi * x)]
+    resolvent_apply(g, bc, 7.3, v)
+    xs = np.array([0.3, 0.6, 0.9])  # off the grid: three more panel ends
+    bundle = FrameBundle(g, bc, 7.3)
+    for j in range(g.n):
+        particular_solution(bundle, select_tau(bundle), v[j], j, xs)
     legs = [leg for leg in legs if np.ndim(leg[2])]  # those families plans
+    assert len(legs) == 4 * g.n
+    for k, (edge, _, x) in enumerate(legs):
+        extra = 0 if k < 2 * g.n else xs.size
+        assert np.size(x) <= resolvent.GRID_POINTS + len(edge.potential.segments) + extra
     assert max(np.size(x) for _, _, x in legs) > resolvent.GRID_POINTS
-    for edge, _, x in legs:
-        bound = 5 * (resolvent.GRID_POINTS + len(edge.potential.segments))
-        assert np.size(x) <= bound
+    # one call for every wire, then one a wire; at most one row a node for
+    # each (panel width, segment) of the wire
+
+    def budget(edge, xs):
+        ends = np.unique(np.r_[resolvent._edge_breakpoints(edge),
+                               np.linspace(0.0, edge.length, resolvent.GRID_POINTS), xs])
+        widths = np.unique(np.diff(ends)).size
+        return widths * len(edge.potential.segments) * resolvent.GL_NODES
+
+    assert len(rows) == 1 + g.n
+    assert rows[0] <= sum(budget(e, []) for e in g.edges) == 7 * resolvent.GL_NODES
+    assert all(r <= budget(e, xs) for r, e in zip(rows[1:], g.edges))
+
+
+def _wire(rng, kind):
+    """A flat (piecewise-constant), sloped (one linear segment) or sampled
+    wire, the last with a flat stretch between its first two samples."""
+    length = rng.uniform(0.5, 2.0)
+    if kind == "flat":
+        nodes = [0.0, *np.sort(rng.uniform(0.1, 0.9, int(rng.integers(0, 3)))) * length, length]
+        return EdgeSpec(length, pc(*[(a, b, rng.uniform(-15.0, 15.0))
+                                     for a, b in zip(nodes[:-1], nodes[1:])]))
+    xs = np.linspace(0.0, length, 2 if kind == "sloped" else int(rng.integers(3, 10)))
+    vs = rng.uniform(-15.0, 15.0, xs.size)
+    if kind == "sampled":
+        vs[1] = vs[0]
+    return EdgeSpec(length, Sampled(tuple(xs), tuple(vs)))
+
+
+def _source(rng, kind, length):
+    if kind == "scalar":
+        return rng.uniform(-2.0, 2.0)
+    if kind == "array":
+        return rng.uniform(-2.0, 2.0, int(rng.integers(2, 9)))
+    if kind == "sampled":
+        xs = np.sort(rng.uniform(0.0, length, 4))
+        return Sampled(tuple(xs), tuple(rng.uniform(-2.0, 2.0, 4)))
+    k = rng.uniform(0.5, 6.0)
+    return lambda x: np.cos(k * x) + 0.5 * x
+
+
+def _at_every_node(bundle, j, v_j, xs, weights):
+    """The parent construction of the quadrature: the families at xs and at
+    every Gauss-Legendre node of every grid panel, and the weights w v at
+    the nodes, (P, nodes), with each x's index among the panel ends."""
+    edge = bundle.graph.edges[j]
+    ends = np.unique(np.r_[resolvent._edge_breakpoints(edge),
+                           np.linspace(0.0, edge.length, resolvent.GRID_POINTS), xs])
+    h = np.diff(ends)
+    x, w = resolvent._gauss_legendre(resolvent.GL_NODES)
+    nodes = ends[:-1, None] + np.multiply.outer(h, 0.5 * (x + 1.0))
+    [(y, z)] = bundle.families([(j, np.concatenate([xs, nodes.ravel()]), weights)])
+    vv = resolvent._v_evaluator(v_j, edge.length)(nodes.ravel()).reshape(nodes.shape)
+    return y, z, vv * np.multiply.outer(0.5 * h, w), np.searchsorted(ends, xs)
+
+
+def _reference_particular(bundle, tau, ds, items):
+    """_particular from the families at every node: each panel's sum of
+    w v f over its nodes, and their running sum."""
+    out = []
+    for j, v_j, xs in items:
+        y, z, wv, at = _at_every_node(bundle, j, v_j, xs, np.eye(bundle.n)[tau[..., j], :, None])
+        p = xs.size
+
+        def running(f):
+            panel = (f.reshape(f.shape[:-1] + wv.shape) * wv).sum(axis=-1)
+            return np.concatenate([np.zeros(panel.shape[:-1] + (1,)), np.cumsum(panel, axis=-1)],
+                                  axis=-1)
+
+        iy, iz = running(y[..., 0, 0, p:]), running(z[..., 0, p:])
+        d = ds[..., j]
+        out.append((-(y[..., 0, :p] * (iz[..., -1:] - iz[..., at])[..., None, :]
+                      + z[..., :p] * iy[..., None, at]) / d[..., None, None],
+                     z[..., :p], iz[..., -1] / d))
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       wires=st.lists(st.sampled_from(["flat", "sloped", "sampled"]), min_size=4, max_size=4),
+       sources=st.lists(st.sampled_from(["scalar", "array", "sampled", "callable"]),
+                        min_size=4, max_size=4),
+       complex_lam=st.booleans(), complex_bc=st.booleans(), nodes=st.sampled_from([1, 4, 96]),
+       size=st.integers(1, 2))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_panel_end_quadrature_is_the_node_quadrature(seed, n, wires, sources, complex_lam,
+                                                     complex_bc, nodes, size):
+    # each node's (u, u') is the first transfer row from its panel's start
+    # applied to the families there, so the sums equal, to rounding, those
+    # of the families evaluated at every node
+    rng = np.random.default_rng(seed)
+    g = StarGraph(tuple(_wire(rng, kind) for kind in wires[:n]))
+    bc = rand_bc_cayley(n, rng) if complex_bc else rand_bc_real(n, rng)
+    lams = rng.uniform(-5.0, 60.0, size) + (1j * rng.uniform(-3.0, 3.0, size) if complex_lam else 0)
+    v = [_source(rng, kind, e.length) for kind, e in zip(sources, g.edges)]
+    items = [(j, v[j], np.linspace(0.0, e.length, resolvent.GRID_POINTS) if j % 2
+              else np.sort(rng.uniform(0.0, e.length, 5))) for j, e in enumerate(g.edges)]
+    f = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(resolvent, "GL_NODES", nodes)
+        bundle = FrameBundle(g, bc, lams)
+        try:
+            tau, ds = resolvent._taus(bundle)
+        except NoIndependentPartner:
+            assume(False)
+        got = resolvent._particular(bundle, tau, ds, items)
+        for parts, want in zip(got, _reference_particular(bundle, tau, ds, items)):
+            assert all(close(a, b) for a, b in zip(parts, want))
+        one = FrameBundle(g, bc, lams[:1])
+        d = one.solve_trace(f)
+        direct = 0.0
+        for j in range(n):
+            y, z, wv, _ = _at_every_node(one, j, v[j], np.empty(0), d[..., :n, None])
+            u = y[..., 0, 0, :] + d[..., n + j, None] * z[..., 0, :]
+            direct += np.sum(wv.ravel().conj() * u)
+        assert close(resolvent._l2_inner(one, d, v), direct)
 
 
 @pytest.mark.parametrize("case", ["barrier_end", "barrier_interior", "two_wire", "sampled"])
