@@ -341,7 +341,7 @@ def _residual_rows(checks, fn, lams):
 
 def verify_table(sc: Scenario, which, seed=0, rounds=None):
     """Residual table for one cross-check family; returns (text, all-pass)."""
-    if rounds is not None and rounds < 1:
+    if rounds is not None and (rounds := as_index(rounds, "rounds")) < 1:
         raise ScenarioError(f"need at least one lambda sample per check, got {rounds}")
     rng = np.random.default_rng(seed)
     g, bc = sc.graph, sc.bc

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import maps
 from .evans import _evans_values
+from .graphs import as_index
 
 REFINE_TOL = 1e-10
 GRID_PER_UNIT = 512       # grid points per unit of sqrt(lambda) span
@@ -82,7 +83,7 @@ def lambda_grid(interval, grid=None):
     if grid is None:
         span = math.sqrt(hi) - math.sqrt(lo) if lo >= 0 else math.sqrt(hi - lo)
         grid = math.ceil(GRID_PER_UNIT * span)
-    if int(grid) < 1:
+    if as_index(grid, "scan grid") < 1:
         raise ValueError(f"scan grid must be at least 1, got {grid}")
     grid = max(MIN_GRID, int(grid))
     if lo >= 0:

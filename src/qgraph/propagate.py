@@ -12,21 +12,21 @@ Ixaru 1984; Ledoux et al., Comput. Phys. Commun. 175 (2006) 424) is the more
 accurate of the two.  LegPlan, the one kernel behind every solution the
 package evaluates, carries (u, u') to one position or an array of them for
 a whole array of lambda.  It works in two steps: the lambda-free plan of
-its legs' segment steps, made once for as long as a command keeps the
-legs, and its evaluation, once per batch or refinement step: one
-segment_transfer call steps the chains of all its legs.  stack gives the
-2 x 2 transfers of legs that end at one position each; solutions carries
-launch data to arrays of positions entry by entry, with no 2 x 2 matrix
-per position.  EdgeSolution builds one solution per (edge, lam, initial
-data) from the same segment steps, node by node: the kernel's per-lambda
-test reference.  The independent adaptive Runge-Kutta oracle lives with
-the tests (tests/oracle.py); nothing here integrates an ODE.  scipy.special
-is imported at the first Airy step, so piecewise-constant potentials never
+its legs' segment steps, made once for as long as a command keeps the legs,
+and its evaluation, once per batch or refinement step: one segment_transfer
+call steps the chains of all its legs and multiplies them out in place, one
+table row per chain prefix.  stack gives the 2 x 2 transfers of legs that
+end at one position each; solutions carries launch data to arrays of
+positions entrywise, with no 2 x 2 matrix per position.  EdgeSolution
+builds one solution per (edge, lam, initial data) from the same segment
+steps, node by node: the kernel's per-lambda test reference.  The
+independent adaptive Runge-Kutta oracle lives with the tests
+(tests/oracle.py); nothing here integrates an ODE.  scipy.special is
+imported at the first Airy step, so piecewise-constant potentials never
 load scipy.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -260,53 +260,44 @@ class LegPlan:
     scalar leg's chain runs from x0 through its end step at x; an array
     leg's stops at the last breakpoint short of its farthest position, and
     its partial steps to the positions are kept apart.  Legs whose chains
-    have equal steps share one chain.  The table is laid
-    out by depth, longest chains first: layer d holds step d of every chain
-    longer than d, so a layer's products are one matmul over a slice.  An
-    evaluation on L lambdas makes one segment_transfer call for the table,
-    then the products m @ a outward from x0, so every transfer has the bits
-    of its leg alone, however many lambdas or legs share the call.
+    have equal steps share one chain.  The table is laid out by depth,
+    longest chains first: layer d holds step d of every chain longer than
+    d, so a layer's products are one matmul over a slice.  An evaluation on
+    L lambdas makes one segment_transfer call for the table and turns it in
+    place, layer by layer, into the products m @ a outward from x0, so
+    every transfer has the bits of its leg alone, however many lambdas or
+    legs share the call.  Each leg keeps the rows of its chain's prefixes.
     """
 
     def __init__(self, legs):
-        chains, self.legs, index = {}, [], []  # distinct chains by their steps; (steps, end)
+        planned, chains = [], {}  # (chain id, end) of each leg; the distinct chains' ids
         for edge, x0, x in legs:
             x = _domain_x(edge, x)
             chain, end = _segment_steps(edge.potential, _domain_x(edge, x0), x)
             if not isinstance(x, np.ndarray):
                 chain, end = [*chain, end], None
-            self.legs.append((len(chain), end))
-            index.append(chains.setdefault(tuple(chain), (len(chains), chain))[0])
-        if len({end is None for _, end in self.legs}) > 1:
+            planned.append((chains.setdefault(tuple(chain), len(chains)), end))
+        if len({end is None for _, end in planned}) > 1:
             raise ValueError("a plan's legs end each at one position or each at an array")
-        self.points = all(end is None for _, end in self.legs)  # else each at an array
-        chains = [c for _, c in chains.values()]
-        # the chain of each leg, where a chain repeats; stack gathers by it
-        self.index = None if len(chains) == len(index) else np.array(index, dtype=int)
-        lengths = [len(c) for c in chains]
-        order = sorted(range(len(chains)), key=lengths.__getitem__, reverse=True)
-        rank = sorted(range(len(chains)), key=order.__getitem__)
-        self.rank = [rank[i] for i in index]  # leg k's row in its layers
-        self.order = np.array(order, dtype=int)  # the chain of each rank
-        self.layers, self.ends, rows = [], [], []  # (first row, chains); (layer, ranks ending)
-        longer = [-lengths[k] for k in order]  # ascending
-        for d, layer in enumerate(itertools.zip_longest(*(chains[k] for k in order))):
-            k = bisect.bisect_left(longer, -d)  # the chains longer than d
-            self.layers.append((len(rows), k))
-            rows += layer[:k]
-            done = bisect.bisect_left(longer, -d - 1)
-            if done < k:
-                self.ends.append((d, done, k))
+        self.points = all(end is None for _, end in planned)  # else each at an array
+        # the distinct chains, longest first; a chain's rank is its row in each layer
+        ranked = sorted(chains, key=len, reverse=True)
+        self.firsts, rows = [0], []  # the first row of each layer, then the table's size
+        for layer in itertools.zip_longest(*ranked):
+            rows += [s for s in layer if s is not None]  # layer d: the chains longer than d
+            self.firsts.append(len(rows))
         self.steps = np.array(rows, dtype=float).reshape(-1, 3)
+        prefixes = {chains[c]: [f + r for f in self.firsts[:len(c)]] for r, c in enumerate(ranked)}
+        self.legs = [(prefixes[k], end) for k, end in planned]
 
     def _products(self, lams):
-        """The chain products of each layer on an array of lambda: row r of
-        layer d is the product of the first d + 1 steps of the leg of rank r."""
+        """The chain products on an array of lambda, (S, L, 2, 2): row
+        first(d) + r is the product of the first d + 1 steps of the chain of
+        rank r."""
         s = self.steps
-        mats = segment_transfer(s[:, :1], lams, s[:, 1:2], s[:, 2:])
-        prods = [mats[:self.layers[0][1]]] if self.layers else []
-        for first, k in self.layers[1:]:
-            prods.append(mats[first:first + k] @ prods[-1][:k])
+        prods = segment_transfer(s[:, :1], lams, s[:, 1:2], s[:, 2:])
+        for prev, first, stop in zip(self.firsts, self.firsts[1:], self.firsts[2:]):
+            prods[first:stop] = prods[first:stop] @ prods[prev:prev + stop - first]
         return prods
 
     def stack(self, lams):
@@ -314,12 +305,8 @@ class LegPlan:
         for N legs, leg k at [:, k]."""
         if not self.points:
             raise ValueError("a stack needs legs that end at one position")
-        lams = np.asarray(lams)
-        prods = self._products(lams)
-        out = np.empty((lams.size, self.order.size, 2, 2), dtype=prods[0].dtype)
-        for d, done, k in self.ends:
-            out[:, self.order[done:k]] = prods[d][done:].swapaxes(0, 1)
-        return out if self.index is None else out[:, self.index]
+        last = [rows[-1] for rows, _ in self.legs]
+        return np.ascontiguousarray(self._products(lams)[last].swapaxes(0, 1))
 
     def solutions(self, lams, data):
         """Solutions along legs that each end at P positions, (L, 2, m, P)
@@ -330,20 +317,18 @@ class LegPlan:
         then T_r0 u + T_r1 u'.  Lazy: each leg is made when it is reached."""
         if self.points:
             raise ValueError("solutions need legs that end at arrays of positions")
-        prods = self._products(lams)
-        for (count, ((d, v, slope), runs)), rank, a in zip(self.legs, self.rank, data):
-            cum = [np.eye(2)[None], *(p[rank] for p in prods[:count])]
+        prods = np.concatenate((self._products(lams), np.tile(np.eye(2), (1, lams.size, 1, 1))))
+        for (rows, (d, v, slope, ci)), a in zip(self.legs, data):
+            # the chain product before each position (row -1: none), b[q', q] as (L, P) planes
+            b = np.take(prods[[-1, *rows]].transpose(2, 3, 1, 0), ci, axis=-1)
             if slope is None:  # (m_r0, m_r1) for each row r
                 c, s, ws = _flat_step(d, lams[:, None], v)
                 m = (c, s), (ws, c)
             else:
                 m = np.moveaxis(segment_transfer(d, lams[:, None], v, slope), (0, 1), (2, 3))
             t = np.empty((lams.size, 2, 2, d.size), dtype=np.result_type(lams, 1.0))
-            for first, stop, ci in runs:
-                b = cum[ci][..., None]  # row r of b, (L, 2, 1), at b[:, r]
-                for r, (m0, m1) in enumerate(m):
-                    np.multiply(m0[:, None, first:stop], b[:, 0], out=t[:, r, :, first:stop])
-                    t[:, r, :, first:stop] += m1[:, None, first:stop] * b[:, 1]
+            for r, q in itertools.product((0, 1), (0, 1)):
+                np.add(m[r][0] * b[0, q], m[r][1] * b[1, q], out=t[:, r, q])
             out = t[:, :, :1] * a[..., None, 0, :, None]
             out += t[:, :, 1:] * a[..., None, 1, :, None]
             yield out
@@ -354,7 +339,7 @@ def _segment_steps(pot, x0, x):
     x0 to each breakpoint short of the farthest position, and the end step
     to a scalar x.  An array ends in (P,) arrays of the partial steps from
     the last node at or before each position (slope None if all are flat)
-    and the runs (first, stop, chain steps before) of positions after one node."""
+    and of each position's count of chain steps before that node."""
     scalar = not isinstance(x, np.ndarray)
     lo, hi = (x, x) if scalar else (x.min(), x.max())
     if lo < x0 < hi:
@@ -376,12 +361,8 @@ def _segment_steps(pot, x0, x):
         return steps[:-1], steps[-1]
     nodes = np.array([x0] + ends[:-1])
     ci = np.searchsorted(sign * nodes, sign * x, side="right") - 1
-    bounds = [0, *(np.flatnonzero(np.diff(ci)) + 1).tolist(), x.size]
-    at, size = ci[bounds[:-1]], np.diff(bounds)
-    table = np.array(steps)[at]
-    slope = np.repeat(table[:, 2], size) if table[:, 2].any() else None
-    runs = list(zip(bounds, bounds[1:], at.tolist()))
-    return steps[:-1], ((x - np.repeat(nodes[at], size), np.repeat(table[:, 1], size), slope), runs)
+    _, v, slope = np.array(steps)[ci].T
+    return steps[:-1], (x - nodes[ci], v, slope if slope.any() else None, ci)
 
 
 class EdgeSolution:

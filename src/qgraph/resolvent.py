@@ -79,6 +79,14 @@ def _edge_breakpoints(edge):
     return np.array([segs[0][0]] + [b for _, b, _, _ in segs])
 
 
+def _start_values(edge, bks, a):
+    """(V at each start a, the slope of its segment), bks the edge's breakpoints."""
+    seg = np.clip(np.searchsorted(bks, a, side="right") - 1, 0, bks.size - 2)
+    s0, s1, v0, v1 = np.array(edge.potential.segments)[seg].T
+    slope = (v1 - v0) / (s1 - s0)
+    return v0 + slope * (a - s0), slope
+
+
 def _v_evaluator(v_j, length):
     """Accept a vectorized callable, a Sampled profile, a per-edge array
     (uniform grid over [0, length]) or a scalar."""
@@ -112,10 +120,7 @@ def _panel_sums(bundle: FrameBundle, items, conj=False):
         if not np.all(np.isfinite(vv.astype(complex))):
             raise QuadratureFailure("source term produced non-finite values")
         wv.append((np.conj(vv) if conj else vv).reshape(h.size, -1) * np.multiply.outer(0.5 * h, w))
-        seg = np.clip(np.searchsorted(bks, a, side="right") - 1, 0, bks.size - 2)
-        s0, s1, v0, v1 = np.array(edge.potential.segments)[seg].T
-        slope = (v1 - v0) / (s1 - s0)
-        key.append([h, v0 + slope * (a - s0), slope])
+        key.append([h, *_start_values(edge, bks, a)])
     key, wv = np.concatenate(key, axis=1), np.concatenate(wv)
     order = np.lexsort(key)
     new = np.concatenate([[True], np.diff(key[:, order]).any(axis=0)])
@@ -286,7 +291,12 @@ def segment_residual(g, lam, app: ResolventApplication, v) -> float:
     transfers from each node to the interval's end.  Grid intervals
     containing a breakpoint or sample node are skipped.
     """
-    return float(_segment_residuals(g, _one_lambda(lam, "segment_residual"), [app], v)[0])
+    lams = _one_lambda(lam, "segment_residual")
+    if lams[0] != app.lam:
+        raise ValueError(f"the application was made at lambda={app.lam}, not {lam}")
+    if not len(v) == len(app.grids) == g.n:
+        raise ValueError(f"need one source per edge of the application, got {len(v)} for n={g.n}")
+    return float(_segment_residuals(g, lams, [app], v)[0])
 
 
 def _segment_residuals(g, lams, apps, v):
@@ -306,10 +316,7 @@ def _segment_residuals(g, lams, apps, v):
         i = np.nonzero(~np.any((inner[:, None] > a) & (inner[:, None] < b), axis=0))[0]
         if not i.size:
             continue
-        seg = np.clip(np.searchsorted(bks, a[i], side="right") - 1, 0, bks.size - 2)
-        s0, s1, v0, v1 = np.array(edge.potential.segments)[seg].T
-        slope = (v1 - v0) / (s1 - s0)
-        vx = v0 + slope * (a[i] - s0)  # V at each interval's start
+        vx, slope = _start_values(edge, bks, a[i])  # V at each interval's start
         m = segment_transfer(h, lams[:, None], vx, slope)
         # node-to-end transfers, once per run of equal (V, slope): a flat
         # segment's intervals share theirs

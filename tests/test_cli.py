@@ -664,6 +664,11 @@ def test_verify_needs_at_least_one_round(tmp_path, capsys):
     for rounds in (0, -1):
         with pytest.raises(cli.ScenarioError, match="at least one"):
             cli.verify_table(sc, "single", rounds=rounds)
+    # unchecked, these failed inside numpy's draw ("expected a sequence of integers")
+    for rounds in (2.7, True):
+        with pytest.raises(TypeError, match="rounds must be an integer"):
+            cli.verify_table(sc, "single", rounds=rounds)
+    assert cli.verify_table(sc, "single", rounds=3.0) == cli.verify_table(sc, "single", rounds=3)
     assert cli.main(["verify", "--scenario", path, "--which", "single", "--grid", "0"]) == 2
     assert "at least one" in capsys.readouterr().err
 

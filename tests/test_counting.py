@@ -25,6 +25,7 @@ def test_lambda_grid_properties():
     steps = np.diff(np.sqrt(xs))
     assert np.allclose(steps, steps[0])  # uniform in sqrt(lambda)
     assert lambda_grid((1.0, 1.2), 8).size == 65  # floor kicks in
+    assert lambda_grid((5.0, 60.0), 200.0).tobytes() == xs.tobytes()  # an integral float
     neg = lambda_grid((-4.0, 9.0), 100)
     assert np.allclose(np.diff(neg), neg[1] - neg[0])  # linear below zero
     with pytest.raises(ValueError):
@@ -436,6 +437,12 @@ def _complex_boundary_data():
 @pytest.mark.parametrize("call, error, word", [
     (_complex_boundary_data, ValueError, "real boundary data"),
     (_endpoint_stays_on_a_spectrum, EndpointOnSpectrum, "after nudging"),
+    # unchecked, 2.7 and True gave the 65-point floor and "300" 301 points
+    *((lambda f=f, grid=grid: f(grid), TypeError, "scan grid must be an integer")
+      for f in (lambda grid: count_zeros(np.sin, (1.0, 40.0), grid=grid),
+                lambda grid: count_eigenvalues(*barrier_end()[:2], (1.0, 40.0), grid=grid),
+                lambda grid: verify_counting(*barrier_end(), (1.0, 40.0), grid=grid))
+      for grid in (2.7, True, "300")),
 ])
 def test_bad_input_is_rejected(call, error, word):
     with pytest.raises(error, match=word):

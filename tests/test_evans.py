@@ -177,8 +177,10 @@ def test_wide_star_count_survives_underflow():
 
 
 def test_evans_paths_build_no_frame_matrix(monkeypatch):
-    # an evans sweep and a count report take every Evans value as an n x n
-    # determinant: no 2n x 2n frame matrix, and no frame, is built
+    # an evans sweep and a count report build no 2n x 2n frame matrix and
+    # no frame: Kirchhoff-type problems take the star pass, whose lambda-free
+    # constants come from one (n + 1, n, n) determinant, and any other
+    # problem an n x n determinant a lambda
     module = importlib.import_module("qgraph.evans")
     sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
 

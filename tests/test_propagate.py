@@ -198,9 +198,8 @@ def _reference_leg(edge, x0, x, lams):
     if np.ndim(x) == 0:
         last = segment_transfer(end[0], lams, end[1], end[2])
         return _one_by_one(last, cum[-1]) if cum else last
-    (d, v, s), runs = end
+    d, v, s, ci = end
     s = np.zeros_like(d) if s is None else s
-    ci = np.concatenate([[c] * (stop - first) for first, stop, c in runs])
     base = [np.broadcast_to(np.eye(2), lams.shape + (2, 2)), *cum]
     return np.stack([_entrywise(segment_transfer(dk, lams, vk, sk), base[c])
                      for dk, vk, sk, c in zip(d, v, s, ci)], axis=1)

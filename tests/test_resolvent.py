@@ -584,8 +584,21 @@ def _particular_at(j):
     return particular_solution(bundle, select_tau(bundle), 1.0, j, 0.3)
 
 
+def _residual_of(lam, v, graph=None):
+    g, bc, _ = barrier_end()
+    return segment_residual(graph or g, lam, resolvent_apply(g, bc, 17.3, [1.0, 1.0]), v)
+
+
 @pytest.mark.parametrize("call, error, word", [
     (lambda: resolvent_apply(*barrier_end()[:2], 20.0, [1.0]), ValueError, "one source per edge"),
+    # unchecked, the first gave a residual of the wrong lambda (2.8e-3), the
+    # second ignored its third source and the third raised a bare IndexError
+    (lambda: _residual_of(30.0, [1.0, 1.0]), ValueError, "made at lambda=17.3, not 30"),
+    (lambda: _residual_of(17.3, [1.0, 1.0, 1.0]), ValueError, "one source per edge.*got 3 for n=2"),
+    (lambda: _residual_of(17.3, [1.0]), ValueError, "one source per edge.*got 1 for n=2"),
+    # a one-wire graph for a two-wire application
+    (lambda: _residual_of(17.3, [1.0], random_star(np.random.default_rng(0), 1)),
+     ValueError, "one source per edge of the application, got 1 for n=1"),
     # a Robin origin condition u' = -1e13 u: U + I is 2e-13 on its Robin block
     (lambda: build_projections(BoundaryConditions(np.array([[1e4]]), np.array([[1e-9]]),
                                                   np.array([0.0]), np.array([1.0]))),
