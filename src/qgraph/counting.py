@@ -19,9 +19,9 @@ dip probes call it with one-element arrays.  verify_counting scans the full
 graph and every piece as one such function, one kernel evaluation a step
 for all, each bracket carrying its function's row; a single count is the
 one-function case.  Its terms (maps.SplitTerms) split the graph and plan
-the legs of every Evans problem and of the two-sided map once; the
-endpoint probe, the grids and every refinement step evaluate those plans,
-and count_report keeps one SplitTerms for all the intervals of a scenario.
+the legs of every Evans problem once, in one plan that the two-sided map
+reads too; the endpoint probe, the grids and every refinement step
+evaluate it, and count_report keeps one SplitTerms for every interval.
 verify_counting alone scans the map, with the pieces' zeros as its poles;
 two closer than POLE_MERGE_TOL (1 + lambda) merge, losing any map zero
 between them (ROADMAP 1a, 2).  count_zeros scans any real function of lambda.

@@ -31,8 +31,8 @@ FrameBundle accept an array of lambda and return stacked results.
 _evans_values plans the legs of several problems once and evaluates them
 once per batch of max(1, CHUNK // size) lambdas, size summing n over the
 problems of the star pass and n^2 over the others, which bounds a batch's
-memory; a command keeps it for as long as its problems live, and evans is
-its one-shot case.
+memory; a command keeps it for as long as its problems live, evans is its
+one-shot case, and the map blocks read each piece's z legs of its stacks.
 """
 from __future__ import annotations
 
@@ -123,12 +123,6 @@ def z_values(bc: BoundaryConditions, t):
             t[..., 1, 0] * z0 + t[..., 1, 1] * zp0)
 
 
-def beta_trace(bc: BoundaryConditions, yl, ylp):
-    """beta1 Y(l) + beta2 Y'(l), row j at edge j's outer end; Y blocks may
-    carry a leading lambda axis."""
-    return bc.beta1[:, None] * yl + bc.beta2[:, None] * ylp
-
-
 def _frame_legs(g, bc, point):
     """The evaluation point of a frame at point (None: the origin) and its
     legs: one z leg per edge from its outer end, then one Y leg per moved edge."""
@@ -214,33 +208,42 @@ def _star_pass(c0, c, z, zp):
     return s + c0 * p
 
 
-def _evans_values(problems, points=None):
+class _evans_values:
     """The Evans values of every (graph, bc) problem, evaluated at points
-    (default: the origins), as one function of an array of lambda as
+    (default: the origins), as one callable of an array of lambda as
     lambdas() gives it, which returns a list of value arrays.  The legs of
-    every problem are planned here, once; each batch evaluates the plan
-    once, and each problem reads its z and Y legs as slices of that stack.
-    At the origin Y and Y' are the launch data, and a problem that
-    _star_constants admits takes the star pass in place of the determinant."""
-    frames = [_frame_legs(g, bc, point)
-              for (g, bc), point in zip(problems, points or [None] * len(problems))]
-    plan = LegPlan([leg for _, legs in frames for leg in legs])
-    firsts = [0, *itertools.accumulate(len(legs) for _, legs in frames)]
-    consts = _star_constants(problems, frames)
+    every problem are planned here, once (plan); each batch evaluates the
+    plan once, and values() gives every value from that stack, each problem
+    reading its z legs (legs) and Y legs as slices.  At the origin Y and Y'
+    are the launch data, and a problem that _star_constants admits takes
+    the star pass in place of the determinant."""
 
-    def batch(ls):
-        t, out = plan.stack(ls), []
-        for (g, bc), (xs, legs), a, c in zip(problems, frames, firsts, consts):
+    def __init__(self, problems, points=None):
+        self.problems = problems
+        self._frames = [_frame_legs(g, bc, point)
+                        for (g, bc), point in zip(problems, points or [None] * len(problems))]
+        self.plan = LegPlan([leg for _, legs in self._frames for leg in legs])
+        self._firsts = [0, *itertools.accumulate(len(legs) for _, legs in self._frames)]
+        self._consts = _star_constants(problems, self._frames)
+
+    def legs(self, t, i):
+        """Problem i's z legs in the stack t, (L, n, 2, 2): edge j's from its outer end."""
+        return t[:, self._firsts[i]:self._firsts[i] + self.problems[i][0].n]
+
+    def values(self, t, lams):
+        """Every problem's value array from the stack t of plan at lams."""
+        out = []
+        for (g, bc), (xs, legs), c, a in zip(self.problems, self._frames, self._consts,
+                                             self._firsts):
             z = z_values(bc, t[:, a:a + g.n])
-            if c is not None:
-                out.append(_star_pass(*c, *z))
-                continue
-            y = (y_blocks(bc, ls, xs, t[:, a + g.n:a + len(legs)]) if len(legs) > g.n
+            y = (y_blocks(bc, lams, xs, t[:, a + g.n:a + len(legs)]) if len(legs) > g.n
                  else _launch(bc)[:2])
-            out.append(np.linalg.det(wronskian_matrix(*z, *y)))
+            out.append(np.linalg.det(wronskian_matrix(*z, *y)) if c is None else _star_pass(*c, *z))
         return out
-    size = sum(g.n if c is not None else g.n ** 2 for (g, _), c in zip(problems, consts))
-    return lambda lams: chunked(batch, lams, size)
+
+    def __call__(self, lams):
+        size = sum(g.n ** 2 if c is None else g.n for (g, _), c in zip(self.problems, self._consts))
+        return chunked(lambda ls: self.values(self.plan.stack(ls), ls), lams, size)
 
 
 def evans(g: StarGraph, bc: BoundaryConditions, lam,
@@ -323,10 +326,11 @@ class FrameBundle:
         return np.linalg.det(self.wronskians())
 
     def solve_trace(self, rhs):
-        """Coefficients d of a combination whose gamma-trace equals rhs."""
-        n, c = self.n, self.c_block()
+        """Coefficients d of a combination whose gamma-trace (beta-trace of Y, C) equals rhs."""
+        n, c, bc = self.n, self.c_block(), self.bc
         s = np.zeros(c.shape[:-2] + (2 * n, 2 * n), dtype=np.promote_types(self.Yl.dtype, c.dtype))
-        s[..., :n, :n], s[..., n:, n:] = beta_trace(self.bc, self.Yl, self.Ylp), c
+        s[..., :n, :n] = bc.beta1[:, None] * self.Yl + bc.beta2[:, None] * self.Ylp
+        s[..., n:, n:] = c
         return np.linalg.solve(s, np.asarray(rhs))
 
     def component(self, d, j, xs):

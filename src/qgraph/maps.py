@@ -15,26 +15,25 @@ with every Evans factor taken with Dirichlet conditions at the cuts.  One
 SplitTerms per split holds every term of both identities and of the count
 N_full = sum of N_piece + delta_N: the Evans functions of the graph and of
 its Dirichlet pieces, and the assembly of (MM1, MM2) over an array of
-lambda.  The legs of each are planned once (propagate.LegPlan) and
-evaluated in one stack per batch, so a count that keeps the terms
-evaluates them at every grid and refinement step without planning again,
-and a split check evaluates each once.  The sweep value, the 2 x 2
-builders, the piece factors and the split residuals all read it.  The
-one-sided maps are the assembly's one-piece case.
+lambda.  Every Dirichlet-to-Neumann block is a function of its piece's
+own z legs (_dtn_block), so one plan, that of the Evans problems
+(evans._evans_values), serves both, evaluated in one stack per batch: a
+count that keeps the terms evaluates them at every grid and refinement
+step without planning again, and a split check evaluates them once, at
+its pole probes.  The sweep value, the 2 x 2 builders, the piece factors
+and the split residuals all read it.  The one-sided maps plan a piece's
+Dirichlet and Neumann problems together, the same way.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphs
 from .graphs import (BoundaryConditions, SplitSpec, StarGraph, split_graph)
-from .evans import (_evans_values, beta_trace, chunked, evans, frame_matrix,
-                    fundamental_frame, lambdas, y_blocks, z_values)
-from .propagate import LegPlan
+from .evans import (_evans_values, chunked, frame_matrix, fundamental_frame, lambdas,
+                    z_values)
 
 POLE_RTOL = 1e-6  # a denominator zero within POLE_RTOL (1 + |lambda|) of lambda is a pole
 
@@ -103,64 +102,62 @@ def _check_pole(lam, probed, label):
     return e if np.ndim(lam) else e[0]
 
 
-def _with_cut_condition(bc: BoundaryConditions, letter: str) -> BoundaryConditions:
-    """Swap the origin condition of a one-edge cut problem to Dirichlet/Neumann."""
-    c1, c2 = graphs._CUT_PAIRS[letter]
-    return BoundaryConditions([[c1]], [[c2]], bc.beta1, bc.beta2)
-
-
 def _solve_each(a, b):
-    """np.linalg.solve of a stack a (L, n, n) against b (n, m); a singular
+    """np.linalg.solve of a stack a (L, n, n) against b (L, n, m); a singular
     matrix gives NaN in its own slot only."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        out = np.full(a.shape[:-1] + b.shape[-1:], np.nan, dtype=np.result_type(a, b))
-        for i, ai in enumerate(a):
+        out = np.full(b.shape, np.nan, dtype=np.result_type(a, b))
+        for i, (ai, bi) in enumerate(zip(a, b)):
             try:
-                out[i] = np.linalg.solve(ai, b)
+                out[i] = np.linalg.solve(ai, bi)
             except np.linalg.LinAlgError:
                 pass
         return out
 
 
-def _dtn_blocks(pieces):
-    """Dirichlet-to-Neumann block, (L, m, m), of each (kind, (graph, bc),
-    cut edges) piece, as one function of an array of lambda: the legs of
-    every piece are planned here, once, and each call evaluates them in
-    one stack, each piece reading its legs as a slice.
+def _dtn_block(kind, bc, t, cuts):
+    """Dirichlet-to-Neumann block, (L, m, m), of a piece with conditions bc
+    (Dirichlet at every cut) from t, (L, n, 2, 2), its transfers from each
+    outer end to the origin: the z legs of its Evans problem.
 
     OUTER, one edge cut at the origin: -z'(0)/z(0), z fixed by the outer
     condition.  INTERVAL, [0, d] cut at both ends (slot 0 at d): columns are
     the solutions with unit value at one end and zero at the other, rows the
-    outward derivatives.  STAR, cut at the outer ends of the cut edges:
-    column k is the solution whose gamma-trace is cut k's basis vector, row
-    r its derivative at cut r; the origin block of that trace system sees
-    zero data, so these are Y combinations solved from Y's beta-trace.
+    outward derivatives, from the entries of the step t = [[a, b], [c, e]]
+    from d to 0.  STAR, cut at the outer ends of the cut edges, where z has
+    value 0 and slope 1: column k is w + sum_j d_j z_j, w launched with
+    (1, 0) at cut k, so the origin condition reads C d = -(alpha-trace of
+    w), C = alpha1 diag z + alpha2 diag z' (FrameBundle.c_block), and row r
+    is its slope d at cut r.
     """
-    plan = LegPlan([(e, e.length, 0.0) if kind == OUTER else (e, 0.0, e.length)
-                    for kind, (g, _), _ in pieces for e in g.edges])
-    firsts = [0, *itertools.accumulate(g.n for _, (g, _), _ in pieces)]
+    if kind == INTERVAL:
+        (a, b), (_, e) = np.moveaxis(t[:, 0], (1, 2), (0, 1))
+        return np.stack([np.stack([-a / b, 1.0 / b], axis=-1),
+                         np.stack([1.0 / b, -e / b], axis=-1)], axis=-2)
+    z, zp = z_values(bc, t)
+    if kind == OUTER:
+        return (-zp / z)[:, :, None]
+    w, wp = t[:, None, cuts, 0, 0], t[:, None, cuts, 1, 0]
+    c = bc.alpha1 * z[:, None, :] + bc.alpha2 * zp[:, None, :]
+    return -_solve_each(c, bc.alpha1[:, cuts] * w + bc.alpha2[:, cuts] * wp)[:, cuts]
 
-    def blocks(lams):
-        stack, out = plan.stack(lams), []
-        for (kind, (g, bc), cuts), a in zip(pieces, firsts):
-            ts = stack[:, a:a + g.n]
-            if kind == OUTER:
-                z, zp = z_values(bc, ts)
-                out.append((-zp / z)[:, :, None])
-            elif kind == INTERVAL:
-                t = ts[:, 0]
-                s = t[:, 0, 1]
-                out.append(np.stack([np.stack([t[:, 1, 1] / s, -1.0 / s], axis=-1),
-                                     np.stack([-1.0 / s, t[:, 0, 0] / s], axis=-1)], axis=-2))
-            else:
-                yl, ylp = y_blocks(bc, lams, g.lengths, ts)
-                unit = np.zeros((g.n, len(cuts)))
-                unit[cuts, range(len(cuts))] = 1.0
-                out.append(ylp[:, cuts, :] @ _solve_each(beta_trace(bc, yl, ylp), unit))
-        return out
-    return blocks
+
+def _one_sided(side, variant, lam, cuts, label):
+    """OneSidedMap of a piece, variant(pair) its problem with the cut
+    condition pair: the Dirichlet and the Neumann problem planned together
+    and evaluated in one stack at _pole_probe(lam), which gives the map,
+    its pole check and both Evans values."""
+    lams, scalar = lambdas(lam)
+    terms = _evans_values([variant(graphs.DIRICHLET_PAIR), variant(graphs.NEUMANN_PAIR)])
+    probe = _pole_probe(lam)
+    t = terms.plan.stack(probe)
+    e_d, e_n = terms.values(t, probe)
+    value = _dtn_block(side, terms.problems[0][1], terms.legs(t, 0)[:lams.size], cuts)[:, 0, 0]
+    return OneSidedMap(side=side, value=value[0] if scalar else value, lam=lam,
+                       numerator_evans=e_n[0] if scalar else e_n[:lams.size],
+                       denominator_evans=_check_pole(lam, e_d, label))
 
 
 def map_M1(problem, lam) -> OneSidedMap:
@@ -174,27 +171,23 @@ def map_M1(problem, lam) -> OneSidedMap:
     g, bc = problem
     if g.n != 1:
         raise ValueError("expected a one-edge problem")
-    lams, scalar = lambdas(lam)
-    value = _dtn_blocks([(OUTER, problem, [])])(lams)[0][:, 0, 0]
-    e_d = _check_pole(lam, evans(g, _with_cut_condition(bc, "D"), _pole_probe(lam)).value, "E1")
-    e_n = evans(g, _with_cut_condition(bc, "N"), lam).value
-    return OneSidedMap(side=OUTER, value=value[0] if scalar else value, lam=lam,
-                       numerator_evans=e_n, denominator_evans=e_d)
+    return _one_sided(OUTER, lambda pair: (g, BoundaryConditions(
+        [[pair[0]]], [[pair[1]]], bc.beta1, bc.beta2)), lam, [], "E1")
 
 
 def map_M2(problem, lam, cut_edge=0) -> OneSidedMap:
-    """Map of a residual star: (graph, bc) with Dirichlet cut data in the
-    outer slot of cut_edge.  Value is the derivative at the cut of the
-    solution with unit value there and homogeneous conditions elsewhere.
+    """Map of a residual star: (graph, bc) with Dirichlet cut data (g, 0),
+    g != 0, in the outer slot of cut_edge, taken as (1, 0).  Value is the
+    derivative at the cut of the solution with unit value there and
+    homogeneous conditions elsewhere.
     """
     g, bc = problem
     cut_edge = graphs.as_index(cut_edge, "cut_edge", g.n)
-    e_d = _check_pole(lam, evans(g, bc, _pole_probe(lam)).value, "E2")
-    lams, scalar = lambdas(lam)
-    value = _dtn_blocks([(STAR, problem, [cut_edge])])(lams)[0][:, 0, 0]
-    e_n = evans(g, graphs._replace_outer(bc, {cut_edge: graphs.NEUMANN_PAIR}), lam).value
-    return OneSidedMap(side=STAR, value=value[0] if scalar else value, lam=lam,
-                       numerator_evans=e_n, denominator_evans=e_d)
+    if bc.beta2[cut_edge] != 0:
+        raise ValueError(f"map_M2 needs Dirichlet cut data (g, 0) at cut_edge {cut_edge}, got "
+                         f"({bc.beta1[cut_edge]}, {bc.beta2[cut_edge]})")
+    return _one_sided(STAR, lambda pair: (g, graphs._replace_outer(bc, {cut_edge: pair})),
+                      lam, [cut_edge], "E2")
 
 
 def two_sided_sum(m1: OneSidedMap, m2: OneSidedMap):
@@ -208,7 +201,8 @@ class SplitTerms:
     as lambdas() gives it: evans gives one value array per problem, the full
     graph and then each piece's Dirichlet key (keys), blocks (MM1, MM2) and
     value the two-sided map.  The graph is split once, here, and the legs of
-    each term are planned once, the map's on its first use."""
+    every problem are planned once, in evans; the blocks read the pieces'
+    legs of its stack."""
 
     def __init__(self, g: StarGraph, bc: BoundaryConditions, spec: SplitSpec):
         self.spec = spec
@@ -216,22 +210,20 @@ class SplitTerms:
         self.keys = [p.factor_key for p in spec.pieces]
         self.evans = _evans_values([(g, bc)] + [self.parts[k] for k in self.keys])
 
-    @functools.cached_property
-    def blocks(self):
+    def blocks(self, lams, t=None):
         """(MM1, MM2), (L, k, k) each for k cuts, slot order the order of
-        spec.cuts: each piece's Dirichlet-to-Neumann block, placed on its
-        ports on its side (graphs.Piece)."""
+        spec.cuts, from the stack t of evans.plan at lams (default: evaluated
+        here): each piece's Dirichlet-to-Neumann block, placed on its ports
+        on its side (graphs.Piece)."""
         spec = self.spec
-        kinds = [STAR if p.origin is None else INTERVAL if p.outer else OUTER for p in spec.pieces]
-        dtn = _dtn_blocks([(kind, self.parts[p.factor_key], [spec.cuts[k][0] for k in p.outer])
-                           for kind, p in zip(kinds, spec.pieces)])
-
-        def sides(lams):
-            out = ([], [])
-            for piece, block in zip(spec.pieces, dtn(lams)):
-                out[piece.side].append((piece.ports, block))
-            return tuple(_side_map(blocks, len(spec.cuts)) for blocks in out)
-        return sides
+        t = self.evans.plan.stack(lams) if t is None else t
+        out = ([], [])
+        for i, p in enumerate(spec.pieces, 1):
+            kind = STAR if p.origin is None else INTERVAL if p.outer else OUTER
+            block = _dtn_block(kind, self.parts[p.factor_key][1], self.evans.legs(t, i),
+                               [spec.cuts[k][0] for k in p.outer])
+            out[p.side].append((p.ports, block))
+        return tuple(_side_map(blocks, len(spec.cuts)) for blocks in out)
 
     def value(self, lams):
         """M1 + M2 for a single cut, det(MM1 + MM2) for a double cut."""
@@ -267,12 +259,15 @@ def two_sided_2x2_two_wires(g: StarGraph, bc: BoundaryConditions,
 def _checked_map(g, bc, spec, lam):
     """The full graph's Evans value, the piece Evans factors and the
     two-sided map at lam (stacked for an array), or PoleAtLambda: one
-    evaluation of the split's Evans terms at _pole_probe(lam), one of its map."""
+    evaluation of the split's legs at _pole_probe(lam), whose first
+    lambdas give the map."""
     terms = SplitTerms(g, bc, spec)
     lams, scalar = lambdas(lam)
-    full, *rows = terms.evans(_pole_probe(lam))
+    probe = _pole_probe(lam)
+    t = terms.evans.plan.stack(probe)
+    full, *rows = terms.evans.values(t, probe)
     factors = {key: _check_pole(lam, row, key) for key, row in zip(terms.keys, rows)}
-    m1, m2 = (m[0] if scalar else m for m in terms.blocks(lams))
+    m1, m2 = (m[0] if scalar else m for m in terms.blocks(lams, t[:lams.size]))
     return (full[0] if scalar else full[:lams.size], factors,
             TwoSidedMap2x2(m1=m1, m2=m2, geometry=spec.mode, lam=lam))
 

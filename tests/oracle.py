@@ -5,10 +5,13 @@ adaptive Runge-Kutta method (scipy's DOP853), the cross-check of the exact
 segment steps of qgraph.propagate.  c_matrix is alpha1 Z + alpha2 Z' of
 a 2n x 2n origin frame, the reference for FrameBundle.c_block and for the
 identity det frame = (-1)^n det C, up to a unimodular factor for complex
-boundary data.
+boundary data.  dtn_reference gives the two-sided map blocks (MM1, MM2) of
+a split of a piecewise-constant star at 40 digits (mpmath), from each
+piece's own boundary-value problem.
 """
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 
 from qgraph import (BoundaryConditions, EdgeSpec, FundamentalFrame, PiecewiseConstant,
@@ -88,3 +91,80 @@ def c_matrix(frame: FundamentalFrame, bc: BoundaryConditions) -> np.ndarray:
     if np.any(frame.eval_point != 0.0):
         raise ValueError("c_matrix needs a frame evaluated at the origin")
     return bc.alpha1 @ frame.Z + bc.alpha2 @ frame.Zp
+
+
+def _mp_transfer(edge, a, b, lam):
+    """(u, u') at a to (u, u') at b > a on a piecewise-constant edge: the
+    product of the exact constant steps, at mpmath's working precision."""
+    m = mp.eye(2)
+    for p, q, v in edge.potential.pieces:
+        lo, hi = max(p, a), min(q, b)
+        if hi > lo:
+            d, w = mp.mpf(hi) - mp.mpf(lo), lam - mp.mpf(v)
+            k = mp.sqrt(w)
+            c, s = (mp.cos(k * d), mp.sin(k * d) / k) if w else (mp.mpf(1), d)
+            m = mp.matrix([[c, s], [-w * s, c]]) * m
+    return m
+
+
+def _row(q, pair, m):
+    """An equation on the (u, u') of m stretches that reads pair on stretch q."""
+    row = [mp.mpf(0)] * (2 * m)
+    row[2 * q:2 * q + 2] = pair
+    return row
+
+
+def dtn_reference(g, bc, cuts, lam, dps=40):
+    """(MM1, MM2), complex k x k arrays, of the split of a piecewise-constant
+    star (g, bc) at cuts ((wire, s), ...), slot order the cut order, at one
+    lambda, from dps-digit solves.
+
+    Each piece is solved on its own: the residual star keeps every wire up
+    to its innermost cut, and the cut at s detaches its wire from s to the
+    next cut outward or to the wire's end.  The unknowns are (u, u') at the
+    inner end of each of the piece's stretches; the equations are the
+    origin conditions (the star), the outer conditions at uncut ends, and
+    unit value at one cut and zero at the piece's other cuts.  Column c of
+    a piece's block is that solution with unit value at cut c, row r its
+    outward derivative at cut r.  A piece separated from the star by an
+    odd number of cuts lies on the MM1 side, any other on MM2.
+    """
+    with mp.workdps(dps):
+        lam = mp.mpmathify(complex(lam))
+        k = len(cuts)
+        out = [mp.zeros(k, k), mp.zeros(k, k)]
+        on = [sorted((s, c) for c, (i, s) in enumerate(cuts) if i == j) for j in range(g.n)]
+        ends = [w + [(e.length, None)] for w, e in zip(on, g.edges)]
+        # (side, origin conditions?, stretches (wire, a, b, cut at a, cut at b))
+        pieces = [(1, True, [(j, 0.0, ends[j][0][0], None, ends[j][0][1]) for j in range(g.n)])]
+        pieces += [(i % 2, False, [(j, s, ends[j][i + 1][0], c, ends[j][i + 1][1])])
+                   for j in range(g.n) for i, (s, c) in enumerate(on[j])]
+        for side, origin, stretches in pieces:
+            m = len(stretches)
+            ts = [_mp_transfer(g.edges[j], a, b, lam) for j, a, b, _, _ in stretches]
+            rows, ports = [], []  # one equation per row; the cut whose unit data it takes
+            if origin:
+                for r in range(g.n):
+                    rows.append([mp.mpmathify(complex(x)) for j in range(g.n)
+                                 for x in (bc.alpha1[r, j], bc.alpha2[r, j])])
+                    ports.append(None)
+            for q, ((j, _, _, ca, cb), t) in enumerate(zip(stretches, ts)):
+                if ca is not None:
+                    rows.append(_row(q, (mp.mpf(1), mp.mpf(0)), m))
+                    ports.append(ca)
+                if cb is not None:
+                    rows.append(_row(q, (t[0, 0], t[0, 1]), m))
+                else:
+                    g1, g2 = (mp.mpmathify(complex(x)) for x in (bc.beta1[j], bc.beta2[j]))
+                    rows.append(_row(q, (g1 * t[0, 0] + g2 * t[1, 0],
+                                         g1 * t[0, 1] + g2 * t[1, 1]), m))
+                ports.append(cb)
+            a = mp.matrix(rows)
+            for c in (p for p in ports if p is not None):
+                x = mp.lu_solve(a, mp.matrix([1 if p == c else 0 for p in ports]))
+                for q, ((_, _, _, ca, cb), t) in enumerate(zip(stretches, ts)):
+                    if ca is not None:
+                        out[side][ca, c] = -x[2 * q + 1]
+                    if cb is not None:
+                        out[side][cb, c] = t[1, 0] * x[2 * q] + t[1, 1] * x[2 * q + 1]
+        return tuple(np.array(o.tolist(), dtype=complex) for o in out)

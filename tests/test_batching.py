@@ -1,6 +1,7 @@
 """One kernel call per step for several problems: the batched Evans path
 against each problem alone, the kernel-call budget of a counting identity,
-the plan budget of a command (every leg planned once),
+the plan budget of a command (every leg planned once, one plan for
+every term of a split),
 the memory rule for lambda batches, the lazily built split, and the verify
 suites: the map checks and one-sided maps on an array of lambda against
 their scalar calls, the kernel calls of a verify table and of a resolvent
@@ -151,15 +152,22 @@ def test_map_checks_on_an_array_are_their_scalar_calls(case):
 
 
 @pytest.mark.parametrize("case", [0, 3])
-def test_one_sided_maps_on_an_array_are_their_scalar_calls(case):
-    # the single-cut cases: both maps of the cut, every field lambda by lambda
+def test_one_sided_maps_on_an_array_are_their_scalar_calls(case, monkeypatch):
+    # the single-cut cases: both maps of the cut, every field lambda by
+    # lambda, each from one kernel evaluation of its Dirichlet and Neumann
+    # problems
     g, bc, spec = _map_check_cases()[case]
     parts = split_graph(g, bc, spec)
     lams = np.random.default_rng(case).uniform(1.0, 60.0, 20)
     both = []
     for build in (lambda t: maps_module.map_M1(parts["omega1:D"], t),
                   lambda t: maps_module.map_M2(parts["omega2:D"], t, cut_edge=spec.cuts[0][0])):
-        batched, scalars = build(lams), [build(t) for t in lams]
+        sizes = []
+        with monkeypatch.context() as m:
+            _count_kernel_calls(m, sizes)
+            batched = build(lams)
+        assert sizes == [3 * lams.size]
+        scalars = [build(t) for t in lams]
         for field in ("value", "numerator_evans", "denominator_evans"):
             got = getattr(batched, field)
             assert got.shape == lams.shape, field
@@ -169,11 +177,12 @@ def test_one_sided_maps_on_an_array_are_their_scalar_calls(case):
 
 
 def test_verify_table_kernel_calls_do_not_grow_with_the_draws(monkeypatch):
-    # every draw of a map check in one array call, and two kernel
-    # evaluations a table: the Evans terms (a split check's at its pole
-    # probes, the minors' four problems) and the map blocks or the 2n x 2n frame
-    for name, which in (("barrier_end", "single"), ("barrier_end", "minors"),
-                        ("barrier_interior", "double"), ("two_wire", "double")):
+    # every draw of a map check in one array call: a split check makes one
+    # kernel evaluation a table, at its pole probes, which gives the Evans
+    # terms and the map blocks; the minors two, their four problems and
+    # the 2n x 2n frame
+    for name, which, calls in (("barrier_end", "single", 1), ("barrier_end", "minors", 2),
+                               ("barrier_interior", "double", 1), ("two_wire", "double", 1)):
         sc = cli.parse_scenario(cli._EXAMPLES[name])
         for rounds in (1, 20):
             sizes = []
@@ -181,7 +190,25 @@ def test_verify_table_kernel_calls_do_not_grow_with_the_draws(monkeypatch):
                 _count_kernel_calls(m, sizes)
                 text, ok = cli.verify_table(sc, which, rounds=rounds)
             assert ok and len(text.splitlines()) == 1 + rounds
-            assert len(sizes) == 2, (name, which, rounds, sizes)
+            assert len(sizes) == calls, (name, which, rounds, sizes)
+
+
+def test_split_terms_build_one_plan(monkeypatch):
+    # the Evans problems and the map blocks of a split share one LegPlan,
+    # in a count, an evans sweep with the map column and a double table
+    terms, plans = [], []
+    split_init, plan_init = maps_module.SplitTerms.__init__, propagate_module.LegPlan.__init__
+    monkeypatch.setattr(maps_module.SplitTerms, "__init__",
+                        lambda self, *args: terms.append(self) or split_init(self, *args))
+    monkeypatch.setattr(propagate_module.LegPlan, "__init__",
+                        lambda self, legs: plans.append(self) or plan_init(self, legs))
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_interior"])
+    for run in (lambda: cli.count_report(sc), lambda: cli.evans_csv(sc, with_map=True),
+                lambda: cli.verify_table(sc, "double", rounds=8)):
+        terms.clear()
+        plans.clear()
+        run()
+        assert len(terms) == 1 and plans == [terms[0].evans.plan], (terms, plans)
 
 
 def test_resolvent_and_u_gamma_take_two_kernel_calls_a_lambda(monkeypatch):
@@ -331,9 +358,10 @@ def test_each_leg_is_planned_once_per_command(monkeypatch):
     # a command plans its legs once, however many batches or refinement
     # steps evaluate them: an evans sweep of the 16-wire star plans its 34
     # legs (16 z legs of the graph, 1 of each detached wire piece, 16 of
-    # the residual star) at every batch size, a count of barrier_end its 8
-    # (5 z legs of the graph and its pieces, 3 legs of the map) and an
-    # eigenvalue count of barrier_end its 2 z legs, whatever the grid
+    # the residual star) at every batch size, a count of barrier_end its 5
+    # (the z legs of the graph and its pieces, which the map blocks read
+    # too) and an eigenvalue count of barrier_end its 2 z legs, whatever
+    # the grid
     planned = []
     inner = propagate_module._segment_steps
     monkeypatch.setattr(propagate_module, "_segment_steps",
@@ -351,7 +379,7 @@ def test_each_leg_is_planned_once_per_command(monkeypatch):
     for grid in (64, 256, 1024):
         planned.clear()
         assert cli.count_report(sc, grid=grid)[2]
-        assert len(planned) == 8, (grid, len(planned))
+        assert len(planned) == 5, (grid, len(planned))
         planned.clear()
         assert count_eigenvalues(sc.graph, sc.bc, sc.sweep[:2], grid=grid).count
         assert len(planned) == 2, (grid, len(planned))

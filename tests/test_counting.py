@@ -175,21 +175,18 @@ def test_verify_counting_work_guard(monkeypatch):
     # are batched.  The terms are planned once; every evaluation is counted
     maps = importlib.import_module("qgraph.maps")
     calls = {"_evans_values": 0, "value": 0}
-    plan, value = maps._evans_values, maps.SplitTerms.value
+    value = maps.SplitTerms.value
 
-    def planned(*args, **kwargs):
-        evaluate = plan(*args, **kwargs)
-
-        def counted(lams):
+    class Planned(maps._evans_values):
+        def __call__(self, lams):
             calls["_evans_values"] += 1
-            return evaluate(lams)
-        return counted
+            return super().__call__(lams)
 
     def counted_value(terms, lams):
         calls["value"] += 1
         return value(terms, lams)
 
-    monkeypatch.setattr(maps, "_evans_values", planned)
+    monkeypatch.setattr(maps, "_evans_values", Planned)
     monkeypatch.setattr(maps.SplitTerms, "value", counted_value)
     g, bc, spec = barrier_end()
     assert verify_counting(g, bc, spec, (5.0, 60.0)).holds
