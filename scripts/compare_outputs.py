@@ -18,21 +18,24 @@ onto eigenvalues of the graph (on the spectrum) for the resolvent and
 ugamma tables.  A third pass calls library functions that no command
 reaches, on the same references: count_eigenvalues of the graph and of
 each Dirichlet piece over the sweep span, u_gamma at every slot at the
-projections suite's lambda, and the z, z', Yl and Yl' of a FrameBundle of
-that lambda and of one of 9 lambdas across the sweep; and, at that real
-lambda, at it plus 0.5i and at 5 lambdas inside the sweep, the public
-split functions: split_evans_factors, two_sided_value, m1 and m2 of the
-2 x 2 builder of a two-cut split, verify_single_split or
-verify_double_split, and minor_identity_check; and the summary and every
-zero and pole of verify_counting on three splits whose pieces have
+projections suite's lambda, and at slot 0 with random Cayley (complex)
+vertex data in place of the reference's, inner_product_check at that
+lambda with a complex source, and the z, z' and solve_trace of the identity of a
+FrameBundle of that lambda and of one of 9 lambdas across the sweep;
+and, at that real lambda, at it plus 0.5i and at 5 lambdas inside the
+sweep, the public split functions: split_evans_factors, two_sided_value,
+m1 and m2 of the 2 x 2 builder of a two-cut split, verify_single_split
+or verify_double_split, and minor_identity_check; and the summary and
+every zero and pole of verify_counting on three splits whose pieces have
 eigenfunctions with no flux at the cut, which its map term counts as map
-poles (ROADMAP item 1a), and on three two-wire splits whose map poles lie
-closer than POLE_MERGE_TOL (1 + lambda) or near it; every float at repr
-precision.  An output that raises is compared as its error.  Prints each
-output that differs, with its first differing line; the largest relative
-and the largest absolute difference between its numeric tokens (paired in
-order) and how many of them moved, since a residual that moves from 0 to
-1e-18 has relative difference 1; and whether its PASS/FAIL words match.
+poles (ROADMAP item 1a), and on three two-wire splits whose map poles
+lie closer than POLE_MERGE_TOL (1 + lambda) or near it; every float at
+repr precision.  An output that raises is compared as its error.  Prints
+each output that differs, with its first differing line; the largest
+relative and the largest absolute difference between its numeric tokens
+(paired in order) and how many of them moved, since a residual that
+moves from 0 to 1e-18 has relative difference 1; and whether its
+PASS/FAIL words match.
 Exits 1 if any output differs.
 """
 from __future__ import annotations
@@ -127,13 +130,32 @@ def _library_tasks(qgraph, cli):
                 return _text(ug.lam, ug.index, ug.sup_discrepancy, ug.trace_residual,
                              ug.coefficients, *ug.direct, *ug.formula)
             yield f"library/{name}/u_gamma-e{i}", paths
+        cayley = _cayley(qgraph, g.n, np.random.default_rng(3))
+
+        def complex_paths(g=g, bc=cayley, lam=lam):
+            ug = qgraph.u_gamma(g, bc, lam, 0)
+            return _text(ug.sup_discrepancy, ug.trace_residual, ug.coefficients, *ug.formula)
+        yield f"library/{name}/u_gamma-cayley-e0", complex_paths
+        yield (f"library/{name}/inner_product-complex-source",
+               lambda g=g, bc=bc, lam=lam: _text(qgraph.inner_product_check(
+                   g, bc, lam, np.arange(1.0, 2 * g.n + 1) * (1.0 - 0.5j),
+                   [(1.0 + 2.0j) / (j + 1) for j in range(g.n)])))
         for key, make, lams in (("one", bundle, lam), ("array", bundle, np.linspace(*span, 9))):
             def frames(make=make, g=g, bc=bc, lams=lams):
                 b = make(g, bc, lams)
-                return _text(b.z, b.zp, b.Yl, b.Ylp)
+                return _text(b.z, b.zp, b.solve_trace(np.eye(2 * g.n)))
             yield f"library/{name}/bundle-{key}", frames
         yield from _split_tasks(qgraph, name, sc, lam)
     yield from _identity_tasks(qgraph)
+
+
+def _cayley(qgraph, n, rng):
+    """Random complex self-adjoint vertex data from a unitary, i (I - U) u(0)
+    + (I + U) u'(0) = 0, with random real outer pairs."""
+    import numpy as np
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    tg = rng.uniform(0, np.pi, n)
+    return qgraph.BoundaryConditions(1j * (np.eye(n) - u), np.eye(n) + u, np.cos(tg), np.sin(tg))
 
 
 def _split_tasks(qgraph, name, sc, lam):

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import maps
 from .counting import EndpointOnSpectrum, verify_counting
-from .evans import FrameBundle, _evans_values
+from .evans import FrameBundle, _evans_values, chunked
 from .graphs import (DIRICHLET_PAIR, NEUMANN_PAIR, SAME_WIRE, SINGLE, TWO_WIRES,
                      BoundaryConditions, BoundaryData, EdgeSpec, GraphError,
                      PiecewiseConstant, Sampled, SplitSpec, StarGraph,
@@ -232,10 +232,14 @@ def evans_csv(sc: Scenario, samples=None, with_map=False) -> str:
         keys, columns = (), _evans_values([(sc.graph, sc.bc)])(lams)
     else:
         terms = maps.SplitTerms(sc.graph, sc.bc, sc.splits)
-        keys, columns = terms.keys, terms.evans(lams)
-        if with_map:
+
+        def with_map_batch(ls):  # the Evans columns and the map from one stack
+            t = terms.evans.plan.stack(ls)
             with np.errstate(all="ignore"):
-                columns.append(terms.value(lams))
+                value = terms.value(ls, t)
+            return terms.evans.values(t, ls) + [value]
+        keys = terms.keys
+        columns = chunked(with_map_batch, lams, terms.evans.size) if with_map else terms.evans(lams)
     header = ["lambda", "Re(E)", "Im(E)"]
     for k in keys:
         header += [f"Re(E[{k}])", f"Im(E[{k}])"]

@@ -24,9 +24,9 @@ check's reference; nothing else in the package builds it.
 Every value here comes from the transfer kernel, propagate.LegPlan:
 legs are planned once, lambda-free, and the plan is evaluated on an array
 of lambda, one stack of transfers that each problem reads as slices.  A
-bundle stacks one plan for z, z' and Yl, Yl'; each families() call plans
-both families on every edge asked for and evaluates them from their launch
-data in one LegPlan.solutions pass.  evans, fundamental_frame and
+bundle plans the origin frame's n z legs, no Y leg; each families() call
+plans both families on every edge asked for and evaluates them from their
+launch data in one LegPlan.solutions pass.  evans, fundamental_frame and
 FrameBundle accept an array of lambda and return stacked results.
 _evans_values plans the legs of several problems once and evaluates them
 once per batch of max(1, CHUNK // size) lambdas, size summing n over the
@@ -225,6 +225,7 @@ class _evans_values:
         self.plan = LegPlan([leg for _, legs in self._frames for leg in legs])
         self._firsts = [0, *itertools.accumulate(len(legs) for _, legs in self._frames)]
         self._consts = _star_constants(problems, self._frames)
+        self.size = sum(g.n ** 2 if c is None else g.n for (g, _), c in zip(problems, self._consts))
 
     def legs(self, t, i):
         """Problem i's z legs in the stack t, (L, n, 2, 2): edge j's from its outer end."""
@@ -242,8 +243,7 @@ class _evans_values:
         return out
 
     def __call__(self, lams):
-        size = sum(g.n ** 2 if c is None else g.n for (g, _), c in zip(self.problems, self._consts))
-        return chunked(lambda ls: self.values(self.plan.stack(ls), ls), lams, size)
+        return chunked(lambda ls: self.values(self.plan.stack(ls), ls), lams, self.size)
 
 
 def evans(g: StarGraph, bc: BoundaryConditions, lam,
@@ -273,22 +273,19 @@ class FrameBundle:
     gamma-trace matrix is block diagonal: Y columns satisfy the origin
     conditions exactly and Z columns the outer ones, so only the beta-trace
     of Y and the alpha-trace of Z (the C block) survive.  One kernel call
-    gives z, z' at the origin, where Y, Y' are the launch data, and Yl, Yl'
-    at the outer ends: no 2n x 2n frame.  families() evaluates both families
-    anywhere on an edge through the same kernel.  lam is one lambda or a
-    1-d array of them; for an array the values, C block, trace solves,
-    families and weights gain a leading lambda axis, and component (like
-    resolvent.particular_solution) refuses it.
+    gives z, z' at the origin, where Y, Y' are the launch data, and so the
+    Wronskians, whose rows are that beta-trace over phi_j = c / conj c for
+    (g_j, h_j) = c (real pair): no Y leg.  families() evaluates both
+    families anywhere on an edge.  lam is one lambda or a 1-d array of them;
+    for an array the values, C block, trace solves, families and weights
+    gain a leading lambda axis, which component refuses.
     """
 
     def __init__(self, g: StarGraph, bc: BoundaryConditions, lam):
         self.graph, self.bc, self.lam = g, bc, lam
         self._lams, self._scalar = lambdas(lam)
-        legs = _frame_legs(g, bc, None)[1] + [(e, 0.0, e.length) for e in g.edges]
-        t = LegPlan(legs).stack(self._lams)
-        self.z, self.zp = (v[0] if self._scalar else v for v in z_values(bc, t[:, :g.n]))
-        self.Yl, self.Ylp = (b[0] if self._scalar else b
-                             for b in y_blocks(bc, self._lams, g.lengths, t[:, g.n:]))
+        t = LegPlan(_frame_legs(g, bc, None)[1]).stack(self._lams)
+        self.z, self.zp = (v[0] if self._scalar else v for v in z_values(bc, t))
 
     def families(self, items):
         """Both families at the positions xs (1-d) on edge j, propagated from
@@ -326,10 +323,11 @@ class FrameBundle:
         return np.linalg.det(self.wronskians())
 
     def solve_trace(self, rhs):
-        """Coefficients d of a combination whose gamma-trace (beta-trace of Y, C) equals rhs."""
+        """Coefficients d with gamma-trace rhs; Y's beta-trace is phi_j W[j], phi_j = 1 if real."""
         n, c, bc = self.n, self.c_block(), self.bc
-        s = np.zeros(c.shape[:-2] + (2 * n, 2 * n), dtype=np.promote_types(self.Yl.dtype, c.dtype))
-        s[..., :n, :n] = bc.beta1[:, None] * self.Yl + bc.beta2[:, None] * self.Ylp
+        phi = (bc.beta1 ** 2 + bc.beta2 ** 2) / (np.abs(bc.beta1) ** 2 + np.abs(bc.beta2) ** 2)
+        s = np.zeros(c.shape[:-2] + (2 * n, 2 * n), dtype=np.promote_types(phi.dtype, c.dtype))
+        s[..., :n, :n] = phi[:, None] * self.wronskians()
         s[..., n:, n:] = c
         return np.linalg.solve(s, np.asarray(rhs))
 

@@ -225,13 +225,15 @@ class SplitTerms:
             out[p.side].append((p.ports, block))
         return tuple(_side_map(blocks, len(spec.cuts)) for blocks in out)
 
-    def value(self, lams):
-        """M1 + M2 for a single cut, det(MM1 + MM2) for a double cut."""
-        def batch(ls):
-            a = np.add(*self.blocks(ls))
+    def value(self, lams, t=None):
+        """M1 + M2 for a single cut, det(MM1 + MM2) for a double cut, from the
+        stack t of evans.plan at lams (default: evaluated here, by batches)."""
+        def batch(ls, t=None):
+            a = np.add(*self.blocks(ls, t))
             # a single cut keeps the plain sum: det of a 1 x 1 stack is not bitwise its entry
             return [a[:, 0, 0] if len(self.spec.cuts) == 1 else np.linalg.det(a)]
-        return chunked(batch, lams, sum(self.parts[k][0].n ** 2 for k in self.keys))[0]
+        size = sum(self.parts[k][0].n ** 2 for k in self.keys)
+        return (chunked(batch, lams, size) if t is None else batch(lams, t))[0]
 
 
 def two_sided_2x2_same_wire(g: StarGraph, bc: BoundaryConditions,

@@ -10,7 +10,8 @@ remainder carries a self-adjoint operator Lambda.  Both structures combine
 in trace formulas that recover boundary-value solutions from resolvent
 traces, which is the module's independent check on the map construction:
 u_gamma builds the solution with gamma-trace e_i from the trace system and,
-on each edge j, as a z_j + b y_tau from adjustment-vector weights.  Both
+on each edge j, as a z_j + b y_tau from adjustment-vector weights, made at
+conj lambda and conjugated (complex data need it).  At real lambda both
 constructions read one partner-trace table per lambda: the resolvent's
 right side, which the formula path solves against C once per lambda.
 
@@ -490,19 +491,27 @@ def _l2_inner(bundle: FrameBundle, d, v) -> complex:
     return total
 
 
+def _conjugate(bundle: FrameBundle):
+    """The bundle at conj lambda: itself where every lambda is real."""
+    return (bundle if np.isrealobj(bundle._lams)
+            else FrameBundle(bundle.graph, bundle.bc, np.conj(bundle.lam)))
+
+
 def inner_product_check(g, bc, lam, f, v) -> float:
-    """Two evaluations of (u_Gamma, v): direct quadrature of the solution
-    with gamma-trace f against v, and the adjustment-vector pairing with
-    the resolvent's boundary traces, both from one bundle.  Returns their
-    discrepancy relative to the sum of their sizes, 0 when both vanish."""
+    """Two evaluations of (u_Gamma, v), the integral of u_Gamma conj(v):
+    direct quadrature of the solution with gamma-trace f against v, and the
+    adjustment-vector pairing with the conjugated boundary traces of
+    w = R(conj lambda) v, one bundle serving both at real lambda.  Returns
+    their discrepancy relative to the sum of their sizes, 0 when both vanish."""
     f_arr = np.asarray(f, dtype=complex)
     if f_arr.shape != (2 * g.n,):
         raise ValueError(f"need 2n = {2 * g.n} trace entries, got shape {f_arr.shape}")
     bundle = FrameBundle(g, bc, _one_lambda(lam, "inner_product_check"))
-    [rv] = _applications(bundle, v, [lam])
+    [w] = _applications(_conjugate(bundle), v, [np.conj(lam)])
     direct = _l2_inner(bundle, bundle.solve_trace(f_arr), v)
     av = adjustment_vectors(build_projections(bc))
-    paired = (av.L @ f_arr + av.M @ f_arr) @ rv.dirichlet_trace + av.N @ f_arr @ rv.neumann_trace
+    paired = ((av.L @ f_arr + av.M @ f_arr) @ np.conj(w.dirichlet_trace)
+              + av.N @ f_arr @ np.conj(w.neumann_trace))
     size = abs(direct) + abs(paired)
     return float(abs(direct - paired) / size) if size else 0.0
 
@@ -545,32 +554,39 @@ def _u_gamma(bundle: FrameBundle, slots, labels):
     rhs = np.eye(2 * n)[:, slots]
     d = bundle.solve_trace(rhs)  # [lambda, coefficient, slot]
 
-    tau, ds = _taus(bundle)
+    # the formula reads G_lambda(x, .) = conj G_conj-lambda(., x): it is built at
+    # conj lambda (this bundle at real lambda) with conjugated weights, then conjugated
+    bar = _conjugate(bundle)
+    tau, ds = _taus(bar)
     av = adjustment_vectors(build_projections(bc))
-    wd, wn = (av.L + av.M)[:, slots], av.N[:, slots]
+    wd, wn = np.conj((av.L + av.M)[:, slots]), np.conj(av.N[:, slots])
     dj = ds[..., None]
     zl, zpl = (v[:, None] for v in _launch(bc)[2:])  # z at the outer ends
-    gk = wd[:n] * zl + wn[:n] * zpl + wd[n:] * bundle.z[..., None] - wn[n:] * bundle.zp[..., None]
-    yv0, yp0, traces = _partners(bundle, tau)
-    cof = np.linalg.solve(bundle.c_block(), traces)
+    gk = wd[:n] * zl + wn[:n] * zpl + wd[n:] * bar.z[..., None] - wn[n:] * bar.zp[..., None]
+    yv0, yp0, traces = _partners(bar, tau)
+    cof = np.linalg.solve(bar.c_block(), traces)
     a = (np.swapaxes(cof, -1, -2) @ gk - wd[n:] * yv0[..., None]
          + wn[n:] * yp0[..., None]) / dj  # [lambda, edge, slot]
     b = -(wd[:n] * zl + wn[:n] * zpl) / dj
 
     grids = tuple(np.linspace(0.0, edge.length, GRID_POINTS) for edge in g.edges)
-    # the direct solutions and the partner y_tau in one evaluation
-    fams = bundle.families([(j, xs, np.concatenate([d[:, :n], np.eye(n)[tau[:, j], :, None]], -1))
+    # the direct solutions and the partner y_tau in one evaluation, bar's at complex lambda
+    partner = [np.eye(n)[tau[:, j], :, None] for j in range(n)]
+    fams = bundle.families([(j, xs, np.concatenate([d[:, :n], partner[j]], -1))
                             for j, xs in enumerate(grids)])
+    bars = fams if bar is bundle else bar.families(list(zip(range(n), grids, partner)))
     direct, ends, formula = [], [], []
     for j in range(n):
         y, z = next(fams)
+        yb, zb = (y, z) if bar is bundle else next(bars)
         w = d[:, None, n + j, :, None]
         direct.append(y[:, 0, :-1] + w[:, 0] * z[:, None, 0])  # [lambda, slot, x]
         # values and derivatives at l and at 0, for the traces
         ends.append(y[:, :, :-1, [-1, 0]] + w * z[:, :, None, [-1, 0]])
-        formula.append(a[:, j, :, None] * z[:, None, 0])
-        formula[-1] += b[:, j, :, None] * y[:, 0, -1, None]
-        del y, z  # before the next edge's families are made
+        formula.append(a[:, j, :, None] * zb[:, None, 0])
+        formula[-1] += b[:, j, :, None] * yb[:, 0, -1, None]
+        np.conj(formula[-1], out=formula[-1])
+        del y, z, yb, zb  # before the next edge's families are made
 
     out = []
     for k, lam_k in enumerate(labels):

@@ -211,6 +211,22 @@ def test_split_terms_build_one_plan(monkeypatch):
         assert len(terms) == 1 and plans == [terms[0].evans.plan], (terms, plans)
 
 
+@pytest.mark.parametrize("name", sorted(cli._EXAMPLES))
+def test_evans_sweep_with_the_map_evaluates_one_stack_a_batch(monkeypatch, name):
+    # the Evans columns and the map column read one stack of the split's
+    # plan a batch, so each lambda of the sweep is evaluated once, in one
+    # batch or in several, with the same bytes
+    sc = cli.parse_scenario(cli._EXAMPLES[name])
+    want = cli.evans_csv(sc, with_map=True)
+    for chunk in (evans_module.CHUNK, 997):
+        sizes = []
+        with monkeypatch.context() as m:
+            _count_kernel_calls(m, sizes)
+            m.setattr(evans_module, "CHUNK", chunk)
+            assert cli.evans_csv(sc, with_map=True) == want
+        assert sum(sizes) == sc.sweep[2] and (len(sizes) == 1) == (chunk > 997), sizes
+
+
 def test_resolvent_and_u_gamma_take_two_kernel_calls_a_lambda(monkeypatch):
     # one for the bundle's frames, one for every family on every edge
     g = _star(np.random.default_rng(3), 4, sampled=True)
@@ -222,6 +238,22 @@ def test_resolvent_and_u_gamma_take_two_kernel_calls_a_lambda(monkeypatch):
     sizes.clear()
     resolvent._u_gamma(resolvent.FrameBundle(g, bc, np.array([17.3])), range(2 * g.n), [17.3])
     assert len(sizes) <= 2, len(sizes)
+
+
+def test_frame_bundle_plans_only_its_z_legs(monkeypatch):
+    # a bundle plans the n z legs of the origin frame, the legs an Evans
+    # value plans, and no Y leg: its trace system reads their Wronskians
+    plans = []
+    inner = propagate_module.LegPlan.__init__
+    monkeypatch.setattr(propagate_module.LegPlan, "__init__",
+                        lambda self, legs: plans.append(list(legs)) or inner(self, legs))
+    cases = (barrier_end()[:2], wide_star(16, 1)[:2],
+             (_sampled_star().graph, rand_bc_cayley(2, np.random.default_rng(3))))
+    for g, bc in cases:
+        for lam in (17.3, np.array([17.3, 30.1 - 2.0j])):
+            plans.clear()
+            resolvent.FrameBundle(g, bc, lam)
+            assert plans == [[(e, e.length, 0.0) for e in g.edges]], (g.n, [len(p) for p in plans])
 
 
 def test_single_table_with_a_draw_on_a_pole_gives_the_loop_rows(monkeypatch):

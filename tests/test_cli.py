@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qgraph
-from conftest import wide_star
+from conftest import rand_bc_cayley, wide_star
 from oracle import adaptive_reference
 from qgraph import cli, maps, resolvent
 from qgraph.counting import EndpointOnSpectrum
@@ -59,6 +59,23 @@ def test_explicit_matrix_round_trip():
     text2 = cli.scenario_json(cli.parse_scenario(json.loads(text1)))
     assert text1 == text2
     assert '"alpha1"' in text1  # stays in matrix form, no preset inference
+
+
+def test_verify_ugamma_passes_on_complex_vertex_data(tmp_path, capsys):
+    # barrier_end with Cayley (complex) vertex data as explicit matrices:
+    # the formula path of every ugamma_sup row agrees with the direct path
+    sc = cli.parse_scenario(cli._EXAMPLES["barrier_end"])
+    bc = rand_bc_cayley(2, np.random.default_rng(3))
+    blob = sc.to_dict()
+    blob["boundary"] = {"alpha1": cli._matrix_to(bc.alpha1), "alpha2": cli._matrix_to(bc.alpha2),
+                        "beta1": cli._pairs(bc.beta1), "beta2": cli._pairs(bc.beta2)}
+    path = tmp_path / "cayley.scenario.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    assert cli.main(["verify", "--scenario", str(path), "--which", "ugamma",
+                     "--seed", "0", "--grid", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 24 and sum(r.startswith("ugamma_sup") for r in rows) == 12
+    assert all(r.endswith(",PASS") for r in rows), rows
 
 
 def test_example_bundles(tmp_path, capsys):

@@ -52,11 +52,7 @@ class RefBundle:
         return np.linalg.det(np.block([[self.Y, self.Z], [self.Yp, self.Zp]]))
 
     def solve_trace(self, rhs):
-        n, bc = self.n, self.bc
-        s = np.zeros((2 * n, 2 * n), dtype=complex)
-        s[:n, :n] = bc.beta1[:, None] * self.Yl + bc.beta2[:, None] * self.Ylp
-        s[n:, n:] = bc.alpha1 @ self.Z + bc.alpha2 @ self.Zp
-        return np.linalg.solve(s, rhs)
+        return np.linalg.solve(trace_system(self), rhs)
 
     def component(self, d, j, xs):
         """(values, derivs) on edge j: the EdgeSolution members summed."""
@@ -171,6 +167,21 @@ def assert_close(batched, ref):
     assert np.max(np.abs(np.asarray(batched) - ref)) <= TOL * scale
 
 
+def trace_system(ref):
+    """The reference's gamma-trace system [[beta-trace of Y at l, 0], [0, C]]."""
+    n, bc = ref.n, ref.bc
+    s = np.zeros((2 * n, 2 * n), dtype=complex)
+    s[:n, :n] = bc.beta1[:, None] * ref.Yl + bc.beta2[:, None] * ref.Ylp
+    s[n:, n:] = bc.alpha1 @ ref.Z + bc.alpha2 @ ref.Zp
+    return s
+
+
+def assert_backward_stable(system, d, rhs):
+    """d solves system d = rhs to TOL relative to the sizes of system and d:
+    how far d is from the reference's solution, free of its conditioning."""
+    assert np.max(np.abs(system @ d - rhs)) <= TOL * np.max(np.abs(system)) * np.max(np.abs(d))
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        complex_lam=st.booleans(), complex_bc=st.booleans())
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -182,8 +193,6 @@ def test_evans_and_bundle_blocks_match_reference(seed, n, complex_lam, complex_b
     refs = [RefBundle(g, bc, lam) for lam in lams]
     assert_close(evans(g, bc, lams).value, [r.evans() for r in refs])
     bundles = [FrameBundle(g, bc, lam) for lam in lams]
-    for block in ("Yl", "Ylp"):
-        assert_close([getattr(b, block) for b in bundles], [getattr(r, block) for r in refs])
     assert_close([b.z for b in bundles], [np.diagonal(r.Z) for r in refs])
     assert_close([b.zp for b in bundles], [np.diagonal(r.Zp) for r in refs])
     # both families anywhere on each edge, ends included
@@ -192,6 +201,39 @@ def test_evans_and_bundle_blocks_match_reference(seed, n, complex_lam, complex_b
         for j, e in enumerate(g.edges):
             xs = np.concatenate([[0.0, e.length], rng.uniform(0.0, e.length, 6)])
             assert_close(b.component(d, j, xs), r.component(d, j, xs))
+    # the trace solve against the reference's system, by its backward error
+    rhs = rng.standard_normal((2 * n, 3)) + 1j * rng.standard_normal((2 * n, 3))
+    for b, r in zip(bundles, refs):
+        assert_backward_stable(trace_system(r), b.solve_trace(rhs), rhs)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), complex_bc=st.booleans(),
+       outer_factors=st.booleans(), lam_kind=st.sampled_from(("positive", "negative", "complex")))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_trace_system_reads_the_secular_matrix(seed, n, complex_bc, outer_factors, lam_kind):
+    # the beta-trace of the origin family, propagated to the outer ends by
+    # EdgeSolutions, is phi_j times row j of the bundle's Wronskians, with
+    # phi_j = c_j / conj c_j for outer pairs c_j (real pair) and 1 for real
+    # pairs, whose system solve_trace solves bit for bit
+    rng = np.random.default_rng(seed)
+    g = random_star(rng, n)
+    bc = rand_bc_cayley(n, rng) if complex_bc else rand_bc_real(n, rng)
+    phi = np.ones(n)
+    if outer_factors:
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        bc, phi = BoundaryConditions(bc.alpha1, bc.alpha2, c * bc.beta1, c * bc.beta2), c / c.conj()
+    lam = {"positive": rng.uniform(0.0, 200.0), "negative": rng.uniform(-60.0, 0.0),
+           "complex": rng.uniform(-60.0, 200.0) + 1j * rng.uniform(-5.0, 5.0)}[lam_kind]
+    b, ref = FrameBundle(g, bc, lam), trace_system(RefBundle(g, bc, lam))
+    assert_close(phi[:, None] * b.wronskians(), ref[:n, :n])
+    rhs = np.eye(2 * n)
+    d = b.solve_trace(rhs)
+    assert_backward_stable(ref, d, rhs)
+    if not outer_factors:
+        w, c = b.wronskians(), b.c_block()
+        s = np.zeros((2 * n, 2 * n), dtype=np.promote_types(w.dtype, c.dtype))
+        s[:n, :n], s[n:, n:] = w, c
+        assert d.tobytes() == np.linalg.solve(s, rhs).tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import (barrier_end, barrier_interior, pc, rand_bc_cayley, rand_bc_real,
-                      two_wire, wide_star)
+                      rand_graph, two_wire, wide_star)
 from qgraph import (BoundaryConditions, BoundaryData, EdgeSpec, FrameBundle,
                     NoIndependentPartner, OnSpectrum, QuadratureFailure,
                     Sampled, SingularDeltaCombination, StarGraph, adjustment_vectors,
@@ -464,6 +464,27 @@ def test_inner_product_identity():
                                np.array([0.3, -1.2, 0.7, 2.0]), v2) < 1e-10
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), complex_bc=st.booleans(),
+       complex_source=st.booleans(), complex_lam=st.booleans())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_inner_product_identity_on_complex_data(seed, n, complex_bc, complex_source,
+                                                complex_lam):
+    # (u_Gamma, v) is the integral of u_Gamma conj(v), which pairs with the
+    # conjugated traces of R(conj lambda) v: the traces of R(lambda) v agree
+    # with them only for real data, a real source and real lambda
+    rng = np.random.default_rng(seed)
+    g = random_star(rng, n)
+    bc = rand_bc_cayley(n, rng) if complex_bc else rand_bc_real(n, rng)
+    lam = rng.uniform(-5.0, 60.0) + (1j * rng.uniform(0.5, 3.0) if complex_lam else 0.0)
+    f = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    amp = rng.uniform(-2.0, 2.0, n) + (1j * rng.uniform(-2.0, 2.0, n) if complex_source else 0.0)
+    v = [lambda x, a=a: a * np.sin(3.0 * x + 1.0) for a in amp]
+    try:
+        assert inner_product_check(g, bc, lam, f, v) < 1e-10
+    except (OnSpectrum, NoIndependentPartner):
+        assume(False)
+
+
 def test_inner_product_check_is_scale_free(monkeypatch):
     # a 1% error in the pairing shows whatever the size of the source; a
     # discrepancy measured against 1 + |direct| read 1e-14 for this one
@@ -489,6 +510,28 @@ def test_u_gamma_dual_paths():
     g2, bc2, _ = robin_problem()
     assert u_gamma(g2, bc2, 5.3, 2).sup_discrepancy < 1e-10
     assert u_gamma(g, bc, 7.0 + 3.0j, 1).sup_discrepancy < 1e-10
+
+
+def test_u_gamma_dual_paths_on_complex_vertex_data():
+    # criterion 9's draw with Cayley (complex) vertex data, at real and
+    # complex lambda: the formula path reads the kernel G_lambda(x, .) =
+    # conj G_conj-lambda(., x), which is G_lambda(., x) only for real data
+    rng = np.random.default_rng(9)
+    worst, checked = 0.0, 0
+    for _ in range(10):
+        n = int(rng.integers(1, 4))
+        g, bc = rand_graph(n, rng), rand_bc_cayley(n, rng)
+        for lam in (rng.uniform(3.0, 40.0), rng.uniform(3.0, 40.0) + 1j * rng.uniform(-3.0, 3.0)):
+            try:
+                paths = resolvent._u_gamma(FrameBundle(g, bc, np.array([lam])), range(2 * n),
+                                           [lam])[0]
+            except (OnSpectrum, NoIndependentPartner):
+                continue
+            for p in paths:
+                checked += 1
+                worst = max(worst, p.sup_discrepancy / max(1.0, *(np.abs(u).max()
+                                                                   for u in p.direct)))
+    assert checked >= 60 and worst <= 1e-8, (checked, worst)
 
 
 def test_cut_derivative_reproduces_star_map():
@@ -551,8 +594,8 @@ def test_one_lambda_per_bundle():
         every = FrameBundle(g, bc, lams)
         for k, lam in enumerate(lams):
             one = FrameBundle(g, bc, lam)
-            for got, want in ((every.z[k], one.z), (every.zp[k], one.zp), (every.Yl[k], one.Yl),
-                              (every.Ylp[k], one.Ylp), (every.c_block()[k], one.c_block()),
+            for got, want in ((every.z[k], one.z), (every.zp[k], one.zp),
+                              (every.c_block()[k], one.c_block()),
                               (every.solve_trace(rhs)[k], one.solve_trace(rhs))):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="one lambda"):
