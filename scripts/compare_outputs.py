@@ -25,12 +25,13 @@ FrameBundle of that lambda and of one of 9 lambdas across the sweep;
 and, at that real lambda, at it plus 0.5i and at 5 lambdas inside the
 sweep, the public split functions: split_evans_factors, two_sided_value,
 m1 and m2 of the 2 x 2 builder of a two-cut split, verify_single_split
-or verify_double_split, and minor_identity_check; and the summary and
-every zero and pole of verify_counting on three splits whose pieces have
-eigenfunctions with no flux at the cut, which its map term counts as map
-poles (ROADMAP item 1a), and on three two-wire splits whose map poles
-lie closer than POLE_MERGE_TOL (1 + lambda) or near it; every float at
-repr precision.  An output that raises is compared as its error.  Prints
+or verify_double_split, and minor_identity_check; and the summary, the
+vertex cut's count and every zero and pole of verify_counting on three
+splits whose pieces have eigenfunctions with no flux at the cut (removable
+map poles), on three two-wire splits whose map poles lie about 4e-10 to
+4e-8 apart relative to lambda, and on four single cuts of Kirchhoff stars
+of equal wires, whose eigenvalues (m pi)^2 have multiplicity n - 1; every
+float at repr precision.  An output that raises is compared as its error.  Prints
 each output that differs, with its first differing line; the largest
 relative and the largest absolute difference between its numeric tokens
 (paired in order) and how many of them moved, since a residual that
@@ -191,10 +192,13 @@ def _split_tasks(qgraph, name, sc, lam):
 def _identity_tasks(qgraph):
     """(key, function giving the output text) of verify_counting on the
     Kirchhoff star of wires 1, 1.3, 1.3 with Dirichlet ends, cut once and
-    twice on wire 0, on the decoupled robin star of wires 1, 1.5, and on
-    the Kirchhoff stars of wires 1, 1 + eps cut at the middle of both
-    wires, whose map poles lie about 4 eps lambda apart: the identity's
-    summary, the zeros of every term and the map's poles."""
+    twice on wire 0, on the decoupled robin star of wires 1, 1.5, on the
+    Kirchhoff stars of wires 1, 1 + eps cut at the middle of both wires,
+    whose map poles lie about 4 eps lambda apart, and on the Kirchhoff
+    stars of n = 3, 4 and 5 unit wires with Dirichlet ends cut on wire 0 at
+    0.5, and of 4 at 0.3: the identity's summary, the vertex cut's count
+    (None from a tree without it), the zeros of every term and the map's
+    poles."""
     free = qgraph.free_edge
     kirchhoff = (qgraph.StarGraph((free(1.0), free(1.3), free(1.3))),
                  qgraph.build_preset("kirchhoff", 3))
@@ -210,11 +214,16 @@ def _identity_tasks(qgraph):
         near = (qgraph.StarGraph((free(1.0), free(1.0 + eps))), qgraph.build_preset("kirchhoff", 2))
         cases.append((f"near-coincident-poles/eps-{eps!r}", near, ((0, 0.5), (1, 0.5)),
                       qgraph.TWO_WIRES, interval))
+    for n, cut in ((3, 0.5), (4, 0.5), (5, 0.5), (4, 0.3)):
+        equal = (qgraph.StarGraph((free(1.0),) * n), qgraph.build_preset("kirchhoff", n))
+        cases.append((f"equal-wires/n-{n}-cut-{cut!r}", equal, ((0, cut),), qgraph.SINGLE,
+                      (5.0, 60.0)))
     for name, problem, cuts, mode, interval in cases:
         def identity(problem=problem, spec=qgraph.SplitSpec(cuts, mode), interval=interval):
             rep = qgraph.verify_counting(*problem, spec, interval)
             terms = [("full", rep.full), *rep.pieces.items(), ("map", rep.map_report)]
-            lines = [rep.summary()] + [f"{key} zeros: {_located(r.zeros)}" for key, r in terms]
+            lines = [rep.summary(), f"vertex cut: {getattr(rep, 'vertex_count', None)}"]
+            lines += [f"{key} zeros: {_located(r.zeros)}" for key, r in terms]
             return "\n".join(lines + [f"map poles: {_located(rep.map_report.poles)}"]) + "\n"
         yield f"library/{name}", identity
 

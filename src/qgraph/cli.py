@@ -301,7 +301,7 @@ def count_report(sc: Scenario, grid=None):
             {"interval": [lo, hi], "full": _report_dict(rep.full),
              "pieces": {k: _report_dict(r) for k, r in rep.pieces.items()},
              "map": _report_dict(rep.map_report),
-             "identity": rep.summary(), "holds": rep.holds})
+             "identity": rep.summary(), "holds": rep.holds, "vertex_count": rep.vertex_count})
     if len({d for _, _, d in deltas}) > 1:
         note = "; ".join(f"[{lo:g}, {hi:g}] -> {d}" for lo, hi, d in deltas)
         lines.append(f"note: map delta N depends on the interval: {note}")

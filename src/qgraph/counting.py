@@ -1,30 +1,25 @@
 """Real-interval counting of eigenvalues, map zeros and map poles.
 
-Everything here is sign-change based: the operators are self-adjoint, so
-eigenvalues are zeros of a real-valued Evans function on the real axis and
-the counting identity
-
-    N_full = sum over pieces of N_piece + delta_N
-
-holds with delta_N = (zeros - poles) of the two-sided map on the interval.
+Eigenvalue counts are sign-change based: the operators are self-adjoint,
+so eigenvalues are zeros of a real-valued Evans function on the real axis.
 Zeros where the function dips without changing sign are probed and counted
 with multiplicity two.  A higher one is miscounted silently: an odd one
 (3, 5, ...) is one sign change and counts once, an even one a dip that
 counts twice, as on a Kirchhoff star of n equal wires (multiplicity n - 1).
-verify_counting may then FAIL, or hold on a wrong count (ROADMAP item 1).
 
-The scans evaluate a whole grid in one call of a function of an array of
-lambda, then refine all its sign-change brackets with one call per step;
-dip probes call it with one-element arrays.  verify_counting scans the full
-graph and every piece as one such function, one kernel evaluation a step
-for all, each bracket carrying its function's row; a single count is the
-one-function case.  Its terms (maps.SplitTerms) split the graph and plan
-the legs of every Evans problem once, in one plan that the two-sided map
-reads too; the endpoint probe, the grids and every refinement step
-evaluate it, and count_report keeps one SplitTerms for every interval.
-verify_counting alone scans the map, with the pieces' zeros as its poles;
-two closer than POLE_MERGE_TOL (1 + lambda) merge, losing any map zero
-between them (ROADMAP 1a, 2).  count_zeros scans any real function of lambda.
+verify_counting checks the scan's full count by two routes with no
+multiplicity to read, the split N_full = sum of N_piece + delta_N and the
+vertex cut, each wire cut at the vertex with a Dirichlet end there, whose
+zeros are simple (Sturm-Liouville).  Both take the rest of the count as
+the change of n_-, the number of negative eigenvalues, of a sum of outward
+Dirichlet-to-Neumann maps, which decrease in lambda (Friedlander, Arch.
+Ration. Mech. Anal. 116 (1991) 153-160).  The scans evaluate a whole grid
+in one call of a function of an array of lambda, then refine all its
+sign-change brackets with one call per step; dip probes call it with
+one-element arrays.  verify_counting scans the full graph, every piece and
+every wire's z_j(0) as one such function, each bracket carrying its row,
+from one plan (maps.SplitTerms) that count_report keeps for every
+interval.  count_zeros scans any real function of lambda.
 """
 from __future__ import annotations
 
@@ -35,15 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maps
-from .evans import _evans_values
-from .graphs import as_index
+from .evans import _evans_values, chunked, z_values
+from .graphs import RANK_TOL, as_index
 
 REFINE_TOL = 1e-10
 GRID_PER_UNIT = 512       # grid points per unit of sqrt(lambda) span
 MIN_GRID = 64
 DIP_PREFILTER = 1e-4      # |f| below this times scale: candidate tangency
 DIP_ACCEPT = 1e-9         # refined |f| minimum below this times scale: double zero
-POLE_MERGE_TOL = 1e-7     # poles of different denominators closer than this merge
 
 
 class GridTooCoarse(UserWarning):
@@ -68,7 +62,7 @@ class CountReport:
     zeros: tuple       # sorted ((location, multiplicity), ...)
     poles: tuple       # sorted ((location, order), ...)
     count: int         # sum of zero multiplicities
-    delta_N: object    # zeros - poles for map reports, None otherwise
+    delta_N: object    # the split's delta_N (inertia) for map reports, None otherwise
 
 
 def lambda_grid(interval, grid=None):
@@ -114,6 +108,11 @@ def _refine_dip(f, a, b):
     return float(res.x), float(res.fun)
 
 
+def _stop_width(x):
+    """_refine's stopping width at x: a root bracket narrower than this is done."""
+    return 0.5 * REFINE_TOL + 4 * np.finfo(float).eps * np.abs(x)
+
+
 def _refine(fs, a, b, fa, fb, rows=None):
     """Roots of fs in the brackets [a, b] with end values fa, fb, all at once:
     Chandrupatla's inverse quadratic / bisection hybrid (Adv. Eng. Softw. 28
@@ -136,7 +135,7 @@ def _refine(fs, a, b, fa, fb, rows=None):
             same = np.sign(f) == np.sign(f1)
             x3, f3, x2, f2 = np.where(same, [x1, f1, x2, f2], [x2, f2, x1, f1])
             x1, f1 = x, f
-            tol = 0.5 * REFINE_TOL + 4 * np.finfo(float).eps * np.abs(x1)
+            tol = _stop_width(x1)
             dx = np.abs(x2 - x1)
             done = (dx < tol) | (f1 == 0.0)
             roots[live[done]] = (x1 - f1 * (x2 - x1) / (f2 - f1))[done]
@@ -150,22 +149,17 @@ def _refine(fs, a, b, fa, fb, rows=None):
     return roots
 
 
-def _scan_zeros(fs, grids):
-    """Sign-change zeros plus tangency (multiplicity 2) probing, one sorted list
-    per sub-grid.  fs maps an array of lambda to real values, or to one row
-    of them per function of several, which gives a list per function and
-    sub-grid, function-major.  It is called once on all sub-grids together,
-    then once per refinement step of all brackets, each bracket carrying its
-    row: coincident functions have brackets at the same lambda.  Non-finite
-    values (poles screened out by the caller) are skipped: sign changes,
-    scale and dips are read per sub-grid, between finite samples.
+def _scan_zeros(fs, xs):
+    """Sign-change zeros plus tangency (multiplicity 2) probing on the grid
+    xs, one sorted list per function.  fs maps an array of lambda to real
+    values, or to one row of them per function of several; it is called on
+    the grid, then once per refinement step of all brackets, each carrying
+    its row.  Sign changes, scale and dips are read between finite samples.
     """
     with np.errstate(all="ignore"):
-        vs = np.atleast_2d(np.asarray(fs(np.concatenate(grids)), dtype=float))
+        vs = np.atleast_2d(np.asarray(fs(xs), dtype=float))
 
-    cuts = np.cumsum([g.size for g in grids])[:-1]
-    scans = [(row, xs[np.isfinite(v)], v[np.isfinite(v)])
-             for row, vrow in enumerate(vs) for xs, v in zip(grids, np.split(vrow, cuts))]
+    scans = [(row, xs[np.isfinite(v)], v[np.isfinite(v)]) for row, v in enumerate(vs)]
     cells = [np.flatnonzero(fvs[:-1] * fvs[1:] < 0.0) for _, _, fvs in scans]
     ends = [(fxs[i], fxs[i + 1], fvs[i], fvs[i + 1]) for (_, fxs, fvs), i in zip(scans, cells)]
     a, b, fa, fb = (np.concatenate(col) for col in zip(*ends))
@@ -222,7 +216,7 @@ def _count(fs, interval, grid):
     per function (see _scan_zeros)."""
     xs = lambda_grid(interval, grid)
     reports = []
-    for zeros in _scan_zeros(fs, [xs]):
+    for zeros in _scan_zeros(fs, xs):
         zeros = [(z, m) for z, m in zeros if interval[0] < z < interval[1]]
         _warn_if_coarse(zeros, xs)
         reports.append(CountReport(interval=(float(interval[0]), float(interval[1])),
@@ -248,58 +242,33 @@ def _probe_step(x):
     return max(REFINE_TOL, 4 * float(np.finfo(float).eps) * abs(x))
 
 
-def _merge_poles(reports):
-    events = sorted((z, m) for r in reports for z, m in r.zeros)
+def _vertex_inertia(bc, t):
+    """n_-(A_v), A_v = Q^H M Q + L~ (r x r), M = diag(-z'/z) the outward maps
+    of the wires cut at the vertex (maps._dtn_block) from the transfers t
+    (L, n, 2, 2) of the graph's z legs.  With alpha2 = U S V^H of rank r
+    (graphs.RANK_TOL), the vertex condition reads u(0) = Q c for Q = V[:, :r]
+    and Q^H u'(0) = L~ c for L~ = -S_r^-1 U_r^H alpha1 Q."""
+    u, s, vh = np.linalg.svd(bc.alpha2)
+    r = np.count_nonzero(s > RANK_TOL * s[0])
+    q = vh[:r].conj().T
+    lt = -(u[:, :r].conj().T @ bc.alpha1 @ q) / s[:r, None]
+    return maps.negatives(q.conj().T @ (maps._dtn_block(maps.OUTER, bc, t, []) * q) + lt)
+
+
+def _map_orders(full, pieces):
+    """The two-sided map's (zeros, poles) as sorted (location, order)
+    tuples: E = prod E_piece det(MM1 + MM2), so the order at a location is
+    the full graph's multiplicity less the pieces'.  Zeros closer than
+    twice _stop_width are one location, the lowest."""
+    events = sorted([*full.zeros, *((z, -m) for r in pieces for z, m in r.zeros)])
     merged = []
-    for loc, order in events:
-        if merged and loc - merged[-1][0] <= POLE_MERGE_TOL * (1 + abs(loc)):
-            prev_loc, prev_order = merged[-1]
-            merged[-1] = (prev_loc, prev_order + order)
+    for x, m in events:
+        if merged and x - merged[-1][0] < 2 * _stop_width(x):
+            merged[-1][1] += m
         else:
-            merged.append((loc, order))
-    return merged
-
-
-def _map_delta(fs, denominator_reports, interval, grid) -> CountReport:
-    """Zeros minus poles of the two-sided map on an interval.
-
-    Poles are not probed on the map itself: they are the zeros of the
-    denominator Evans functions (the pieces' count reports), merged when
-    coincident with orders summed.  A zero whose piece eigenfunction has no
-    flux at the cut is a removable pole, an eigenvalue of the full graph
-    too, and is counted all the same.  The map's own zeros are then counted
-    by sign change on the pole-free subintervals, skipping samples where
-    evaluation blew up.  fs maps an array of lambda to map values.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    poles = _merge_poles(denominator_reports)
-    for p, _ in poles:
-        if abs(p - lo) <= _probe_step(lo) or abs(p - hi) <= _probe_step(hi):
-            raise EndpointOnSpectrum(f"map pole at lambda={p} sits on the interval boundary")
-
-    total = lambda_grid(interval, grid).size - 1
-    span = (math.sqrt(hi) - math.sqrt(lo)) if lo >= 0 else (hi - lo)
-    subs = []
-    bounds = [(lo, False)] + [(p, True) for p, _ in poles] + [(hi, False)]
-    for (a, pole_a), (b, pole_b) in zip(bounds[:-1], bounds[1:]):
-        # stay just clear of each refined pole: a sample landing on its far
-        # side would fake a sign change.  The margin only needs to beat the
-        # bisection uncertainty; zeros interlace arbitrarily close to poles,
-        # so anything larger risks swallowing one.
-        trim_a = 10 * REFINE_TOL * (1 + abs(a))
-        trim_b = 10 * REFINE_TOL * (1 + abs(b))
-        a_eff = a + trim_a if pole_a else a
-        b_eff = b - trim_b if pole_b else b
-        if b_eff - a_eff <= 4 * REFINE_TOL:
-            continue
-        share = ((math.sqrt(b) - math.sqrt(a)) / span) if lo >= 0 else ((b - a) / span)
-        subs.append(lambda_grid((a_eff, b_eff), max(MIN_GRID, math.ceil(total * share))))
-    found = _scan_zeros(fs, subs) if subs else []
-    zeros = sorted((z, m) for sub, zs in zip(subs, found) for z, m in zs if sub[0] < z < sub[-1])
-    n_zeros = sum(m for _, m in zeros)
-    n_poles = sum(o for _, o in poles)
-    return CountReport(interval=(lo, hi), zeros=tuple(zeros), poles=tuple(poles),
-                       count=n_zeros, delta_N=n_zeros - n_poles)
+            merged.append([x, m])
+    return (tuple((x, m) for x, m in merged if m > 0),
+            tuple((x, -m) for x, m in merged if m < 0))
 
 
 @dataclass(frozen=True)
@@ -308,7 +277,7 @@ class CountingIdentityReport:
     full: CountReport
     pieces: dict           # piece key -> CountReport, factor order
     map_report: CountReport
-    holds: bool
+    vertex_count: int      # sum of wire counts + delta n_-(A_v), every wire cut at the vertex
 
     @property
     def pieces_total(self):
@@ -318,16 +287,26 @@ class CountingIdentityReport:
     def delta_N(self):
         return self.map_report.delta_N
 
+    @property
+    def holds(self):
+        return self.full.count == self.pieces_total + self.delta_N == self.vertex_count
+
     def summary(self):
         terms = " + ".join(str(r.count) for r in self.pieces.values())
-        verdict = "PASS" if self.holds else "FAIL"
-        return f"{self.full.count} = {terms} + {self.delta_N} {verdict}"
+        off = [name for name, count in (("the Evans scan", self.full.count),
+                                        ("the split", self.pieces_total + self.delta_N))
+               if count != self.vertex_count]  # empty exactly when the identity holds
+        verdict = f"FAIL (the vertex cut counts {self.vertex_count}, not {' or '.join(off)})"
+        return f"{self.full.count} = {terms} + {self.delta_N} {verdict if off else 'PASS'}"
 
 
 def verify_counting(g, bc, spec, interval, grid=None, terms=None) -> CountingIdentityReport:
-    """Check N_full = sum of piece counts + delta_N, all terms independent.
+    """Check N_full = sum of piece counts + delta_N = the vertex cut's count.
 
-    Endpoints sitting on any involved spectrum (a sign change between
+    delta_N = n_-(A(hi)) - n_-(A(lo)), A = MM1 + MM2 (SplitTerms.inertia);
+    the vertex cut counts the sign changes of each wire's z_j(0), plus
+    n_-(A_v(hi)) - n_-(A_v(lo)) (_vertex_inertia).  Endpoints sitting on any
+    involved spectrum (a sign change of an Evans value or a z_j(0) between
     x - h and x + h, h = max(REFINE_TOL, 4 eps |x|)) are nudged inward by
     10 h, with a warning; if that does not clear them the interval is
     rejected.  Pass terms=maps.SplitTerms(g, bc, spec) to reuse one split
@@ -337,9 +316,15 @@ def verify_counting(g, bc, spec, interval, grid=None, terms=None) -> CountingIde
         raise ValueError("sign-change counting needs real boundary data")
     terms = maps.SplitTerms(g, bc, spec) if terms is None else terms
 
+    def rows(lams):  # every problem's Evans values, then each wire's z_j(0)
+        def batch(ls):
+            t = terms.evans.plan.stack(ls)
+            return terms.evans.values(t, ls) + list(z_values(bc, terms.evans.legs(t, 0))[0].T)
+        return chunked(batch, lams, terms.evans.size)
+
     def on_spectrum(xs):
         pairs = np.array([(x - _probe_step(x), x + _probe_step(x)) for x in xs])
-        vs = np.array(terms.evans(pairs.ravel())).reshape(-1, *pairs.shape)
+        vs = np.array(rows(pairs.ravel())).reshape(-1, *pairs.shape)
         return np.any(vs[..., 0] * vs[..., 1] <= 0, axis=0)
 
     ends = lambda_grid(interval, grid)[[0, -1]].tolist()  # a bad interval fails before the probe
@@ -352,10 +337,12 @@ def verify_counting(g, bc, spec, interval, grid=None, terms=None) -> CountingIde
             raise EndpointOnSpectrum(f"endpoint {x} still on a spectrum after nudging")
         ends[end] = moved
     nudged = tuple(ends)
-    full, *reports = _count(terms.evans, nudged, grid)
-    piece_reports = dict(zip(terms.keys, reports))
-    with np.errstate(all="ignore"):
-        map_report = _map_delta(terms.value, list(piece_reports.values()), nudged, grid)
-    holds = full.count == sum(r.count for r in piece_reports.values()) + map_report.delta_N
-    return CountingIdentityReport(interval=nudged, full=full, pieces=piece_reports,
-                                  map_report=map_report, holds=holds)
+    full, *reports = _count(rows, nudged, grid)
+    pieces, wires = dict(zip(terms.keys, reports)), reports[len(terms.keys):]
+    t = terms.evans.plan.stack(np.array(nudged))
+    (lo, hi), (v_lo, v_hi) = terms.inertia(nudged, t), _vertex_inertia(bc, terms.evans.legs(t, 0))
+    zeros, poles = _map_orders(full, pieces.values())
+    map_report = CountReport(interval=nudged, zeros=zeros, poles=poles,
+                             count=sum(m for _, m in zeros), delta_N=int(hi - lo))
+    return CountingIdentityReport(interval=nudged, full=full, pieces=pieces, map_report=map_report,
+                                  vertex_count=sum(r.count for r in wires) + int(v_hi - v_lo))

@@ -15,8 +15,10 @@ with every Evans factor taken with Dirichlet conditions at the cuts.  One
 SplitTerms per split holds every term of both identities and of the count
 N_full = sum of N_piece + delta_N: the Evans functions of the graph and of
 its Dirichlet pieces, and the assembly of (MM1, MM2) over an array of
-lambda.  Every Dirichlet-to-Neumann block is a function of its piece's
-own z legs (_dtn_block), so one plan, that of the Evans problems
+lambda, whose sum A gives delta_N = n_-(A(hi)) - n_-(A(lo)) on [lo, hi]
+(inertia): each block is an outward map, decreasing in lambda.  Every
+Dirichlet-to-Neumann block is a function of its piece's own z legs
+(_dtn_block), so one plan, that of the Evans problems
 (evans._evans_values), serves both, evaluated in one stack per batch: a
 count that keeps the terms evaluates them at every grid and refinement
 step without planning again, and a split check evaluates them once, at
@@ -199,10 +201,10 @@ def two_sided_sum(m1: OneSidedMap, m2: OneSidedMap):
 class SplitTerms:
     """The split terms of (g, bc, spec) as functions of an array of lambda
     as lambdas() gives it: evans gives one value array per problem, the full
-    graph and then each piece's Dirichlet key (keys), blocks (MM1, MM2) and
-    value the two-sided map.  The graph is split once, here, and the legs of
-    every problem are planned once, in evans; the blocks read the pieces'
-    legs of its stack."""
+    graph and then each piece's Dirichlet key (keys), blocks (MM1, MM2),
+    value the two-sided map and inertia n_-(MM1 + MM2).  The graph is split
+    once, here, and the legs of every problem are planned once, in evans;
+    the blocks read the pieces' legs of its stack."""
 
     def __init__(self, g: StarGraph, bc: BoundaryConditions, spec: SplitSpec):
         self.spec = spec
@@ -224,6 +226,10 @@ class SplitTerms:
                                [spec.cuts[k][0] for k in p.outer])
             out[p.side].append((p.ports, block))
         return tuple(_side_map(blocks, len(spec.cuts)) for blocks in out)
+
+    def inertia(self, lams, t=None):
+        """n_-(MM1 + MM2) at each real lambda off every spectrum; t as in blocks."""
+        return negatives(np.add(*self.blocks(lams, t)))
 
     def value(self, lams, t=None):
         """M1 + M2 for a single cut, det(MM1 + MM2) for a double cut, from the
@@ -286,6 +292,11 @@ def two_sided_value(g: StarGraph, bc: BoundaryConditions, spec: SplitSpec, lam):
     lams, scalar = lambdas(lam)
     vals = SplitTerms(g, bc, spec).value(lams)
     return vals[0] if scalar else vals
+
+
+def negatives(a):
+    """n_-, the number of negative eigenvalues, of each Hermitian matrix of a stack (L, k, k)."""
+    return np.count_nonzero(np.linalg.eigvalsh(a) < 0, axis=-1)
 
 
 def _side_map(blocks, k):
